@@ -13,14 +13,20 @@ Directory::Directory(const net::Topology& topo,
                      std::unordered_map<LabelId, double> p_true)
     : topo_(topo),
       field_(field),
-      host_of_sensor_(std::move(host_of_sensor)),
-      p_true_(std::move(p_true)) {
+      host_of_sensor_(std::move(host_of_sensor)) {
   DDE_CHECK(host_of_sensor_.size() == field.sensors().size(),
             "Directory: host_of_sensor must map every sensor to a node");
   for (const auto& s : field.sensors()) {
     for (SegmentId seg : s.covers) {
       sources_for_label_[LabelId{seg.value()}].push_back(s.id);
     }
+  }
+  // lint: ordered-fold — each entry writes its own slot, order-free.
+  for (const auto& [label, p] : p_true) {
+    if (label.value() >= p_true_.size()) {
+      p_true_.resize(label.value() + 1, 0.5);
+    }
+    p_true_[label.value()] = p;
   }
 }
 
@@ -68,8 +74,8 @@ decision::LabelMeta Directory::meta(LabelId label, SourceId source,
   m.cost = retrieval_cost(source, origin);
   m.latency = retrieval_latency(source, origin);
   m.validity = field_.sensor(source).validity;
-  auto it = p_true_.find(label);
-  m.p_true = it == p_true_.end() ? 0.5 : it->second;
+  m.p_true =
+      label.value() < p_true_.size() ? p_true_[label.value()] : 0.5;
   return m;
 }
 

@@ -33,6 +33,9 @@ class Directory {
   /// Sources whose evidence can resolve `label` (empty if none).
   [[nodiscard]] const std::vector<SourceId>& sources_for(LabelId label) const;
 
+  /// The topology retrieval costs and latencies are computed over.
+  [[nodiscard]] const net::Topology& topology() const noexcept { return topo_; }
+
   /// The node hosting `source`.
   [[nodiscard]] NodeId host(SourceId source) const;
 
@@ -84,7 +87,8 @@ class Directory {
   const world::SensorField& field_;
   std::vector<NodeId> host_of_sensor_;
   std::unordered_map<LabelId, std::vector<SourceId>> sources_for_label_;
-  std::unordered_map<LabelId, double> p_true_;
+  /// p_true_[label]; 0.5 (uninformative) where the map had no entry.
+  std::vector<double> p_true_;
 };
 
 }  // namespace dde::athena

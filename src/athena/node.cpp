@@ -166,18 +166,29 @@ bool AthenaNode::prefetch_mark_seen(std::uint64_t key) {
 // The origin-side query engine
 // ---------------------------------------------------------------------------
 
-decision::MetaFn AthenaNode::make_meta(const QueryState& q) const {
-  return [this, &q](LabelId label) {
-    SourceId source;
-    if (auto it = q.selection.designated.find(label);
-        it != q.selection.designated.end()) {
-      source = it->second;
-    } else if (const auto& srcs = directory_.sources_for(label); !srcs.empty()) {
-      source = srcs.front();
-    }
-    if (!source.valid()) return decision::LabelMeta{};
-    return directory_.meta(label, source, id_);
-  };
+decision::LabelMeta AthenaNode::label_meta(QueryState& q,
+                                           LabelId label) const {
+  const std::uint64_t epoch = directory_.topology().routes_epoch();
+  if (q.meta_epoch != epoch) {
+    q.meta.clear();  // rerouted: hop counts may have changed
+    q.meta_epoch = epoch;
+  }
+  for (const auto& [known, m] : q.meta) {
+    if (known == label) return m;
+  }
+  SourceId source;
+  if (auto it = q.selection.designated.find(label);
+      it != q.selection.designated.end()) {
+    source = it->second;
+  } else if (const auto& srcs = directory_.sources_for(label); !srcs.empty()) {
+    source = srcs.front();
+  }
+  const decision::LabelMeta m = source.valid()
+                                    ? directory_.meta(label, source, id_)
+                                    : decision::LabelMeta{};
+  if (q.meta.empty()) q.meta.reserve(q.label_set.size());
+  q.meta.emplace_back(label, m);
+  return m;
 }
 
 std::vector<decision::LabelValue> AthenaNode::annotate(
@@ -390,7 +401,19 @@ void AthenaNode::advance(QueryState& q) {
       finish(q, true);
       return;
     }
-    const auto meta = make_meta(q);
+    if (config_.sequential && !q.outstanding.empty()) {
+      // One request in flight per query, and shedding needs none in
+      // flight, so a plan here would only feed the kPlan trace. Every
+      // policy plans exactly the relevant labels; trace their count.
+      if (trace_sink_ != nullptr) {
+        trace(obs::EventKind::kPlan, q.id,
+              q.expr.relevant_labels(q.assignment, now).size());
+      }
+      return;
+    }
+    const decision::MetaFn meta = [this, &q](LabelId label) {
+      return label_meta(q, label);
+    };
     const auto order = decision::plan_retrieval_order(
         q.expr, q.assignment, now, meta, config_.order, q.deadline_abs);
     if (order.empty()) return;  // nothing actionable (uncovered labels)
@@ -408,7 +431,6 @@ void AthenaNode::advance(QueryState& q) {
 
     bool progressed = false;
     if (config_.sequential) {
-      if (!q.outstanding.empty()) return;  // one request in flight per query
       SimTime corroboration_retry = SimTime::max();
       for (LabelId l : order) {
         if (try_local(q, l)) {
@@ -630,6 +652,7 @@ void AthenaNode::failover(QueryState& q) {
     }
   }
   q.selection = std::move(fresh);
+  q.meta.clear();
   trace(obs::EventKind::kFailover, q.id, moved);
 }
 

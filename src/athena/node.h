@@ -18,6 +18,7 @@
 #include <optional>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "athena/config.h"
@@ -173,6 +174,13 @@ class AthenaNode {
     SimTime deadline_abs;
     decision::Assignment assignment;
     Directory::Selection selection;
+    /// Planner metadata per label, filled lazily by label_meta(). It is a
+    /// pure function of `selection` and the routes, so failover() clears it
+    /// and label_meta() clears it when the routes epoch moves on. Entries
+    /// live on the heap: every node's query pool holds a chunk of mostly
+    /// idle slots, and inline entries would make each of them resident.
+    std::vector<std::pair<LabelId, decision::LabelMeta>> meta;
+    std::uint64_t meta_epoch = 0;  ///< routes epoch `meta` was filled under
     int priority = 0;
     /// source → expiry of the outstanding request to it.
     SmallMap<SourceId, SimTime, 4> outstanding;
@@ -304,8 +312,10 @@ class AthenaNode {
     return directory_.host(source) == id_;
   }
 
-  /// Planner metadata bound to a query's designated sources.
-  [[nodiscard]] decision::MetaFn make_meta(const QueryState& q) const;
+  /// Planner metadata for `label` from its designated source (or, if none
+  /// is designated, its first covering source), memoized in `q.meta`.
+  [[nodiscard]] decision::LabelMeta label_meta(QueryState& q,
+                                               LabelId label) const;
 
   /// Live state for `qid`, or nullptr if unknown or already retired.
   [[nodiscard]] QueryState* lookup_query(QueryId qid);

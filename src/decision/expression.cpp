@@ -9,12 +9,13 @@ std::vector<LabelId> DnfExpr::relevant_labels(const Assignment& a,
                                               SimTime now) const {
   std::vector<LabelId> out;
   if (resolved(a, now)) return out;
-  std::unordered_set<LabelId> seen;
   for (std::size_t i = 0; i < disjuncts_.size(); ++i) {
     if (eval_disjunct(i, a, now) != Tristate::kUnknown) continue;
     for (const Term& t : disjuncts_[i].terms) {
       if (eval_term(t, a, now) != Tristate::kUnknown) continue;
-      if (seen.insert(t.label).second) out.push_back(t.label);
+      if (std::find(out.begin(), out.end(), t.label) == out.end()) {
+        out.push_back(t.label);
+      }
     }
   }
   return out;

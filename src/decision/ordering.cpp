@@ -10,6 +10,61 @@
 #include "common/contracts.h"
 
 namespace dde::decision {
+namespace {
+
+/// A term with its metadata and AND efficiency looked up once, so sorts,
+/// swaps and feasibility checks over a conjunction call `meta` once per
+/// term instead of once per comparison.
+struct Resolved {
+  Term term;
+  LabelMeta meta;
+  double efficiency = 0.0;  ///< (1 − p_true) / cost, as and_efficiency
+};
+
+std::vector<Resolved> resolve(std::span<const Term> terms,
+                              const MetaFn& meta) {
+  std::vector<Resolved> out;
+  out.reserve(terms.size());
+  for (const Term& t : terms) {
+    const LabelMeta m = meta(t.label);
+    const double p = t.negated ? 1.0 - m.p_true : m.p_true;
+    out.push_back(Resolved{t, m, (1.0 - p) / std::max(m.cost, 1e-12)});
+  }
+  return out;
+}
+
+std::vector<Term> terms_of(const std::vector<Resolved>& resolved) {
+  std::vector<Term> out;
+  out.reserve(resolved.size());
+  for (const Resolved& r : resolved) out.push_back(r.term);
+  return out;
+}
+
+bool resolved_feasible(const std::vector<Resolved>& terms, SimTime start,
+                       SimTime deadline) {
+  // Back-to-back retrievals; object k completes at start + sum latencies.
+  // Compare against the remaining budget instead of summing into `finish`
+  // first: an unreachable source reports latency = SimTime::max() (the
+  // directory's sentinel), and adding that would overflow the signed tick
+  // count. The budget form rejects it at the comparison, no arithmetic.
+  if (start > deadline) return false;
+  SimTime finish = start;
+  for (const Resolved& r : terms) {
+    if (r.meta.latency > deadline - finish) return false;
+    finish += r.meta.latency;
+  }
+  SimTime done = start;
+  for (const Resolved& r : terms) {
+    done += r.meta.latency;
+    // Data freshness (Sec. IV-A): the object retrieved at `done` must still
+    // be valid when the last retrieval finishes (same overflow-safe form:
+    // done <= finish, so the gap is a small non-negative duration).
+    if (r.meta.validity < finish - done) return false;
+  }
+  return true;
+}
+
+}  // namespace
 
 double term_p_true(const Term& t, const MetaFn& meta) {
   const double p = meta(t.label).p_true;
@@ -22,12 +77,12 @@ double and_efficiency(const Term& t, const MetaFn& meta) {
 }
 
 std::vector<Term> order_conjunction(const Conjunction& c, const MetaFn& meta) {
-  std::vector<Term> terms = c.terms;
-  std::stable_sort(terms.begin(), terms.end(),
-                   [&](const Term& a, const Term& b) {
-                     return and_efficiency(a, meta) > and_efficiency(b, meta);
+  auto resolved = resolve(c.terms, meta);
+  std::stable_sort(resolved.begin(), resolved.end(),
+                   [](const Resolved& a, const Resolved& b) {
+                     return a.efficiency > b.efficiency;
                    });
-  return terms;
+  return terms_of(resolved);
 }
 
 double expected_conjunction_cost(std::span<const Term> terms,
@@ -168,62 +223,41 @@ BestOrder optimal_conjunction_order(const Conjunction& c, const MetaFn& meta) {
 
 bool order_feasible(std::span<const Term> terms, const MetaFn& meta,
                     SimTime start, SimTime deadline) {
-  // Back-to-back retrievals; object k completes at start + sum latencies.
-  // Compare against the remaining budget instead of summing into `finish`
-  // first: an unreachable source reports latency = SimTime::max() (the
-  // directory's sentinel), and adding that would overflow the signed tick
-  // count. The budget form rejects it at the comparison, no arithmetic.
-  if (start > deadline) return false;
-  SimTime finish = start;
-  for (const Term& t : terms) {
-    const SimTime latency = meta(t.label).latency;
-    if (latency > deadline - finish) return false;
-    finish += latency;
-  }
-  SimTime done = start;
-  for (const Term& t : terms) {
-    const LabelMeta m = meta(t.label);
-    done += m.latency;
-    // Data freshness (Sec. IV-A): the object retrieved at `done` must still
-    // be valid when the last retrieval finishes (same overflow-safe form:
-    // done <= finish, so the gap is a small non-negative duration).
-    if (m.validity < finish - done) return false;
-  }
-  return true;
+  return resolved_feasible(resolve(terms, meta), start, deadline);
 }
 
 std::vector<Term> variational_lvf_order(const Conjunction& c,
                                         const MetaFn& meta, SimTime start,
                                         SimTime deadline) {
   // Base: longest validity first maximizes every object's slack at finish.
-  std::vector<Term> order = c.terms;
+  auto order = resolve(c.terms, meta);
   std::stable_sort(order.begin(), order.end(),
-                   [&](const Term& a, const Term& b) {
-                     return meta(a.label).validity > meta(b.label).validity;
+                   [](const Resolved& a, const Resolved& b) {
+                     return a.meta.validity > b.meta.validity;
                    });
   // Greedy variational improvement: adjacent swaps that strictly reduce
   // expected cost while preserving feasibility. The expected cost of a
   // sequential AND evaluation improves under an adjacent swap iff the
   // (1−p)/C efficiency order improves, so comparing efficiencies suffices.
-  const bool base_feasible = order_feasible(order, meta, start, deadline);
-  if (!base_feasible) return order;  // caller detects infeasibility
+  if (!resolved_feasible(order, start, deadline)) {
+    return terms_of(order);  // caller detects infeasibility
+  }
   bool changed = true;
   while (changed) {
     changed = false;
     for (std::size_t i = 0; i + 1 < order.size(); ++i) {
-      if (and_efficiency(order[i + 1], meta) <=
-          and_efficiency(order[i], meta)) {
+      if (order[i + 1].efficiency <= order[i].efficiency) {
         continue;  // swap would not reduce expected cost
       }
       std::swap(order[i], order[i + 1]);
-      if (order_feasible(order, meta, start, deadline)) {
+      if (resolved_feasible(order, start, deadline)) {
         changed = true;
       } else {
         std::swap(order[i], order[i + 1]);  // revert
       }
     }
   }
-  return order;
+  return terms_of(order);
 }
 
 }  // namespace dde::decision

@@ -1,7 +1,6 @@
 #include "decision/planner.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "decision/ordering.h"
 
@@ -12,52 +11,54 @@ namespace {
 std::vector<Term> unknown_terms(const DnfExpr& expr, std::size_t i,
                                 const Assignment& a, SimTime now) {
   std::vector<Term> out;
-  std::unordered_set<LabelId> seen;
   for (const Term& t : expr.disjuncts()[i].terms) {
     if (DnfExpr::eval_term(t, a, now) != Tristate::kUnknown) continue;
-    if (seen.insert(t.label).second) out.push_back(t);
+    const bool seen = std::any_of(out.begin(), out.end(), [&](const Term& u) {
+      return u.label == t.label;
+    });
+    if (!seen) out.push_back(t);
   }
   return out;
 }
 
-/// Disjunct indexes still unknown, ordered by the OR short-circuit rule
-/// (success probability of remaining terms per unit remaining expected
-/// cost, descending).
-std::vector<std::size_t> order_open_disjuncts(const DnfExpr& expr,
-                                              const Assignment& a,
-                                              SimTime now, const MetaFn& meta,
-                                              bool score) {
-  struct Open {
-    std::size_t index;
-    double success;
-    double ecost;
-  };
-  std::vector<Open> open;
+/// A disjunct still unknown under the assignment.
+struct OpenDisjunct {
+  std::vector<Term> unknown;    ///< unknown terms, declaration order
+  std::vector<Term> and_order;  ///< the same terms under the AND rule
+  double success = 0.0;
+  double ecost = 0.0;
+};
+
+/// Open disjuncts ordered by the OR short-circuit rule (success probability
+/// of remaining terms per unit remaining expected cost, descending).
+std::vector<OpenDisjunct> order_open_disjuncts(const DnfExpr& expr,
+                                               const Assignment& a,
+                                               SimTime now,
+                                               const MetaFn& meta) {
+  std::vector<OpenDisjunct> open;
   for (std::size_t i = 0; i < expr.disjunct_count(); ++i) {
     if (expr.eval_disjunct(i, a, now) != Tristate::kUnknown) continue;
-    const auto terms = unknown_terms(expr, i, a, now);
-    const auto ordered = score ? order_conjunction(Conjunction{terms}, meta)
-                               : terms;
-    open.push_back(Open{i, conjunction_success_prob(ordered, meta),
-                        expected_conjunction_cost(ordered, meta)});
+    OpenDisjunct d;
+    d.unknown = unknown_terms(expr, i, a, now);
+    d.and_order = order_conjunction(Conjunction{d.unknown}, meta);
+    d.success = conjunction_success_prob(d.and_order, meta);
+    d.ecost = expected_conjunction_cost(d.and_order, meta);
+    open.push_back(std::move(d));
   }
-  if (score) {
-    std::stable_sort(open.begin(), open.end(), [](const Open& x, const Open& y) {
-      return x.success * std::max(y.ecost, 1e-12) >
-             y.success * std::max(x.ecost, 1e-12);
-    });
-  }
-  std::vector<std::size_t> out;
-  out.reserve(open.size());
-  for (const auto& o : open) out.push_back(o.index);
-  return out;
+  std::stable_sort(open.begin(), open.end(),
+                   [](const OpenDisjunct& x, const OpenDisjunct& y) {
+                     return x.success * std::max(y.ecost, 1e-12) >
+                            y.success * std::max(x.ecost, 1e-12);
+                   });
+  return open;
 }
 
 void append_unique(std::vector<LabelId>& order,
-                   std::unordered_set<LabelId>& seen,
                    const std::vector<Term>& terms) {
   for (const Term& t : terms) {
-    if (seen.insert(t.label).second) order.push_back(t.label);
+    if (std::find(order.begin(), order.end(), t.label) == order.end()) {
+      order.push_back(t.label);
+    }
   }
 }
 
@@ -85,11 +86,9 @@ std::vector<LabelId> plan_retrieval_order(const DnfExpr& expr,
 
     case OrderPolicy::kShortCircuit: {
       std::vector<LabelId> order;
-      std::unordered_set<LabelId> seen;
-      for (std::size_t i :
-           order_open_disjuncts(expr, assignment, now, meta, /*score=*/true)) {
-        const auto terms = unknown_terms(expr, i, assignment, now);
-        append_unique(order, seen, order_conjunction(Conjunction{terms}, meta));
+      for (const auto& d :
+           order_open_disjuncts(expr, assignment, now, meta)) {
+        append_unique(order, d.and_order);
       }
       return order;
     }
@@ -108,13 +107,10 @@ std::vector<LabelId> plan_retrieval_order(const DnfExpr& expr,
       // disjunct's remaining terms validity-first with cost-improving
       // rearrangements that stay freshness-feasible for the deadline.
       std::vector<LabelId> order;
-      std::unordered_set<LabelId> seen;
-      for (std::size_t i :
-           order_open_disjuncts(expr, assignment, now, meta, /*score=*/true)) {
-        const auto terms = unknown_terms(expr, i, assignment, now);
-        append_unique(order, seen,
-                      variational_lvf_order(Conjunction{terms}, meta, now,
-                                            deadline));
+      for (const auto& d :
+           order_open_disjuncts(expr, assignment, now, meta)) {
+        append_unique(order, variational_lvf_order(Conjunction{d.unknown},
+                                                   meta, now, deadline));
       }
       return order;
     }

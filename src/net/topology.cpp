@@ -11,6 +11,7 @@ namespace dde::net {
 
 NodeId Topology::add_node() {
   routes_valid_ = false;
+  ++routes_epoch_;
   out_links_.emplace_back();
   return NodeId{node_count_++};
 }
@@ -27,6 +28,7 @@ std::pair<LinkId, LinkId> Topology::add_link(NodeId a, NodeId b,
             "add_link: bandwidth must be positive (zero would make route "
             "weights infinite)");
   routes_valid_ = false;
+  ++routes_epoch_;
   const LinkId ab{links_.size()};
   links_.push_back(Link{ab, a, b, bandwidth_bps, latency});
   out_links_[a.value()].push_back(ab);
@@ -110,6 +112,7 @@ void Topology::compute_routes(const std::vector<char>& link_enabled) {
     }
   }
   routes_valid_ = true;
+  ++routes_epoch_;
 }
 
 std::optional<NodeId> Topology::next_hop(NodeId from, NodeId dest) const {

@@ -72,6 +72,14 @@ class Topology {
   [[nodiscard]] std::optional<std::size_t> hop_distance(NodeId from,
                                                         NodeId dest) const;
 
+  /// Route generation: bumped by every compute_routes() call and by every
+  /// graph edit that invalidates the routes, so a value derived from
+  /// next_hop()/hop_distance() stays valid while the epoch it was computed
+  /// under is current.
+  [[nodiscard]] std::uint64_t routes_epoch() const noexcept {
+    return routes_epoch_;
+  }
+
  private:
   std::size_t node_count_ = 0;
   std::vector<Link> links_;
@@ -80,6 +88,7 @@ class Topology {
   std::vector<NodeId> next_hop_;
   std::vector<std::size_t> hops_;
   bool routes_valid_ = false;
+  std::uint64_t routes_epoch_ = 0;
 };
 
 }  // namespace dde::net

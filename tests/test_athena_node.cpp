@@ -614,6 +614,125 @@ TEST(AthenaNode, FailoverSwitchesToAlternateSourceWhenHostUnreachable) {
       << "label 0 must be re-designated to the reachable source";
 }
 
+/// Ring 0—1—2—3—0 for the planner-metadata memo: node 0 asks
+/// "label 0 AND label 1" under the lvf order, whose AND rule puts the
+/// cheaper of two equally likely labels first (cost = bytes × hops).
+///   sensor 0 @ node 1 covers label 0, 1000 B: 1 hop → cost 1000
+///   sensor 1 @ node 2 covers label 1, 1000 B: 2 hops → cost 2000
+///   sensor 2 @ node 3 covers label 0, 3000 B: 1 hop → cost 3000
+/// Label 0 is designated sensor 0, so the first fetch goes to sensor 0.
+struct RingFixture {
+  world::GridMap map{4, 4};
+  world::ViabilityProcess truth;
+  world::SensorField field;
+  net::Topology topo;
+  std::vector<NodeId> nodes;
+  des::Simulator sim;
+  net::Network net;
+  Directory dir;
+  AthenaMetrics metrics;
+  obs::TraceSink sink{obs::TraceSink::Options{256, nullptr, false}};
+  std::vector<std::unique_ptr<AthenaNode>> athena;
+
+  static SensorInfo sensor(std::uint64_t id, std::uint64_t label,
+                           std::uint64_t bytes) {
+    SensorInfo s;
+    s.id = SourceId{id};
+    s.name = naming::Name::parse("/ring/s" + std::to_string(id));
+    s.covers = {SegmentId{label}};
+    s.object_bytes = bytes;
+    s.validity = SimTime::seconds(100);
+    return s;
+  }
+
+  explicit RingFixture(const AthenaConfig& cfg)
+      : truth(std::vector<world::SegmentDynamics>(
+                  map.segment_count(),
+                  world::SegmentDynamics{1.0, SimTime::seconds(1e7)}),
+              Rng(1)),
+        field(map, truth,
+              {sensor(0, 0, 1000), sensor(1, 1, 1000), sensor(2, 0, 3000)}),
+        topo(),
+        nodes(),
+        sim(),
+        net(make_net()),
+        dir(topo, field, {NodeId{1}, NodeId{2}, NodeId{3}},
+            {{LabelId{0}, 0.5}, {LabelId{1}, 0.5}}) {
+    for (std::size_t i = 0; i < 4; ++i) {
+      athena.push_back(std::make_unique<AthenaNode>(NodeId{i}, net, dir, field,
+                                                    cfg, metrics));
+    }
+    athena[0]->set_trace_sink(&sink);
+  }
+
+  net::Network make_net() {
+    for (int i = 0; i < 4; ++i) nodes.push_back(topo.add_node());
+    for (int i = 0; i < 4; ++i) {
+      topo.add_link(nodes[i], nodes[(i + 1) % 4], 1e6, SimTime::millis(1));
+    }
+    topo.compute_routes();
+    return net::Network(sim, topo);
+  }
+
+  /// Silence the 0—1 link in both directions.
+  void cut_link_0_1() {
+    net.set_link_up(*topo.link_between(nodes[0], nodes[1]), false);
+    net.set_link_up(*topo.link_between(nodes[1], nodes[0]), false);
+  }
+
+  void query() {
+    decision::DnfExpr e;
+    e.add_disjunct(decision::Conjunction{
+        {decision::Term{LabelId{0}, false}, decision::Term{LabelId{1}, false}}});
+    athena[0]->query_init(std::move(e), SimTime::seconds(120));
+  }
+
+  /// Sources node 0 fetched from, in order.
+  [[nodiscard]] std::vector<std::uint64_t> fetches() const {
+    std::vector<std::uint64_t> out;
+    for (const obs::Event& ev : sink.ring_snapshot()) {
+      if (ev.kind == obs::EventKind::kFetch) out.push_back(ev.subject);
+    }
+    return out;
+  }
+};
+
+TEST(AthenaNode, RerouteChangesTheHopCostTheNextPlanSees) {
+  auto cfg = config_for(Scheme::kLvf);
+  cfg.prefetch = false;
+  RingFixture f(cfg);
+  f.query();  // plans with sensor 0 one hop away: fetch sensor 0
+  // Outage mid-query, rerouted as the fault injector does: sensor 0 is
+  // now 3 hops away (cost 3000), sensor 1 still 2 (cost 2000).
+  f.cut_link_0_1();
+  std::vector<char> enabled(f.topo.link_count(), 1);
+  enabled[f.topo.link_between(f.nodes[0], f.nodes[1])->value()] = 0;
+  enabled[f.topo.link_between(f.nodes[1], f.nodes[0])->value()] = 0;
+  f.topo.compute_routes(enabled);
+  // The request to sensor 0 is lost; its retry re-plans under the new
+  // routes and puts label 1 first, then fetches label 0 over the 3-hop
+  // route. Metadata memoized under the old routes would retry sensor 0
+  // first.
+  f.sim.run_until(SimTime::seconds(9));
+  EXPECT_EQ(f.fetches(), (std::vector<std::uint64_t>{0, 1, 0}));
+}
+
+TEST(AthenaNode, FailoverChangesTheHopCostTheNextPlanSees) {
+  auto cfg = config_for(Scheme::kLvf);
+  cfg.prefetch = false;
+  cfg.max_source_attempts = 2;
+  RingFixture f(cfg);
+  f.query();
+  // No reroute: sensor 0 just stops answering. After two attempts label 0
+  // fails over to sensor 2 (cost 3000), so the next plan puts label 1
+  // (cost 2000) first. Metadata memoized for sensor 0 would fetch label 0
+  // from sensor 2 first.
+  f.cut_link_0_1();
+  f.sim.run_until(SimTime::seconds(20));
+  EXPECT_EQ(f.metrics.failovers, 1u);
+  EXPECT_EQ(f.fetches(), (std::vector<std::uint64_t>{0, 0, 1}));
+}
+
 /// Fixture variant with a noisy world: three sensors at C all covering
 /// segment 0 (viable); reliability 0.75 each.
 struct NoisyFixture {

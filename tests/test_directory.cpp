@@ -107,6 +107,13 @@ TEST(Directory, MetaReflectsSourceAndLabel) {
   // Unknown label defaults p to 0.5.
   const auto m2 = dir.meta(LabelId{77}, SourceId{1}, f.nodes[0]);
   EXPECT_DOUBLE_EQ(m2.p_true, 0.5);
+  // So does a label below the largest known one that has no estimate.
+  const Directory sparse(f.topo, f.field, {f.nodes[1], f.nodes[3], f.nodes[3]},
+                         {{LabelId{3}, 0.8}});
+  EXPECT_DOUBLE_EQ(sparse.meta(LabelId{1}, SourceId{1}, f.nodes[0]).p_true,
+                   0.5);
+  EXPECT_DOUBLE_EQ(sparse.meta(LabelId{3}, SourceId{1}, f.nodes[0]).p_true,
+                   0.8);
 }
 
 TEST(Directory, SelectMinimizedCoversAllLabels) {

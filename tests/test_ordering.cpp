@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -266,6 +268,106 @@ TEST(Ordering, VariationalLvfDominatesPureLvf) {
     if (order_feasible(lvf, m.fn(), SimTime::zero(), deadline)) {
       EXPECT_TRUE(order_feasible(var, m.fn(), SimTime::zero(), deadline));
     }
+  }
+}
+
+/// The orderings as they stood before terms were resolved once per call:
+/// `meta` is called inside every comparison and every feasibility check.
+/// The resolved versions must return exactly these orders.
+namespace per_call {
+
+std::vector<Term> order_conjunction(const Conjunction& c, const MetaFn& meta) {
+  std::vector<Term> terms = c.terms;
+  std::stable_sort(terms.begin(), terms.end(),
+                   [&](const Term& a, const Term& b) {
+                     return and_efficiency(a, meta) > and_efficiency(b, meta);
+                   });
+  return terms;
+}
+
+bool order_feasible(std::span<const Term> terms, const MetaFn& meta,
+                    SimTime start, SimTime deadline) {
+  if (start > deadline) return false;
+  SimTime finish = start;
+  for (const Term& t : terms) {
+    const SimTime latency = meta(t.label).latency;
+    if (latency > deadline - finish) return false;
+    finish += latency;
+  }
+  SimTime done = start;
+  for (const Term& t : terms) {
+    const LabelMeta m = meta(t.label);
+    done += m.latency;
+    if (m.validity < finish - done) return false;
+  }
+  return true;
+}
+
+std::vector<Term> variational_lvf_order(const Conjunction& c,
+                                        const MetaFn& meta, SimTime start,
+                                        SimTime deadline) {
+  std::vector<Term> order = c.terms;
+  std::stable_sort(order.begin(), order.end(),
+                   [&](const Term& a, const Term& b) {
+                     return meta(a.label).validity > meta(b.label).validity;
+                   });
+  if (!per_call::order_feasible(order, meta, start, deadline)) return order;
+  bool changed = true;
+  while (changed) {
+    changed = false;
+    for (std::size_t i = 0; i + 1 < order.size(); ++i) {
+      if (and_efficiency(order[i + 1], meta) <=
+          and_efficiency(order[i], meta)) {
+        continue;
+      }
+      std::swap(order[i], order[i + 1]);
+      if (per_call::order_feasible(order, meta, start, deadline)) {
+        changed = true;
+      } else {
+        std::swap(order[i], order[i + 1]);
+      }
+    }
+  }
+  return order;
+}
+
+}  // namespace per_call
+
+// Metadata drawn from small value sets so equal efficiencies and equal
+// validities (sort ties) are common; some terms are negated and some
+// sources unreachable (latency SimTime::max(), the directory's sentinel).
+TEST(Ordering, ResolvedOrdersMatchPerCallMetaOrders) {
+  Rng rng(404);
+  const double costs[] = {1.0, 2.0, 4.0};
+  const double ps[] = {0.25, 0.5, 0.75};
+  const double validities[] = {5.0, 20.0, 1000.0};
+  for (int trial = 0; trial < 2000; ++trial) {
+    const std::size_t n = 1 + rng.below(7);
+    MetaFixture m;
+    for (std::size_t i = 0; i < n; ++i) {
+      const SimTime latency = rng.chance(0.1)
+                                  ? SimTime::max()
+                                  : SimTime::seconds(1 + rng.below(4));
+      m.set(i, costs[rng.below(3)], ps[rng.below(3)], latency,
+            SimTime::seconds(validities[rng.below(3)]));
+    }
+    Conjunction c;
+    for (std::size_t t = 0, k = 1 + rng.below(7); t < k; ++t) {
+      c.terms.push_back(Term{LabelId{rng.below(n)}, rng.chance(0.3)});
+    }
+    const SimTime start = SimTime::seconds(rng.below(5));
+    const SimTime deadline = rng.chance(0.2)
+                                 ? SimTime::max()
+                                 : SimTime::seconds(rng.uniform(2, 40));
+    EXPECT_EQ(order_conjunction(c, m.fn()),
+              per_call::order_conjunction(c, m.fn()))
+        << "trial " << trial;
+    EXPECT_EQ(variational_lvf_order(c, m.fn(), start, deadline),
+              per_call::variational_lvf_order(c, m.fn(), start, deadline))
+        << "trial " << trial;
+    EXPECT_EQ(order_feasible(c.terms, m.fn(), start, deadline),
+              per_call::order_feasible(c.terms, m.fn(), start, deadline))
+        << "trial " << trial;
   }
 }
 

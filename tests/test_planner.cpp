@@ -80,6 +80,48 @@ TEST_P(AllPolicies, NextLabelIsFirstOfPlan) {
   EXPECT_EQ(*next, order.front());
 }
 
+// Every policy plans exactly the relevant labels, so the plan's size is
+// relevant_labels().size(): the count AthenaNode traces as kPlan when it
+// skips planning for a query whose request is still in flight.
+TEST_P(AllPolicies, PlanSizeEqualsRelevantLabelCountOnRandomDnfs) {
+  Rng rng(2024);
+  const SimTime now = SimTime::seconds(10);
+  for (int trial = 0; trial < 300; ++trial) {
+    const std::size_t n = 1 + rng.below(8);
+    DnfExpr e;
+    for (std::size_t d = 0, nd = 1 + rng.below(4); d < nd; ++d) {
+      Conjunction c;
+      for (std::size_t t = 0, k = 1 + rng.below(4); t < k; ++t) {
+        c.terms.push_back(Term{LabelId{rng.below(n)}, rng.chance(0.25)});
+      }
+      e.add_disjunct(std::move(c));
+    }
+    MetaTable meta;
+    Assignment a;
+    for (std::size_t i = 0; i < n; ++i) {
+      const SimTime latency = rng.chance(0.1) ? SimTime::max()
+                                              : SimTime::seconds(
+                                                    rng.uniform(0.1, 5.0));
+      meta.set(LabelId{i}, LabelMeta{rng.uniform(0.5, 5.0), latency,
+                                     rng.uniform(0.1, 0.9),
+                                     SimTime::seconds(rng.uniform(1, 50))});
+      if (!rng.chance(0.4)) continue;
+      LabelValue v = val(i, rng.chance(0.5) ? Tristate::kTrue
+                                            : Tristate::kFalse);
+      // Some values have expired by `now` and count as unknown again.
+      v.validity = SimTime::seconds(rng.uniform(5, 15));
+      a.set(v);
+    }
+    const SimTime deadline = now + SimTime::seconds(rng.uniform(1, 30));
+    const auto order =
+        plan_retrieval_order(e, a, now, meta.fn(), GetParam(), deadline);
+    const auto relevant = e.relevant_labels(a, now);
+    ASSERT_EQ(order.size(), relevant.size()) << "trial " << trial;
+    EXPECT_TRUE(std::is_permutation(order.begin(), order.end(),
+                                    relevant.begin(), relevant.end()));
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Policies, AllPolicies,
     ::testing::Values(OrderPolicy::kDeclared, OrderPolicy::kCheapestFirst,

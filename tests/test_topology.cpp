@@ -180,6 +180,34 @@ TEST(Topology, ComputeRoutesWithDisabledLinksRoutesAround) {
   EXPECT_EQ(t.hop_distance(n[0], n[2]), 2u);
 }
 
+TEST(Topology, RoutesEpochBumpsOnRecompute) {
+  Topology t;
+  const NodeId a = t.add_node();
+  const NodeId b = t.add_node();
+  const NodeId c = t.add_node();
+  t.add_link(a, b);
+  t.add_link(b, c);
+  t.add_link(a, c);
+  t.compute_routes();
+  const std::uint64_t first = t.routes_epoch();
+  ASSERT_EQ(t.hop_distance(a, c), 1u);
+  // A reroute around the a—c link moves the epoch and the hop count.
+  std::vector<char> enabled(t.link_count(), 1);
+  enabled[t.link_between(a, c)->value()] = 0;
+  enabled[t.link_between(c, a)->value()] = 0;
+  t.compute_routes(enabled);
+  const std::uint64_t second = t.routes_epoch();
+  EXPECT_GT(second, first);
+  EXPECT_EQ(t.hop_distance(a, c), 2u);
+  // Recomputing the same routes still starts a new epoch.
+  t.compute_routes(enabled);
+  EXPECT_GT(t.routes_epoch(), second);
+  // So does a graph edit, which invalidates the routes.
+  const std::uint64_t third = t.routes_epoch();
+  t.add_node();
+  EXPECT_GT(t.routes_epoch(), third);
+}
+
 TEST(Topology, LinkThrowsOnBadId) {
   const Topology t = line(2);
   EXPECT_THROW((void)t.link(LinkId{999}), std::out_of_range);
