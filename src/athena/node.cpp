@@ -19,7 +19,7 @@ std::uint64_t prefetch_key(NodeId origin, SourceId s) noexcept {
 /// Keys of an unordered map/set in ascending order. Iterating hash tables
 /// directly would make trace emission and event scheduling depend on the
 /// standard library's bucket layout; every order-sensitive walk in this file
-/// goes through a sorted key vector instead.
+/// goes through an ordered container or a sorted key vector instead.
 template <typename Container>
 std::vector<typename Container::key_type> sorted_keys(const Container& c) {
   std::vector<typename Container::key_type> keys;
@@ -69,8 +69,7 @@ QueryId AthenaNode::query_init(decision::DnfExpr expr,
                                SimTime relative_deadline, int priority) {
   drain_retired();
   const SimTime now = net_.now();
-  // Globally unique query ids: node id in the high digits.
-  const QueryId qid{id_.value() * 1000000ULL + next_query_++};
+  const QueryId qid{pack_node_counter(id_, next_query_++)};
 
   // Admission control (overload protection): when this node is already
   // carrying admission_max_active unresolved queries, a new low-priority
@@ -136,16 +135,16 @@ QueryId AthenaNode::query_init(decision::DnfExpr expr,
 
 AthenaNode::QueryState* AthenaNode::lookup_query(QueryId qid) {
   auto it = queries_.find(qid);
-  if (it == queries_.end() || it->second == kRetiredSlot) return nullptr;
+  if (it == queries_.end()) return nullptr;
   return &query_pool_.at(it->second);
 }
 
 void AthenaNode::drain_retired() {
   for (const QueryId qid : retire_pending_) {
     auto it = queries_.find(qid);
-    if (it == queries_.end() || it->second == kRetiredSlot) continue;
+    DDE_CHECK(it != queries_.end(), "drain_retired: query retired twice");
     query_pool_.destroy(it->second);
-    it->second = kRetiredSlot;
+    queries_.erase(it);
   }
   retire_pending_.clear();
 }
@@ -274,11 +273,10 @@ SourceId AthenaNode::next_corroborating_source(const QueryState& q,
 
 void AthenaNode::apply_labels_to_queries(
     const std::vector<decision::LabelValue>& values) {
-  // Sorted query order: each fill emits a kLabelSettle trace event.
-  for (const QueryId qid : sorted_keys(queries_)) {
-    QueryState* state = lookup_query(qid);
-    if (state == nullptr || state->finished) continue;
-    QueryState& q = *state;
+  // Issue order: each fill emits a kLabelSettle trace event.
+  for (const auto& [qid, slot] : queries_) {
+    QueryState& q = query_pool_.at(slot);
+    if (q.finished) continue;
     for (const auto& v : values) {
       if (!q.label_set.contains(v.label)) continue;
       if (!trusts(v.annotator)) continue;
@@ -329,31 +327,20 @@ void AthenaNode::deliver_object(const world::EvidenceObject& obj) {
 
   // The reply (fresh or stale, new or repeated) settles the outstanding
   // request.
-  // lint: ordered-fold — order-pinned site (docs/STATIC_ANALYSIS.md): hash
-  // order is fixed for a given stdlib + seed-deterministic insertion history,
-  // and reordering the advance() calls below changes replay trajectories
-  // against the bench baseline.
-  for (auto& [qid, slot] : queries_) {
-    if (slot == kRetiredSlot) continue;
-    QueryState& q = query_pool_.at(slot);
-    if (q.outstanding.erase(obj.source)) {
+  for (const auto& [qid, slot] : queries_) {
+    if (query_pool_.at(slot).outstanding.erase(obj.source)) {
       trace(obs::EventKind::kObjectRx, qid, obj.source.value(), obj.bytes);
     }
   }
 
   // Progress every query that may have been unblocked.
-  std::vector<QueryId> ids;
-  ids.reserve(queries_.size());
-  // lint: ordered-fold — order-pinned site, see above.
-  for (auto& [qid, slot] : queries_) {
-    if (slot != kRetiredSlot && !query_pool_.at(slot).finished) {
-      ids.push_back(qid);
-    }
-  }
-  for (QueryId qid : ids) {
-    QueryState* state = lookup_query(qid);
-    if (state != nullptr) advance(*state);
-  }
+  advance_active();
+}
+
+void AthenaNode::advance_active() {
+  // advance() may finish queries but never erases map entries (only
+  // drain_retired() does, and never mid-dispatch), so the walk is stable.
+  for (const auto& [qid, slot] : queries_) advance(query_pool_.at(slot));
 }
 
 bool AthenaNode::try_local(QueryState& q, LabelId label) {
@@ -541,12 +528,13 @@ void AthenaNode::issue_request(QueryState& q, SourceId source,
   // Adaptive timeout: three times the directory's round-trip estimate for
   // this source, floored generously (queueing is not in the estimate) and
   // capped by the configured maximum. Small objects on short paths recover
-  // from loss in seconds instead of waiting out the worst-case timeout.
+  // from loss in seconds instead of waiting out the worst-case timeout. The
+  // cap wins over the floor when request_timeout is below 8 s.
   const SimTime est = directory_.retrieval_latency(source, id_);
   SimTime timeout = config_.request_timeout;
   if (est != SimTime::max()) {
-    timeout = std::clamp(3 * est, SimTime::seconds(8),
-                         config_.request_timeout);
+    timeout = std::min(std::max(3 * est, SimTime::seconds(8)),
+                       config_.request_timeout);
   }
   // Exponential backoff across attempts to the same source (fault
   // recovery): a source behind a downed link is probed at a geometrically
@@ -596,7 +584,6 @@ void AthenaNode::issue_request(QueryState& q, SourceId source,
   r.priority = q.priority;
 
   // Local interest entry so the returning object is delivered to us.
-  interest_order_.insert(source);
   interest_table_.find_or_insert(source.value())
       .push_back(Interest{NodeId{}, q.id, id_, r.labels, false,
                           r.accept_labels, q.priority,
@@ -660,7 +647,6 @@ void AthenaNode::finish(QueryState& q, bool success, bool shed,
                         bool crashed) {
   if (q.finished) return;
   q.finished = true;
-  ++finished_count_;
   const SimTime now = net_.now();
 
   QueryRecord& rec = records_[q.record_index];
@@ -837,7 +823,6 @@ void AthenaNode::handle_request(NodeId from, const ObjectRequest& r) {
   if (r.prefetch) return;
 
   // Bookmark the interest and forward toward the source.
-  interest_order_.insert(r.source);
   auto& entries = interest_table_.find_or_insert(r.source.value());
   entries.remove_if([now](const Interest& e) { return e.expires <= now; });
   entries.push_back(Interest{from, r.query, r.origin, r.labels, r.prefetch,
@@ -875,10 +860,9 @@ void AthenaNode::forward_request(const ObjectRequest& r) {
 }
 
 std::uint64_t AthenaNode::new_replica_group() {
-  // Node-local counter spread by node id: unique across a run's nodes
-  // without shared state (a node exhausting 10^6 groups would collide, far
-  // beyond any run here).
-  return id_.value() * 1000000 + ++next_replica_group_;
+  // Node-local counter packed with the node id: unique across a run's nodes
+  // without shared state. Pre-increment keeps 0 free for "untagged".
+  return pack_node_counter(id_, ++next_replica_group_);
 }
 
 std::uint64_t AthenaNode::reply_group_for(const ObjectRequest& r) {
@@ -970,7 +954,6 @@ void AthenaNode::handle_reply(NodeId from, const ObjectReply& r) {
     consumers.reserve(entries->size());
     for (Interest& e : *entries) consumers.push_back(std::move(e));
     interest_table_.erase(obj.source.value());
-    interest_order_.erase(obj.source);
   }
   bool delivered_locally = false;
   bool forwarded_any = false;
@@ -1029,26 +1012,14 @@ void AthenaNode::handle_label_share(NodeId from, const LabelShare& s) {
   // Local queries may be waiting on exactly these labels.
   if (!fresher.empty()) {
     apply_labels_to_queries(fresher);
-    std::vector<QueryId> ids;
-    // lint: ordered-fold — order-pinned site (docs/STATIC_ANALYSIS.md):
-    // advance() order below is part of the replayed trajectory.
-    for (auto& [qid, slot] : queries_) {
-      if (slot != kRetiredSlot && !query_pool_.at(slot).finished) {
-        ids.push_back(qid);
-      }
-    }
-    for (QueryId qid : ids) {
-      QueryState* state = lookup_query(qid);
-      if (state != nullptr) advance(*state);
-    }
+    advance_active();
   }
 
-  // Serve pending label-accepting interests that are now fully covered.
-  // lint: ordered-fold — order-pinned site (docs/STATIC_ANALYSIS.md): reply
-  // send order below is part of the replayed trajectory; interest_order_
-  // reproduces the pre-flat table's iteration order (see node.h).
-  for (const SourceId source : interest_order_) {
-    auto* entries = interest_table_.find(source.value());
+  // Serve pending label-accepting interests that are now fully covered, in
+  // ascending source order.
+  for (const std::uint64_t source_key : interest_table_.sorted_keys()) {
+    const SourceId source{source_key};
+    auto* entries = interest_table_.find(source_key);
     if (entries == nullptr) continue;
     SmallVec<Interest, 2> keep;
     for (Interest& e : *entries) {
@@ -1099,22 +1070,10 @@ void AthenaNode::handle_label_reply(NodeId from, const LabelReply& r) {
   }
   if (r.origin == id_) {
     apply_labels_to_queries(r.values);
-    // lint: ordered-fold — independent per-query erase, no output emitted.
-    for (auto& [qid, slot] : queries_) {
-      if (slot != kRetiredSlot) query_pool_.at(slot).outstanding.erase(r.source);
+    for (const auto& [qid, slot] : queries_) {
+      query_pool_.at(slot).outstanding.erase(r.source);
     }
-    std::vector<QueryId> ids;
-    // lint: ordered-fold — order-pinned site (docs/STATIC_ANALYSIS.md):
-    // advance() order below is part of the replayed trajectory.
-    for (auto& [qid, slot] : queries_) {
-      if (slot != kRetiredSlot && !query_pool_.at(slot).finished) {
-        ids.push_back(qid);
-      }
-    }
-    for (QueryId qid : ids) {
-      QueryState* state = lookup_query(qid);
-      if (state != nullptr) advance(*state);
-    }
+    advance_active();
   } else if (const auto next = net_.next_hop(id_, r.origin);
              next && *next != id_) {
     send_msg(*next, config_.label_bytes, r, MsgKind::kLabel);
@@ -1134,9 +1093,10 @@ void AthenaNode::share_labels(const std::vector<decision::LabelValue>& values,
 void AthenaNode::broadcast_invalidation(const std::vector<LabelId>& labels) {
   drain_retired();
   Invalidation inv;
-  // Flood-unique id: node id in the high digits, like query ids. A local
-  // counter (not the dedup-set size) keeps ids unique as entries expire.
-  inv.id = id_.value() * 1000000ULL + 900000ULL + next_invalidation_++;
+  // Flood-unique id packed like query ids (invalidations have their own
+  // dedup table). A local counter (not the dedup-set size) keeps ids unique
+  // as entries expire.
+  inv.id = pack_node_counter(id_, next_invalidation_++);
   inv.labels = labels;
   inv.issued_at = net_.now();
   inv.ttl = 64;  // network-wide
@@ -1180,12 +1140,9 @@ void AthenaNode::apply_invalidation(const std::vector<LabelId>& labels) {
     }
     return false;
   });
-  // Re-open affected decisions.
-  std::vector<QueryId> affected;
-  // lint: ordered-fold — order-pinned site (docs/STATIC_ANALYSIS.md):
-  // advance() order below is part of the replayed trajectory.
-  for (auto& [qid, slot] : queries_) {
-    if (slot == kRetiredSlot) continue;
+  // Re-open affected decisions, in issue order.
+  std::vector<QueryState*> affected;
+  for (const auto& [qid, slot] : queries_) {
     QueryState& q = query_pool_.at(slot);
     if (q.finished) continue;
     bool touched = false;
@@ -1195,12 +1152,9 @@ void AthenaNode::apply_invalidation(const std::vector<LabelId>& labels) {
         touched = true;
       }
     }
-    if (touched) affected.push_back(qid);
+    if (touched) affected.push_back(&q);
   }
-  for (QueryId qid : affected) {
-    QueryState* state = lookup_query(qid);
-    if (state != nullptr) advance(*state);
-  }
+  for (QueryState* q : affected) advance(*q);
 }
 
 // ---------------------------------------------------------------------------
@@ -1294,16 +1248,15 @@ void AthenaNode::on_crash(fault::RestartPolicy policy) {
   // could ever resolve them.
   drain_retired();
   std::uint64_t dropped = 0;
-  for (QueryId qid : sorted_keys(queries_)) {
-    QueryState* state = lookup_query(qid);
-    if (state == nullptr || state->finished) continue;
-    finish(*state, /*success=*/false, /*shed=*/false, /*crashed=*/true);
+  for (const auto& [qid, slot] : queries_) {
+    QueryState& q = query_pool_.at(slot);
+    if (q.finished) continue;
+    finish(q, /*success=*/false, /*shed=*/false, /*crashed=*/true);
     ++dropped;
   }
 
   // Volatile protocol tables are lost under every non-ghost policy.
   interest_table_.clear();
-  interest_order_.clear();
   forwarded_.clear();
   announces_seen_.clear();
   invalidations_seen_.clear();
@@ -1412,11 +1365,9 @@ void AthenaNode::run_gc() {
   gc_scheduled_ = false;
   const SimTime now = net_.now();
   interest_table_.erase_if(
-      [now, this](std::uint64_t key, SmallVec<Interest, 2>& entries) {
+      [now](std::uint64_t, SmallVec<Interest, 2>& entries) {
         entries.remove_if([now](const Interest& e) { return e.expires <= now; });
-        if (!entries.empty()) return false;
-        interest_order_.erase(SourceId{key});
-        return true;
+        return entries.empty();
       });
   forwarded_.erase_if([now](std::uint64_t, SimTime t) { return t <= now; });
   announces_seen_.erase_if(

@@ -15,6 +15,7 @@
 #pragma once
 
 #include <deque>
+#include <map>
 #include <optional>
 #include <unordered_map>
 #include <unordered_set>
@@ -82,7 +83,7 @@ class AthenaNode {
 
   /// Number of queries issued here that are still unresolved.
   [[nodiscard]] std::size_t active_queries() const noexcept {
-    return queries_.size() - finished_count_;
+    return queries_.size() - retire_pending_.size();
   }
 
   /// Outcomes of locally-originated queries (completed and active).
@@ -162,6 +163,11 @@ class AthenaNode {
   /// Flood-dedup entries (query announces + invalidations) currently held.
   [[nodiscard]] std::size_t dedup_entries() const noexcept {
     return announces_seen_.size() + invalidations_seen_.size();
+  }
+  /// Query-table entries: unresolved queries plus those finished since the
+  /// last drain (see drain_retired()).
+  [[nodiscard]] std::size_t query_entries() const noexcept {
+    return queries_.size();
   }
 
  private:
@@ -247,7 +253,8 @@ class AthenaNode {
   /// the exhausted set excluded, counting each label whose designated
   /// source actually changed as a failover.
   void failover(QueryState& q);
-  void apply_object_to_queries(const world::EvidenceObject& obj);
+  /// Advance every unfinished query, in issue order.
+  void advance_active();
   /// Apply label values to every active query's assignment. Each value is
   /// accepted only if this node trusts its annotator and it is fresher
   /// than what the assignment already holds.
@@ -360,18 +367,14 @@ class AthenaNode {
   obs::TraceSink* trace_sink_ = nullptr;
 
   /// In-flight query state lives in a slot pool; `queries_` maps the id to
-  /// its pool slot. Entries are never removed from `queries_` (the map's
-  /// iteration order — order-pinned at several trajectory sites — depends
-  /// only on key insertion history), but a finished query's slot is
-  /// recycled: finish() defers the id to `retire_pending_`, and
-  /// drain_retired() (called at every non-reentrant entry point, never
-  /// mid-dispatch) destroys the pooled state and leaves the sentinel
-  /// `kRetiredSlot` behind.
-  std::unordered_map<QueryId, std::uint32_t> queries_;
+  /// its pool slot. Query ids ascend in issue order, so every walk over the
+  /// map visits queries in the order they were issued. finish() defers the
+  /// id to `retire_pending_`, and drain_retired() (called at every
+  /// non-reentrant entry point, never mid-dispatch) destroys the pooled
+  /// state and erases the entry, so the map never changes during a walk.
+  std::map<QueryId, std::uint32_t> queries_;
   Pool<QueryState> query_pool_;
   std::vector<QueryId> retire_pending_;
-  static constexpr std::uint32_t kRetiredSlot = Pool<QueryState>::kNullSlot;
-  std::size_t finished_count_ = 0;
   std::vector<QueryRecord> records_;
   std::uint64_t next_query_ = 0;
 
@@ -380,16 +383,9 @@ class AthenaNode {
 
   /// source.value() → interests waiting on that source. Flat table; all
   /// hot lookups (request bookkeeping, reply fan-out, GC) probe it
-  /// directly.
+  /// directly, and the label-share serve walk visits it in ascending
+  /// source order.
   FlatU64Map<SmallVec<Interest, 2>> interest_table_;
-  /// Order facade for interest_table_: mirrors its key set through the
-  /// same insert/erase history the table sees. The serve walk in
-  /// handle_label_share is trajectory-pinned to the iteration order of
-  /// the pre-flat std::unordered_map, and a std::unordered_set fed the
-  /// identical key history reproduces that order exactly (same hashtable,
-  /// same hash, same rehash schedule). Only key churn touches it; every
-  /// per-entry operation stays on the flat table.
-  std::unordered_set<SourceId> interest_order_;
   /// source.value() → expiry of the upstream forward we already sent
   /// (dedup).
   FlatU64Map<SimTime> forwarded_;

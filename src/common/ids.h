@@ -11,6 +11,8 @@
 #include <ostream>
 #include <string>
 
+#include "common/contracts.h"
+
 namespace dde {
 
 /// CRTP base for strongly-typed integer identifiers.
@@ -70,6 +72,19 @@ using AnnotatorId = StrongId<AnnotatorIdTag>;
 using SegmentId = StrongId<SegmentIdTag>;
 /// Identifies a network message.
 using MessageId = StrongId<MessageIdTag>;
+
+/// Run-wide unique id for the `counter`-th item `node` issued (queries,
+/// replica groups, invalidation notices): the node in the high 32 bits, the
+/// counter in the low 32. Ids from one node ascend in issue order, and
+/// `id >> 32` recovers the node. Aborts if either field overflows, so two
+/// nodes' ids can never alias.
+[[nodiscard]] inline std::uint64_t pack_node_counter(NodeId node,
+                                                     std::uint64_t counter) {
+  constexpr std::uint64_t kField = 0xFFFF'FFFFULL;
+  DDE_CHECK(node.value() <= kField && counter <= kField,
+            "pack_node_counter: node id or counter exceeds 32 bits");
+  return (node.value() << 32) | counter;
+}
 
 }  // namespace dde
 

@@ -75,6 +75,13 @@ void Topology::compute_routes(const std::vector<char>& link_enabled) {
   const std::size_t n = node_count_;
   next_hop_.assign(n * n, NodeId{});
   hops_.assign(n * n, std::numeric_limits<std::size_t>::max());
+  // Enabled links into each node, in link order: a relaxation visits the
+  // same edges in the same order as a scan of every link would.
+  std::vector<std::vector<const Link*>> incoming(n);
+  for (const Link& l : links_) {
+    if (!link_enabled.empty() && !link_enabled[l.id.value()]) continue;
+    incoming[l.to.value()].push_back(&l);
+  }
   // Dijkstra from every destination over reversed edges, so a single pass
   // yields next hops toward that destination from every node.
   for (std::size_t dest = 0; dest < n; ++dest) {
@@ -92,12 +99,10 @@ void Topology::compute_routes(const std::vector<char>& link_enabled) {
       pq.pop();
       if (d > dist[u]) continue;
       // Relax incoming edges v→u: from v, going through u gets closer.
-      for (const Link& l : links_) {
-        if (l.to.value() != u) continue;
-        if (!link_enabled.empty() && !link_enabled[l.id.value()]) continue;
-        const std::size_t v = l.from.value();
+      for (const Link* l : incoming[u]) {
+        const std::size_t v = l->from.value();
         const double w =
-            l.latency.to_seconds() + 1024.0 * 8.0 / l.bandwidth_bps;
+            l->latency.to_seconds() + 1024.0 * 8.0 / l->bandwidth_bps;
         if (dist[u] + w < dist[v]) {
           dist[v] = dist[u] + w;
           hops[v] = hops[u] + 1;

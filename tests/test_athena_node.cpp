@@ -907,5 +907,119 @@ TEST(AthenaNode, GcCollectsDedupEntriesOnlyPastDeadline) {
   }
 }
 
+// Canonical walk order: one reply that unblocks several queries at a node
+// advances them in issue order, whatever the standard library's hash
+// layout would have produced.
+TEST(AthenaNode, OneReplyAdvancesWaitingQueriesInIssueOrder) {
+  auto cfg = config_for(Scheme::kLvf);
+  cfg.prefetch = false;
+  Fixture f(cfg);
+  obs::TraceSink sink{obs::TraceSink::Options{256, nullptr, false}};
+  f.athena[1]->set_trace_sink(&sink);
+  // B asks "label 0 AND label 2" five times. Sensor 0 (label 0, at C) and
+  // sensor 1 (label 2, at A) are one hop away each, so every query fetches
+  // one label, re-plans when that reply lands, fetches the other, and
+  // decides when the second reply lands.
+  std::vector<std::uint64_t> issued;
+  for (int i = 0; i < 5; ++i) {
+    decision::DnfExpr e;
+    e.add_disjunct(decision::Conjunction{{decision::Term{LabelId{0}, false},
+                                          decision::Term{LabelId{2}, false}}});
+    issued.push_back(
+        f.athena[1]->query_init(std::move(e), SimTime::seconds(30)).value());
+  }
+  f.sim.run_until(SimTime::seconds(10));
+  ASSERT_EQ(f.metrics.queries_resolved, 5u);
+
+  std::vector<std::uint64_t> plans;
+  std::vector<std::uint64_t> decides;
+  for (const obs::Event& ev : sink.ring_snapshot()) {
+    if (ev.kind == obs::EventKind::kPlan) plans.push_back(ev.query);
+    if (ev.kind == obs::EventKind::kDecide) decides.push_back(ev.query);
+  }
+  // One plan per query at issue, then one per query when the first reply
+  // unblocks all five.
+  std::vector<std::uint64_t> want_plans = issued;
+  want_plans.insert(want_plans.end(), issued.begin(), issued.end());
+  EXPECT_EQ(plans, want_plans);
+  EXPECT_EQ(decides, issued);
+}
+
+// The query table is bounded by the live queries: a finished query's entry
+// is erased at the node's next entry point, not kept as a tombstone.
+TEST(AthenaNode, QueryTableHoldsOnlyUnfinishedQueries) {
+  Fixture f;
+  // 500 short queries at C: label 0 resolves on the spot from C's own
+  // sensor, label 2 needs a 2-hop fetch (or C's label cache once filled).
+  for (int i = 0; i < 500; ++i) {
+    f.athena[2]->query_init(single_label(i % 2 == 0 ? 0 : 2),
+                            SimTime::seconds(30));
+    f.sim.run_until(f.net.now() + SimTime::millis(200));
+  }
+  f.sim.run_until(f.net.now() + SimTime::seconds(60));
+  EXPECT_EQ(f.metrics.queries_resolved, 500u);
+  EXPECT_EQ(f.athena[2]->active_queries(), 0u);
+  // Issuing drains the finished entries first; only the new query (an
+  // uncovered label, so it waits for its deadline) remains.
+  f.athena[2]->query_init(single_label(5), SimTime::seconds(30));
+  EXPECT_EQ(f.athena[2]->active_queries(), 1u);
+  EXPECT_EQ(f.athena[2]->query_entries(), 1u);
+}
+
+// A LabelShare serves the label-accepting interests waiting at a relay in
+// ascending source order, whatever order the interests arrived in.
+TEST(AthenaNode, LabelShareServesInterestsInAscendingSourceOrder) {
+  for (const bool descending : {true, false}) {
+    SCOPED_TRACE(descending ? "interests inserted 2, 0" : "interests inserted 0, 2");
+    auto cfg = config_for(Scheme::kLvfl);
+    cfg.prefetch = false;
+    Fixture f(cfg);
+    obs::TraceSink sink{obs::TraceSink::Options{256, nullptr, false}};
+    f.athena[0]->set_trace_sink(&sink);
+    // A asks for label 3 (sensor 2 at C) and label 0 (sensor 0 at C). With
+    // B—C down, both requests stop at B as label-accepting interests.
+    f.net.set_link_up(*f.topo.link_between(f.nodes[1], f.nodes[2]), false);
+    f.net.set_link_up(*f.topo.link_between(f.nodes[2], f.nodes[1]), false);
+    const std::vector<std::uint64_t> labels =
+        descending ? std::vector<std::uint64_t>{3, 0}
+                   : std::vector<std::uint64_t>{0, 3};
+    std::vector<std::uint64_t> qid_of_label(4);
+    for (const std::uint64_t l : labels) {
+      qid_of_label[l] =
+          f.athena[0]->query_init(single_label(l), SimTime::seconds(60)).value();
+    }
+    f.sim.run_until(SimTime::millis(100));
+    ASSERT_EQ(f.athena[1]->interest_entries(), 2u);
+
+    // A LabelShare covering both labels reaches B.
+    std::vector<decision::LabelValue> values;
+    for (const std::uint64_t l : {0, 3}) {
+      decision::LabelValue v;
+      v.label = LabelId{l};
+      v.value = Tristate::kTrue;
+      v.evaluated_at = f.net.now();
+      v.validity = SimTime::seconds(100);
+      v.annotator = AnnotatorId{2};
+      values.push_back(std::move(v));
+    }
+    net::Packet pkt;
+    pkt.src = f.nodes[0];
+    pkt.dst = f.nodes[1];
+    pkt.bytes = 200;
+    pkt.payload = LabelShare{std::move(values), f.nodes[1]};
+    ASSERT_TRUE(f.net.send(f.nodes[0], f.nodes[1], std::move(pkt)));
+    f.sim.run_until(SimTime::seconds(1));
+
+    // B answers sensor 0's interest first, then sensor 2's; A decides each
+    // query as its LabelReply lands.
+    std::vector<std::uint64_t> decides;
+    for (const obs::Event& ev : sink.ring_snapshot()) {
+      if (ev.kind == obs::EventKind::kDecide) decides.push_back(ev.query);
+    }
+    EXPECT_EQ(decides,
+              (std::vector<std::uint64_t>{qid_of_label[0], qid_of_label[3]}));
+  }
+}
+
 }  // namespace
 }  // namespace dde::athena

@@ -58,6 +58,25 @@ TEST(StrongId, StreamOutput) {
   EXPECT_EQ(oss2.str(), "<invalid>");
 }
 
+TEST(PackNodeCounter, NodeInHighBitsCounterInLowBits) {
+  EXPECT_EQ(pack_node_counter(NodeId{0}, 0), 0u);
+  EXPECT_EQ(pack_node_counter(NodeId{3}, 1), (3ULL << 32) | 1);
+  EXPECT_EQ(pack_node_counter(NodeId{3}, 1) >> 32, 3u);
+  // Within a node, ids ascend with the counter (issue order); the largest
+  // counter of node n still sorts below node n+1's first id.
+  EXPECT_LT(pack_node_counter(NodeId{3}, 1), pack_node_counter(NodeId{3}, 2));
+  EXPECT_LT(pack_node_counter(NodeId{3}, 0xFFFF'FFFFULL),
+            pack_node_counter(NodeId{4}, 0));
+}
+
+TEST(PackNodeCounterDeathTest, OverflowOfEitherFieldAborts) {
+  EXPECT_DEATH((void)pack_node_counter(NodeId{1}, 1ULL << 32),
+               "pack_node_counter");
+  EXPECT_DEATH((void)pack_node_counter(NodeId{1ULL << 32}, 0),
+               "pack_node_counter");
+  EXPECT_DEATH((void)pack_node_counter(NodeId{}, 0), "pack_node_counter");
+}
+
 TEST(StrongId, InvalidComparesConsistently) {
   NodeId invalid;
   NodeId valid{0};

@@ -208,12 +208,12 @@ TEST(TraceSink, JsonlSchemaIsStable) {
   ev.kind = EventKind::kDecide;
   ev.at = SimTime::seconds(1.5);
   ev.node = 3;
-  ev.query = 3000001;
+  ev.query = (3ULL << 32) | 1;  // node 3's query #1 (pack_node_counter)
   ev.subject = 2;
   ev.bytes = 0;
   ev.value = 0.75;
   EXPECT_EQ(TraceSink::to_jsonl(ev),
-            R"({"t":1.500000,"kind":"decide","node":3,"query":3000001,)"
+            R"({"t":1.500000,"kind":"decide","node":3,"query":12884901889,)"
             R"("subject":2,"bytes":0,"value":0.75})");
 
   Event hop;

@@ -660,7 +660,7 @@ void scan_file(const FileText& ft, const std::set<std::string>& unordered_ids,
       while (!range.empty() && (range.back() == ' ' || range.back() == '\t')) {
         range.pop_back();
       }
-      // A call expression (`sorted_keys(queries_)`) materializes a copy —
+      // A call expression (`sorted_keys(obj.readings)`) materializes a copy —
       // iterating the result is fine; only bare container accesses
       // (`queries_`, `obj.readings`) are hazards.
       const bool is_call = !range.empty() && range.back() == ')';
