@@ -13,11 +13,11 @@
 #include <vector>
 
 #include "athena/directory.h"
-#include "athena/messages.h"
 #include "athena/node.h"
 #include "common/log.h"
 #include "des/simulator.h"
 #include "net/network.h"
+#include "obs/trace.h"
 #include "world/dynamics.h"
 #include "world/grid_map.h"
 #include "world/sensor_field.h"
@@ -89,30 +89,37 @@ int main() {
       {decision::Term{LabelId{3}, false}, decision::Term{LabelId{4}, false}}});
 
   // Trace the protocol hop by hop (the Fig. 1 walkthrough).
-  const char* node_names[] = {"depot", "relay", "north", "south"};
-  int edge = 0;
-  network.set_tracer([&](const net::TraceEvent& ev) {
-    if (ev.kind != net::TraceEvent::Kind::kDeliver) return;
-    const char* what = "?";
-    if (std::any_cast<athena::QueryAnnounce>(ev.payload)) what = "announce";
-    else if (std::any_cast<athena::ObjectRequest>(ev.payload)) what = "request";
-    else if (const auto* o = std::any_cast<athena::ObjectReply>(ev.payload)) {
-      what = o->prefetch_push ? "object (prefetch push)" : "object";
-    } else if (std::any_cast<athena::LabelShare>(ev.payload)) what = "labels";
-    else if (std::any_cast<athena::LabelReply>(ev.payload)) what = "labels";
-    std::printf("  edge %2d  t=%7.3fs  %-5s -> %-5s  %-22s %7llu B\n", ++edge,
-                ev.at.to_seconds(), node_names[ev.from.value()],
-                node_names[ev.to.value()], what,
-                static_cast<unsigned long long>(ev.bytes));
-  });
+  obs::TraceSink trace(
+      {.ring_capacity = 1024, .jsonl = nullptr, .derive = false});
+  network.set_trace_sink(&trace);
 
   std::printf("Decision query issued at the depot:\n");
   std::printf("  (viable(s0) AND viable(s1)) OR (viable(s3) AND viable(s4))\n");
   std::printf("  ground truth: s1 is blocked; the southern route is open.\n\n");
 
-  std::printf("message flow (cf. paper Fig. 1):\n");
   nodes[depot.value()]->query_init(std::move(query), SimTime::seconds(60));
   sim.run_until(SimTime::seconds(120));
+
+  // A hop event carries the wire size, not the message: the configured
+  // announce/request/label/hello sizes are distinct, and every other size
+  // is an evidence object.
+  auto message_kind = [&](std::uint64_t bytes) {
+    if (bytes == config.announce_bytes) return "announce";
+    if (bytes == config.request_bytes) return "request";
+    if (bytes == config.label_bytes) return "labels";
+    if (bytes == config.hello_bytes) return "hello";
+    return "object";
+  };
+  const char* node_names[] = {"depot", "relay", "north", "south"};
+  std::printf("message flow (cf. paper Fig. 1):\n");
+  int edge = 0;
+  for (const obs::Event& ev : trace.ring_snapshot()) {
+    if (ev.kind != obs::EventKind::kHopDeliver) continue;
+    std::printf("  edge %2d  t=%7.3fs  %-5s -> %-5s  %-22s %7llu B\n", ++edge,
+                ev.at.to_seconds(), node_names[ev.node],
+                node_names[ev.subject], message_kind(ev.bytes),
+                static_cast<unsigned long long>(ev.bytes));
+  }
   std::printf("\n");
 
   // --- what happened -------------------------------------------------------

@@ -1,6 +1,6 @@
 // Athena wire messages (Sec. VI).
 //
-// Four message kinds flow between nodes, always hop-by-hop:
+// Seven message kinds flow between nodes, always hop-by-hop:
 //   * QueryAnnounce — the Boolean expression of a query, flooded to
 //     neighbors so they can prefetch (Query_Recv step iv).
 //   * ObjectRequest — an interest in a source's evidence object, recorded
@@ -9,13 +9,21 @@
 //     way (Data_Send / Data_Recv). Also used for prefetch pushes.
 //   * LabelShare / LabelReply — evaluated label values propagated into the
 //     network (Sec. VI-D) and served in place of objects when trusted.
+//   * Invalidation — an external event voided prior observations; flooded.
+//   * RecoveryHello — a restarted node's one-hop re-announcement.
 //
-// Payload sizes on the wire are estimates configured in AthenaConfig;
-// object replies are dominated by the object bytes.
+// A packet's payload is always one `Message`. Each type names its wire
+// size (an AthenaConfig estimate, kSize) and the AthenaMetrics counter its
+// bytes are billed to (kBilledTo); AthenaNode::send_msg reads both from the
+// type. Object replies weigh the object's bytes instead and are billed to
+// push_bytes or object_bytes.
 #pragma once
 
+#include <variant>
 #include <vector>
 
+#include "athena/config.h"
+#include "athena/metrics.h"
 #include "common/ids.h"
 #include "common/sim_time.h"
 #include "decision/label.h"
@@ -25,6 +33,8 @@ namespace dde::athena {
 
 /// A query's footprint announced to neighbors for prefetching.
 struct QueryAnnounce {
+  static constexpr auto kSize = &AthenaConfig::announce_bytes;
+  static constexpr auto kBilledTo = &AthenaMetrics::announce_bytes;
   QueryId query;
   NodeId origin;
   SimTime deadline_abs;
@@ -34,6 +44,8 @@ struct QueryAnnounce {
 
 /// An interest in the evidence object of `source`, to resolve `labels`.
 struct ObjectRequest {
+  static constexpr auto kSize = &AthenaConfig::request_bytes;
+  static constexpr auto kBilledTo = &AthenaMetrics::request_bytes;
   QueryId query;
   NodeId origin;                ///< query source node
   SourceId source;
@@ -68,6 +80,8 @@ struct ObjectReply {
 /// Evaluated label values shared back into the network toward the data
 /// source (lvfl), cached at every hop.
 struct LabelShare {
+  static constexpr auto kSize = &AthenaConfig::label_bytes;
+  static constexpr auto kBilledTo = &AthenaMetrics::label_bytes;
   std::vector<decision::LabelValue> values;
   NodeId toward;  ///< host node of the producing source
 };
@@ -77,6 +91,8 @@ struct LabelShare {
 /// the labels (and objects evidencing them) from caches and re-opens
 /// affected decisions.
 struct Invalidation {
+  static constexpr auto kSize = &AthenaConfig::label_bytes;
+  static constexpr auto kBilledTo = &AthenaMetrics::label_bytes;
   std::uint64_t id = 0;  ///< flood-dedup identifier
   std::vector<LabelId> labels;
   SimTime issued_at;
@@ -85,6 +101,8 @@ struct Invalidation {
 
 /// Label values served from a cache in place of an object.
 struct LabelReply {
+  static constexpr auto kSize = &AthenaConfig::label_bytes;
+  static constexpr auto kBilledTo = &AthenaMetrics::label_bytes;
   std::vector<decision::LabelValue> values;
   QueryId query;
   NodeId origin;     ///< requester the reply travels to
@@ -96,9 +114,16 @@ struct LabelReply {
 /// aggregation markers routed through it and re-issue live interests
 /// upstream instead of waiting out stale leases. One hop, never flooded.
 struct RecoveryHello {
+  static constexpr auto kSize = &AthenaConfig::hello_bytes;
+  static constexpr auto kBilledTo = &AthenaMetrics::control_bytes;
   NodeId node;                 ///< the restarted node
   std::uint64_t epoch = 0;     ///< its restart count (state generation)
   SimTime restarted_at;        ///< when it came back up
 };
+
+/// Every message a node sends or receives.
+using Message = std::variant<QueryAnnounce, ObjectRequest, ObjectReply,
+                             LabelShare, LabelReply, Invalidation,
+                             RecoveryHello>;
 
 }  // namespace dde::athena

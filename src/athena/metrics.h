@@ -2,12 +2,14 @@
 #pragma once
 
 #include <cstdint>
+#include <type_traits>
 
 namespace dde::athena {
 
 /// Aggregated over every node of a run. Byte counters count each hop a
 /// message crosses (total network bandwidth consumption, the Fig. 3 metric,
-/// broken down by message kind).
+/// broken down by message kind). Every field is listed once more, with
+/// its published name, in for_each_field below.
 struct AthenaMetrics {
   // Query outcomes.
   std::uint64_t queries_issued = 0;
@@ -99,6 +101,50 @@ struct AthenaMetrics {
                : total_resolution_latency_s /
                      static_cast<double>(queries_resolved);
   }
+  bool operator==(const AthenaMetrics&) const = default;
 };
+
+/// Calls f(name, field) for every field of `m`, in declaration order; the
+/// name is the field's published name (athena.<name>).
+template <typename M, typename F>
+  requires std::is_same_v<std::remove_const_t<M>, AthenaMetrics>
+constexpr void for_each_field(M& m, F&& f) {
+  f("queries_issued", m.queries_issued);
+  f("queries_resolved", m.queries_resolved);
+  f("queries_failed", m.queries_failed);
+  f("total_resolution_latency_s", m.total_resolution_latency_s);
+  f("object_bytes", m.object_bytes);
+  f("push_bytes", m.push_bytes);
+  f("request_bytes", m.request_bytes);
+  f("announce_bytes", m.announce_bytes);
+  f("label_bytes", m.label_bytes);
+  f("object_requests", m.object_requests);
+  f("object_reply_hops", m.object_reply_hops);
+  f("sensor_samples", m.sensor_samples);
+  f("object_cache_hits", m.object_cache_hits);
+  f("label_cache_hits", m.label_cache_hits);
+  f("stale_arrivals", m.stale_arrivals);
+  f("refetches", m.refetches);
+  f("prefetch_pushes", m.prefetch_pushes);
+  f("interest_aggregations", m.interest_aggregations);
+  f("substitutions", m.substitutions);
+  f("queries_shed", m.queries_shed);
+  f("queries_rejected", m.queries_rejected);
+  f("prefetch_throttled", m.prefetch_throttled);
+  f("queue_drops", m.queue_drops);
+  f("replica_copies", m.replica_copies);
+  f("replica_duplicates", m.replica_duplicates);
+  f("retries", m.retries);
+  f("failovers", m.failovers);
+  f("link_down_drops", m.link_down_drops);
+  f("reroutes", m.reroutes);
+  f("queries_failed_crash", m.queries_failed_crash);
+  f("node_restarts", m.node_restarts);
+  f("recovery_hellos", m.recovery_hellos);
+  f("recovery_marker_purges", m.recovery_marker_purges);
+  f("recovery_reissues", m.recovery_reissues);
+  f("total_recovery_lag_s", m.total_recovery_lag_s);
+  f("control_bytes", m.control_bytes);
+}
 
 }  // namespace dde::athena

@@ -1,7 +1,10 @@
 #include "athena/node.h"
 
 #include <algorithm>
+#include <any>
 #include <cmath>
+#include <type_traits>
+#include <variant>
 
 #include "common/contracts.h"
 #include "common/log.h"
@@ -111,9 +114,7 @@ QueryId AthenaNode::query_init(decision::DnfExpr expr,
   schedule_gc();
   if (config_.prefetch && config_.announce_ttl > 0) {
     QueryAnnounce a{qid, id_, q.deadline_abs, labels, config_.announce_ttl - 1};
-    for (NodeId nb : net_.topology().neighbors(id_)) {
-      send_msg(nb, config_.announce_bytes, a, MsgKind::kAnnounce, priority);
-    }
+    send_to_neighbors(a, priority);
   }
 
   // Deadline watchdog.
@@ -595,13 +596,10 @@ void AthenaNode::issue_request(QueryState& q, SourceId source,
   // copies deduplicate downstream. Non-critical traffic stays single-path.
   if (config_.multipath_redundancy > 1 && r.priority > 0) {
     r.replica_group = new_replica_group();
-    const NodeId dest = directory_.host(r.source);
-    const auto next = net_.next_hop(id_, dest);
-    forward_request(r);
-    if (next && *next != id_) replicate_request(r, *next, dest);
-    return;
   }
   forward_request(r);
+  const NodeId dest = directory_.host(r.source);
+  if (const auto next = net_.next_hop(id_, dest)) replicate(r, *next, dest);
 }
 
 bool AthenaNode::deadline_infeasible(const QueryState& q,
@@ -687,24 +685,12 @@ void AthenaNode::finish(QueryState& q, bool success, bool shed,
 
 void AthenaNode::on_packet(const net::Packet& pkt) {
   drain_retired();
-  if (const auto* a = std::any_cast<QueryAnnounce>(&pkt.payload)) {
-    handle_announce(pkt.src, *a);
-  } else if (const auto* r = std::any_cast<ObjectRequest>(&pkt.payload)) {
-    handle_request(pkt.src, *r);
-  } else if (const auto* d = std::any_cast<ObjectReply>(&pkt.payload)) {
-    handle_reply(pkt.src, *d);
-  } else if (const auto* s = std::any_cast<LabelShare>(&pkt.payload)) {
-    handle_label_share(pkt.src, *s);
-  } else if (const auto* l = std::any_cast<LabelReply>(&pkt.payload)) {
-    handle_label_reply(pkt.src, *l);
-  } else if (const auto* inv = std::any_cast<Invalidation>(&pkt.payload)) {
-    handle_invalidation(pkt.src, *inv);
-  } else if (const auto* h = std::any_cast<RecoveryHello>(&pkt.payload)) {
-    handle_recovery_hello(*h);
-  }
+  const auto* msg = std::any_cast<Message>(&pkt.payload);
+  DDE_CHECK(msg != nullptr, "on_packet: payload is not an athena::Message");
+  std::visit([&](const auto& m) { handle(pkt.src, m); }, *msg);
 }
 
-void AthenaNode::handle_announce(NodeId from, const QueryAnnounce& a) {
+void AthenaNode::handle(NodeId from, const QueryAnnounce& a) {
   // Dedup entries expire with the query deadline (post-deadline duplicates
   // are discarded just below either way) and are swept by the GC.
   if (!announces_seen_.insert_if_absent(a.query.value(), a.deadline_abs)) {
@@ -718,9 +704,7 @@ void AthenaNode::handle_announce(NodeId from, const QueryAnnounce& a) {
   if (a.ttl > 0) {
     QueryAnnounce next = a;
     next.ttl = a.ttl - 1;
-    for (NodeId nb : net_.topology().neighbors(id_)) {
-      if (nb != from) send_msg(nb, config_.announce_bytes, next, MsgKind::kAnnounce);
-    }
+    send_to_neighbors(next, 0, from);
   }
 
   if (!config_.prefetch || a.origin == id_) return;
@@ -750,7 +734,7 @@ void AthenaNode::handle_announce(NodeId from, const QueryAnnounce& a) {
   }
 }
 
-void AthenaNode::handle_request(NodeId from, const ObjectRequest& r) {
+void AthenaNode::handle(NodeId from, const ObjectRequest& r) {
   const SimTime now = net_.now();
 
   // Multipath: only the first copy of a replicated request is processed;
@@ -763,34 +747,18 @@ void AthenaNode::handle_request(NodeId from, const ObjectRequest& r) {
   // Label-cache service (lvfl): if every requested label is covered by a
   // fresh cached label, answer with labels instead of the object —
   // orders-of-magnitude cheaper (Sec. VI-D).
-  if (r.accept_labels) {
-    std::vector<decision::LabelValue> vals;
-    bool all = true;
-    for (LabelId l : r.labels) {
-      const auto* v = label_cache_.peek(l, now);
-      if (v == nullptr) {
-        all = false;
-        break;
-      }
-      vals.push_back(*v);
-    }
-    if (all && !vals.empty()) {
-      ++metrics_.label_cache_hits;
-      LabelReply reply{std::move(vals), r.query, r.origin, r.source};
-      send_msg(from, config_.label_bytes, reply, MsgKind::kLabel, r.priority);
-      return;
-    }
+  if (r.accept_labels && reply_with_labels(from, r.labels, r.query, r.origin,
+                                           r.source, r.priority)) {
+    return;
   }
 
   // Object service from cache or a hosted sensor.
   if (auto obj = local_object(r.source)) {
     if (!hosts(r.source)) ++metrics_.object_cache_hits;
-    const std::uint64_t group = reply_group_for(r);
-    reply_with_object(*obj, from, r.query, r.origin, /*prefetch_push=*/false,
-                      r.priority, group);
-    replicate_reply(ObjectReply{*obj, r.query, r.origin, false, group,
-                                r.priority},
-                    from, r.origin);
+    const ObjectReply reply{*obj, r.query, r.origin, /*prefetch_push=*/false,
+                            reply_group_for(r), r.priority};
+    send_msg(from, reply, r.priority);
+    replicate(reply, from, r.origin);
     return;
   }
 
@@ -809,12 +777,11 @@ void AthenaNode::handle_request(NodeId from, const ObjectRequest& r) {
           });
       if (!covers_all) continue;
       ++metrics_.substitutions;
-      const std::uint64_t group = reply_group_for(r);
-      reply_with_object(*cached, from, r.query, r.origin,
-                        /*prefetch_push=*/false, r.priority, group);
-      replicate_reply(ObjectReply{*cached, r.query, r.origin, false, group,
-                                  r.priority},
-                      from, r.origin);
+      const ObjectReply reply{*cached, r.query, r.origin,
+                              /*prefetch_push=*/false, reply_group_for(r),
+                              r.priority};
+      send_msg(from, reply, r.priority);
+      replicate(reply, from, r.origin);
       return;
     }
   }
@@ -856,7 +823,7 @@ void AthenaNode::forward_request(const ObjectRequest& r) {
   }
   forwarded_.find_or_insert(r.source.value()) = now + lease;
   schedule_gc();
-  send_msg(*next, config_.request_bytes, r, MsgKind::kRequest, r.priority);
+  send_msg(*next, r, r.priority);
 }
 
 std::uint64_t AthenaNode::new_replica_group() {
@@ -884,54 +851,19 @@ bool AthenaNode::replica_first_copy(std::uint64_t group, int kind) {
                                 net_.now());
 }
 
-void AthenaNode::replicate_request(const ObjectRequest& r, NodeId primary_next,
-                                   NodeId dest) {
-  if (config_.multipath_redundancy <= 1 || r.replica_group == 0) return;
-  for (NodeId alt : net::alternate_next_hops(net_.topology(), id_, dest,
-                                             config_.multipath_redundancy - 1,
-                                             {primary_next})) {
-    ++metrics_.replica_copies;
-    send_msg(alt, config_.request_bytes, r, MsgKind::kRequest, r.priority);
-  }
-}
-
-void AthenaNode::replicate_reply(const ObjectReply& r, NodeId primary_next,
-                                 NodeId dest) {
-  if (config_.multipath_redundancy <= 1 || r.replica_group == 0) return;
+template <typename Msg>
+void AthenaNode::replicate(const Msg& m, NodeId primary_next, NodeId dest) {
+  if (config_.multipath_redundancy <= 1 || m.replica_group == 0) return;
   if (dest == id_) return;  // the requester is this node; nothing to fan out
   for (NodeId alt : net::alternate_next_hops(net_.topology(), id_, dest,
                                              config_.multipath_redundancy - 1,
                                              {primary_next})) {
     ++metrics_.replica_copies;
-    ++metrics_.object_reply_hops;
-    send_msg(alt, r.object.bytes, r, MsgKind::kObject, r.priority);
+    send_msg(alt, m, m.priority);
   }
 }
 
-void AthenaNode::reply_with_object(const world::EvidenceObject& obj,
-                                   NodeId to, QueryId query, NodeId origin,
-                                   bool prefetch_push, int priority,
-                                   std::uint64_t replica_group) {
-  ObjectReply reply{obj, query, origin, prefetch_push, replica_group,
-                    priority};
-  ++metrics_.object_reply_hops;
-  if (prefetch_push) {
-    // Background traffic: yields to every foreground class at link queues.
-    metrics_.push_bytes += obj.bytes;
-    net::Packet pkt;
-    pkt.src = id_;
-    pkt.dst = to;
-    pkt.bytes = obj.bytes;
-    pkt.priority = -1;
-    pkt.payload = std::move(reply);
-    net_.send(id_, to, std::move(pkt));
-    return;
-  }
-  send_msg(to, obj.bytes, std::move(reply), MsgKind::kObject, priority);
-}
-
-void AthenaNode::handle_reply(NodeId from, const ObjectReply& r) {
-  (void)from;
+void AthenaNode::handle(NodeId /*from*/, const ObjectReply& r) {
   const SimTime now = net_.now();
   const world::EvidenceObject& obj = r.object;
 
@@ -963,8 +895,11 @@ void AthenaNode::handle_reply(NodeId from, const ObjectReply& r) {
     if (!e.from.valid()) {
       delivered_locally = true;
     } else if (sent_to.insert(e.from)) {
-      reply_with_object(obj, e.from, e.query, e.origin, r.prefetch_push,
-                        e.priority, r.replica_group);
+      // A background push yields to every foreground class at link queues.
+      send_msg(e.from,
+               ObjectReply{obj, e.query, e.origin, r.prefetch_push,
+                           r.replica_group, e.priority},
+               r.prefetch_push ? -1 : e.priority);
       forwarded_any = true;
     }
   }
@@ -972,10 +907,7 @@ void AthenaNode::handle_reply(NodeId from, const ObjectReply& r) {
   // A prefetch push keeps moving toward the query origin even without
   // interests (Fig. 1: the source pushes u all the way to the requester).
   if (r.prefetch_push && !forwarded_any && r.origin != id_) {
-    if (const auto next = net_.next_hop(id_, r.origin);
-        next && *next != id_) {
-      reply_with_object(obj, *next, r.query, r.origin, true, -1);
-    }
+    send_toward(r.origin, ObjectReply{obj, r.query, r.origin, true, 0, -1}, -1);
   }
 
   // A replica copy travelling an alternate path crosses nodes that never
@@ -983,11 +915,7 @@ void AthenaNode::handle_reply(NodeId from, const ObjectReply& r) {
   // redundant path stays end-to-end.
   if (r.replica_group != 0 && !r.prefetch_push && !forwarded_any &&
       !delivered_locally && r.origin != id_) {
-    if (const auto next = net_.next_hop(id_, r.origin);
-        next && *next != id_) {
-      reply_with_object(obj, *next, r.query, r.origin, false, r.priority,
-                        r.replica_group);
-    }
+    send_toward(r.origin, r, r.priority);  // r is not a push (checked above)
   }
 
   if (delivered_locally || (r.prefetch_push && r.origin == id_)) {
@@ -995,8 +923,7 @@ void AthenaNode::handle_reply(NodeId from, const ObjectReply& r) {
   }
 }
 
-void AthenaNode::handle_label_share(NodeId from, const LabelShare& s) {
-  (void)from;
+void AthenaNode::handle(NodeId /*from*/, const LabelShare& s) {
   const SimTime now = net_.now();
   // Cache fresher label values along the path (Sec. VI-D).
   std::vector<decision::LabelValue> fresher;
@@ -1024,24 +951,9 @@ void AthenaNode::handle_label_share(NodeId from, const LabelShare& s) {
     SmallVec<Interest, 2> keep;
     for (Interest& e : *entries) {
       if (e.expires <= now) continue;
-      bool all = e.accept_labels && e.from.valid() && !e.labels.empty();
-      std::vector<decision::LabelValue> vals;
-      if (all) {
-        for (LabelId l : e.labels) {
-          const auto* v = label_cache_.peek(l, now);
-          if (v == nullptr) {
-            all = false;
-            break;
-          }
-          vals.push_back(*v);
-        }
-      }
-      if (all) {
-        ++metrics_.label_cache_hits;
-        LabelReply reply{std::move(vals), e.query, e.origin, source};
-        send_msg(e.from, config_.label_bytes, reply, MsgKind::kLabel,
-                 e.priority);
-      } else {
+      if (!e.accept_labels || !e.from.valid() ||
+          !reply_with_labels(e.from, e.labels, e.query, e.origin, source,
+                             e.priority)) {
         keep.push_back(std::move(e));
       }
     }
@@ -1049,15 +961,10 @@ void AthenaNode::handle_label_share(NodeId from, const LabelShare& s) {
   }
 
   // Keep propagating toward the data source's host.
-  if (s.toward != id_) {
-    if (const auto next = net_.next_hop(id_, s.toward); next && *next != id_) {
-      send_msg(*next, config_.label_bytes, s, MsgKind::kLabel);
-    }
-  }
+  send_toward(s.toward, s);
 }
 
-void AthenaNode::handle_label_reply(NodeId from, const LabelReply& r) {
-  (void)from;
+void AthenaNode::handle(NodeId /*from*/, const LabelReply& r) {
   const SimTime now = net_.now();
   // The upstream interest this node forwarded (if any) was consumed by a
   // label answer; a later object request for the same source must be
@@ -1074,20 +981,15 @@ void AthenaNode::handle_label_reply(NodeId from, const LabelReply& r) {
       query_pool_.at(slot).outstanding.erase(r.source);
     }
     advance_active();
-  } else if (const auto next = net_.next_hop(id_, r.origin);
-             next && *next != id_) {
-    send_msg(*next, config_.label_bytes, r, MsgKind::kLabel);
+  } else {
+    send_toward(r.origin, r);
   }
 }
 
 void AthenaNode::share_labels(const std::vector<decision::LabelValue>& values,
                               SourceId produced_by) {
   const NodeId toward = directory_.host(produced_by);
-  if (toward == id_) return;
-  if (const auto next = net_.next_hop(id_, toward); next && *next != id_) {
-    send_msg(*next, config_.label_bytes, LabelShare{values, toward},
-             MsgKind::kLabel);
-  }
+  send_toward(toward, LabelShare{values, toward});
 }
 
 void AthenaNode::broadcast_invalidation(const std::vector<LabelId>& labels) {
@@ -1103,12 +1005,10 @@ void AthenaNode::broadcast_invalidation(const std::vector<LabelId>& labels) {
   invalidations_seen_.insert_if_absent(inv.id, net_.now() + config_.dedup_ttl);
   schedule_gc();
   apply_invalidation(labels);
-  for (NodeId nb : net_.topology().neighbors(id_)) {
-    send_msg(nb, config_.label_bytes, inv, MsgKind::kLabel, /*priority=*/1);
-  }
+  send_to_neighbors(inv, /*priority=*/1);
 }
 
-void AthenaNode::handle_invalidation(NodeId from, const Invalidation& inv) {
+void AthenaNode::handle(NodeId from, const Invalidation& inv) {
   if (!invalidations_seen_.insert_if_absent(inv.id,
                                             net_.now() + config_.dedup_ttl)) {
     return;
@@ -1117,11 +1017,7 @@ void AthenaNode::handle_invalidation(NodeId from, const Invalidation& inv) {
   if (inv.ttl > 0) {
     Invalidation next = inv;
     next.ttl = inv.ttl - 1;
-    for (NodeId nb : net_.topology().neighbors(id_)) {
-      if (nb != from) {
-        send_msg(nb, config_.label_bytes, next, MsgKind::kLabel, 1);
-      }
-    }
+    send_to_neighbors(next, /*priority=*/1, from);
   }
   if (config_.honor_invalidations) apply_invalidation(inv.labels);
 }
@@ -1193,11 +1089,11 @@ void AthenaNode::pump_prefetch() {
     if (now < item.deadline_abs) {
       if (item.push) {
         if (auto obj = local_object(item.source)) {
-          if (const auto next = net_.next_hop(id_, item.origin);
-              next && *next != id_) {
+          if (send_toward(item.origin,
+                          ObjectReply{*obj, item.query, item.origin,
+                                      /*prefetch_push=*/true, 0, -1},
+                          /*priority=*/-1)) {
             ++metrics_.prefetch_pushes;
-            reply_with_object(*obj, *next, item.query, item.origin,
-                              /*prefetch_push=*/true, /*priority=*/-1);
           }
         }
       } else {
@@ -1210,11 +1106,7 @@ void AthenaNode::pump_prefetch() {
         r.accept_labels = false;
         r.deadline_abs = item.deadline_abs;
         r.priority = -1;
-        if (const auto next =
-                net_.next_hop(id_, directory_.host(item.source));
-            next && *next != id_) {
-          send_msg(*next, config_.request_bytes, r, MsgKind::kRequest, -1);
-        }
+        send_toward(directory_.host(item.source), r, -1);
       }
     }
   }
@@ -1287,12 +1179,10 @@ void AthenaNode::on_restart(fault::RestartPolicy policy) {
   // to other nodes' tables is confined to entries whose next hop is this
   // node, so neighbors are exactly the audience.
   const RecoveryHello hello{id_, restart_epoch_, net_.now()};
-  for (NodeId nb : net_.topology().neighbors(id_)) {
-    send_msg(nb, config_.hello_bytes, hello, MsgKind::kControl, /*priority=*/1);
-  }
+  send_to_neighbors(hello, /*priority=*/1);
 }
 
-void AthenaNode::handle_recovery_hello(const RecoveryHello& hello) {
+void AthenaNode::handle(NodeId /*from*/, const RecoveryHello& hello) {
   if (!config_.crash_recovery) return;
   const SimTime now = net_.now();
   ++metrics_.recovery_hellos;
@@ -1408,21 +1298,57 @@ std::optional<world::EvidenceObject> AthenaNode::local_object(SourceId source) {
   return std::nullopt;
 }
 
-void AthenaNode::send_msg(NodeId next, std::uint64_t bytes, std::any payload,
-                          MsgKind kind, int priority) {
-  switch (kind) {
-    case MsgKind::kRequest: metrics_.request_bytes += bytes; break;
-    case MsgKind::kObject: metrics_.object_bytes += bytes; break;
-    case MsgKind::kAnnounce: metrics_.announce_bytes += bytes; break;
-    case MsgKind::kLabel: metrics_.label_bytes += bytes; break;
-    case MsgKind::kControl: metrics_.control_bytes += bytes; break;
+bool AthenaNode::reply_with_labels(NodeId to,
+                                   const std::vector<LabelId>& labels,
+                                   QueryId query, NodeId origin,
+                                   SourceId source, int priority) {
+  if (labels.empty()) return false;
+  std::vector<decision::LabelValue> vals;
+  for (LabelId l : labels) {
+    const auto* v = label_cache_.peek(l, net_.now());
+    if (v == nullptr) return false;
+    vals.push_back(*v);
   }
+  ++metrics_.label_cache_hits;
+  send_msg(to, LabelReply{std::move(vals), query, origin, source}, priority);
+  return true;
+}
+
+bool AthenaNode::send_toward(NodeId dest, Message msg, int priority) {
+  const auto next = net_.next_hop(id_, dest);
+  if (!next || *next == id_) return false;
+  send_msg(*next, std::move(msg), priority);
+  return true;
+}
+
+void AthenaNode::send_to_neighbors(const Message& msg, int priority,
+                                   NodeId except) {
+  for (NodeId nb : net_.topology().neighbors(id_)) {
+    if (nb != except) send_msg(nb, msg, priority);
+  }
+}
+
+void AthenaNode::send_msg(NodeId next, Message msg, int priority) {
+  using Bill = std::pair<std::uint64_t, std::uint64_t AthenaMetrics::*>;
+  const auto [bytes, counter] = std::visit(
+      [this]<typename T>(const T& m) {
+        if constexpr (std::is_same_v<T, ObjectReply>) {
+          ++metrics_.object_reply_hops;
+          return Bill{m.object.bytes, m.prefetch_push
+                                          ? &AthenaMetrics::push_bytes
+                                          : &AthenaMetrics::object_bytes};
+        } else {
+          return Bill{config_.*T::kSize, T::kBilledTo};
+        }
+      },
+      msg);
+  metrics_.*counter += bytes;
   net::Packet pkt;
   pkt.src = id_;
   pkt.dst = next;
   pkt.bytes = bytes;
   pkt.priority = priority;
-  pkt.payload = std::move(payload);
+  pkt.payload = std::move(msg);
   net_.send(id_, next, std::move(pkt));
 }
 

@@ -125,7 +125,7 @@ class AthenaNode {
   /// The node came back up. Non-ghost restarts count in
   /// AthenaMetrics::node_restarts and — when crash_recovery is on — send a
   /// one-hop RecoveryHello to each neighbor so the network re-learns what
-  /// the crash forgot (see handle_recovery_hello).
+  /// the crash forgot (see handle(NodeId, const RecoveryHello&)).
   void on_restart(fault::RestartPolicy policy);
   /// Completed non-ghost restarts of this node (state generation).
   [[nodiscard]] std::uint64_t restart_epoch() const noexcept {
@@ -223,22 +223,22 @@ class AthenaNode {
     SimTime deadline_abs;
   };
 
-  enum class MsgKind { kRequest, kObject, kAnnounce, kLabel, kControl };
-
-  // --- message handlers ---------------------------------------------------
+  // --- message handlers: one per Message alternative ----------------------
+  /// Dispatch a packet's Message to its handler (aborts on any other
+  /// payload).
   void on_packet(const net::Packet& pkt);
-  void handle_announce(NodeId from, const QueryAnnounce& a);
-  void handle_request(NodeId from, const ObjectRequest& r);
-  void handle_reply(NodeId from, const ObjectReply& r);
-  void handle_label_share(NodeId from, const LabelShare& s);
-  void handle_label_reply(NodeId from, const LabelReply& r);
-  void handle_invalidation(NodeId from, const Invalidation& inv);
+  void handle(NodeId from, const QueryAnnounce& a);
+  void handle(NodeId from, const ObjectRequest& r);
+  void handle(NodeId from, const ObjectReply& r);
+  void handle(NodeId from, const LabelShare& s);
+  void handle(NodeId from, const LabelReply& r);
+  void handle(NodeId from, const Invalidation& inv);
   /// Recovery protocol, neighbor side: a restarted node announced that it
   /// lost its soft state. Purge aggregation markers whose upstream path
   /// runs through it (their interest-table copy died with the crash) and
   /// re-issue the first live downstream interest upstream, so waiting
   /// queries recover in one hop-trip instead of waiting out marker leases.
-  void handle_recovery_hello(const RecoveryHello& hello);
+  void handle(NodeId from, const RecoveryHello& hello);
   /// Local purge for an invalidation's labels (caches, beliefs, active
   /// assignments), then re-plan affected queries.
   void apply_invalidation(const std::vector<LabelId>& labels);
@@ -271,13 +271,12 @@ class AthenaNode {
                     SourceId produced_by);
 
   // --- forwarding / serving ----------------------------------------------
-  /// Serve a request from local state if possible; returns true if fully
-  /// served (no forwarding needed).
-  bool serve_request_locally(const ObjectRequest& r, NodeId reply_to);
   void forward_request(const ObjectRequest& r);
-  void reply_with_object(const world::EvidenceObject& obj, NodeId to,
-                         QueryId query, NodeId origin, bool prefetch_push,
-                         int priority = 0, std::uint64_t replica_group = 0);
+  /// Answer with cached label values in place of the object (lvfl, Sec.
+  /// VI-D) if every one of `labels` is cached fresh; false otherwise.
+  bool reply_with_labels(NodeId to, const std::vector<LabelId>& labels,
+                         QueryId query, NodeId origin, SourceId source,
+                         int priority);
   // --- multipath redundancy (Sec. V-C over lossy links) -------------------
   /// A fresh replica-group id, unique across this run's nodes.
   [[nodiscard]] std::uint64_t new_replica_group();
@@ -289,20 +288,25 @@ class AthenaNode {
   /// message is untagged). `kind` disambiguates the request (0) and reply
   /// (1) legs of one group.
   [[nodiscard]] bool replica_first_copy(std::uint64_t group, int kind);
-  /// Send replica copies of a group-tagged request via alternate downhill
-  /// first hops toward `dest` (no-op when multipath is off or untagged).
-  void replicate_request(const ObjectRequest& r, NodeId primary_next,
-                         NodeId dest);
-  /// Same for a reply fanned out toward the requester/origin.
-  void replicate_reply(const ObjectReply& r, NodeId primary_next,
-                       NodeId dest);
+  /// Send replica copies of a group-tagged ObjectRequest or ObjectReply
+  /// via alternate downhill first hops toward `dest` (no-op when multipath
+  /// is off, the message is untagged, or `dest` is this node).
+  template <typename Msg>
+  void replicate(const Msg& m, NodeId primary_next, NodeId dest);
   void deliver_object(const world::EvidenceObject& obj);
   void pump_prefetch();
   /// Whether the link toward `item`'s next hop is congested past the
   /// configured prefetch watermark (false when throttling is off).
   [[nodiscard]] bool prefetch_congested(const PrefetchItem& item) const;
-  void send_msg(NodeId next, std::uint64_t bytes, std::any payload,
-                MsgKind kind, int priority = 0);
+  /// Send one hop to `next`. The wire size and the AthenaMetrics byte
+  /// counter it is billed to follow from the message type (messages.h).
+  void send_msg(NodeId next, Message msg, int priority = 0);
+  /// Send one hop along the route toward `dest`; false (nothing sent) if
+  /// `dest` is unreachable or this node.
+  bool send_toward(NodeId dest, Message msg, int priority = 0);
+  /// Send to every neighbor except `except`.
+  void send_to_neighbors(const Message& msg, int priority,
+                         NodeId except = NodeId{});
 
   // --- state garbage collection ------------------------------------------
   /// Arm the background sweep if droppable state exists and none is armed.

@@ -1,8 +1,9 @@
 // Publishing adapters: one stable name per field of the subsystem metric
 // structs. The structs (athena::AthenaMetrics, net::TrafficStats,
 // cache::CacheStats) stay the zero-overhead hot-path accumulators; at
-// report time these adapters copy them into a MetricRegistry under the
-// canonical names documented in docs/OBSERVABILITY.md.
+// report time these adapters copy every field their for_each_field
+// visitor yields into a MetricRegistry, under the canonical names listed
+// in docs/OBSERVABILITY.md, plus a few derived totals and ratios.
 //
 // Header-only, and it lives in athena/ (not obs/) on purpose: obs is a
 // lower layer in tools/dde_layers and must not include protocol headers,
@@ -13,7 +14,9 @@
 // protocol libraries anyway.
 #pragma once
 
+#include <cstddef>
 #include <string>
+#include <type_traits>
 
 #include "athena/metrics.h"
 #include "cache/ttl_cache.h"
@@ -22,64 +25,53 @@
 
 namespace dde::obs {
 
-/// athena.* — the per-run protocol counters (Fig. 2 / Fig. 3 material).
+/// Every field of a stats struct under prefix + its for_each_field name:
+/// integer fields as counters, double fields as gauges.
+template <typename Stats>
+void publish_fields(MetricRegistry& reg, const Stats& s,
+                    const std::string& prefix) {
+  // Every field is 8 bytes, so a field missing from for_each_field fails
+  // here for each struct that is published.
+  static_assert(
+      [] {
+        Stats t;
+        std::size_t n = 0;
+        for_each_field(t, [&n](const char*, auto&) { ++n; });
+        return n;
+      }() == sizeof(Stats) / 8,
+      "for_each_field must visit every field");
+  for_each_field(s, [&](const char* name, const auto& v) {
+    if constexpr (std::is_floating_point_v<std::decay_t<decltype(v)>>) {
+      reg.gauge(prefix + name) = v;
+    } else {
+      reg.counter(prefix + name) = v;
+    }
+  });
+}
+
+/// athena.* — the per-run protocol counters (Fig. 2 / Fig. 3 material),
+/// plus the derived totals and ratios.
 inline void publish(MetricRegistry& reg, const athena::AthenaMetrics& m,
                     const std::string& prefix = "athena.") {
-  reg.counter(prefix + "queries_issued") = m.queries_issued;
-  reg.counter(prefix + "queries_resolved") = m.queries_resolved;
-  reg.counter(prefix + "queries_failed") = m.queries_failed;
-  reg.counter(prefix + "queries_shed") = m.queries_shed;
-  reg.counter(prefix + "queries_rejected") = m.queries_rejected;
-  reg.counter(prefix + "object_bytes") = m.object_bytes;
-  reg.counter(prefix + "push_bytes") = m.push_bytes;
-  reg.counter(prefix + "request_bytes") = m.request_bytes;
-  reg.counter(prefix + "announce_bytes") = m.announce_bytes;
-  reg.counter(prefix + "label_bytes") = m.label_bytes;
+  publish_fields(reg, m, prefix);
   reg.counter(prefix + "total_bytes") = m.total_bytes();
-  reg.counter(prefix + "object_requests") = m.object_requests;
-  reg.counter(prefix + "object_reply_hops") = m.object_reply_hops;
-  reg.counter(prefix + "sensor_samples") = m.sensor_samples;
-  reg.counter(prefix + "object_cache_hits") = m.object_cache_hits;
-  reg.counter(prefix + "label_cache_hits") = m.label_cache_hits;
-  reg.counter(prefix + "stale_arrivals") = m.stale_arrivals;
-  reg.counter(prefix + "refetches") = m.refetches;
-  reg.counter(prefix + "prefetch_pushes") = m.prefetch_pushes;
-  reg.counter(prefix + "interest_aggregations") = m.interest_aggregations;
-  reg.counter(prefix + "substitutions") = m.substitutions;
-  reg.counter(prefix + "prefetch_throttled") = m.prefetch_throttled;
-  reg.counter(prefix + "queue_drops") = m.queue_drops;
-  reg.counter(prefix + "retries") = m.retries;
-  reg.counter(prefix + "failovers") = m.failovers;
-  reg.counter(prefix + "link_down_drops") = m.link_down_drops;
-  reg.counter(prefix + "reroutes") = m.reroutes;
   reg.gauge(prefix + "resolution_ratio") = m.resolution_ratio();
   reg.gauge(prefix + "mean_latency_s") = m.mean_latency_s();
+  reg.gauge(prefix + "mean_recovery_time_s") = m.mean_recovery_time_s();
 }
 
 /// net.* — aggregate link-layer traffic.
 inline void publish(MetricRegistry& reg, const net::TrafficStats& s,
                     const std::string& prefix = "net.") {
-  reg.counter(prefix + "packets") = s.packets;
-  reg.counter(prefix + "bytes") = s.bytes;
-  reg.counter(prefix + "dropped") = s.dropped;
-  reg.counter(prefix + "link_down_drops") = s.link_down_drops;
-  reg.counter(prefix + "queue_drops") = s.queue_drops;
+  publish_fields(reg, s, prefix);
 }
 
 /// cache.<name>.* — one TTL cache's counters (see CacheStats for the
-/// corrected field semantics: evictions = capacity pressure only,
-/// expired_drops = TTL expiry, refreshes = in-place overwrites).
+/// field semantics: evictions = capacity pressure only, expired_drops =
+/// TTL expiry, refreshes = in-place overwrites), plus the hit ratio.
 inline void publish(MetricRegistry& reg, const cache::CacheStats& s,
                     const std::string& prefix) {
-  reg.counter(prefix + "hits") = s.hits;
-  reg.counter(prefix + "misses") = s.misses;
-  reg.counter(prefix + "stale_rejects") = s.stale_rejects;
-  reg.counter(prefix + "insertions") = s.insertions;
-  reg.counter(prefix + "refreshes") = s.refreshes;
-  reg.counter(prefix + "evictions") = s.evictions;
-  reg.counter(prefix + "expired_drops") = s.expired_drops;
-  reg.counter(prefix + "flushed") = s.flushed;
-  reg.counter(prefix + "invalidated") = s.invalidated;
+  publish_fields(reg, s, prefix);
   reg.gauge(prefix + "hit_ratio") = s.hit_ratio();
 }
 

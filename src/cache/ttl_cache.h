@@ -68,7 +68,24 @@ struct CacheStats {
     const std::uint64_t total = hits + misses + stale_rejects;
     return total == 0 ? 0.0 : static_cast<double>(hits) / static_cast<double>(total);
   }
+  bool operator==(const CacheStats&) const = default;
 };
+
+/// Calls f(name, field) for every field of `s` (published as
+/// cache.<cache>.<name>).
+template <typename S, typename F>
+  requires std::is_same_v<std::remove_const_t<S>, CacheStats>
+constexpr void for_each_field(S& s, F&& f) {
+  f("hits", s.hits);
+  f("misses", s.misses);
+  f("stale_rejects", s.stale_rejects);
+  f("insertions", s.insertions);
+  f("refreshes", s.refreshes);
+  f("evictions", s.evictions);
+  f("expired_drops", s.expired_drops);
+  f("flushed", s.flushed);
+  f("invalidated", s.invalidated);
+}
 
 /// A bounded TTL + LRU cache.
 ///

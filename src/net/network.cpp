@@ -32,10 +32,6 @@ bool Network::send(NodeId from, NodeId next, Packet packet) {
   stats_.packets += 1;
   stats_.bytes += packet.bytes;
 
-  if (tracer_) {
-    tracer_(TraceEvent{TraceEvent::Kind::kSend, sim_.now(), from, next,
-                       packet.id, packet.bytes, &packet.payload});
-  }
   if (trace_sink_) {
     trace_sink_->emit(obs::Event{obs::EventKind::kHopSend, sim_.now(),
                                  from.value(), 0, next.value(), packet.bytes,
@@ -137,10 +133,6 @@ void Network::start_transmission(LinkId link_id) {
         ++stats_.dropped;
         ++stats_.link_down_drops;
         return;
-      }
-      if (tracer_) {
-        tracer_(TraceEvent{TraceEvent::Kind::kDeliver, sim_.now(), from, next,
-                           p.id, p.bytes, &p.payload});
       }
       if (trace_sink_) {
         trace_sink_->emit(obs::Event{obs::EventKind::kHopDeliver, sim_.now(),

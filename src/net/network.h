@@ -14,6 +14,7 @@
 #include <any>
 #include <cstdint>
 #include <functional>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -28,11 +29,13 @@
 
 namespace dde::net {
 
-/// A packet in flight. `payload` carries a protocol-defined message;
-/// `bytes` alone determines timing and accounting. `priority` orders
-/// contending packets on each link (higher first, FIFO within a class) —
-/// the preferential-treatment mechanism of Sec. V-C; background traffic
-/// (e.g. prefetch pushes) uses negative priorities.
+/// A packet in flight. `payload` carries a protocol-defined message (for
+/// Athena, one athena::Message; type-erased because net sits below the
+/// protocols in tools/dde_layers). `bytes` alone determines timing and
+/// accounting. `priority` orders contending packets on each link (higher
+/// first, FIFO within a class) — the preferential-treatment mechanism of
+/// Sec. V-C; background traffic (e.g. prefetch pushes) uses negative
+/// priorities.
 struct Packet {
   MessageId id;
   NodeId src;          ///< original sender
@@ -61,7 +64,20 @@ struct TrafficStats {
   /// The subset of `dropped` evicted from bounded link queues (overload
   /// protection; see QueueLimits).
   std::uint64_t queue_drops = 0;
+
+  bool operator==(const TrafficStats&) const = default;
 };
+
+/// Calls f(name, field) for every field of `s` (published as net.<name>).
+template <typename S, typename F>
+  requires std::is_same_v<std::remove_const_t<S>, TrafficStats>
+constexpr void for_each_field(S& s, F&& f) {
+  f("packets", s.packets);
+  f("bytes", s.bytes);
+  f("dropped", s.dropped);
+  f("link_down_drops", s.link_down_drops);
+  f("queue_drops", s.queue_drops);
+}
 
 /// Caps on each link's *waiting* queue — the packet currently transmitting
 /// is exempt and never evicted. 0 means unbounded (the default: behaviour
@@ -78,25 +94,10 @@ struct QueueLimits {
   }
 };
 
-/// One hop-level trace event (optional observability hook).
-struct TraceEvent {
-  enum class Kind { kSend, kDeliver } kind = Kind::kSend;
-  SimTime at;
-  NodeId from;     ///< transmitting node
-  NodeId to;       ///< receiving node
-  MessageId message;
-  std::uint64_t bytes = 0;
-  /// The packet's payload, for protocol-aware tracers (std::any_cast it).
-  /// Points into the live packet: valid only for the duration of the
-  /// tracer callback, never to be stored.
-  const std::any* payload = nullptr;
-};
-
 /// The simulated network runtime.
 class Network {
  public:
   using Handler = std::function<void(NodeId self, const Packet&)>;
-  using Tracer = std::function<void(const TraceEvent&)>;
   /// Per-packet loss decision hook, consulted at transmission completion
   /// for every packet that finished serializing on an up link. Returning
   /// true drops the packet. Used by the fault subsystem to install
@@ -184,15 +185,11 @@ class Network {
   [[nodiscard]] des::Simulator& simulator() noexcept { return sim_; }
   [[nodiscard]] SimTime now() const noexcept { return sim_.now(); }
 
-  /// Install a hop-level tracer (pass nullptr to remove). The tracer sees
-  /// every send (at enqueue time) and every delivery (at arrival time) —
-  /// the raw material for Fig. 1-style message-flow walkthroughs.
-  void set_tracer(Tracer tracer) { tracer_ = std::move(tracer); }
-
   /// Attach a structured trace sink (pass nullptr to detach). The network
-  /// emits obs::EventKind::kHopSend / kHopDeliver events into it alongside
-  /// (not replacing) the legacy Tracer callback. Observation only — the
-  /// sink never alters timing, ordering, or loss.
+  /// emits obs::EventKind::kHopSend at every send (enqueue time) and
+  /// kHopDeliver at every delivery (arrival time) — the raw material for
+  /// Fig. 1-style message-flow walkthroughs. Observation only — the sink
+  /// never alters timing, ordering, or loss.
   void set_trace_sink(obs::TraceSink* sink) noexcept { trace_sink_ = sink; }
 
   /// Failure injection: drop each transmitted packet independently with
@@ -235,7 +232,6 @@ class Network {
   des::Simulator& sim_;
   const Topology& topo_;
   std::vector<Handler> handlers_;
-  Tracer tracer_;
   obs::TraceSink* trace_sink_ = nullptr;
   double loss_rate_ = 0.0;
   Rng loss_rng_{99173};

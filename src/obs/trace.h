@@ -2,9 +2,8 @@
 //
 // Protocol and network layers emit flat, schema-stable events describing the
 // query lifecycle (issue → plan → interest → fetch/retry/failover →
-// decide/expire/shed) and per-hop packet movement (send/deliver, subsuming
-// the raw net::TraceEvent hook). The sink fans each event out to up to
-// three consumers:
+// decide/expire/shed) and per-hop packet movement (send/deliver). The sink
+// fans each event out to up to three consumers:
 //
 //   1. an in-memory ring buffer (bounded; for tests and tools),
 //   2. a JSONL writer (one event per line, stable field order),

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "athena/directory.h"
@@ -1006,7 +1007,7 @@ TEST(AthenaNode, LabelShareServesInterestsInAscendingSourceOrder) {
     pkt.src = f.nodes[0];
     pkt.dst = f.nodes[1];
     pkt.bytes = 200;
-    pkt.payload = LabelShare{std::move(values), f.nodes[1]};
+    pkt.payload = Message{LabelShare{std::move(values), f.nodes[1]}};
     ASSERT_TRUE(f.net.send(f.nodes[0], f.nodes[1], std::move(pkt)));
     f.sim.run_until(SimTime::seconds(1));
 
@@ -1019,6 +1020,21 @@ TEST(AthenaNode, LabelShareServesInterestsInAscendingSourceOrder) {
     EXPECT_EQ(decides,
               (std::vector<std::uint64_t>{qid_of_label[0], qid_of_label[3]}));
   }
+}
+
+// Every packet between Athena nodes carries one Message; anything else
+// reaching a node is a wiring bug and aborts instead of being ignored.
+TEST(AthenaNodeDeathTest, NonMessagePayloadAborts) {
+  EXPECT_DEATH(
+      {
+        Fixture f;
+        net::Packet pkt;
+        pkt.bytes = 100;
+        pkt.payload = std::string("not a message");
+        f.net.send(f.nodes[0], f.nodes[1], std::move(pkt));
+        f.sim.run_until(SimTime::seconds(1));
+      },
+      "not an athena::Message");
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "des/simulator.h"
+#include "obs/trace.h"
 
 namespace dde::net {
 namespace {
@@ -196,49 +197,43 @@ TEST(Network, HandlerCanSendFurther) {
   EXPECT_EQ(hops_seen, 3);
 }
 
-TEST(Network, TracerSeesSendsAndDeliveries) {
+TEST(Network, TraceSinkSeesSendsAndDeliveries) {
   Harness h(3);
   Network net(h.sim, h.topo);
-  std::vector<TraceEvent> events;
-  std::vector<std::string> traced_payloads;
-  net.set_tracer([&](const TraceEvent& ev) {
-    events.push_back(ev);
-    // The payload pointer is only valid for the duration of the callback
-    // (it points into the packet, which dies with the delivery event), so
-    // protocol-aware tracers must inspect it here, not afterwards.
-    if (ev.payload != nullptr) {
-      if (const auto* s = std::any_cast<std::string>(ev.payload)) {
-        traced_payloads.push_back(*s);
-      }
-    }
-  });
+  obs::TraceSink sink({.ring_capacity = 16, .jsonl = nullptr, .derive = false});
+  net.set_trace_sink(&sink);
   net.set_handler(h.nodes[1], [](NodeId, const Packet&) {});
   net.send(h.nodes[0], h.nodes[1], packet(1000, "x"));
   h.sim.run_until();
+  const auto events = sink.ring_snapshot();
   ASSERT_EQ(events.size(), 2u);
-  EXPECT_EQ(events[0].kind, TraceEvent::Kind::kSend);
-  EXPECT_EQ(events[1].kind, TraceEvent::Kind::kDeliver);
-  EXPECT_EQ(events[0].from, h.nodes[0]);
-  EXPECT_EQ(events[0].to, h.nodes[1]);
-  EXPECT_EQ(events[0].bytes, 1000u);
+  EXPECT_EQ(events[0].kind, obs::EventKind::kHopSend);
+  EXPECT_EQ(events[1].kind, obs::EventKind::kHopDeliver);
+  for (const obs::Event& ev : events) {
+    EXPECT_EQ(ev.node, h.nodes[0].value());     // transmitting node
+    EXPECT_EQ(ev.subject, h.nodes[1].value());  // receiving node
+    EXPECT_EQ(ev.bytes, 1000u);
+  }
+  // The send is stamped at enqueue time, the delivery after the
+  // serialization and propagation delay.
   EXPECT_LT(events[0].at, events[1].at);
-  EXPECT_EQ(events[0].message, events[1].message);
-  // Payload was accessible to the tracer on both send and delivery.
-  EXPECT_EQ(traced_payloads, (std::vector<std::string>{"x", "x"}));
 }
 
-TEST(Network, TracerRemovable) {
+TEST(Network, TraceSinkDetachable) {
   Harness h(2);
   Network net(h.sim, h.topo);
-  int count = 0;
-  net.set_tracer([&](const TraceEvent&) { ++count; });
+  obs::TraceSink sink({.ring_capacity = 16, .jsonl = nullptr, .derive = false});
+  net.set_trace_sink(&sink);
   net.send(h.nodes[0], h.nodes[1], packet(1));
-  net.set_tracer(nullptr);
+  net.set_trace_sink(nullptr);
   net.send(h.nodes[0], h.nodes[1], packet(1));
   h.sim.run_until();
-  // First packet: send traced; its delivery happens after the tracer was
-  // removed, so only the send event is counted.
-  EXPECT_EQ(count, 1);
+  // First packet: send traced; its delivery happens after the sink was
+  // detached, so only that one send event is recorded.
+  const auto events = sink.ring_snapshot();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].kind, obs::EventKind::kHopSend);
+  EXPECT_EQ(sink.emitted(), 1u);
 }
 
 TEST(Network, PriorityPreemptsQueueNotTransmission) {

@@ -30,11 +30,9 @@ TEST(Scenario, RunsToCompletion) {
 TEST(Scenario, DeterministicForSameSeed) {
   const auto a = run_route_scenario(small_config(athena::Scheme::kLvf, 3));
   const auto b = run_route_scenario(small_config(athena::Scheme::kLvf, 3));
-  EXPECT_EQ(a.metrics.queries_resolved, b.metrics.queries_resolved);
-  EXPECT_EQ(a.traffic.bytes, b.traffic.bytes);
+  EXPECT_EQ(a.metrics, b.metrics);
+  EXPECT_EQ(a.traffic, b.traffic);
   EXPECT_EQ(a.events, b.events);
-  EXPECT_EQ(a.metrics.object_requests, b.metrics.object_requests);
-  EXPECT_EQ(a.metrics.sensor_samples, b.metrics.sensor_samples);
 }
 
 TEST(Scenario, DifferentSeedsDiffer) {
@@ -185,7 +183,7 @@ TEST(Scenario, PeriodicArrivalsDeterministic) {
   const auto a = run_route_scenario(cfg);
   const auto b = run_route_scenario(cfg);
   EXPECT_EQ(a.events, b.events);
-  EXPECT_EQ(a.traffic.bytes, b.traffic.bytes);
+  EXPECT_EQ(a.traffic, b.traffic);
 }
 
 TEST(Scenario, StaggeringReducesLatency) {
@@ -210,8 +208,8 @@ TEST_P(AllSchemesScenario, Deterministic) {
   const auto a = run_route_scenario(small_config(GetParam(), 11));
   const auto b = run_route_scenario(small_config(GetParam(), 11));
   EXPECT_EQ(a.events, b.events);
-  EXPECT_EQ(a.traffic.bytes, b.traffic.bytes);
-  EXPECT_EQ(a.metrics.queries_resolved, b.metrics.queries_resolved);
+  EXPECT_EQ(a.traffic, b.traffic);
+  EXPECT_EQ(a.metrics, b.metrics);
 }
 
 TEST_P(AllSchemesScenario, EveryQueryAccountedFor) {
@@ -344,7 +342,7 @@ TEST(TriggerScenario, Deterministic) {
   const auto a = run_trigger_scenario(cfg);
   const auto b = run_trigger_scenario(cfg);
   EXPECT_EQ(a.events, b.events);
-  EXPECT_EQ(a.metrics.queries_resolved, b.metrics.queries_resolved);
+  EXPECT_EQ(a.metrics, b.metrics);
   EXPECT_EQ(a.reaction_s, b.reaction_s);
 }
 
