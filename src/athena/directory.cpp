@@ -18,7 +18,10 @@ Directory::Directory(const net::Topology& topo,
             "Directory: host_of_sensor must map every sensor to a node");
   for (const auto& s : field.sensors()) {
     for (SegmentId seg : s.covers) {
-      sources_for_label_[LabelId{seg.value()}].push_back(s.id);
+      if (seg.value() >= sources_for_label_.size()) {
+        sources_for_label_.resize(seg.value() + 1);
+      }
+      sources_for_label_[seg.value()].push_back(s.id);
     }
   }
   // lint: ordered-fold — each entry writes its own slot, order-free.
@@ -32,8 +35,9 @@ Directory::Directory(const net::Topology& topo,
 
 const std::vector<SourceId>& Directory::sources_for(LabelId label) const {
   static const std::vector<SourceId> kEmpty;
-  auto it = sources_for_label_.find(label);
-  return it == sources_for_label_.end() ? kEmpty : it->second;
+  return label.value() < sources_for_label_.size()
+             ? sources_for_label_[label.value()]
+             : kEmpty;
 }
 
 NodeId Directory::host(SourceId source) const {
@@ -83,94 +87,89 @@ Directory::Selection Directory::select_sources(
     const std::vector<LabelId>& labels, NodeId origin, bool minimize,
     const std::unordered_set<SourceId>* exclude) const {
   Selection sel;
-
-  // Per-label eligible sources, honoring the soft exclusion: excluded
-  // sources drop out unless nothing else covers the label.
-  auto available = [&](LabelId l) -> const std::vector<SourceId>& {
-    const auto& srcs = sources_for(l);
-    if (exclude == nullptr || exclude->empty()) return srcs;
-    // lint: shared-state — thread_local scratch buffer: each thread owns
-    // its own instance, so there is no cross-thread sharing; it only
-    // amortizes the allocation across calls on one thread.
-    static thread_local std::vector<SourceId> filtered;
-    filtered.clear();
-    for (SourceId s : srcs) {
-      if (!exclude->contains(s)) filtered.push_back(s);
-    }
-    return filtered.empty() ? srcs : filtered;
-  };
-
-  // Candidate sources: anything covering at least one needed label.
-  std::vector<SourceId> candidates;
   for (LabelId l : labels) {
-    const auto& srcs = available(l);
-    if (srcs.empty()) sel.uncovered.push_back(l);
-    candidates.insert(candidates.end(), srcs.begin(), srcs.end());
+    if (sources_for(l).empty()) sel.uncovered.push_back(l);
   }
-  std::sort(candidates.begin(), candidates.end());
-  candidates.erase(std::unique(candidates.begin(), candidates.end()),
-                   candidates.end());
+  std::vector<LabelId> needed = labels;
+  std::sort(needed.begin(), needed.end());
+  needed.erase(std::unique(needed.begin(), needed.end()), needed.end());
 
-  auto covered_needed = [&](SourceId s) {
-    std::vector<LabelId> out;
-    for (LabelId l : labels) {
-      const auto& srcs = available(l);
-      if (std::find(srcs.begin(), srcs.end(), s) != srcs.end()) {
-        out.push_back(l);
-      }
+  // Invert labels → eligible sources once. An excluded source is eligible
+  // for a label only if nothing else covers it. Sorting the (source, label)
+  // pairs groups them into candidates in ascending source order, each with
+  // its covered needed labels in ascending order.
+  const bool excluding = exclude != nullptr && !exclude->empty();
+  auto excluded = [&](SourceId s) { return excluding && exclude->contains(s); };
+  std::vector<std::pair<SourceId, LabelId>> pairs;
+  for (LabelId l : needed) {
+    const auto& srcs = sources_for(l);
+    const bool all_excluded = std::all_of(srcs.begin(), srcs.end(), excluded);
+    for (SourceId s : srcs) {
+      if (all_excluded || !excluded(s)) pairs.emplace_back(s, l);
     }
-    std::sort(out.begin(), out.end());
-    out.erase(std::unique(out.begin(), out.end()), out.end());
-    return out;
-  };
+  }
+  std::sort(pairs.begin(), pairs.end());
 
-  std::vector<SourceId> chosen;
+  struct Candidate {
+    SourceId source;
+    double cost = 0.0;
+    std::vector<LabelId> eligible;  ///< needed labels it may serve, ascending
+    bool chosen = false;
+  };
+  std::vector<Candidate> candidates;
+  for (const auto& [s, l] : pairs) {
+    if (candidates.empty() || candidates.back().source != s) {
+      candidates.push_back(Candidate{s, retrieval_cost(s, origin), {}, false});
+    }
+    candidates.back().eligible.push_back(l);
+  }
+
+  // Chosen candidates, in request-list order.
+  std::vector<std::size_t> chosen;
   if (minimize) {
     // Weighted set cover over the needed labels.
     coverage::CoverInstance inst;
-    for (LabelId l : labels) {
+    for (LabelId l : needed) {
       if (!sources_for(l).empty()) {
         inst.universe.push_back(static_cast<std::uint32_t>(l.value()));
       }
     }
-    std::sort(inst.universe.begin(), inst.universe.end());
-    inst.universe.erase(
-        std::unique(inst.universe.begin(), inst.universe.end()),
-        inst.universe.end());
-    for (SourceId s : candidates) {
+    for (const Candidate& c : candidates) {
       coverage::CoverSet set;
-      set.cost = retrieval_cost(s, origin);
-      for (LabelId l : covered_needed(s)) {
+      set.cost = c.cost;
+      for (LabelId l : c.eligible) {
         set.elements.push_back(static_cast<std::uint32_t>(l.value()));
       }
       inst.sets.push_back(std::move(set));
     }
-    const auto result = coverage::greedy_cover(inst);
-    for (std::size_t idx : result.chosen) chosen.push_back(candidates[idx]);
+    chosen = coverage::greedy_cover(inst).chosen;
   } else {
-    chosen = candidates;
+    chosen.resize(candidates.size());
+    for (std::size_t i = 0; i < chosen.size(); ++i) chosen[i] = i;
   }
+  for (std::size_t idx : chosen) candidates[idx].chosen = true;
 
-  // Designate, for each label, the cheapest chosen source covering it.
-  for (LabelId l : labels) {
-    const auto& srcs = available(l);
-    SourceId best;
-    double best_cost = 0.0;
-    for (SourceId s : srcs) {
-      if (std::find(chosen.begin(), chosen.end(), s) == chosen.end()) continue;
-      const double c = retrieval_cost(s, origin);
-      if (!best.valid() || c < best_cost) {
-        best = s;
-        best_cost = c;
+  // Designate, for each label, the cheapest chosen source eligible for it
+  // (the first in sources_for order on a tie).
+  for (LabelId l : needed) {
+    const Candidate* best = nullptr;
+    for (SourceId s : sources_for(l)) {
+      const auto it = std::lower_bound(
+          candidates.begin(), candidates.end(), s,
+          [](const Candidate& c, SourceId v) { return c.source < v; });
+      if (it == candidates.end() || it->source != s || !it->chosen ||
+          !std::binary_search(it->eligible.begin(), it->eligible.end(), l)) {
+        continue;
       }
+      if (best == nullptr || it->cost < best->cost) best = &*it;
     }
-    if (best.valid()) sel.designated[l] = best;
+    if (best != nullptr) sel.designated[l] = best->source;
   }
 
   // Request list: every chosen source with the needed labels it covers.
-  for (SourceId s : chosen) {
-    auto labs = covered_needed(s);
-    if (!labs.empty()) sel.requests.emplace_back(s, std::move(labs));
+  for (std::size_t idx : chosen) {
+    sel.requests.emplace_back(candidates[idx].source,
+                              std::move(candidates[idx].eligible));
   }
   return sel;
 }

@@ -86,7 +86,9 @@ class Directory {
   const net::Topology& topo_;
   const world::SensorField& field_;
   std::vector<NodeId> host_of_sensor_;
-  std::unordered_map<LabelId, std::vector<SourceId>> sources_for_label_;
+  /// sources_for_label_[label] = covering sources, in sensor order; dense
+  /// over label ids (segment ids are small and contiguous).
+  std::vector<std::vector<SourceId>> sources_for_label_;
   /// p_true_[label]; 0.5 (uninformative) where the map had no entry.
   std::vector<double> p_true_;
 };

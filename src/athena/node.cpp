@@ -97,7 +97,8 @@ QueryId AthenaNode::query_init(decision::DnfExpr expr,
   q.issued_at = now;
   q.deadline_abs = now + relative_deadline;
   const auto labels = q.expr.all_labels();
-  for (const LabelId l : labels) q.label_set.insert(l);
+  q.labels = labels;
+  std::sort(q.labels.begin(), q.labels.end());
   q.selection = directory_.select_sources(labels, id_, config_.source_selection);
   q.priority = priority;
   q.record_index = records_.size();
@@ -173,9 +174,12 @@ decision::LabelMeta AthenaNode::label_meta(QueryState& q,
     q.meta.clear();  // rerouted: hop counts may have changed
     q.meta_epoch = epoch;
   }
-  for (const auto& [known, m] : q.meta) {
-    if (known == label) return m;
-  }
+  const std::size_t pos = decision::lower_index(q.labels, label);
+  DDE_CHECK(pos < q.labels.size() && q.labels[pos] == label,
+            "label_meta: label is not in the query's expression");
+  if (q.meta.empty()) q.meta.resize(q.labels.size());
+  auto& memo = q.meta[pos];
+  if (memo) return *memo;
   SourceId source;
   if (auto it = q.selection.designated.find(label);
       it != q.selection.designated.end()) {
@@ -183,12 +187,9 @@ decision::LabelMeta AthenaNode::label_meta(QueryState& q,
   } else if (const auto& srcs = directory_.sources_for(label); !srcs.empty()) {
     source = srcs.front();
   }
-  const decision::LabelMeta m = source.valid()
-                                    ? directory_.meta(label, source, id_)
-                                    : decision::LabelMeta{};
-  if (q.meta.empty()) q.meta.reserve(q.label_set.size());
-  q.meta.emplace_back(label, m);
-  return m;
+  memo = source.valid() ? directory_.meta(label, source, id_)
+                        : decision::LabelMeta{};
+  return *memo;
 }
 
 std::vector<decision::LabelValue> AthenaNode::annotate(
@@ -279,7 +280,9 @@ void AthenaNode::apply_labels_to_queries(
     QueryState& q = query_pool_.at(slot);
     if (q.finished) continue;
     for (const auto& v : values) {
-      if (!q.label_set.contains(v.label)) continue;
+      if (!std::binary_search(q.labels.begin(), q.labels.end(), v.label)) {
+        continue;
+      }
       if (!trusts(v.annotator)) continue;
       // Never replace fresher knowledge with an older evaluation.
       const auto* cur = q.assignment.record(v.label);
@@ -315,7 +318,7 @@ void AthenaNode::deliver_object(const world::EvidenceObject& obj) {
     for (const auto& v : values) {
       const auto* existing = label_cache_.peek(v.label, now);
       if (existing && existing->expires_at() >= v.expires_at()) continue;
-      label_cache_.put(v.label, v, v.expires_at(), now);
+      cache_label(v, now);
       fresher.push_back(v);
     }
     apply_labels_to_queries(values);
@@ -399,7 +402,7 @@ void AthenaNode::advance(QueryState& q) {
       }
       return;
     }
-    const decision::MetaFn meta = [this, &q](LabelId label) {
+    const auto meta = [this, &q](LabelId label) {
       return label_meta(q, label);
     };
     const auto order = decision::plan_retrieval_order(
@@ -622,11 +625,8 @@ bool AthenaNode::deadline_infeasible(const QueryState& q,
 }
 
 void AthenaNode::failover(QueryState& q) {
-  // Deterministic label order (label_set is unordered).
-  std::vector<LabelId> labels(q.label_set.begin(), q.label_set.end());
-  std::sort(labels.begin(), labels.end());
   Directory::Selection fresh = directory_.select_sources(
-      labels, id_, config_.source_selection, &q.exhausted);
+      q.labels, id_, config_.source_selection, &q.exhausted);
   std::uint64_t moved = 0;
   // lint: ordered-fold — pure count of changed designations, commutative.
   for (const auto& [label, source] : fresh.designated) {
@@ -789,7 +789,17 @@ void AthenaNode::handle(NodeId from, const ObjectRequest& r) {
   // Miss: prefetch requests are never forwarded (Sec. VI-B).
   if (r.prefetch) return;
 
-  // Bookmark the interest and forward toward the source.
+  // Bookmark the interest and forward toward the source. The label-share
+  // serve walk relies on the source covering every label of the interest:
+  // a put of any of them then marks this source for recheck.
+  DDE_CHECK(std::all_of(r.labels.begin(), r.labels.end(),
+                        [&](LabelId l) {
+                          const auto& srcs = directory_.sources_for(l);
+                          return std::find(srcs.begin(), srcs.end(),
+                                           r.source) != srcs.end();
+                        }),
+            "handle(ObjectRequest): the source does not cover every label "
+            "of the interest");
   auto& entries = interest_table_.find_or_insert(r.source.value());
   entries.remove_if([now](const Interest& e) { return e.expires <= now; });
   entries.push_back(Interest{from, r.query, r.origin, r.labels, r.prefetch,
@@ -931,7 +941,7 @@ void AthenaNode::handle(NodeId /*from*/, const LabelShare& s) {
     const auto* existing = label_cache_.peek(v.label, now);
     if (existing && existing->expires_at() >= v.expires_at()) continue;
     if (v.expires_at() > now) {
-      label_cache_.put(v.label, v, v.expires_at(), now);
+      cache_label(v, now);
       fresher.push_back(v);
     }
   }
@@ -943,8 +953,13 @@ void AthenaNode::handle(NodeId /*from*/, const LabelShare& s) {
   }
 
   // Serve pending label-accepting interests that are now fully covered, in
-  // ascending source order.
-  for (const std::uint64_t source_key : interest_table_.sorted_keys()) {
+  // ascending source order. Only marked sources can have one: an interest
+  // was unservable when it was bookmarked or last re-checked, and only a
+  // later put of one of its labels can complete it. Every put marks the
+  // sources covering the label, its own source among them (checked at
+  // bookmark time), including puts by LabelReplies passing through and by
+  // local deliveries since the last share. The walk itself puts nothing.
+  for (const std::uint64_t source_key : recheck_sources_) {
     const SourceId source{source_key};
     auto* entries = interest_table_.find(source_key);
     if (entries == nullptr) continue;
@@ -959,6 +974,7 @@ void AthenaNode::handle(NodeId /*from*/, const LabelShare& s) {
     }
     *entries = std::move(keep);
   }
+  recheck_sources_.clear();
 
   // Keep propagating toward the data source's host.
   send_toward(s.toward, s);
@@ -973,7 +989,7 @@ void AthenaNode::handle(NodeId /*from*/, const LabelReply& r) {
   for (const auto& v : r.values) {
     const auto* existing = label_cache_.peek(v.label, now);
     if (existing && existing->expires_at() >= v.expires_at()) continue;
-    if (v.expires_at() > now) label_cache_.put(v.label, v, v.expires_at(), now);
+    if (v.expires_at() > now) cache_label(v, now);
   }
   if (r.origin == id_) {
     apply_labels_to_queries(r.values);
@@ -1043,7 +1059,7 @@ void AthenaNode::apply_invalidation(const std::vector<LabelId>& labels) {
     if (q.finished) continue;
     bool touched = false;
     for (LabelId l : labels) {
-      if (q.label_set.contains(l)) {
+      if (std::binary_search(q.labels.begin(), q.labels.end(), l)) {
         q.assignment.invalidate(l);
         touched = true;
       }
@@ -1149,6 +1165,7 @@ void AthenaNode::on_crash(fault::RestartPolicy policy) {
 
   // Volatile protocol tables are lost under every non-ghost policy.
   interest_table_.clear();
+  recheck_sources_.clear();
   forwarded_.clear();
   announces_seen_.clear();
   invalidations_seen_.clear();
@@ -1298,17 +1315,30 @@ std::optional<world::EvidenceObject> AthenaNode::local_object(SourceId source) {
   return std::nullopt;
 }
 
+void AthenaNode::cache_label(const decision::LabelValue& v, SimTime now) {
+  label_cache_.put(v.label, v, v.expires_at(), now);
+  for (SourceId s : directory_.sources_for(v.label)) {
+    if (interest_table_.find(s.value()) == nullptr) continue;
+    const auto it = std::lower_bound(recheck_sources_.begin(),
+                                     recheck_sources_.end(), s.value());
+    if (it == recheck_sources_.end() || *it != s.value()) {
+      recheck_sources_.insert(it, s.value());
+    }
+  }
+}
+
 bool AthenaNode::reply_with_labels(NodeId to,
                                    const std::vector<LabelId>& labels,
                                    QueryId query, NodeId origin,
                                    SourceId source, int priority) {
   if (labels.empty()) return false;
-  std::vector<decision::LabelValue> vals;
+  const SimTime now = net_.now();
   for (LabelId l : labels) {
-    const auto* v = label_cache_.peek(l, net_.now());
-    if (v == nullptr) return false;
-    vals.push_back(*v);
+    if (label_cache_.peek(l, now) == nullptr) return false;
   }
+  std::vector<decision::LabelValue> vals;
+  vals.reserve(labels.size());
+  for (LabelId l : labels) vals.push_back(*label_cache_.peek(l, now));
   ++metrics_.label_cache_hits;
   send_msg(to, LabelReply{std::move(vals), query, origin, source}, priority);
   return true;

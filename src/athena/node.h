@@ -148,8 +148,8 @@ class AthenaNode {
   }
 
   // --- state residency (observability + leak tests) ----------------------
-  /// Interest-table entries currently held (expired ones included until
-  /// the next sweep or matching access).
+  /// Interest-table entries currently held. Expired entries count until
+  /// the GC sweep or an access to the same source prunes them.
   [[nodiscard]] std::size_t interest_entries() const {
     std::size_t n = 0;
     interest_table_.for_each(
@@ -175,17 +175,19 @@ class AthenaNode {
   struct QueryState {
     QueryId id;
     decision::DnfExpr expr;
-    SmallSet<LabelId, 8> label_set;  ///< labels the expr mentions
+    /// Distinct labels the expr mentions, ascending (binary-searched).
+    std::vector<LabelId> labels;
     SimTime issued_at;
     SimTime deadline_abs;
     decision::Assignment assignment;
     Directory::Selection selection;
-    /// Planner metadata per label, filled lazily by label_meta(). It is a
-    /// pure function of `selection` and the routes, so failover() clears it
-    /// and label_meta() clears it when the routes epoch moves on. Entries
-    /// live on the heap: every node's query pool holds a chunk of mostly
-    /// idle slots, and inline entries would make each of them resident.
-    std::vector<std::pair<LabelId, decision::LabelMeta>> meta;
+    /// Planner metadata per label, parallel to `labels` and filled lazily
+    /// by label_meta(). It is a pure function of `selection` and the
+    /// routes, so failover() clears it and label_meta() clears it when the
+    /// routes epoch moves on. Entries live on the heap: every node's query
+    /// pool holds a chunk of mostly idle slots, and inline entries would
+    /// make each of them resident.
+    std::vector<std::optional<decision::LabelMeta>> meta;
     std::uint64_t meta_epoch = 0;  ///< routes epoch `meta` was filled under
     int priority = 0;
     /// source → expiry of the outstanding request to it.
@@ -272,6 +274,9 @@ class AthenaNode {
 
   // --- forwarding / serving ----------------------------------------------
   void forward_request(const ObjectRequest& r);
+  /// Cache `v` in the label cache and mark every source covering its label
+  /// that has interest-table entries for the next label-share serve walk.
+  void cache_label(const decision::LabelValue& v, SimTime now);
   /// Answer with cached label values in place of the object (lvfl, Sec.
   /// VI-D) if every one of `labels` is cached fresh; false otherwise.
   bool reply_with_labels(NodeId to, const std::vector<LabelId>& labels,
@@ -387,9 +392,13 @@ class AthenaNode {
 
   /// source.value() → interests waiting on that source. Flat table; all
   /// hot lookups (request bookkeeping, reply fan-out, GC) probe it
-  /// directly, and the label-share serve walk visits it in ascending
-  /// source order.
+  /// directly, and the label-share serve walk visits the sources in
+  /// `recheck_sources_`.
   FlatU64Map<SmallVec<Interest, 2>> interest_table_;
+  /// source.value() keys, ascending and distinct, whose interests the next
+  /// LabelShare re-checks: every label put adds the sources covering the
+  /// label that have interest-table entries (see cache_label()).
+  std::vector<std::uint64_t> recheck_sources_;
   /// source.value() → expiry of the upstream forward we already sent
   /// (dedup).
   FlatU64Map<SimTime> forwarded_;

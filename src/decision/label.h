@@ -6,8 +6,10 @@
 // was computed from — the trust metadata of Sec. III-B.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
+#include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/ids.h"
@@ -41,36 +43,62 @@ struct LabelValue {
   }
 };
 
+/// Index of the first element of ascending `labels` not below `label`
+/// (std::lower_bound's answer). The halving steps select with conditional
+/// moves rather than branches, so a lookup in a few dozen ids costs no
+/// mispredicted branches.
+[[nodiscard]] inline std::size_t lower_index(std::span<const LabelId> labels,
+                                             LabelId label) noexcept {
+  if (labels.empty()) return 0;
+  const LabelId* base = labels.data();
+  for (std::size_t n = labels.size(); n > 1;) {
+    const std::size_t half = n / 2;
+    base = base[half] < label ? base + half : base;
+    n -= half;
+  }
+  return static_cast<std::size_t>(base - labels.data()) +
+         (*base < label ? 1 : 0);
+}
+
 /// A (partial) assignment of values to labels, with freshness handling.
 ///
 /// Lookups are time-aware: a stored value that has expired reads back as
 /// unknown, which is exactly how staleness re-opens a decision.
+///
+/// Flat layout: labels sorted ascending with their records alongside, so a
+/// lookup is a binary search over a few dozen contiguous ids. A set() or
+/// invalidate() invalidates pointers returned by record().
 class Assignment {
  public:
   /// Record a label value (overwrites any previous value).
-  void set(LabelValue v) { values_[v.label] = std::move(v); }
+  void set(LabelValue v) {
+    const std::size_t i = position(v.label);
+    if (i < labels_.size() && labels_[i] == v.label) {
+      values_[i] = std::move(v);
+      return;
+    }
+    labels_.insert(labels_.begin() + static_cast<std::ptrdiff_t>(i), v.label);
+    values_.insert(values_.begin() + static_cast<std::ptrdiff_t>(i),
+                   std::move(v));
+  }
 
   /// The value of `label` if known and still fresh at `now`.
   [[nodiscard]] Tristate value_at(LabelId label, SimTime now) const {
-    auto it = values_.find(label);
-    if (it == values_.end() || !it->second.fresh_at(now)) {
-      return Tristate::kUnknown;
-    }
-    return it->second.value;
+    const LabelValue* v = record(label);
+    return v != nullptr && v->fresh_at(now) ? v->value : Tristate::kUnknown;
   }
 
   /// The stored record for `label`, fresh or not (nullptr if never set).
   [[nodiscard]] const LabelValue* record(LabelId label) const {
-    auto it = values_.find(label);
-    return it == values_.end() ? nullptr : &it->second;
+    const std::size_t i = position(label);
+    return i < labels_.size() && labels_[i] == label ? &values_[i] : nullptr;
   }
 
   /// Earliest expiry among values that are fresh at `now`
   /// (SimTime::max() if none).
   [[nodiscard]] SimTime earliest_expiry(SimTime now) const {
     SimTime best = SimTime::max();
-    // lint: ordered-fold — min-reduction, commutative and associative.
-    for (const auto& [id, v] : values_) {
+    for (const LabelValue& v : values_) {
       if (v.fresh_at(now)) best = std::min(best, v.expires_at());
     }
     return best;
@@ -78,13 +106,26 @@ class Assignment {
 
   /// Discard any knowledge of `label` (Sec. II-A invalidation: an external
   /// event voided the observation). Subsequent lookups return unknown.
-  void invalidate(LabelId label) { values_.erase(label); }
+  void invalidate(LabelId label) {
+    const std::size_t i = position(label);
+    if (i == labels_.size() || labels_[i] != label) return;
+    labels_.erase(labels_.begin() + static_cast<std::ptrdiff_t>(i));
+    values_.erase(values_.begin() + static_cast<std::ptrdiff_t>(i));
+  }
 
-  [[nodiscard]] std::size_t size() const noexcept { return values_.size(); }
-  void clear() { values_.clear(); }
+  [[nodiscard]] std::size_t size() const noexcept { return labels_.size(); }
+  void clear() {
+    labels_.clear();
+    values_.clear();
+  }
 
  private:
-  std::unordered_map<LabelId, LabelValue> values_;
+  [[nodiscard]] std::size_t position(LabelId label) const {
+    return lower_index(labels_, label);
+  }
+
+  std::vector<LabelId> labels_;     ///< ascending
+  std::vector<LabelValue> values_;  ///< values_[i] is labels_[i]'s record
 };
 
 }  // namespace dde::decision

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <functional>
+#include <type_traits>
 #include <unordered_map>
 
 #include "common/ids.h"
@@ -24,8 +25,31 @@ struct LabelMeta {
 };
 
 /// Metadata lookup: label → metadata. Implementations may be a map, a
-/// model, or a live estimate.
+/// model, or a live estimate. Owning; see MetaRef for the planner's
+/// parameter type.
 using MetaFn = std::function<LabelMeta(LabelId)>;
+
+/// Non-owning reference to a metadata lookup: anything callable as
+/// `LabelMeta(LabelId)`, a MetaFn included. The planner and the orderings
+/// take this instead of `const MetaFn&`, so passing a lambda allocates
+/// nothing and each lookup is one indirect call. The callable must outlive
+/// the reference, so bind a MetaRef only as a function parameter.
+class MetaRef {
+ public:
+  template <typename F>
+    requires(!std::is_same_v<std::remove_cvref_t<F>, MetaRef> &&
+             std::is_invocable_r_v<LabelMeta, const F&, LabelId>)
+  MetaRef(const F& fn) noexcept  // implicit: binds at the call site
+      : fn_(&fn), call_([](const void* f, LabelId label) -> LabelMeta {
+          return (*static_cast<const F*>(f))(label);
+        }) {}
+
+  LabelMeta operator()(LabelId label) const { return call_(fn_, label); }
+
+ private:
+  const void* fn_;
+  LabelMeta (*call_)(const void*, LabelId);
+};
 
 /// Convenience map-backed MetaFn.
 class MetaTable {

@@ -22,7 +22,7 @@ struct Resolved {
 };
 
 std::vector<Resolved> resolve(std::span<const Term> terms,
-                              const MetaFn& meta) {
+                              MetaRef meta) {
   std::vector<Resolved> out;
   out.reserve(terms.size());
   for (const Term& t : terms) {
@@ -31,6 +31,57 @@ std::vector<Resolved> resolve(std::span<const Term> terms,
     out.push_back(Resolved{t, m, (1.0 - p) / std::max(m.cost, 1e-12)});
   }
   return out;
+}
+
+/// term_p_true for a resolved term.
+double p_true_of(const Resolved& r) {
+  return r.term.negated ? 1.0 - r.meta.p_true : r.meta.p_true;
+}
+
+/// expected_conjunction_cost over resolved terms.
+double resolved_cost(std::span<const Resolved> terms) {
+  double cost = 0.0;
+  double p_reach = 1.0;  // probability evaluation reaches this term
+  // Labels retrieved by earlier terms, with the truth value implied by the
+  // evaluation having moved past them (a passed term fixes its label to
+  // !negated). A repeated label is paid for once — the convention of
+  // exact_conjunction_cost_by_enumeration's `paid` set — and contributes a
+  // deterministic, not independent, factor to the reach probability.
+  std::vector<std::pair<LabelId, bool>> settled;
+  for (const Resolved& r : terms) {
+    const Term& t = r.term;
+    const auto known =
+        std::find_if(settled.begin(), settled.end(),
+                     [&](const auto& kv) { return kv.first == t.label; });
+    if (known == settled.end()) {
+      cost += p_reach * r.meta.cost;
+      p_reach *= p_true_of(r);
+      settled.emplace_back(t.label, !t.negated);
+      continue;
+    }
+    // Already retrieved: no cost. The term's truth is determined; if it
+    // contradicts the settled value, evaluation never proceeds past here.
+    const bool term_true = t.negated ? !known->second : known->second;
+    if (!term_true) break;  // p_reach for all later terms is 0
+  }
+  return cost;
+}
+
+/// conjunction_success_prob over resolved terms.
+double resolved_success(std::span<const Resolved> terms) {
+  double p = 1.0;
+  for (const Resolved& r : terms) p *= p_true_of(r);
+  return p;
+}
+
+/// Resolved terms of `c`, stably sorted by descending AND efficiency.
+std::vector<Resolved> and_ordered(const Conjunction& c, MetaRef meta) {
+  auto resolved = resolve(c.terms, meta);
+  std::stable_sort(resolved.begin(), resolved.end(),
+                   [](const Resolved& a, const Resolved& b) {
+                     return a.efficiency > b.efficiency;
+                   });
+  return resolved;
 }
 
 std::vector<Term> terms_of(const std::vector<Resolved>& resolved) {
@@ -66,93 +117,60 @@ bool resolved_feasible(const std::vector<Resolved>& terms, SimTime start,
 
 }  // namespace
 
-double term_p_true(const Term& t, const MetaFn& meta) {
+double term_p_true(const Term& t, MetaRef meta) {
   const double p = meta(t.label).p_true;
   return t.negated ? 1.0 - p : p;
 }
 
-double and_efficiency(const Term& t, const MetaFn& meta) {
+double and_efficiency(const Term& t, MetaRef meta) {
   const double cost = std::max(meta(t.label).cost, 1e-12);
   return (1.0 - term_p_true(t, meta)) / cost;
 }
 
-std::vector<Term> order_conjunction(const Conjunction& c, const MetaFn& meta) {
-  auto resolved = resolve(c.terms, meta);
-  std::stable_sort(resolved.begin(), resolved.end(),
-                   [](const Resolved& a, const Resolved& b) {
-                     return a.efficiency > b.efficiency;
-                   });
-  return terms_of(resolved);
+std::vector<Term> order_conjunction(const Conjunction& c, MetaRef meta) {
+  return terms_of(and_ordered(c, meta));
 }
 
-double expected_conjunction_cost(std::span<const Term> terms,
-                                 const MetaFn& meta) {
-  double cost = 0.0;
-  double p_reach = 1.0;  // probability evaluation reaches this term
-  // Labels retrieved by earlier terms, with the truth value implied by the
-  // evaluation having moved past them (a passed term fixes its label to
-  // !negated). A repeated label is paid for once — the convention of
-  // exact_conjunction_cost_by_enumeration's `paid` set — and contributes a
-  // deterministic, not independent, factor to the reach probability.
-  std::vector<std::pair<LabelId, bool>> settled;
-  for (const Term& t : terms) {
-    const auto known =
-        std::find_if(settled.begin(), settled.end(),
-                     [&](const auto& kv) { return kv.first == t.label; });
-    if (known == settled.end()) {
-      cost += p_reach * meta(t.label).cost;
-      p_reach *= term_p_true(t, meta);
-      settled.emplace_back(t.label, !t.negated);
-      continue;
-    }
-    // Already retrieved: no cost. The term's truth is determined; if it
-    // contradicts the settled value, evaluation never proceeds past here.
-    const bool term_true = t.negated ? !known->second : known->second;
-    if (!term_true) break;  // p_reach for all later terms is 0
-  }
-  return cost;
+double expected_conjunction_cost(std::span<const Term> terms, MetaRef meta) {
+  return resolved_cost(resolve(terms, meta));
 }
 
-double conjunction_success_prob(std::span<const Term> terms,
-                                const MetaFn& meta) {
-  double p = 1.0;
-  for (const Term& t : terms) p *= term_p_true(t, meta);
-  return p;
+double conjunction_success_prob(std::span<const Term> terms, MetaRef meta) {
+  return resolved_success(resolve(terms, meta));
 }
 
-DnfPlan plan_dnf(const DnfExpr& expr, const MetaFn& meta) {
+ConjunctionPlan plan_conjunction(const Conjunction& c, MetaRef meta) {
+  const auto resolved = and_ordered(c, meta);
+  return ConjunctionPlan{terms_of(resolved), resolved_success(resolved),
+                         resolved_cost(resolved)};
+}
+
+DnfPlan plan_dnf(const DnfExpr& expr, MetaRef meta) {
   struct Scored {
     std::size_t index;
-    std::vector<Term> order;
-    double success;
-    double ecost;
+    ConjunctionPlan plan;
   };
   std::vector<Scored> scored;
   scored.reserve(expr.disjunct_count());
   for (std::size_t i = 0; i < expr.disjunct_count(); ++i) {
-    Scored s;
-    s.index = i;
-    s.order = order_conjunction(expr.disjuncts()[i], meta);
-    s.success = conjunction_success_prob(s.order, meta);
-    s.ecost = expected_conjunction_cost(s.order, meta);
-    scored.push_back(std::move(s));
+    scored.push_back(Scored{i, plan_conjunction(expr.disjuncts()[i], meta)});
   }
   // OR rule: highest short-circuit (success) probability per unit expected
   // cost first.
   std::stable_sort(scored.begin(), scored.end(),
                    [](const Scored& a, const Scored& b) {
-                     return a.success * std::max(b.ecost, 1e-12) >
-                            b.success * std::max(a.ecost, 1e-12);
+                     return a.plan.success * std::max(b.plan.ecost, 1e-12) >
+                            b.plan.success * std::max(a.plan.ecost, 1e-12);
                    });
   DnfPlan plan;
   for (auto& s : scored) {
     plan.disjunct_order.push_back(s.index);
-    plan.ordered_terms.push_back(std::move(s.order));
+    plan.ordered_terms.push_back(std::move(s.plan.order));
   }
   return plan;
 }
 
-double expected_dnf_cost(const DnfPlan& plan, const MetaFn& meta) {
+double expected_dnf_cost(const DnfPlan& plan, MetaRef meta) {
   double cost = 0.0;
   double p_reach = 1.0;  // probability all previous disjuncts failed
   for (const auto& terms : plan.ordered_terms) {
@@ -163,7 +181,7 @@ double expected_dnf_cost(const DnfPlan& plan, const MetaFn& meta) {
 }
 
 double exact_conjunction_cost_by_enumeration(std::span<const Term> terms,
-                                             const MetaFn& meta) {
+                                             MetaRef meta) {
   // Collect distinct labels.
   std::vector<LabelId> labels;
   for (const Term& t : terms) {
@@ -200,7 +218,7 @@ double exact_conjunction_cost_by_enumeration(std::span<const Term> terms,
   return total;
 }
 
-BestOrder optimal_conjunction_order(const Conjunction& c, const MetaFn& meta) {
+BestOrder optimal_conjunction_order(const Conjunction& c, MetaRef meta) {
   std::vector<Term> terms = c.terms;
   // Canonical starting permutation for std::next_permutation: order by an
   // arbitrary strict weak ordering over (label, negated).
@@ -221,13 +239,13 @@ BestOrder optimal_conjunction_order(const Conjunction& c, const MetaFn& meta) {
   return best;
 }
 
-bool order_feasible(std::span<const Term> terms, const MetaFn& meta,
+bool order_feasible(std::span<const Term> terms, MetaRef meta,
                     SimTime start, SimTime deadline) {
   return resolved_feasible(resolve(terms, meta), start, deadline);
 }
 
 std::vector<Term> variational_lvf_order(const Conjunction& c,
-                                        const MetaFn& meta, SimTime start,
+                                        MetaRef meta, SimTime start,
                                         SimTime deadline) {
   // Base: longest validity first maximizes every object's slack at finish.
   auto order = resolve(c.terms, meta);

@@ -25,24 +25,36 @@
 namespace dde::decision {
 
 /// Probability that `t` evaluates to true (accounts for negation).
-[[nodiscard]] double term_p_true(const Term& t, const MetaFn& meta);
+[[nodiscard]] double term_p_true(const Term& t, MetaRef meta);
 
 /// Short-circuit efficiency of a term inside an AND: (1 − p_true) / cost.
 /// Higher is better (more likely to kill the conjunction per unit cost).
-[[nodiscard]] double and_efficiency(const Term& t, const MetaFn& meta);
+[[nodiscard]] double and_efficiency(const Term& t, MetaRef meta);
 
 /// Terms of `c` ordered by descending AND efficiency (stable).
 [[nodiscard]] std::vector<Term> order_conjunction(const Conjunction& c,
-                                                  const MetaFn& meta);
+                                                  MetaRef meta);
 
 /// Expected retrieval cost of evaluating `terms` sequentially in the given
 /// order, stopping at the first false term (independent labels assumed).
 [[nodiscard]] double expected_conjunction_cost(std::span<const Term> terms,
-                                               const MetaFn& meta);
+                                               MetaRef meta);
 
 /// Probability all terms evaluate true (independent labels assumed).
 [[nodiscard]] double conjunction_success_prob(std::span<const Term> terms,
-                                              const MetaFn& meta);
+                                              MetaRef meta);
+
+/// A conjunction under the AND rule, scored for the OR rule.
+struct ConjunctionPlan {
+  std::vector<Term> order;  ///< order_conjunction(c, meta)
+  double success = 0.0;     ///< conjunction_success_prob(order, meta)
+  double ecost = 0.0;       ///< expected_conjunction_cost(order, meta)
+};
+
+/// order_conjunction, conjunction_success_prob and
+/// expected_conjunction_cost in one pass: `meta` is called once per term.
+[[nodiscard]] ConjunctionPlan plan_conjunction(const Conjunction& c,
+                                               MetaRef meta);
 
 /// A static evaluation plan for a DNF: which disjunct to try in which
 /// order, and the term order within each.
@@ -56,18 +68,18 @@ struct DnfPlan {
 /// Plan a DNF: within each disjunct apply the AND rule; across disjuncts
 /// try the one with the highest success probability per unit expected cost
 /// first (the OR short-circuit rule).
-[[nodiscard]] DnfPlan plan_dnf(const DnfExpr& expr, const MetaFn& meta);
+[[nodiscard]] DnfPlan plan_dnf(const DnfExpr& expr, MetaRef meta);
 
 /// Expected cost of executing `plan` sequentially with short-circuiting
 /// (labels independent, no sharing across disjuncts assumed).
-[[nodiscard]] double expected_dnf_cost(const DnfPlan& plan, const MetaFn& meta);
+[[nodiscard]] double expected_dnf_cost(const DnfPlan& plan, MetaRef meta);
 
 /// Exact expected retrieval cost of sequentially evaluating `terms` in
 /// order with short-circuit on first false — by enumerating all 2^n label
 /// worlds. Handles repeated labels correctly (a repeated label is only paid
 /// for once). Reference implementation for tests; n ≤ ~20.
 [[nodiscard]] double exact_conjunction_cost_by_enumeration(
-    std::span<const Term> terms, const MetaFn& meta);
+    std::span<const Term> terms, MetaRef meta);
 
 /// Minimum expected conjunction cost over all term permutations
 /// (brute force, n ≤ ~9). Returns {best order, best cost}.
@@ -76,13 +88,13 @@ struct BestOrder {
   double cost = 0.0;
 };
 [[nodiscard]] BestOrder optimal_conjunction_order(const Conjunction& c,
-                                                  const MetaFn& meta);
+                                                  MetaRef meta);
 
 /// Freshness feasibility of retrieving `terms` back-to-back in order
 /// starting at `start`: every retrieved object must still be valid when the
 /// last retrieval finishes, and the finish must not exceed `deadline`.
 [[nodiscard]] bool order_feasible(std::span<const Term> terms,
-                                  const MetaFn& meta, SimTime start,
+                                  MetaRef meta, SimTime start,
                                   SimTime deadline);
 
 /// Variational LVF (paper [3]): base order = longest validity first (which
@@ -91,7 +103,7 @@ struct BestOrder {
 /// If even the base LVF order is infeasible, it is returned anyway (the
 /// caller learns of infeasibility via order_feasible).
 [[nodiscard]] std::vector<Term> variational_lvf_order(const Conjunction& c,
-                                                      const MetaFn& meta,
+                                                      MetaRef meta,
                                                       SimTime start,
                                                       SimTime deadline);
 

@@ -23,10 +23,8 @@ std::vector<Term> unknown_terms(const DnfExpr& expr, std::size_t i,
 
 /// A disjunct still unknown under the assignment.
 struct OpenDisjunct {
-  std::vector<Term> unknown;    ///< unknown terms, declaration order
-  std::vector<Term> and_order;  ///< the same terms under the AND rule
-  double success = 0.0;
-  double ecost = 0.0;
+  std::vector<Term> unknown;  ///< unknown terms, declaration order
+  ConjunctionPlan plan;       ///< the same terms under the AND rule
 };
 
 /// Open disjuncts ordered by the OR short-circuit rule (success probability
@@ -34,21 +32,19 @@ struct OpenDisjunct {
 std::vector<OpenDisjunct> order_open_disjuncts(const DnfExpr& expr,
                                                const Assignment& a,
                                                SimTime now,
-                                               const MetaFn& meta) {
+                                               MetaRef meta) {
   std::vector<OpenDisjunct> open;
   for (std::size_t i = 0; i < expr.disjunct_count(); ++i) {
     if (expr.eval_disjunct(i, a, now) != Tristate::kUnknown) continue;
     OpenDisjunct d;
     d.unknown = unknown_terms(expr, i, a, now);
-    d.and_order = order_conjunction(Conjunction{d.unknown}, meta);
-    d.success = conjunction_success_prob(d.and_order, meta);
-    d.ecost = expected_conjunction_cost(d.and_order, meta);
+    d.plan = plan_conjunction(Conjunction{d.unknown}, meta);
     open.push_back(std::move(d));
   }
   std::stable_sort(open.begin(), open.end(),
                    [](const OpenDisjunct& x, const OpenDisjunct& y) {
-                     return x.success * std::max(y.ecost, 1e-12) >
-                            y.success * std::max(x.ecost, 1e-12);
+                     return x.plan.success * std::max(y.plan.ecost, 1e-12) >
+                            y.plan.success * std::max(x.plan.ecost, 1e-12);
                    });
   return open;
 }
@@ -66,7 +62,7 @@ void append_unique(std::vector<LabelId>& order,
 
 std::vector<LabelId> plan_retrieval_order(const DnfExpr& expr,
                                           const Assignment& assignment,
-                                          SimTime now, const MetaFn& meta,
+                                          SimTime now, MetaRef meta,
                                           OrderPolicy policy,
                                           SimTime deadline) {
   if (expr.resolved(assignment, now)) return {};
@@ -88,7 +84,7 @@ std::vector<LabelId> plan_retrieval_order(const DnfExpr& expr,
       std::vector<LabelId> order;
       for (const auto& d :
            order_open_disjuncts(expr, assignment, now, meta)) {
-        append_unique(order, d.and_order);
+        append_unique(order, d.plan.order);
       }
       return order;
     }
@@ -120,7 +116,7 @@ std::vector<LabelId> plan_retrieval_order(const DnfExpr& expr,
 
 std::optional<LabelId> next_label(const DnfExpr& expr,
                                   const Assignment& assignment, SimTime now,
-                                  const MetaFn& meta, OrderPolicy policy,
+                                  MetaRef meta, OrderPolicy policy,
                                   SimTime deadline) {
   const auto order =
       plan_retrieval_order(expr, assignment, now, meta, policy, deadline);

@@ -33,13 +33,13 @@ enum class OrderPolicy {
 /// SimTime::max() when there is none).
 [[nodiscard]] std::vector<LabelId> plan_retrieval_order(
     const DnfExpr& expr, const Assignment& assignment, SimTime now,
-    const MetaFn& meta, OrderPolicy policy,
+    MetaRef meta, OrderPolicy policy,
     SimTime deadline = SimTime::max());
 
 /// First element of plan_retrieval_order, or nullopt if resolved.
 [[nodiscard]] std::optional<LabelId> next_label(
     const DnfExpr& expr, const Assignment& assignment, SimTime now,
-    const MetaFn& meta, OrderPolicy policy,
+    MetaRef meta, OrderPolicy policy,
     SimTime deadline = SimTime::max());
 
 }  // namespace dde::decision

@@ -1022,6 +1022,109 @@ TEST(AthenaNode, LabelShareServesInterestsInAscendingSourceOrder) {
   }
 }
 
+/// Deliver `msg` to B (node 1) over the A—B link, as if A had sent it.
+void inject_at_b(Fixture& f, Message msg) {
+  net::Packet pkt;
+  pkt.src = f.nodes[0];
+  pkt.dst = f.nodes[1];
+  pkt.bytes = 200;
+  pkt.payload = std::move(msg);
+  ASSERT_TRUE(f.net.send(f.nodes[0], f.nodes[1], std::move(pkt)));
+}
+
+/// A fresh, true value for `label`, signed by C.
+decision::LabelValue true_value(std::uint64_t label, SimTime at) {
+  decision::LabelValue v;
+  v.label = LabelId{label};
+  v.value = Tristate::kTrue;
+  v.evaluated_at = at;
+  v.validity = SimTime::seconds(100);
+  v.annotator = AnnotatorId{2};
+  return v;
+}
+
+/// A asks for labels 0 and 1 (both from sensor 0 at C). With B—C down, the
+/// request stops at B as one label-accepting interest on {0, 1}.
+QueryId strand_two_label_interest_at_b(Fixture& f) {
+  f.net.set_link_up(*f.topo.link_between(f.nodes[1], f.nodes[2]), false);
+  f.net.set_link_up(*f.topo.link_between(f.nodes[2], f.nodes[1]), false);
+  decision::DnfExpr e;
+  e.add_disjunct(decision::Conjunction{{decision::Term{LabelId{0}, false},
+                                        decision::Term{LabelId{1}, false}}});
+  const QueryId qid = f.athena[0]->query_init(e, SimTime::seconds(60));
+  f.sim.run_until(SimTime::millis(100));
+  EXPECT_EQ(f.athena[1]->interest_entries(), 1u);
+  return qid;
+}
+
+// A LabelReply only passing through B can complete an interest waiting
+// there; the next LabelShare serves it even when the share itself brings
+// nothing fresher.
+TEST(AthenaNode, LabelShareServesInterestCompletedByPassingLabelReply) {
+  auto cfg = config_for(Scheme::kLvfl);
+  cfg.prefetch = false;
+  Fixture f(cfg);
+  strand_two_label_interest_at_b(f);
+  const SimTime at = f.net.now();
+
+  // Label 0 arrives in a share: the interest still lacks label 1.
+  inject_at_b(f, LabelShare{{true_value(0, at)}, f.nodes[1]});
+  f.sim.run_until(SimTime::millis(200));
+  EXPECT_EQ(f.metrics.label_cache_hits, 0u);
+
+  // Label 1 passes through B in a reply bound for C (dropped at the down
+  // link); B caches it on the way.
+  inject_at_b(f, LabelReply{{true_value(1, at)}, QueryId{77}, f.nodes[2],
+                            SourceId{0}});
+  f.sim.run_until(SimTime::millis(300));
+  EXPECT_EQ(f.metrics.label_cache_hits, 0u);
+
+  // A share repeating label 0 brings nothing fresher, yet B now answers
+  // the completed interest and A decides.
+  inject_at_b(f, LabelShare{{true_value(0, at)}, f.nodes[1]});
+  f.sim.run_until(SimTime::seconds(1));
+  EXPECT_EQ(f.metrics.label_cache_hits, 1u);
+  EXPECT_EQ(f.athena[1]->interest_entries(), 0u);
+  EXPECT_TRUE(f.last_record(0).success);
+}
+
+// A share whose fresher labels no waiting interest needs answers nothing.
+TEST(AthenaNode, LabelShareOfUnneededLabelsSendsNoReply) {
+  auto cfg = config_for(Scheme::kLvfl);
+  cfg.prefetch = false;
+  Fixture f(cfg);
+  strand_two_label_interest_at_b(f);
+  const std::uint64_t label_bytes = f.metrics.label_bytes;
+
+  inject_at_b(f, LabelShare{{true_value(2, f.net.now()),
+                             true_value(3, f.net.now())},
+                            f.nodes[1]});
+  f.sim.run_until(SimTime::seconds(1));
+  EXPECT_EQ(f.metrics.label_cache_hits, 0u);
+  EXPECT_EQ(f.metrics.label_bytes, label_bytes);  // no LabelReply sent
+  EXPECT_EQ(f.athena[1]->interest_entries(), 1u);
+  EXPECT_EQ(f.athena[0]->active_queries(), 1u);
+}
+
+// The serve walk re-checks an interest only when one of its labels is put,
+// and marks the sources covering that label, so an interest's source must
+// cover every label it carries. A request breaking that aborts at bookmark.
+TEST(AthenaNodeDeathTest, InterestWithLabelItsSourceDoesNotCoverAborts) {
+  EXPECT_DEATH(
+      {
+        Fixture f;
+        ObjectRequest r;
+        r.query = QueryId{1};
+        r.origin = f.nodes[0];
+        r.source = SourceId{0};
+        r.labels = {LabelId{2}};  // covered by sensor 1 only
+        r.deadline_abs = SimTime::seconds(60);
+        inject_at_b(f, r);
+        f.sim.run_until(SimTime::seconds(1));
+      },
+      "does not cover every label");
+}
+
 // Every packet between Athena nodes carries one Message; anything else
 // reaching a node is a wiring bug and aborts instead of being ignored.
 TEST(AthenaNodeDeathTest, NonMessagePayloadAborts) {

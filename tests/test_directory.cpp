@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <unordered_set>
 #include <vector>
+
+#include "common/rng.h"
 
 namespace dde::athena {
 namespace {
@@ -182,6 +187,154 @@ TEST(Directory, RequestsContainOnlyNeededLabels) {
   for (const auto& [source, labels] : sel.requests) {
     EXPECT_EQ(labels, std::vector<LabelId>{LabelId{1}})
         << "only the needed label is requested even if the source covers more";
+  }
+}
+
+/// Source selection as it stood before the labels → sources inversion:
+/// `covered_needed` rescans every needed label for each candidate.
+Directory::Selection reference_select(
+    const Directory& dir, const std::vector<LabelId>& labels, NodeId origin,
+    bool minimize, const std::unordered_set<SourceId>* exclude) {
+  Directory::Selection sel;
+  auto available = [&](LabelId l) {
+    std::vector<SourceId> srcs = dir.sources_for(l);
+    if (exclude == nullptr || exclude->empty()) return srcs;
+    std::vector<SourceId> filtered;
+    for (SourceId s : srcs) {
+      if (!exclude->contains(s)) filtered.push_back(s);
+    }
+    return filtered.empty() ? srcs : filtered;
+  };
+  std::vector<SourceId> candidates;
+  for (LabelId l : labels) {
+    const auto srcs = available(l);
+    if (srcs.empty()) sel.uncovered.push_back(l);
+    candidates.insert(candidates.end(), srcs.begin(), srcs.end());
+  }
+  std::sort(candidates.begin(), candidates.end());
+  candidates.erase(std::unique(candidates.begin(), candidates.end()),
+                   candidates.end());
+  auto covered_needed = [&](SourceId s) {
+    std::vector<LabelId> out;
+    for (LabelId l : labels) {
+      const auto srcs = available(l);
+      if (std::find(srcs.begin(), srcs.end(), s) != srcs.end()) {
+        out.push_back(l);
+      }
+    }
+    std::sort(out.begin(), out.end());
+    out.erase(std::unique(out.begin(), out.end()), out.end());
+    return out;
+  };
+  std::vector<SourceId> chosen;
+  if (minimize) {
+    coverage::CoverInstance inst;
+    for (LabelId l : labels) {
+      if (!dir.sources_for(l).empty()) {
+        inst.universe.push_back(static_cast<std::uint32_t>(l.value()));
+      }
+    }
+    std::sort(inst.universe.begin(), inst.universe.end());
+    inst.universe.erase(
+        std::unique(inst.universe.begin(), inst.universe.end()),
+        inst.universe.end());
+    for (SourceId s : candidates) {
+      coverage::CoverSet set;
+      set.cost = dir.retrieval_cost(s, origin);
+      for (LabelId l : covered_needed(s)) {
+        set.elements.push_back(static_cast<std::uint32_t>(l.value()));
+      }
+      inst.sets.push_back(std::move(set));
+    }
+    for (std::size_t idx : coverage::greedy_cover(inst).chosen) {
+      chosen.push_back(candidates[idx]);
+    }
+  } else {
+    chosen = candidates;
+  }
+  for (LabelId l : labels) {
+    SourceId best;
+    double best_cost = 0.0;
+    for (SourceId s : available(l)) {
+      if (std::find(chosen.begin(), chosen.end(), s) == chosen.end()) continue;
+      const double c = dir.retrieval_cost(s, origin);
+      if (!best.valid() || c < best_cost) {
+        best = s;
+        best_cost = c;
+      }
+    }
+    if (best.valid()) sel.designated[l] = best;
+  }
+  for (SourceId s : chosen) {
+    auto labs = covered_needed(s);
+    if (!labs.empty()) sel.requests.emplace_back(s, std::move(labs));
+  }
+  return sel;
+}
+
+// Random sensor fields on a random 6-node topology (one node isolated, so
+// some sources are unreachable), with object sizes drawn from a small set
+// so cost ties are common. Labels repeat, some are uncovered, and exclude
+// sets range over none, empty, some and all sources.
+TEST(Directory, SelectSourcesMatchesBruteForce) {
+  Rng rng(1717);
+  const world::GridMap map{4, 4};
+  const std::size_t segments = map.segment_count();
+  const std::uint32_t sizes[] = {500, 1000, 2000};
+  for (int trial = 0; trial < 300; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    net::Topology topo;
+    std::vector<NodeId> nodes;
+    for (int i = 0; i < 6; ++i) nodes.push_back(topo.add_node());
+    for (int i = 0; i < 4; ++i) topo.add_link(nodes[i], nodes[i + 1]);
+    topo.add_link(nodes[0], nodes[2 + rng.below(3)]);  // chord; 5 isolated
+    topo.compute_routes();
+
+    const std::size_t n_sensors = 1 + rng.below(8);
+    std::vector<SensorInfo> sensors;
+    std::vector<NodeId> hosts;
+    for (std::size_t i = 0; i < n_sensors; ++i) {
+      SensorInfo si;
+      si.id = SourceId{i};
+      si.name = naming::Name::parse("/t/s" + std::to_string(i));
+      for (std::size_t k = 0, n = 1 + rng.below(4); k < n; ++k) {
+        const SegmentId seg{rng.below(8)};
+        if (std::find(si.covers.begin(), si.covers.end(), seg) ==
+            si.covers.end()) {
+          si.covers.push_back(seg);
+        }
+      }
+      si.object_bytes = sizes[rng.below(3)];
+      sensors.push_back(std::move(si));
+      hosts.push_back(nodes[rng.below(6)]);
+    }
+    world::ViabilityProcess truth(
+        std::vector<world::SegmentDynamics>(
+            segments, world::SegmentDynamics{0.8, SimTime::seconds(600)}),
+        Rng(1));
+    const world::SensorField field(map, truth, sensors);
+    const Directory dir(topo, field, hosts, {});
+
+    std::vector<LabelId> labels;
+    for (std::size_t k = 0, n = rng.below(7); k < n; ++k) {
+      labels.push_back(LabelId{rng.below(10)});  // 8, 9: never covered
+    }
+    std::unordered_set<SourceId> exclude;
+    const std::uint64_t mode = rng.below(4);
+    for (std::size_t i = 0; i < n_sensors; ++i) {
+      if (mode == 3 || (mode == 2 && rng.chance(0.4))) {
+        exclude.insert(SourceId{i});
+      }
+    }
+    const NodeId origin = nodes[rng.below(6)];
+    for (const bool minimize : {true, false}) {
+      const auto* ex = mode == 0 ? nullptr : &exclude;
+      const auto got = dir.select_sources(labels, origin, minimize, ex);
+      const auto want = reference_select(dir, labels, origin, minimize, ex);
+      EXPECT_EQ(got.requests, want.requests) << "minimize " << minimize;
+      EXPECT_EQ(got.designated, want.designated) << "minimize " << minimize;
+      EXPECT_EQ(got.uncovered, want.uncovered) << "minimize " << minimize;
+    }
   }
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <vector>
 
 #include "common/rng.h"
@@ -71,6 +72,54 @@ TEST(Assignment, InvalidateReopens) {
   EXPECT_EQ(a.value_at(LabelId{1}, SimTime::zero()), Tristate::kUnknown);
   EXPECT_EQ(a.record(LabelId{1}), nullptr);
   a.invalidate(LabelId{9});  // unknown labels are a no-op
+}
+
+TEST(Assignment, LowerIndexMatchesLowerBound) {
+  Rng rng(17);
+  for (int trial = 0; trial < 500; ++trial) {
+    std::vector<LabelId> labels;
+    for (std::size_t i = 0, n = rng.below(12); i < n; ++i) {
+      labels.push_back(LabelId{rng.below(20)});
+    }
+    std::sort(labels.begin(), labels.end());
+    labels.erase(std::unique(labels.begin(), labels.end()), labels.end());
+    for (std::uint64_t key = 0; key < 22; ++key) {
+      const auto want = static_cast<std::size_t>(
+          std::lower_bound(labels.begin(), labels.end(), LabelId{key}) -
+          labels.begin());
+      EXPECT_EQ(lower_index(labels, LabelId{key}), want)
+          << "trial " << trial << " key " << key;
+    }
+  }
+}
+
+// Inserts in any order, overwrites and invalidations keep every label's own
+// record: the flat layout matches a reference map.
+TEST(Assignment, FlatLayoutMatchesReferenceMap) {
+  Rng rng(18);
+  Assignment a;
+  std::vector<std::optional<Tristate>> ref(16);
+  for (int step = 0; step < 2000; ++step) {
+    const std::uint64_t l = rng.below(16);
+    if (rng.chance(0.25)) {
+      a.invalidate(LabelId{l});
+      ref[l].reset();
+    } else {
+      const Tristate v = rng.chance(0.5) ? Tristate::kTrue : Tristate::kFalse;
+      a.set(val(l, v));
+      ref[l] = v;
+    }
+    std::size_t known = 0;
+    for (std::uint64_t k = 0; k < ref.size(); ++k) {
+      const LabelValue* rec = a.record(LabelId{k});
+      ASSERT_EQ(rec != nullptr, ref[k].has_value()) << "step " << step;
+      if (rec == nullptr) continue;
+      ++known;
+      EXPECT_EQ(rec->label, LabelId{k});
+      EXPECT_EQ(a.value_at(LabelId{k}, SimTime::zero()), *ref[k]);
+    }
+    EXPECT_EQ(a.size(), known);
+  }
 }
 
 TEST(DnfExpr, EmptyIsFalse) {

@@ -331,6 +331,34 @@ std::vector<Term> variational_lvf_order(const Conjunction& c,
   return order;
 }
 
+double expected_conjunction_cost(std::span<const Term> terms,
+                                 const MetaFn& meta) {
+  double cost = 0.0;
+  double p_reach = 1.0;
+  std::vector<std::pair<LabelId, bool>> settled;
+  for (const Term& t : terms) {
+    const auto known =
+        std::find_if(settled.begin(), settled.end(),
+                     [&](const auto& kv) { return kv.first == t.label; });
+    if (known == settled.end()) {
+      cost += p_reach * meta(t.label).cost;
+      p_reach *= term_p_true(t, meta);
+      settled.emplace_back(t.label, !t.negated);
+      continue;
+    }
+    const bool term_true = t.negated ? !known->second : known->second;
+    if (!term_true) break;
+  }
+  return cost;
+}
+
+double conjunction_success_prob(std::span<const Term> terms,
+                                const MetaFn& meta) {
+  double p = 1.0;
+  for (const Term& t : terms) p *= term_p_true(t, meta);
+  return p;
+}
+
 }  // namespace per_call
 
 // Metadata drawn from small value sets so equal efficiencies and equal
@@ -367,6 +395,17 @@ TEST(Ordering, ResolvedOrdersMatchPerCallMetaOrders) {
         << "trial " << trial;
     EXPECT_EQ(order_feasible(c.terms, m.fn(), start, deadline),
               per_call::order_feasible(c.terms, m.fn(), start, deadline))
+        << "trial " << trial;
+    // One pass scores the AND order exactly as the per-call forms do.
+    const auto want = per_call::order_conjunction(c, m.fn());
+    const ConjunctionPlan plan = plan_conjunction(c, m.fn());
+    EXPECT_EQ(plan.order, want) << "trial " << trial;
+    EXPECT_EQ(plan.success, per_call::conjunction_success_prob(want, m.fn()))
+        << "trial " << trial;
+    EXPECT_EQ(plan.ecost, per_call::expected_conjunction_cost(want, m.fn()))
+        << "trial " << trial;
+    EXPECT_EQ(expected_conjunction_cost(c.terms, m.fn()),
+              per_call::expected_conjunction_cost(c.terms, m.fn()))
         << "trial " << trial;
   }
 }
