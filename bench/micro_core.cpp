@@ -1,6 +1,7 @@
 // Library micro-benchmarks (google-benchmark): the hot paths of the
 // substrate — DES event throughput, name/prefix-trie operations, decision
-// expression evaluation and planning, TTL-cache operations, and PRNG.
+// expression evaluation and planning, TTL-cache operations, route-query
+// drawing, and PRNG.
 //
 // Serial on purpose (ignores DDE_BENCH_JOBS): google-benchmark measures
 // wall-clock time per iteration, so concurrent cases would contend.
@@ -25,6 +26,7 @@
 #include "naming/prefix_index.h"
 #include "net/network.h"
 #include "net/packet_queue.h"
+#include "world/grid_map.h"
 #include "world/sensor_field.h"
 
 namespace {
@@ -354,6 +356,21 @@ void BM_VariationalLvfOrder(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_VariationalLvfOrder);
+
+/// One draw of a route query's candidates on the city grid (20x20, k = 5,
+/// min distance 4), filtered by a fixed mask that covers ~90% of the
+/// segments, about what city's 160 sensors cover.
+void BM_RouteChoices(benchmark::State& state) {
+  const world::GridMap map(20, 20);
+  Rng mask_rng(10);
+  std::vector<char> covered(map.segment_count());
+  for (char& c : covered) c = mask_rng.chance(0.9) ? 1 : 0;
+  Rng rng(11);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(map.random_route_choices(5, 4, rng, covered));
+  }
+}
+BENCHMARK(BM_RouteChoices);
 
 /// Console output exactly as stock google-benchmark, plus every finished
 /// run captured into the machine-readable report (one metric per benchmark

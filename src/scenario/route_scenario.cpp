@@ -4,7 +4,8 @@
 #include <cmath>
 #include <memory>
 #include <numeric>
-#include <unordered_set>
+#include <unordered_map>
+#include <vector>
 
 #include "athena/directory.h"
 #include "common/contracts.h"
@@ -78,24 +79,16 @@ void build_links(net::Topology& topo, const world::SensorField& field,
 
 /// Build one route-finding decision expression: OR over candidate routes of
 /// AND(viable(segment)). Prefers route sets whose segments are all covered
-/// by some sensor (otherwise the query may be inherently unresolvable for
-/// every scheme).
+/// by some sensor, per the per-segment mask `covered` (otherwise the query
+/// may be inherently unresolvable for every scheme).
 decision::DnfExpr make_route_query(const world::GridMap& map,
-                                   const std::unordered_set<SegmentId>& covered,
+                                   const std::vector<char>& covered,
                                    const ScenarioConfig& cfg, Rng& rng) {
-  auto route_covered = [&](const world::Route& r) {
-    return std::all_of(r.segments.begin(), r.segments.end(),
-                       [&](SegmentId s) { return covered.contains(s); });
-  };
-
   std::vector<world::Route> chosen;
   for (int attempt = 0; attempt < 40; ++attempt) {
-    auto routes = map.random_route_choices(cfg.routes_per_query,
-                                           cfg.min_route_distance, rng);
-    std::erase_if(routes, [&](const world::Route& r) {
-      return !route_covered(r);
-    });
-    if (routes.size() > chosen.size()) chosen = routes;
+    auto routes = map.random_route_choices(
+        cfg.routes_per_query, cfg.min_route_distance, rng, covered);
+    if (routes.size() > chosen.size()) chosen = std::move(routes);
     if (chosen.size() >= cfg.routes_per_query) break;
   }
   // Fallback: accept partially covered routes rather than an empty query.
@@ -107,6 +100,7 @@ decision::DnfExpr make_route_query(const world::GridMap& map,
   decision::DnfExpr expr;
   for (const auto& route : chosen) {
     decision::Conjunction c;
+    c.terms.reserve(route.segments.size());
     for (SegmentId seg : route.segments) {
       c.terms.push_back(decision::Term{LabelId{seg.value()}, false});
     }
@@ -117,14 +111,13 @@ decision::DnfExpr make_route_query(const world::GridMap& map,
 
 /// One in-flight route-scenario run.
 ///
-/// The constructor executes the exact statement sequence of the legacy
-/// monolithic run_route_scenario() up to (but excluding) the final
-/// sim.run_until; advance()/collect() are the remaining two phases, split
-/// out so the ScenarioRunner plugin can drive setup/tick/outcome
-/// separately. Member declaration order mirrors the legacy local-variable
-/// order (so destruction runs in the same relative order), and every RNG
-/// draw happens in the original sequence — a whole run through this class
-/// is bit-for-bit identical to the legacy function.
+/// The constructor builds the world, network, nodes and workload and
+/// schedules every query; advance()/collect() are the remaining two phases,
+/// split out so the ScenarioRunner plugin can drive setup/tick/outcome
+/// separately. Members are declared in dependency order, so destruction
+/// tears down nodes before the network and simulator they use. The order of
+/// the RNG draws below is the trajectory: tests/golden/ pins it, so moving
+/// a draw shows up as a golden diff.
 class RouteRun {
  public:
   explicit RouteRun(const ScenarioConfig& config);
@@ -262,8 +255,8 @@ RouteRun::RouteRun(const ScenarioConfig& config)
   }
 
   // --- workload ----------------------------------------------------------------
-  std::unordered_set<SegmentId> covered;
-  for (SegmentId s : field.covered_segments()) covered.insert(s);
+  std::vector<char> covered(map.segment_count(), 0);
+  for (SegmentId s : field.covered_segments()) covered[s.value()] = 1;
 
   // Remember each issued expression (with its issue time) so chosen routes
   // can be audited against ground truth after the run. Per node, records()

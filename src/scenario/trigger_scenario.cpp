@@ -72,11 +72,12 @@ void build_links(net::Topology& topo, const world::SensorField& field,
   }
 }
 
-/// One in-flight warehouse-watch run: the exact statement sequence of the
-/// legacy monolithic run_trigger_scenario() split at the final run_until.
-/// Member declaration order mirrors the legacy local-variable order, and
-/// every RNG draw happens in the original sequence, so a whole run through
-/// this class is bit-for-bit identical to the legacy function.
+/// One in-flight warehouse-watch run: the constructor builds the world,
+/// network and nodes and starts the watch; advance()/collect() run and read
+/// it. Members are declared in dependency order, so destruction tears down
+/// the watch and nodes before the network and simulator they use. The order
+/// of the RNG draws in the constructor is the trajectory: tests/golden/ pins
+/// it, so moving a draw shows up as a golden diff.
 class TriggerRun {
  public:
   explicit TriggerRun(const TriggerScenarioConfig& config);

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -73,25 +74,48 @@ class GridMap {
   [[nodiscard]] Route random_monotone_route(Intersection from, Intersection to,
                                             Rng& rng) const;
 
-  /// `k` distinct random candidate routes between two random intersections
-  /// at L1 distance >= `min_distance`. May return fewer than `k` routes if
-  /// the pair admits fewer distinct monotone paths (e.g. a straight line).
-  [[nodiscard]] std::vector<Route> random_route_choices(std::size_t k,
-                                                        int min_distance,
-                                                        Rng& rng) const;
+  /// Up to `k` distinct random candidate routes between two random
+  /// intersections at L1 distance >= `min_distance`: draws monotone routes
+  /// until `k` distinct ones have been drawn or 20k+20 draws are spent, so
+  /// it may draw fewer than `k` if the pair admits fewer distinct paths
+  /// (e.g. a straight line).
+  ///
+  /// `covered`, if not empty, is a per-segment mask with one entry per
+  /// segment (nonzero = covered). The call then returns only the fully
+  /// covered routes among the <= k distinct routes it drew, in draw order;
+  /// the mask does not change what is drawn.
+  [[nodiscard]] std::vector<Route> random_route_choices(
+      std::size_t k, int min_distance, Rng& rng,
+      const std::vector<char>& covered = {}) const;
 
  private:
   [[nodiscard]] bool in_range(Intersection p) const noexcept {
     return p.x >= 0 && p.x <= width_ && p.y >= 0 && p.y <= height_;
   }
 
+  // Segment ids follow the construction order: every horizontal segment
+  // row by row, then every vertical segment row by row.
+  [[nodiscard]] SegmentId horizontal_id(int x, int y) const noexcept {
+    return SegmentId{static_cast<std::uint64_t>(y * width_ + x)};
+  }
+  [[nodiscard]] SegmentId vertical_id(int x, int y) const noexcept {
+    return SegmentId{static_cast<std::uint64_t>((height_ + 1) * width_ +
+                                                y * (width_ + 1) + x)};
+  }
+
+  // A monotone route between fixed endpoints is identified by its moves:
+  // bit i of `moves` (64 steps per word) is set iff step i moves in x.
+  // walk() calls `visit(segment)` for the route's segments in order until
+  // it returns false, and returns whether every call returned true.
+  template <typename Visit>
+  bool walk(Intersection from, Intersection to, const std::uint64_t* moves,
+            Visit visit) const;
+  [[nodiscard]] Route materialize(Intersection from, Intersection to,
+                                  const std::uint64_t* moves) const;
+
   int width_;
   int height_;
   std::vector<Segment> segments_;
-  // horizontal_index_[y][x] = id of segment (x,y)-(x+1,y)
-  std::vector<std::vector<SegmentId>> horizontal_index_;
-  // vertical_index_[y][x] = id of segment (x,y)-(x,y+1)
-  std::vector<std::vector<SegmentId>> vertical_index_;
 };
 
 }  // namespace dde::world

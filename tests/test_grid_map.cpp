@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 namespace dde::world {
 namespace {
@@ -135,6 +140,154 @@ TEST(GridMap, RouteChoicesStraightLineYieldsOne) {
   ASSERT_FALSE(routes.empty());
   std::set<std::vector<SegmentId>> seen;
   for (const auto& r : routes) EXPECT_TRUE(seen.insert(r.segments).second);
+}
+
+// The route draw before move-key dedup, kept as the reference: one segment
+// vector per drawn route, a std::set for distinctness, and the coverage
+// filter applied afterwards to the whole call's result. Segment ids come
+// from segments() geometry, independent of GridMap's id arithmetic.
+class SetReference {
+ public:
+  explicit SetReference(const GridMap& map) : map_(map) {
+    for (const Segment& s : map.segments()) {
+      by_ends_[{{s.a.x, s.a.y}, {s.b.x, s.b.y}}] = s.id;
+    }
+  }
+
+  Route random_monotone_route(Intersection from, Intersection to,
+                              Rng& rng) const {
+    Route route;
+    route.origin = from;
+    route.destination = to;
+    Intersection cur = from;
+    const int dx = to.x > from.x ? 1 : -1;
+    const int dy = to.y > from.y ? 1 : -1;
+    while (cur != to) {
+      const int remaining_x = std::abs(to.x - cur.x);
+      const int remaining_y = std::abs(to.y - cur.y);
+      const bool move_x =
+          remaining_y == 0 ||
+          (remaining_x > 0 &&
+           rng.below(static_cast<std::uint64_t>(remaining_x + remaining_y)) <
+               static_cast<std::uint64_t>(remaining_x));
+      Intersection next = cur;
+      if (move_x) {
+        next.x += dx;
+      } else {
+        next.y += dy;
+      }
+      route.segments.push_back(segment_between(cur, next));
+      cur = next;
+    }
+    return route;
+  }
+
+  std::vector<Route> random_route_choices(std::size_t k, int min_distance,
+                                          Rng& rng,
+                                          const std::vector<char>& covered) const {
+    min_distance = std::clamp(min_distance, 1, map_.width() + map_.height());
+    Intersection from{};
+    Intersection to{};
+    do {
+      from = map_.random_intersection(rng);
+      to = map_.random_intersection(rng);
+    } while (std::abs(from.x - to.x) + std::abs(from.y - to.y) < min_distance);
+
+    std::vector<Route> routes;
+    std::set<std::vector<SegmentId>> seen;
+    const std::size_t max_attempts = 20 * k + 20;
+    for (std::size_t attempt = 0; attempt < max_attempts && routes.size() < k;
+         ++attempt) {
+      Route r = random_monotone_route(from, to, rng);
+      if (seen.insert(r.segments).second) routes.push_back(std::move(r));
+    }
+    if (!covered.empty()) {
+      std::erase_if(routes, [&](const Route& r) {
+        return !std::all_of(r.segments.begin(), r.segments.end(),
+                            [&](SegmentId s) { return covered[s.value()] != 0; });
+      });
+    }
+    return routes;
+  }
+
+ private:
+  SegmentId segment_between(Intersection a, Intersection b) const {
+    return by_ends_.at({{std::min(a.x, b.x), std::min(a.y, b.y)},
+                        {std::max(a.x, b.x), std::max(a.y, b.y)}});
+  }
+
+  const GridMap& map_;
+  std::map<std::pair<std::pair<int, int>, std::pair<int, int>>, SegmentId>
+      by_ends_;
+};
+
+void expect_same_routes(const std::vector<Route>& got,
+                        const std::vector<Route>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].origin, want[i].origin);
+    EXPECT_EQ(got[i].destination, want[i].destination);
+    EXPECT_EQ(got[i].segments, want[i].segments);
+  }
+}
+
+TEST(GridMap, RouteChoicesDrawLikeTheSetReference) {
+  // 120x2 routes run up to 122 steps, so move keys span two words, and
+  // with at most two y moves two routes often differ only past step 64.
+  const std::pair<int, int> grids[] = {{1, 1}, {8, 1}, {20, 20}, {120, 2}};
+  std::uint64_t seed = 0;
+  for (const auto& [w, h] : grids) {
+    const GridMap map(w, h);
+    const SetReference ref(map);
+    Rng mask_rng(1000 + static_cast<std::uint64_t>(w * 100 + h));
+    auto mask = [&](double density) {
+      std::vector<char> m(map.segment_count());
+      for (char& c : m) c = mask_rng.chance(density) ? 1 : 0;
+      return m;
+    };
+    const std::vector<char> masks[] = {
+        {}, mask(0.3), mask(0.8), std::vector<char>(map.segment_count(), 1)};
+
+    Rng ends(++seed);
+    for (int trial = 0; trial < 50; ++trial) {
+      const Intersection from = map.random_intersection(ends);
+      const Intersection to = map.random_intersection(ends);
+      Rng rng(++seed);
+      Rng ref_rng(seed);
+      expect_same_routes({map.random_monotone_route(from, to, rng)},
+                         {ref.random_monotone_route(from, to, ref_rng)});
+      ASSERT_EQ(rng(), ref_rng());
+    }
+
+    for (std::size_t m = 0; m < std::size(masks); ++m) {
+      for (const std::size_t k : {0, 1, 5, 8}) {
+        for (const int min_distance : {0, 1, 4, w + h + 5}) {
+          SCOPED_TRACE(std::to_string(w) + "x" + std::to_string(h) +
+                       " mask " + std::to_string(m) + " k " +
+                       std::to_string(k) + " min_distance " +
+                       std::to_string(min_distance));
+          Rng rng(++seed);
+          Rng ref_rng(seed);
+          // Far pairs on the larger grids take many rejection draws.
+          const int calls = min_distance > w + h ? 2 : 20;
+          for (int call = 0; call < calls; ++call) {
+            expect_same_routes(
+                map.random_route_choices(k, min_distance, rng, masks[m]),
+                ref.random_route_choices(k, min_distance, ref_rng, masks[m]));
+          }
+          for (int draw = 0; draw < 4; ++draw) ASSERT_EQ(rng(), ref_rng());
+        }
+      }
+    }
+  }
+}
+
+TEST(GridMap, RouteChoicesRejectsShortCoverageMask) {
+  const GridMap map(4, 4);
+  Rng rng(6);
+  const std::vector<char> short_mask(map.segment_count() - 1, 1);
+  EXPECT_DEATH((void)map.random_route_choices(3, 2, rng, short_mask),
+               "one entry per segment");
 }
 
 }  // namespace
