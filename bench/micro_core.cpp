@@ -7,6 +7,7 @@
 // wall-clock time per iteration, so concurrent cases would contend.
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <string>
 #include <vector>
 
@@ -320,6 +321,60 @@ void BM_GreedySetCover(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GreedySetCover);
+
+/// Source selection for one route query shaped like city's: 160 sensors on
+/// a 20x20 grid (coverage radius 1.25, nodes at the sensors, linked within
+/// 2.2 grid units plus a chain so every node is reachable), and the ~40
+/// labels of five candidate routes.
+void BM_SelectSources(benchmark::State& state) {
+  const world::GridMap map(20, 20);
+  world::ViabilityProcess truth(
+      std::vector<world::SegmentDynamics>(
+          map.segment_count(),
+          world::SegmentDynamics{0.75, SimTime::seconds(900)}),
+      Rng(15));
+  world::SensorFieldConfig field_cfg;
+  field_cfg.sensor_count = 160;
+  field_cfg.coverage_radius = 1.25;
+  Rng rng(16);
+  const world::SensorField field(map, truth, field_cfg, rng);
+  net::Topology topo;
+  std::vector<NodeId> hosts;
+  for (std::size_t i = 0; i < field.sensors().size(); ++i) {
+    hosts.push_back(topo.add_node());
+  }
+  for (std::size_t i = 0; i < hosts.size(); ++i) {
+    const auto& a = field.sensors()[i];
+    for (std::size_t j = i + 1; j < hosts.size(); ++j) {
+      const auto& b = field.sensors()[j];
+      if (j == i + 1 || std::hypot(a.x - b.x, a.y - b.y) <= 2.2) {
+        topo.add_link(hosts[i], hosts[j]);
+      }
+    }
+  }
+  topo.compute_routes();
+  const athena::Directory dir(topo, field, hosts, {});
+  std::vector<char> covered(map.segment_count(), 0);
+  for (SegmentId seg : field.covered_segments()) covered[seg.value()] = 1;
+  // The first draw of five routes whose segments number at least 36.
+  std::vector<LabelId> labels;
+  while (labels.size() < 36) {
+    decision::DnfExpr expr;
+    for (const auto& route : map.random_route_choices(5, 4, rng, covered)) {
+      decision::Conjunction c;
+      for (SegmentId seg : route.segments) {
+        c.terms.push_back(decision::Term{LabelId{seg.value()}, false});
+      }
+      expr.add_disjunct(std::move(c));
+    }
+    labels = expr.all_labels();
+  }
+  state.counters["labels"] = static_cast<double>(labels.size());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(dir.select_sources(labels, hosts[0], true));
+  }
+}
+BENCHMARK(BM_SelectSources);
 
 void BM_InfomaxTriage(benchmark::State& state) {
   Rng rng(8);

@@ -1,6 +1,7 @@
 #include "athena/directory.h"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 
 #include "common/contracts.h"
@@ -87,89 +88,89 @@ Directory::Selection Directory::select_sources(
     const std::vector<LabelId>& labels, NodeId origin, bool minimize,
     const std::unordered_set<SourceId>* exclude) const {
   Selection sel;
+  // The distinct coverable labels, ascending: element i of the cover is
+  // needed[i].
+  std::vector<LabelId> needed;
+  needed.reserve(labels.size());
   for (LabelId l : labels) {
-    if (sources_for(l).empty()) sel.uncovered.push_back(l);
+    if (sources_for(l).empty()) {
+      sel.uncovered.push_back(l);
+    } else {
+      needed.push_back(l);
+    }
   }
-  std::vector<LabelId> needed = labels;
   std::sort(needed.begin(), needed.end());
   needed.erase(std::unique(needed.begin(), needed.end()), needed.end());
 
   // Invert labels → eligible sources once. An excluded source is eligible
-  // for a label only if nothing else covers it. Sorting the (source, label)
-  // pairs groups them into candidates in ascending source order, each with
-  // its covered needed labels in ascending order.
+  // for a label only if nothing else covers it. Sorting the (source,
+  // element) pairs groups them into candidates in ascending source order,
+  // each with its elements ascending.
   const bool excluding = exclude != nullptr && !exclude->empty();
   auto excluded = [&](SourceId s) { return excluding && exclude->contains(s); };
-  std::vector<std::pair<SourceId, LabelId>> pairs;
-  for (LabelId l : needed) {
-    const auto& srcs = sources_for(l);
+  std::vector<std::pair<SourceId, std::uint32_t>> pairs;
+  for (std::size_t i = 0; i < needed.size(); ++i) {
+    const auto& srcs = sources_for(needed[i]);
     const bool all_excluded = std::all_of(srcs.begin(), srcs.end(), excluded);
     for (SourceId s : srcs) {
-      if (all_excluded || !excluded(s)) pairs.emplace_back(s, l);
+      if (all_excluded || !excluded(s)) {
+        pairs.emplace_back(s, static_cast<std::uint32_t>(i));
+      }
     }
   }
   std::sort(pairs.begin(), pairs.end());
+  pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
 
-  struct Candidate {
-    SourceId source;
-    double cost = 0.0;
-    std::vector<LabelId> eligible;  ///< needed labels it may serve, ascending
-    bool chosen = false;
-  };
-  std::vector<Candidate> candidates;
-  for (const auto& [s, l] : pairs) {
-    if (candidates.empty() || candidates.back().source != s) {
-      candidates.push_back(Candidate{s, retrieval_cost(s, origin), {}, false});
+  // Candidates as one flat array: candidate c is sources[c], costs
+  // costs[c], and may serve the elements cover.set(c).
+  std::vector<SourceId> sources;
+  std::vector<double> costs;
+  std::vector<std::uint32_t> offsets;
+  std::vector<std::uint32_t> elements;
+  elements.reserve(pairs.size());
+  for (const auto& [s, e] : pairs) {
+    if (sources.empty() || sources.back() != s) {
+      sources.push_back(s);
+      costs.push_back(retrieval_cost(s, origin));
+      offsets.push_back(static_cast<std::uint32_t>(elements.size()));
     }
-    candidates.back().eligible.push_back(l);
+    elements.push_back(e);
   }
+  offsets.push_back(static_cast<std::uint32_t>(elements.size()));
+  const coverage::FlatCover cover{needed.size(), costs, offsets, elements};
 
-  // Chosen candidates, in request-list order.
+  // Chosen candidates, ascending: the request-list order.
   std::vector<std::size_t> chosen;
   if (minimize) {
     // Weighted set cover over the needed labels.
-    coverage::CoverInstance inst;
-    for (LabelId l : needed) {
-      if (!sources_for(l).empty()) {
-        inst.universe.push_back(static_cast<std::uint32_t>(l.value()));
-      }
-    }
-    for (const Candidate& c : candidates) {
-      coverage::CoverSet set;
-      set.cost = c.cost;
-      for (LabelId l : c.eligible) {
-        set.elements.push_back(static_cast<std::uint32_t>(l.value()));
-      }
-      inst.sets.push_back(std::move(set));
-    }
-    chosen = coverage::greedy_cover(inst).chosen;
+    chosen = coverage::greedy_cover(cover).chosen;
   } else {
-    chosen.resize(candidates.size());
-    for (std::size_t i = 0; i < chosen.size(); ++i) chosen[i] = i;
+    chosen.resize(sources.size());
+    for (std::size_t c = 0; c < chosen.size(); ++c) chosen[c] = c;
   }
-  for (std::size_t idx : chosen) candidates[idx].chosen = true;
-
-  // Designate, for each label, the cheapest chosen source eligible for it
-  // (the first in sources_for order on a tie).
-  for (LabelId l : needed) {
-    const Candidate* best = nullptr;
-    for (SourceId s : sources_for(l)) {
-      const auto it = std::lower_bound(
-          candidates.begin(), candidates.end(), s,
-          [](const Candidate& c, SourceId v) { return c.source < v; });
-      if (it == candidates.end() || it->source != s || !it->chosen ||
-          !std::binary_search(it->eligible.begin(), it->eligible.end(), l)) {
-        continue;
-      }
-      if (best == nullptr || it->cost < best->cost) best = &*it;
+  // Designate, for each label, the cheapest chosen source eligible for it.
+  // Candidates ascend by source id, and so do sources_for lists (sensor
+  // ids are dense and in order), so keeping the first of equal costs picks
+  // the first in sources_for order.
+  constexpr auto kNone = std::numeric_limits<std::size_t>::max();
+  std::vector<std::size_t> best(needed.size(), kNone);
+  for (std::size_t c : chosen) {
+    for (std::uint32_t e : cover.set(c)) {
+      if (best[e] == kNone || costs[c] < costs[best[e]]) best[e] = c;
     }
-    if (best != nullptr) sel.designated[l] = best->source;
+  }
+  sel.designated.reserve(needed.size());
+  for (std::size_t i = 0; i < needed.size(); ++i) {
+    if (best[i] != kNone) sel.designated[needed[i]] = sources[best[i]];
   }
 
   // Request list: every chosen source with the needed labels it covers.
-  for (std::size_t idx : chosen) {
-    sel.requests.emplace_back(candidates[idx].source,
-                              std::move(candidates[idx].eligible));
+  sel.requests.reserve(chosen.size());
+  for (std::size_t c : chosen) {
+    std::vector<LabelId> covered;
+    covered.reserve(cover.set(c).size());
+    for (std::uint32_t e : cover.set(c)) covered.push_back(needed[e]);
+    sel.requests.emplace_back(sources[c], std::move(covered));
   }
   return sel;
 }

@@ -386,28 +386,44 @@ void AthenaNode::advance(QueryState& q) {
     finish(q, false);
     return;
   }
+  const auto meta = [this, &q](LabelId label) { return label_meta(q, label); };
+  // Buffers for every plan of this call. Per call rather than per node:
+  // advance() re-enters itself through try_local(), and a per-node scratch
+  // would keep a few KB resident at each of a run's nodes.
+  decision::PlanScratch scratch;
   // Keep resolving from local knowledge until we must touch the network.
   for (int guard = 0; guard < 1000; ++guard) {
-    if (q.expr.resolved(q.assignment, now)) {
-      finish(q, true);
-      return;
-    }
     if (config_.sequential && !q.outstanding.empty()) {
       // One request in flight per query, and shedding needs none in
-      // flight, so a plan here would only feed the kPlan trace. Every
-      // policy plans exactly the relevant labels; trace their count.
+      // flight, so a plan here would only feed the kPlan trace. Unless a
+      // sink wants that trace, skip the check when the assignment has not
+      // changed since the query was last found unresolved: expiry only
+      // removes knowledge, and Kleene logic cannot go from unknown to
+      // known when knowledge is removed.
+      if (trace_sink_ == nullptr &&
+          q.assignment.version() == q.unresolved_version) {
+        return;
+      }
+      if (q.expr.resolved(q.assignment, now)) {
+        finish(q, true);
+        return;
+      }
+      q.unresolved_version = q.assignment.version();
+      // Every policy plans exactly the relevant labels; trace their count.
       if (trace_sink_ != nullptr) {
         trace(obs::EventKind::kPlan, q.id,
               q.expr.relevant_labels(q.assignment, now).size());
       }
       return;
     }
-    const auto meta = [this, &q](LabelId label) {
-      return label_meta(q, label);
-    };
     const auto order = decision::plan_retrieval_order(
-        q.expr, q.assignment, now, meta, config_.order, q.deadline_abs);
-    if (order.empty()) return;  // nothing actionable (uncovered labels)
+        q.expr, q.assignment, now, meta, config_.order, q.deadline_abs,
+        scratch);
+    if (order.empty()) {  // empty exactly when the query is resolved
+      finish(q, true);
+      return;
+    }
+    q.unresolved_version = q.assignment.version();
     trace(obs::EventKind::kPlan, q.id, order.size());
 
     // Deadline-infeasibility shedding (overload protection): if nothing is
@@ -484,9 +500,13 @@ void AthenaNode::advance(QueryState& q) {
       for (LabelId l : order) {
         if (try_local(q, l)) progressed = true;
       }
-      if (q.expr.resolved(q.assignment, now)) continue;  // loop re-checks
       const auto fresh_order = decision::plan_retrieval_order(
-          q.expr, q.assignment, now, meta, config_.order, q.deadline_abs);
+          q.expr, q.assignment, now, meta, config_.order, q.deadline_abs,
+          scratch);
+      if (fresh_order.empty()) {  // resolved from local knowledge
+        finish(q, true);
+        return;
+      }
       for (const auto& [source, labels] : q.selection.requests) {
         if (q.outstanding.contains(source)) continue;
         // Locally hosted evidence was already consumed by try_local; a

@@ -15,6 +15,7 @@
 #pragma once
 
 #include <deque>
+#include <limits>
 #include <map>
 #include <optional>
 #include <unordered_map>
@@ -189,6 +190,10 @@ class AthenaNode {
     /// make each of them resident.
     std::vector<std::optional<decision::LabelMeta>> meta;
     std::uint64_t meta_epoch = 0;  ///< routes epoch `meta` was filled under
+    /// assignment.version() when `expr` was last found unresolved (the
+    /// maximum, which no version reaches, before the first check).
+    std::uint64_t unresolved_version =
+        std::numeric_limits<std::uint64_t>::max();
     int priority = 0;
     /// source → expiry of the outstanding request to it.
     SmallMap<SourceId, SimTime, 4> outstanding;

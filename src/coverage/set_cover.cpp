@@ -2,80 +2,92 @@
 
 #include <algorithm>
 #include <limits>
-#include <unordered_map>
 
 #include "common/contracts.h"
 
 namespace dde::coverage {
 namespace {
 
-/// Map universe elements to dense bit positions; elements outside the
-/// universe are ignored.
-struct DenseInstance {
-  std::size_t n = 0;                        // universe size
-  std::vector<std::vector<std::size_t>> sets;  // bit positions per set
+/// A CoverInstance in flat form, owning its arrays. Universe elements get
+/// dense ids in first-appearance order; each set keeps its elements inside
+/// the universe, each once, ascending by id.
+struct OwnedFlat {
+  std::size_t universe = 0;
   std::vector<double> costs;
+  std::vector<std::uint32_t> offsets;
+  std::vector<std::uint32_t> elements;
+
+  [[nodiscard]] FlatCover view() const {
+    return FlatCover{universe, costs, offsets, elements};
+  }
 };
 
-DenseInstance densify(const CoverInstance& in) {
-  DenseInstance d;
-  std::unordered_map<std::uint32_t, std::size_t> pos;
-  for (std::uint32_t e : in.universe) pos.try_emplace(e, pos.size());
-  d.n = pos.size();
-  d.sets.reserve(in.sets.size());
-  d.costs.reserve(in.sets.size());
-  for (const auto& s : in.sets) {
-    std::vector<std::size_t> bits;
-    for (std::uint32_t e : s.elements) {
-      auto it = pos.find(e);
-      if (it != pos.end()) bits.push_back(it->second);
-    }
-    std::sort(bits.begin(), bits.end());
-    bits.erase(std::unique(bits.begin(), bits.end()), bits.end());
-    d.sets.push_back(std::move(bits));
-    d.costs.push_back(s.cost);
+constexpr std::uint32_t kNoId = std::numeric_limits<std::uint32_t>::max();
+
+OwnedFlat flatten(const CoverInstance& in) {
+  // Distinct universe elements, ascending, with the dense id of each.
+  std::vector<std::uint32_t> keys = in.universe;
+  std::sort(keys.begin(), keys.end());
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+  const auto slot = [&](std::uint32_t e) {
+    return static_cast<std::size_t>(
+        std::lower_bound(keys.begin(), keys.end(), e) - keys.begin());
+  };
+  std::vector<std::uint32_t> id(keys.size(), kNoId);
+  OwnedFlat f;
+  for (std::uint32_t e : in.universe) {
+    auto& i = id[slot(e)];
+    if (i == kNoId) i = static_cast<std::uint32_t>(f.universe++);
   }
-  return d;
+  f.costs.reserve(in.sets.size());
+  f.offsets.reserve(in.sets.size() + 1);
+  f.offsets.push_back(0);
+  for (const auto& s : in.sets) {
+    for (std::uint32_t e : s.elements) {
+      const std::size_t k = slot(e);
+      if (k < keys.size() && keys[k] == e) f.elements.push_back(id[k]);
+    }
+    const auto begin = f.elements.begin() + f.offsets.back();
+    std::sort(begin, f.elements.end());
+    f.elements.erase(std::unique(begin, f.elements.end()), f.elements.end());
+    f.costs.push_back(s.cost);
+    f.offsets.push_back(static_cast<std::uint32_t>(f.elements.size()));
+  }
+  return f;
 }
 
 using Mask = std::vector<bool>;
 
-std::size_t uncovered_gain(const std::vector<std::size_t>& bits,
-                           const Mask& covered) {
-  std::size_t gain = 0;
-  for (std::size_t b : bits) {
-    if (!covered[b]) ++gain;
-  }
-  return gain;
-}
-
 }  // namespace
 
-CoverResult greedy_cover(const CoverInstance& instance) {
-  const DenseInstance d = densify(instance);
+CoverResult greedy_cover(const FlatCover& cover) {
+  const std::size_t sets = cover.costs.size();
   CoverResult result;
-  Mask covered(d.n, false);
-  std::size_t remaining = d.n;
-  std::vector<bool> used(d.sets.size(), false);
+  Mask covered(cover.universe, false);
+  std::size_t remaining = cover.universe;
+  std::vector<bool> used(sets, false);
   while (remaining > 0) {
     double best_ratio = -1.0;
-    std::size_t best = d.sets.size();
-    for (std::size_t i = 0; i < d.sets.size(); ++i) {
+    std::size_t best = sets;
+    for (std::size_t i = 0; i < sets; ++i) {
       if (used[i]) continue;
-      const std::size_t gain = uncovered_gain(d.sets[i], covered);
+      std::size_t gain = 0;
+      for (std::uint32_t b : cover.set(i)) {
+        if (!covered[b]) ++gain;
+      }
       if (gain == 0) continue;
       const double ratio =
-          static_cast<double>(gain) / std::max(d.costs[i], 1e-12);
+          static_cast<double>(gain) / std::max(cover.costs[i], 1e-12);
       if (ratio > best_ratio) {
         best_ratio = ratio;
         best = i;
       }
     }
-    if (best == d.sets.size()) break;  // nothing covers more
+    if (best == sets) break;  // nothing covers more
     used[best] = true;
     result.chosen.push_back(best);
-    result.cost += d.costs[best];
-    for (std::size_t b : d.sets[best]) {
+    result.cost += cover.costs[best];
+    for (std::uint32_t b : cover.set(best)) {
       if (!covered[b]) {
         covered[b] = true;
         --remaining;
@@ -87,10 +99,14 @@ CoverResult greedy_cover(const CoverInstance& instance) {
   return result;
 }
 
+CoverResult greedy_cover(const CoverInstance& instance) {
+  return greedy_cover(flatten(instance).view());
+}
+
 namespace {
 
 struct BnB {
-  const DenseInstance& d;
+  FlatCover d;
   // element → sets containing it, cheapest-cost-per-element first not
   // needed; we branch on the lowest-index uncovered element.
   std::vector<std::vector<std::size_t>> element_sets;
@@ -98,10 +114,10 @@ struct BnB {
   std::vector<std::size_t> best_chosen;
   std::vector<std::size_t> current;
 
-  explicit BnB(const DenseInstance& dense) : d(dense) {
-    element_sets.assign(d.n, {});
-    for (std::size_t i = 0; i < d.sets.size(); ++i) {
-      for (std::size_t b : d.sets[i]) element_sets[b].push_back(i);
+  explicit BnB(FlatCover flat) : d(flat) {
+    element_sets.assign(d.universe, {});
+    for (std::size_t i = 0; i < d.costs.size(); ++i) {
+      for (std::uint32_t b : d.set(i)) element_sets[b].push_back(i);
     }
   }
 
@@ -114,13 +130,13 @@ struct BnB {
     }
     // Branch on the first uncovered element: some chosen set must cover it.
     std::size_t elem = 0;
-    while (elem < d.n && covered[elem]) ++elem;
-    DDE_CHECK(elem < d.n,
+    while (elem < d.universe && covered[elem]) ++elem;
+    DDE_CHECK(elem < d.universe,
               "set_cover BnB: remaining > 0 but every element is covered");
     for (std::size_t i : element_sets[elem]) {
       // Apply set i.
       std::vector<std::size_t> newly;
-      for (std::size_t b : d.sets[i]) {
+      for (std::uint32_t b : d.set(i)) {
         if (!covered[b]) {
           covered[b] = true;
           newly.push_back(b);
@@ -137,14 +153,15 @@ struct BnB {
 }  // namespace
 
 CoverResult exact_cover(const CoverInstance& instance) {
-  const DenseInstance d = densify(instance);
+  const OwnedFlat owned = flatten(instance);
+  const FlatCover d = owned.view();
   BnB bnb(d);
-  Mask covered(d.n, false);
-  bnb.solve(covered, d.n, 0.0);
+  Mask covered(d.universe, false);
+  bnb.solve(covered, d.universe, 0.0);
   CoverResult result;
   if (bnb.best_cost == std::numeric_limits<double>::infinity()) {
     // No full cover exists; fall back to greedy partial for a usable answer.
-    result = greedy_cover(instance);
+    result = greedy_cover(d);
     result.covered = false;
     return result;
   }

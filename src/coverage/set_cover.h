@@ -10,6 +10,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace dde::coverage {
@@ -34,9 +35,31 @@ struct CoverResult {
   std::vector<std::size_t> chosen;   ///< indexes into instance.sets
 };
 
+/// A cover instance in flat form: set i costs costs[i] and covers the
+/// elements elements[offsets[i]] .. elements[offsets[i + 1] - 1], which are
+/// distinct dense ids below `universe`; every id below `universe` is to be
+/// covered. The solvers run on this form; a CoverInstance is converted to
+/// it first.
+struct FlatCover {
+  std::size_t universe = 0;
+  std::span<const double> costs;
+  std::span<const std::uint32_t> offsets;  ///< costs.size() + 1 entries
+  std::span<const std::uint32_t> elements;
+
+  /// The elements set `i` covers.
+  [[nodiscard]] std::span<const std::uint32_t> set(std::size_t i) const {
+    return elements.subspan(offsets[i], offsets[i + 1] - offsets[i]);
+  }
+};
+
 /// Greedy weighted set cover: repeatedly pick the set with the most
-/// uncovered elements per unit cost. O(sets × universe) per pick.
-/// If full coverage is impossible, covers what it can (covered=false).
+/// uncovered elements per unit cost (the lowest index on a tie).
+/// O(sets × universe) per pick. If full coverage is impossible, covers what
+/// it can (covered=false). `chosen` is ascending.
+[[nodiscard]] CoverResult greedy_cover(const FlatCover& cover);
+
+/// greedy_cover over `instance`'s universe; elements outside it are
+/// ignored, and repeated elements count once.
 [[nodiscard]] CoverResult greedy_cover(const CoverInstance& instance);
 
 /// Exact minimum-cost cover by branch and bound. Exponential; intended for

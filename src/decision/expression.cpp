@@ -1,7 +1,6 @@
 #include "decision/expression.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 namespace dde::decision {
 
@@ -22,11 +21,14 @@ std::vector<LabelId> DnfExpr::relevant_labels(const Assignment& a,
 }
 
 std::vector<LabelId> DnfExpr::all_labels() const {
+  // A linear scan per term: expressions hold a few dozen labels, where the
+  // scan beats hashing.
   std::vector<LabelId> out;
-  std::unordered_set<LabelId> seen;
   for (const auto& c : disjuncts_) {
     for (const Term& t : c.terms) {
-      if (seen.insert(t.label).second) out.push_back(t.label);
+      if (std::find(out.begin(), out.end(), t.label) == out.end()) {
+        out.push_back(t.label);
+      }
     }
   }
   return out;

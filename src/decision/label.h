@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <string>
 #include <vector>
@@ -68,10 +69,15 @@ struct LabelValue {
 /// Flat layout: labels sorted ascending with their records alongside, so a
 /// lookup is a binary search over a few dozen contiguous ids. A set() or
 /// invalidate() invalidates pointers returned by record().
+///
+/// version() counts mutations: every set(), invalidate() and clear() bumps
+/// it. Between two reads of an unchanged version, only the passage of time
+/// can change a lookup, and expiry only ever turns a value unknown.
 class Assignment {
  public:
   /// Record a label value (overwrites any previous value).
   void set(LabelValue v) {
+    ++version_;
     const std::size_t i = position(v.label);
     if (i < labels_.size() && labels_[i] == v.label) {
       values_[i] = std::move(v);
@@ -107,14 +113,19 @@ class Assignment {
   /// Discard any knowledge of `label` (Sec. II-A invalidation: an external
   /// event voided the observation). Subsequent lookups return unknown.
   void invalidate(LabelId label) {
+    ++version_;
     const std::size_t i = position(label);
     if (i == labels_.size() || labels_[i] != label) return;
     labels_.erase(labels_.begin() + static_cast<std::ptrdiff_t>(i));
     values_.erase(values_.begin() + static_cast<std::ptrdiff_t>(i));
   }
 
+  /// Number of mutations so far (see the class comment).
+  [[nodiscard]] std::uint64_t version() const noexcept { return version_; }
+
   [[nodiscard]] std::size_t size() const noexcept { return labels_.size(); }
   void clear() {
+    ++version_;
     labels_.clear();
     values_.clear();
   }
@@ -126,6 +137,7 @@ class Assignment {
 
   std::vector<LabelId> labels_;     ///< ascending
   std::vector<LabelValue> values_;  ///< values_[i] is labels_[i]'s record
+  std::uint64_t version_ = 0;       ///< mutations so far
 };
 
 }  // namespace dde::decision

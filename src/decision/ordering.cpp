@@ -12,86 +12,79 @@
 namespace dde::decision {
 namespace {
 
-/// A term with its metadata and AND efficiency looked up once, so sorts,
-/// swaps and feasibility checks over a conjunction call `meta` once per
-/// term instead of once per comparison.
-struct Resolved {
-  Term term;
-  LabelMeta meta;
-  double efficiency = 0.0;  ///< (1 − p_true) / cost, as and_efficiency
-};
+/// Stable insertion sort: the same result as std::stable_sort for a strict
+/// weak order, without its temporary buffer. The spans sorted here are a
+/// conjunction's terms or an expression's disjuncts, a few dozen at most.
+template <typename T, typename Before>
+void insertion_sort(std::span<T> items, Before before) {
+  for (std::size_t i = 1; i < items.size(); ++i) {
+    T item = std::move(items[i]);
+    std::size_t j = i;
+    for (; j > 0 && before(item, items[j - 1]); --j) {
+      items[j] = std::move(items[j - 1]);
+    }
+    items[j] = std::move(item);
+  }
+}
 
-std::vector<Resolved> resolve(std::span<const Term> terms,
-                              MetaRef meta) {
-  std::vector<Resolved> out;
+std::vector<ResolvedTerm> resolve(std::span<const Term> terms,
+                                  MetaRef meta) {
+  std::vector<ResolvedTerm> out;
   out.reserve(terms.size());
-  for (const Term& t : terms) {
-    const LabelMeta m = meta(t.label);
-    const double p = t.negated ? 1.0 - m.p_true : m.p_true;
-    out.push_back(Resolved{t, m, (1.0 - p) / std::max(m.cost, 1e-12)});
+  for (std::size_t i = 0; i < terms.size(); ++i) {
+    out.push_back(resolve_term(terms[i], meta, static_cast<std::uint32_t>(i)));
   }
   return out;
 }
 
 /// term_p_true for a resolved term.
-double p_true_of(const Resolved& r) {
+double p_true_of(const ResolvedTerm& r) {
   return r.term.negated ? 1.0 - r.meta.p_true : r.meta.p_true;
 }
 
 /// expected_conjunction_cost over resolved terms.
-double resolved_cost(std::span<const Resolved> terms) {
+double resolved_cost(std::span<const ResolvedTerm> terms) {
   double cost = 0.0;
   double p_reach = 1.0;  // probability evaluation reaches this term
-  // Labels retrieved by earlier terms, with the truth value implied by the
-  // evaluation having moved past them (a passed term fixes its label to
-  // !negated). A repeated label is paid for once — the convention of
-  // exact_conjunction_cost_by_enumeration's `paid` set — and contributes a
-  // deterministic, not independent, factor to the reach probability.
-  std::vector<std::pair<LabelId, bool>> settled;
-  for (const Resolved& r : terms) {
-    const Term& t = r.term;
-    const auto known =
-        std::find_if(settled.begin(), settled.end(),
-                     [&](const auto& kv) { return kv.first == t.label; });
-    if (known == settled.end()) {
-      cost += p_reach * r.meta.cost;
-      p_reach *= p_true_of(r);
-      settled.emplace_back(t.label, !t.negated);
+  for (std::size_t k = 0; k < terms.size(); ++k) {
+    const Term& t = terms[k].term;
+    // A label retrieved by an earlier term is paid for once — the
+    // convention of exact_conjunction_cost_by_enumeration's `paid` set —
+    // and contributes a deterministic, not independent, factor to the
+    // reach probability: evaluation moving past its first term fixed the
+    // label to !negated.
+    const auto first = std::find_if(
+        terms.begin(), terms.begin() + static_cast<std::ptrdiff_t>(k),
+        [&](const ResolvedTerm& r) { return r.term.label == t.label; });
+    if (first == terms.begin() + static_cast<std::ptrdiff_t>(k)) {
+      cost += p_reach * terms[k].meta.cost;
+      p_reach *= p_true_of(terms[k]);
       continue;
     }
     // Already retrieved: no cost. The term's truth is determined; if it
     // contradicts the settled value, evaluation never proceeds past here.
-    const bool term_true = t.negated ? !known->second : known->second;
+    const bool settled = !first->term.negated;
+    const bool term_true = t.negated ? !settled : settled;
     if (!term_true) break;  // p_reach for all later terms is 0
   }
   return cost;
 }
 
 /// conjunction_success_prob over resolved terms.
-double resolved_success(std::span<const Resolved> terms) {
+double resolved_success(std::span<const ResolvedTerm> terms) {
   double p = 1.0;
-  for (const Resolved& r : terms) p *= p_true_of(r);
+  for (const ResolvedTerm& r : terms) p *= p_true_of(r);
   return p;
 }
 
-/// Resolved terms of `c`, stably sorted by descending AND efficiency.
-std::vector<Resolved> and_ordered(const Conjunction& c, MetaRef meta) {
-  auto resolved = resolve(c.terms, meta);
-  std::stable_sort(resolved.begin(), resolved.end(),
-                   [](const Resolved& a, const Resolved& b) {
-                     return a.efficiency > b.efficiency;
-                   });
-  return resolved;
-}
-
-std::vector<Term> terms_of(const std::vector<Resolved>& resolved) {
+std::vector<Term> terms_of(std::span<const ResolvedTerm> resolved) {
   std::vector<Term> out;
   out.reserve(resolved.size());
-  for (const Resolved& r : resolved) out.push_back(r.term);
+  for (const ResolvedTerm& r : resolved) out.push_back(r.term);
   return out;
 }
 
-bool resolved_feasible(const std::vector<Resolved>& terms, SimTime start,
+bool resolved_feasible(std::span<const ResolvedTerm> terms, SimTime start,
                        SimTime deadline) {
   // Back-to-back retrievals; object k completes at start + sum latencies.
   // Compare against the remaining budget instead of summing into `finish`
@@ -100,12 +93,12 @@ bool resolved_feasible(const std::vector<Resolved>& terms, SimTime start,
   // count. The budget form rejects it at the comparison, no arithmetic.
   if (start > deadline) return false;
   SimTime finish = start;
-  for (const Resolved& r : terms) {
+  for (const ResolvedTerm& r : terms) {
     if (r.meta.latency > deadline - finish) return false;
     finish += r.meta.latency;
   }
   SimTime done = start;
-  for (const Resolved& r : terms) {
+  for (const ResolvedTerm& r : terms) {
     done += r.meta.latency;
     // Data freshness (Sec. IV-A): the object retrieved at `done` must still
     // be valid when the last retrieval finishes (same overflow-safe form:
@@ -116,6 +109,71 @@ bool resolved_feasible(const std::vector<Resolved>& terms, SimTime start,
 }
 
 }  // namespace
+
+ResolvedTerm resolve_term(const Term& t, MetaRef meta, std::uint32_t pos) {
+  const LabelMeta m = meta(t.label);
+  const double p = t.negated ? 1.0 - m.p_true : m.p_true;
+  return ResolvedTerm{t, m, (1.0 - p) / std::max(m.cost, 1e-12), pos};
+}
+
+ConjunctionScore and_rule_order(std::span<ResolvedTerm> terms) {
+  insertion_sort(terms, [](const ResolvedTerm& a, const ResolvedTerm& b) {
+    if (a.efficiency != b.efficiency) return a.efficiency > b.efficiency;
+    return a.pos < b.pos;
+  });
+  return ConjunctionScore{resolved_success(terms), resolved_cost(terms)};
+}
+
+void validity_first_order(std::span<ResolvedTerm> terms) {
+  insertion_sort(terms, [](const ResolvedTerm& a, const ResolvedTerm& b) {
+    if (a.meta.validity != b.meta.validity) {
+      return a.meta.validity > b.meta.validity;
+    }
+    return a.pos < b.pos;
+  });
+}
+
+void cheapest_first_order(std::span<ResolvedTerm> terms) {
+  insertion_sort(terms, [](const ResolvedTerm& a, const ResolvedTerm& b) {
+    if (a.meta.cost != b.meta.cost) return a.meta.cost < b.meta.cost;
+    return a.pos < b.pos;
+  });
+}
+
+void variational_lvf_in_place(std::span<ResolvedTerm> order, SimTime start,
+                              SimTime deadline) {
+  // Base: longest validity first maximizes every object's slack at finish.
+  validity_first_order(order);
+  // Greedy variational improvement: adjacent swaps that strictly reduce
+  // expected cost while preserving feasibility. The expected cost of a
+  // sequential AND evaluation improves under an adjacent swap iff the
+  // (1−p)/C efficiency order improves, so comparing efficiencies suffices.
+  if (!resolved_feasible(order, start, deadline)) {
+    return;  // caller detects infeasibility
+  }
+  bool changed = true;
+  while (changed) {
+    changed = false;
+    for (std::size_t i = 0; i + 1 < order.size(); ++i) {
+      if (order[i + 1].efficiency <= order[i].efficiency) {
+        continue;  // swap would not reduce expected cost
+      }
+      std::swap(order[i], order[i + 1]);
+      if (resolved_feasible(order, start, deadline)) {
+        changed = true;
+      } else {
+        std::swap(order[i], order[i + 1]);  // revert
+      }
+    }
+  }
+}
+
+void or_rule_order(std::span<ScoredSpan> spans) {
+  insertion_sort(spans, [](const ScoredSpan& x, const ScoredSpan& y) {
+    return x.score.success * std::max(y.score.ecost, 1e-12) >
+           y.score.success * std::max(x.score.ecost, 1e-12);
+  });
+}
 
 double term_p_true(const Term& t, MetaRef meta) {
   const double p = meta(t.label).p_true;
@@ -128,7 +186,9 @@ double and_efficiency(const Term& t, MetaRef meta) {
 }
 
 std::vector<Term> order_conjunction(const Conjunction& c, MetaRef meta) {
-  return terms_of(and_ordered(c, meta));
+  auto resolved = resolve(c.terms, meta);
+  and_rule_order(resolved);
+  return terms_of(resolved);
 }
 
 double expected_conjunction_cost(std::span<const Term> terms, MetaRef meta) {
@@ -140,32 +200,36 @@ double conjunction_success_prob(std::span<const Term> terms, MetaRef meta) {
 }
 
 ConjunctionPlan plan_conjunction(const Conjunction& c, MetaRef meta) {
-  const auto resolved = and_ordered(c, meta);
-  return ConjunctionPlan{terms_of(resolved), resolved_success(resolved),
-                         resolved_cost(resolved)};
+  auto resolved = resolve(c.terms, meta);
+  const ConjunctionScore score = and_rule_order(resolved);
+  return ConjunctionPlan{terms_of(resolved), score.success, score.ecost};
 }
 
 DnfPlan plan_dnf(const DnfExpr& expr, MetaRef meta) {
-  struct Scored {
-    std::size_t index;
-    ConjunctionPlan plan;
-  };
-  std::vector<Scored> scored;
-  scored.reserve(expr.disjunct_count());
+  // Every disjunct's terms back to back, each span ordered by the AND
+  // rule, the spans by the OR rule.
+  std::vector<ResolvedTerm> terms;
+  std::vector<ScoredSpan> spans;
+  spans.reserve(expr.disjunct_count());
   for (std::size_t i = 0; i < expr.disjunct_count(); ++i) {
-    scored.push_back(Scored{i, plan_conjunction(expr.disjuncts()[i], meta)});
+    ScoredSpan d;
+    d.disjunct = static_cast<std::uint32_t>(i);
+    d.begin = static_cast<std::uint32_t>(terms.size());
+    const auto& ts = expr.disjuncts()[i].terms;
+    for (std::size_t k = 0; k < ts.size(); ++k) {
+      terms.push_back(resolve_term(ts[k], meta, static_cast<std::uint32_t>(k)));
+    }
+    d.end = static_cast<std::uint32_t>(terms.size());
+    d.score =
+        and_rule_order(std::span(terms).subspan(d.begin, d.end - d.begin));
+    spans.push_back(d);
   }
-  // OR rule: highest short-circuit (success) probability per unit expected
-  // cost first.
-  std::stable_sort(scored.begin(), scored.end(),
-                   [](const Scored& a, const Scored& b) {
-                     return a.plan.success * std::max(b.plan.ecost, 1e-12) >
-                            b.plan.success * std::max(a.plan.ecost, 1e-12);
-                   });
+  or_rule_order(spans);
   DnfPlan plan;
-  for (auto& s : scored) {
-    plan.disjunct_order.push_back(s.index);
-    plan.ordered_terms.push_back(std::move(s.plan.order));
+  for (const ScoredSpan& d : spans) {
+    plan.disjunct_order.push_back(d.disjunct);
+    plan.ordered_terms.push_back(
+        terms_of(std::span(terms).subspan(d.begin, d.end - d.begin)));
   }
   return plan;
 }
@@ -247,34 +311,8 @@ bool order_feasible(std::span<const Term> terms, MetaRef meta,
 std::vector<Term> variational_lvf_order(const Conjunction& c,
                                         MetaRef meta, SimTime start,
                                         SimTime deadline) {
-  // Base: longest validity first maximizes every object's slack at finish.
   auto order = resolve(c.terms, meta);
-  std::stable_sort(order.begin(), order.end(),
-                   [](const Resolved& a, const Resolved& b) {
-                     return a.meta.validity > b.meta.validity;
-                   });
-  // Greedy variational improvement: adjacent swaps that strictly reduce
-  // expected cost while preserving feasibility. The expected cost of a
-  // sequential AND evaluation improves under an adjacent swap iff the
-  // (1−p)/C efficiency order improves, so comparing efficiencies suffices.
-  if (!resolved_feasible(order, start, deadline)) {
-    return terms_of(order);  // caller detects infeasibility
-  }
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (std::size_t i = 0; i + 1 < order.size(); ++i) {
-      if (order[i + 1].efficiency <= order[i].efficiency) {
-        continue;  // swap would not reduce expected cost
-      }
-      std::swap(order[i], order[i + 1]);
-      if (resolved_feasible(order, start, deadline)) {
-        changed = true;
-      } else {
-        std::swap(order[i], order[i + 1]);  // revert
-      }
-    }
-  }
+  variational_lvf_in_place(order, start, deadline);
   return terms_of(order);
 }
 

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <span>
 #include <vector>
@@ -50,6 +51,63 @@ struct ConjunctionPlan {
   double success = 0.0;     ///< conjunction_success_prob(order, meta)
   double ecost = 0.0;       ///< expected_conjunction_cost(order, meta)
 };
+
+// --- span kernels ----------------------------------------------------------
+// The orderings below and the planner (planner.h) run on spans of resolved
+// terms, ordered in place: one kernel per rule, no allocation. The
+// functions taking a Conjunction or a Term span are wrappers that resolve
+// into a local buffer.
+
+/// A term with its metadata and AND efficiency looked up once, so sorts,
+/// swaps and feasibility checks call `meta` once per term instead of once
+/// per comparison. The term orders break ties by `pos`, the term's
+/// declaration index, so sorting a span gives the same order whatever
+/// order the span was in.
+struct ResolvedTerm {
+  Term term;
+  LabelMeta meta;
+  double efficiency = 0.0;  ///< (1 − p_true) / cost, as and_efficiency
+  std::uint32_t pos = 0;    ///< declaration index
+};
+
+/// `t` with `meta(t.label)` looked up, declared at index `pos`.
+[[nodiscard]] ResolvedTerm resolve_term(const Term& t, MetaRef meta,
+                                        std::uint32_t pos);
+
+/// A conjunction's success probability and expected cost.
+struct ConjunctionScore {
+  double success = 0.0;
+  double ecost = 0.0;
+};
+
+/// The AND rule: sort `terms` by descending efficiency (declaration order
+/// among ties) and score the sorted order.
+ConjunctionScore and_rule_order(std::span<ResolvedTerm> terms);
+
+/// Sort `terms` by descending validity (declaration order among ties): the
+/// LVF order, and the variational LVF base order.
+void validity_first_order(std::span<ResolvedTerm> terms);
+
+/// Sort `terms` by ascending cost (declaration order among ties).
+void cheapest_first_order(std::span<ResolvedTerm> terms);
+
+/// The variational LVF order of `terms`, in place (see
+/// variational_lvf_order).
+void variational_lvf_in_place(std::span<ResolvedTerm> terms, SimTime start,
+                              SimTime deadline);
+
+/// One disjunct's terms, [begin, end) of a resolved-term buffer, and its
+/// score under the AND rule.
+struct ScoredSpan {
+  std::uint32_t disjunct = 0;  ///< index in the expression
+  std::uint32_t begin = 0;
+  std::uint32_t end = 0;
+  ConjunctionScore score;
+};
+
+/// The OR rule: stable sort of `spans` by descending success probability
+/// per unit expected cost.
+void or_rule_order(std::span<ScoredSpan> spans);
 
 /// order_conjunction, conjunction_success_prob and
 /// expected_conjunction_cost in one pass: `meta` is called once per term.

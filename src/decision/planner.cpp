@@ -2,60 +2,62 @@
 
 #include <algorithm>
 
-#include "decision/ordering.h"
-
 namespace dde::decision {
 namespace {
 
-/// Unknown-valued terms of disjunct `i` (each label listed once).
-std::vector<Term> unknown_terms(const DnfExpr& expr, std::size_t i,
-                                const Assignment& a, SimTime now) {
-  std::vector<Term> out;
-  for (const Term& t : expr.disjuncts()[i].terms) {
-    if (DnfExpr::eval_term(t, a, now) != Tristate::kUnknown) continue;
-    const bool seen = std::any_of(out.begin(), out.end(), [&](const Term& u) {
-      return u.label == t.label;
-    });
-    if (!seen) out.push_back(t);
+void append_unique(std::vector<LabelId>& order, LabelId label) {
+  if (std::find(order.begin(), order.end(), label) == order.end()) {
+    order.push_back(label);
   }
-  return out;
 }
 
-/// A disjunct still unknown under the assignment.
-struct OpenDisjunct {
-  std::vector<Term> unknown;  ///< unknown terms, declaration order
-  ConjunctionPlan plan;       ///< the same terms under the AND rule
-};
+std::span<ResolvedTerm> terms_of(PlanScratch& s, const ScoredSpan& d) {
+  return std::span(s.terms).subspan(d.begin, d.end - d.begin);
+}
 
-/// Open disjuncts ordered by the OR short-circuit rule (success probability
-/// of remaining terms per unit remaining expected cost, descending).
-std::vector<OpenDisjunct> order_open_disjuncts(const DnfExpr& expr,
-                                               const Assignment& a,
-                                               SimTime now,
-                                               MetaRef meta) {
-  std::vector<OpenDisjunct> open;
+/// Collect the open disjuncts of `expr` into `s`: each unknown disjunct's
+/// unknown terms, the first term of each label only, in declaration order.
+/// False when the expression is resolved (a disjunct is true, or none is
+/// open).
+bool collect_open(const DnfExpr& expr, const Assignment& a, SimTime now,
+                  PlanScratch& s) {
+  std::size_t terms = 0;
+  for (const Conjunction& c : expr.disjuncts()) terms += c.terms.size();
+  s.terms.clear();
+  s.terms.reserve(terms);
+  s.open.clear();
+  s.open.reserve(expr.disjunct_count());
   for (std::size_t i = 0; i < expr.disjunct_count(); ++i) {
-    if (expr.eval_disjunct(i, a, now) != Tristate::kUnknown) continue;
-    OpenDisjunct d;
-    d.unknown = unknown_terms(expr, i, a, now);
-    d.plan = plan_conjunction(Conjunction{d.unknown}, meta);
-    open.push_back(std::move(d));
-  }
-  std::stable_sort(open.begin(), open.end(),
-                   [](const OpenDisjunct& x, const OpenDisjunct& y) {
-                     return x.plan.success * std::max(y.plan.ecost, 1e-12) >
-                            y.plan.success * std::max(x.plan.ecost, 1e-12);
-                   });
-  return open;
-}
-
-void append_unique(std::vector<LabelId>& order,
-                   const std::vector<Term>& terms) {
-  for (const Term& t : terms) {
-    if (std::find(order.begin(), order.end(), t.label) == order.end()) {
-      order.push_back(t.label);
+    const auto begin = static_cast<std::uint32_t>(s.terms.size());
+    bool dead = false;
+    for (const Term& t : expr.disjuncts()[i].terms) {
+      const Tristate v = DnfExpr::eval_term(t, a, now);
+      if (v == Tristate::kFalse) {
+        dead = true;  // Kleene AND short-circuit
+        break;
+      }
+      if (v == Tristate::kTrue) continue;
+      const bool seen =
+          std::any_of(s.terms.begin() + begin, s.terms.end(),
+                      [&](const ResolvedTerm& r) {
+                        return r.term.label == t.label;
+                      });
+      if (!seen) {
+        s.terms.push_back(ResolvedTerm{
+            t, LabelMeta{}, 0.0,
+            static_cast<std::uint32_t>(s.terms.size() - begin)});
+      }
     }
+    if (dead) {
+      s.terms.resize(begin);
+      continue;
+    }
+    const auto end = static_cast<std::uint32_t>(s.terms.size());
+    if (end == begin) return false;  // a viable course of action
+    s.open.push_back(
+        ScoredSpan{static_cast<std::uint32_t>(i), begin, end, {}});
   }
+  return !s.open.empty();
 }
 
 }  // namespace
@@ -64,54 +66,71 @@ std::vector<LabelId> plan_retrieval_order(const DnfExpr& expr,
                                           const Assignment& assignment,
                                           SimTime now, MetaRef meta,
                                           OrderPolicy policy,
-                                          SimTime deadline) {
-  if (expr.resolved(assignment, now)) return {};
+                                          SimTime deadline,
+                                          PlanScratch& scratch) {
+  if (!collect_open(expr, assignment, now, scratch)) return {};
+  std::vector<LabelId> order;
+  order.reserve(scratch.terms.size());
 
   switch (policy) {
     case OrderPolicy::kDeclared:
-      return expr.relevant_labels(assignment, now);
-
-    case OrderPolicy::kCheapestFirst: {
-      auto labels = expr.relevant_labels(assignment, now);
-      std::stable_sort(labels.begin(), labels.end(),
-                       [&](LabelId a, LabelId b) {
-                         return meta(a).cost < meta(b).cost;
-                       });
-      return labels;
-    }
-
-    case OrderPolicy::kShortCircuit: {
-      std::vector<LabelId> order;
-      for (const auto& d :
-           order_open_disjuncts(expr, assignment, now, meta)) {
-        append_unique(order, d.plan.order);
+    case OrderPolicy::kCheapestFirst:
+    case OrderPolicy::kLongestValidityFirst:
+      // The relevant labels (DnfExpr::relevant_labels), each once.
+      for (const ResolvedTerm& r : scratch.terms) {
+        append_unique(order, r.term.label);
+      }
+      if (policy == OrderPolicy::kDeclared) return order;
+      // Sorted by one metadata key.
+      scratch.terms.clear();
+      for (std::size_t i = 0; i < order.size(); ++i) {
+        scratch.terms.push_back(resolve_term(Term{order[i]}, meta,
+                                             static_cast<std::uint32_t>(i)));
+      }
+      if (policy == OrderPolicy::kCheapestFirst) {
+        cheapest_first_order(scratch.terms);
+      } else {
+        validity_first_order(scratch.terms);
+      }
+      for (std::size_t i = 0; i < order.size(); ++i) {
+        order[i] = scratch.terms[i].term.label;
       }
       return order;
-    }
 
-    case OrderPolicy::kLongestValidityFirst: {
-      auto labels = expr.relevant_labels(assignment, now);
-      std::stable_sort(labels.begin(), labels.end(),
-                       [&](LabelId a, LabelId b) {
-                         return meta(a).validity > meta(b).validity;
-                       });
-      return labels;
-    }
-
+    case OrderPolicy::kShortCircuit:
     case OrderPolicy::kVariationalLvf: {
-      // Decision-driven: pick disjuncts by the OR rule, then order each
-      // disjunct's remaining terms validity-first with cost-improving
-      // rearrangements that stay freshness-feasible for the deadline.
-      std::vector<LabelId> order;
-      for (const auto& d :
-           order_open_disjuncts(expr, assignment, now, meta)) {
-        append_unique(order, variational_lvf_order(Conjunction{d.unknown},
-                                                   meta, now, deadline));
+      // Order each open disjunct's terms by the AND rule and the disjuncts
+      // by the OR rule. Variational LVF then re-orders each disjunct's
+      // terms validity-first, with cost-improving rearrangements that stay
+      // freshness-feasible for the deadline.
+      for (ResolvedTerm& r : scratch.terms) {
+        r = resolve_term(r.term, meta, r.pos);
+      }
+      for (ScoredSpan& d : scratch.open) {
+        d.score = and_rule_order(terms_of(scratch, d));
+      }
+      or_rule_order(scratch.open);
+      for (const ScoredSpan& d : scratch.open) {
+        const auto terms = terms_of(scratch, d);
+        if (policy == OrderPolicy::kVariationalLvf) {
+          variational_lvf_in_place(terms, now, deadline);
+        }
+        for (const ResolvedTerm& r : terms) append_unique(order, r.term.label);
       }
       return order;
     }
   }
   return {};
+}
+
+std::vector<LabelId> plan_retrieval_order(const DnfExpr& expr,
+                                          const Assignment& assignment,
+                                          SimTime now, MetaRef meta,
+                                          OrderPolicy policy,
+                                          SimTime deadline) {
+  PlanScratch scratch;
+  return plan_retrieval_order(expr, assignment, now, meta, policy, deadline,
+                              scratch);
 }
 
 std::optional<LabelId> next_label(const DnfExpr& expr,

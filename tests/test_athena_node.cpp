@@ -1106,6 +1106,31 @@ TEST(AthenaNode, LabelShareOfUnneededLabelsSendsNoReply) {
   EXPECT_EQ(f.athena[0]->active_queries(), 1u);
 }
 
+// A sequential query waiting on its own request decides as soon as another
+// route settles its label: here a LabelShare passing through its origin B,
+// while B's request sits behind the down B—C link and never returns.
+TEST(AthenaNode, LabelSharePassingOriginResolvesQueryWithRequestOutstanding) {
+  auto cfg = config_for(Scheme::kLvfl);
+  cfg.prefetch = false;
+  ASSERT_TRUE(cfg.sequential);
+  Fixture f(cfg);
+  f.net.set_link_up(*f.topo.link_between(f.nodes[1], f.nodes[2]), false);
+  f.net.set_link_up(*f.topo.link_between(f.nodes[2], f.nodes[1]), false);
+  f.athena[1]->query_init(single_label(0), SimTime::seconds(60));
+  f.sim.run_until(SimTime::millis(100));
+  ASSERT_EQ(f.athena[1]->active_queries(), 1u);
+  ASSERT_EQ(f.last_record(1).requests_sent, 1u);
+
+  // The share is bound for C; B caches it on the way and applies it.
+  const SimTime at = f.net.now();
+  inject_at_b(f, LabelShare{{true_value(0, at)}, f.nodes[2]});
+  f.sim.run_until(SimTime::millis(200));
+  EXPECT_EQ(f.athena[1]->active_queries(), 0u);
+  EXPECT_TRUE(f.last_record(1).success);
+  EXPECT_LT(f.last_record(1).finished_at, SimTime::millis(200));
+  EXPECT_EQ(f.last_record(1).requests_sent, 1u);
+}
+
 // The serve walk re-checks an interest only when one of its labels is put,
 // and marks the sources covering that label, so an interest's source must
 // cover every label it carries. A request breaking that aborts at bookmark.

@@ -74,6 +74,37 @@ TEST(Assignment, InvalidateReopens) {
   a.invalidate(LabelId{9});  // unknown labels are a no-op
 }
 
+// Every mutation bumps the version, whether or not it changes a lookup:
+// callers compare versions to skip re-evaluating an unchanged assignment.
+TEST(Assignment, VersionAdvancesOnEveryMutation) {
+  Assignment a;
+  std::uint64_t last = a.version();
+  const auto bumped = [&] {
+    const bool moved = a.version() > last;
+    last = a.version();
+    return moved;
+  };
+  a.set(val(1, Tristate::kTrue));
+  EXPECT_TRUE(bumped()) << "insert";
+  a.set(val(1, Tristate::kTrue));
+  EXPECT_TRUE(bumped()) << "overwrite with the same value";
+  a.set(val(0, Tristate::kFalse));
+  EXPECT_TRUE(bumped()) << "insert before an existing label";
+  a.invalidate(LabelId{1});
+  EXPECT_TRUE(bumped()) << "invalidate a known label";
+  a.invalidate(LabelId{9});
+  EXPECT_TRUE(bumped()) << "invalidate an unknown label";
+  a.clear();
+  EXPECT_TRUE(bumped()) << "clear";
+  a.clear();
+  EXPECT_TRUE(bumped()) << "clear an empty assignment";
+  // Reads never do.
+  (void)a.value_at(LabelId{0}, SimTime::zero());
+  (void)a.record(LabelId{0});
+  (void)a.earliest_expiry(SimTime::zero());
+  EXPECT_FALSE(bumped());
+}
+
 TEST(Assignment, LowerIndexMatchesLowerBound) {
   Rng rng(17);
   for (int trial = 0; trial < 500; ++trial) {
@@ -229,6 +260,19 @@ TEST(DnfExpr, AllLabels) {
   shared.add_disjunct(Conjunction{{{LabelId{1}}, {LabelId{2}}}});
   shared.add_disjunct(Conjunction{{{LabelId{2}}, {LabelId{3}}}});
   EXPECT_EQ(shared.all_labels().size(), 3u);
+}
+
+// all_labels feeds query announces, the uncovered list and traces, so its
+// order is observable: first appearance, across disjuncts too.
+TEST(Expression, AllLabelsKeepsFirstAppearanceOrder) {
+  DnfExpr e;
+  e.add_disjunct(Conjunction{{{LabelId{9}}, {LabelId{4}, true}, {LabelId{9}}}});
+  e.add_disjunct(Conjunction{{{LabelId{2}}, {LabelId{4}}, {LabelId{7}, true}}});
+  e.add_disjunct(Conjunction{{{LabelId{7}}, {LabelId{1}}, {LabelId{2}}}});
+  EXPECT_EQ(e.all_labels(),
+            (std::vector<LabelId>{LabelId{9}, LabelId{4}, LabelId{2},
+                                  LabelId{7}, LabelId{1}}));
+  EXPECT_TRUE(DnfExpr{}.all_labels().empty());
 }
 
 // Property test: Kleene evaluation agrees with classical Boolean evaluation

@@ -4,6 +4,9 @@
 
 #include <algorithm>
 #include <set>
+#include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -290,6 +293,278 @@ TEST(Planner, ShortCircuitFetchesNoMoreThanDeclaredOnAverage) {
     dec_total += run(OrderPolicy::kDeclared);
   }
   EXPECT_LT(sc_total, dec_total);
+}
+
+/// The planner as it stood before the one-pass rewrite: a resolved() check,
+/// then per open disjunct an eval_disjunct, an unknown-term scan, and the
+/// AND-rule and variational LVF orderings over fresh resolved copies, with
+/// metadata looked up per comparison for the single-key policies.
+namespace before {
+
+struct Resolved {
+  Term term;
+  LabelMeta meta;
+  double efficiency = 0.0;
+};
+
+std::vector<Resolved> resolve(std::span<const Term> terms, MetaRef meta) {
+  std::vector<Resolved> out;
+  for (const Term& t : terms) {
+    const LabelMeta m = meta(t.label);
+    const double p = t.negated ? 1.0 - m.p_true : m.p_true;
+    out.push_back(Resolved{t, m, (1.0 - p) / std::max(m.cost, 1e-12)});
+  }
+  return out;
+}
+
+double p_true_of(const Resolved& r) {
+  return r.term.negated ? 1.0 - r.meta.p_true : r.meta.p_true;
+}
+
+double resolved_cost(std::span<const Resolved> terms) {
+  double cost = 0.0;
+  double p_reach = 1.0;
+  std::vector<std::pair<LabelId, bool>> settled;
+  for (const Resolved& r : terms) {
+    const Term& t = r.term;
+    const auto known =
+        std::find_if(settled.begin(), settled.end(),
+                     [&](const auto& kv) { return kv.first == t.label; });
+    if (known == settled.end()) {
+      cost += p_reach * r.meta.cost;
+      p_reach *= p_true_of(r);
+      settled.emplace_back(t.label, !t.negated);
+      continue;
+    }
+    const bool term_true = t.negated ? !known->second : known->second;
+    if (!term_true) break;
+  }
+  return cost;
+}
+
+double resolved_success(std::span<const Resolved> terms) {
+  double p = 1.0;
+  for (const Resolved& r : terms) p *= p_true_of(r);
+  return p;
+}
+
+std::vector<Term> terms_of(const std::vector<Resolved>& resolved) {
+  std::vector<Term> out;
+  for (const Resolved& r : resolved) out.push_back(r.term);
+  return out;
+}
+
+bool resolved_feasible(const std::vector<Resolved>& terms, SimTime start,
+                       SimTime deadline) {
+  if (start > deadline) return false;
+  SimTime finish = start;
+  for (const Resolved& r : terms) {
+    if (r.meta.latency > deadline - finish) return false;
+    finish += r.meta.latency;
+  }
+  SimTime done = start;
+  for (const Resolved& r : terms) {
+    done += r.meta.latency;
+    if (r.meta.validity < finish - done) return false;
+  }
+  return true;
+}
+
+ConjunctionPlan plan_conjunction(const Conjunction& c, MetaRef meta) {
+  auto resolved = resolve(c.terms, meta);
+  std::stable_sort(resolved.begin(), resolved.end(),
+                   [](const Resolved& a, const Resolved& b) {
+                     return a.efficiency > b.efficiency;
+                   });
+  return ConjunctionPlan{terms_of(resolved), resolved_success(resolved),
+                         resolved_cost(resolved)};
+}
+
+std::vector<Term> variational_lvf_order(const Conjunction& c, MetaRef meta,
+                                        SimTime start, SimTime deadline) {
+  auto order = resolve(c.terms, meta);
+  std::stable_sort(order.begin(), order.end(),
+                   [](const Resolved& a, const Resolved& b) {
+                     return a.meta.validity > b.meta.validity;
+                   });
+  if (!resolved_feasible(order, start, deadline)) return terms_of(order);
+  bool changed = true;
+  while (changed) {
+    changed = false;
+    for (std::size_t i = 0; i + 1 < order.size(); ++i) {
+      if (order[i + 1].efficiency <= order[i].efficiency) continue;
+      std::swap(order[i], order[i + 1]);
+      if (resolved_feasible(order, start, deadline)) {
+        changed = true;
+      } else {
+        std::swap(order[i], order[i + 1]);
+      }
+    }
+  }
+  return terms_of(order);
+}
+
+std::vector<Term> unknown_terms(const DnfExpr& expr, std::size_t i,
+                                const Assignment& a, SimTime now) {
+  std::vector<Term> out;
+  for (const Term& t : expr.disjuncts()[i].terms) {
+    if (DnfExpr::eval_term(t, a, now) != Tristate::kUnknown) continue;
+    const bool seen = std::any_of(out.begin(), out.end(), [&](const Term& u) {
+      return u.label == t.label;
+    });
+    if (!seen) out.push_back(t);
+  }
+  return out;
+}
+
+struct OpenDisjunct {
+  std::vector<Term> unknown;
+  ConjunctionPlan plan;
+};
+
+std::vector<OpenDisjunct> order_open_disjuncts(const DnfExpr& expr,
+                                               const Assignment& a,
+                                               SimTime now, MetaRef meta) {
+  std::vector<OpenDisjunct> open;
+  for (std::size_t i = 0; i < expr.disjunct_count(); ++i) {
+    if (expr.eval_disjunct(i, a, now) != Tristate::kUnknown) continue;
+    OpenDisjunct d;
+    d.unknown = unknown_terms(expr, i, a, now);
+    d.plan = before::plan_conjunction(Conjunction{d.unknown}, meta);
+    open.push_back(std::move(d));
+  }
+  std::stable_sort(open.begin(), open.end(),
+                   [](const OpenDisjunct& x, const OpenDisjunct& y) {
+                     return x.plan.success * std::max(y.plan.ecost, 1e-12) >
+                            y.plan.success * std::max(x.plan.ecost, 1e-12);
+                   });
+  return open;
+}
+
+void append_unique(std::vector<LabelId>& order,
+                   const std::vector<Term>& terms) {
+  for (const Term& t : terms) {
+    if (std::find(order.begin(), order.end(), t.label) == order.end()) {
+      order.push_back(t.label);
+    }
+  }
+}
+
+std::vector<LabelId> plan_retrieval_order(const DnfExpr& expr,
+                                          const Assignment& assignment,
+                                          SimTime now, MetaRef meta,
+                                          OrderPolicy policy,
+                                          SimTime deadline) {
+  if (expr.resolved(assignment, now)) return {};
+  switch (policy) {
+    case OrderPolicy::kDeclared:
+      return expr.relevant_labels(assignment, now);
+    case OrderPolicy::kCheapestFirst: {
+      auto labels = expr.relevant_labels(assignment, now);
+      std::stable_sort(labels.begin(), labels.end(),
+                       [&](LabelId a, LabelId b) {
+                         return meta(a).cost < meta(b).cost;
+                       });
+      return labels;
+    }
+    case OrderPolicy::kShortCircuit: {
+      std::vector<LabelId> order;
+      for (const auto& d : order_open_disjuncts(expr, assignment, now, meta)) {
+        append_unique(order, d.plan.order);
+      }
+      return order;
+    }
+    case OrderPolicy::kLongestValidityFirst: {
+      auto labels = expr.relevant_labels(assignment, now);
+      std::stable_sort(labels.begin(), labels.end(),
+                       [&](LabelId a, LabelId b) {
+                         return meta(a).validity > meta(b).validity;
+                       });
+      return labels;
+    }
+    case OrderPolicy::kVariationalLvf: {
+      std::vector<LabelId> order;
+      for (const auto& d : order_open_disjuncts(expr, assignment, now, meta)) {
+        append_unique(order,
+                      before::variational_lvf_order(Conjunction{d.unknown},
+                                                    meta, now, deadline));
+      }
+      return order;
+    }
+  }
+  return {};
+}
+
+}  // namespace before
+
+// Random DNFs of 1–8 disjuncts and 1–12 terms over a small label pool, so
+// labels repeat inside a disjunct (with and without negation) and across
+// disjuncts. Metadata comes from small value sets so every sort key ties
+// often, and some latencies are unreachable. Values are fresh, expired or
+// absent; deadlines run from infeasible to none. One scratch serves every
+// plan, as in a node.
+TEST(Planner, OnePassMatchesPreChangePlanner) {
+  Rng rng(1919);
+  const SimTime now = SimTime::seconds(20);
+  const std::vector<OrderPolicy> policies{
+      OrderPolicy::kDeclared, OrderPolicy::kCheapestFirst,
+      OrderPolicy::kShortCircuit, OrderPolicy::kLongestValidityFirst,
+      OrderPolicy::kVariationalLvf};
+  const double costs[] = {0.5, 1.0, 2.0, 4.0};
+  const double p_trues[] = {0.0, 0.1, 0.5, 0.9, 1.0};
+  const double validities[] = {1.0, 5.0, 30.0, 300.0};
+  PlanScratch scratch;
+  std::size_t resolved_cases = 0;
+  for (int trial = 0; trial < 3000; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const std::size_t n = 1 + rng.below(16);
+    DnfExpr e;
+    for (std::size_t d = 0, nd = 1 + rng.below(8); d < nd; ++d) {
+      Conjunction c;
+      for (std::size_t t = 0, k = 1 + rng.below(12); t < k; ++t) {
+        c.terms.push_back(Term{LabelId{rng.below(n)}, rng.chance(0.3)});
+      }
+      e.add_disjunct(std::move(c));
+    }
+    MetaTable meta;
+    Assignment a;
+    for (std::size_t i = 0; i < n; ++i) {
+      const SimTime latency =
+          rng.chance(0.05) ? SimTime::max()
+                           : SimTime::seconds(0.5 * static_cast<double>(
+                                                        1 + rng.below(4)));
+      meta.set(LabelId{i},
+               LabelMeta{costs[rng.below(4)], latency, p_trues[rng.below(5)],
+                         SimTime::seconds(validities[rng.below(4)])});
+      const std::uint64_t kind = rng.below(3);  // absent, fresh, expired
+      if (kind == 0) continue;
+      LabelValue v = val(i, rng.chance(0.5) ? Tristate::kTrue
+                                            : Tristate::kFalse);
+      v.validity = kind == 1 ? SimTime::seconds(100) : SimTime::seconds(10);
+      a.set(v);
+    }
+    const SimTime deadlines[] = {now - SimTime::seconds(1), now,
+                                 now + SimTime::seconds(2),
+                                 now + SimTime::seconds(20),
+                                 SimTime::max()};
+    const SimTime deadline = deadlines[rng.below(5)];
+    const bool resolved = e.resolved(a, now);
+    resolved_cases += resolved ? 1 : 0;
+    for (OrderPolicy policy : policies) {
+      SCOPED_TRACE("policy " + std::to_string(static_cast<int>(policy)));
+      const auto want =
+          before::plan_retrieval_order(e, a, now, meta.fn(), policy, deadline);
+      const auto got = plan_retrieval_order(e, a, now, meta.fn(), policy,
+                                            deadline, scratch);
+      ASSERT_EQ(got, want);
+      EXPECT_EQ(got.empty(), resolved);
+      EXPECT_EQ(plan_retrieval_order(e, a, now, meta.fn(), policy, deadline),
+                want);
+    }
+  }
+  // Both sides of the emptiness check were exercised.
+  EXPECT_GT(resolved_cases, 100u);
+  EXPECT_LT(resolved_cases, 2900u);
 }
 
 TEST(PriorEstimator, UninformativeStart) {

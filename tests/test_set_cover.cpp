@@ -5,6 +5,9 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <string>
+#include <unordered_map>
+#include <vector>
 
 #include "common/rng.h"
 
@@ -149,6 +152,110 @@ TEST(SetCover, GreedyAlwaysCoversWhenPossibleAndExactIsNeverWorse) {
   EXPECT_GT(coverable, 100);
   // Greedy is usually close to optimal in practice.
   EXPECT_LT(ratio_sum / coverable, 1.3);
+}
+
+/// The solvers as they stood before the flat form: densify() maps the
+/// universe to dense bit positions through a hash map and copies every set.
+namespace before {
+
+struct DenseInstance {
+  std::size_t n = 0;
+  std::vector<std::vector<std::size_t>> sets;
+  std::vector<double> costs;
+};
+
+DenseInstance densify(const CoverInstance& in) {
+  DenseInstance d;
+  std::unordered_map<std::uint32_t, std::size_t> pos;
+  for (std::uint32_t e : in.universe) pos.try_emplace(e, pos.size());
+  d.n = pos.size();
+  for (const auto& s : in.sets) {
+    std::vector<std::size_t> bits;
+    for (std::uint32_t e : s.elements) {
+      auto it = pos.find(e);
+      if (it != pos.end()) bits.push_back(it->second);
+    }
+    std::sort(bits.begin(), bits.end());
+    bits.erase(std::unique(bits.begin(), bits.end()), bits.end());
+    d.sets.push_back(std::move(bits));
+    d.costs.push_back(s.cost);
+  }
+  return d;
+}
+
+CoverResult greedy_cover(const CoverInstance& instance) {
+  const DenseInstance d = densify(instance);
+  CoverResult result;
+  std::vector<bool> covered(d.n, false);
+  std::size_t remaining = d.n;
+  std::vector<bool> used(d.sets.size(), false);
+  while (remaining > 0) {
+    double best_ratio = -1.0;
+    std::size_t best = d.sets.size();
+    for (std::size_t i = 0; i < d.sets.size(); ++i) {
+      if (used[i]) continue;
+      std::size_t gain = 0;
+      for (std::size_t b : d.sets[i]) {
+        if (!covered[b]) ++gain;
+      }
+      if (gain == 0) continue;
+      const double ratio =
+          static_cast<double>(gain) / std::max(d.costs[i], 1e-12);
+      if (ratio > best_ratio) {
+        best_ratio = ratio;
+        best = i;
+      }
+    }
+    if (best == d.sets.size()) break;
+    used[best] = true;
+    result.chosen.push_back(best);
+    result.cost += d.costs[best];
+    for (std::size_t b : d.sets[best]) {
+      if (!covered[b]) {
+        covered[b] = true;
+        --remaining;
+      }
+    }
+  }
+  result.covered = remaining == 0;
+  std::sort(result.chosen.begin(), result.chosen.end());
+  return result;
+}
+
+}  // namespace before
+
+// Random instances with repeated elements inside a set and in the universe,
+// elements outside the universe, equal and near-zero costs, empty sets, and
+// universe elements no set covers.
+TEST(SetCover, GreedyMatchesPreChangeForm) {
+  Rng rng(4242);
+  const double costs[] = {1e-15, 0.5, 1.0, 1.0, 2.0, 3.5};
+  int uncoverable = 0;
+  for (int trial = 0; trial < 2000; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    CoverInstance inst;
+    for (std::size_t k = 0, n = rng.below(14); k < n; ++k) {
+      inst.universe.push_back(static_cast<std::uint32_t>(3 * rng.below(12)));
+    }
+    for (std::size_t s = 0, n = rng.below(12); s < n; ++s) {
+      CoverSet set;
+      set.cost = costs[rng.below(6)];
+      for (std::size_t k = 0, m = rng.below(8); k < m; ++k) {
+        // Multiples of 3 up to 33 can be in the universe; 40 never is.
+        set.elements.push_back(static_cast<std::uint32_t>(
+            rng.chance(0.1) ? 40 : 3 * rng.below(12)));
+      }
+      inst.sets.push_back(std::move(set));
+    }
+    const auto got = greedy_cover(inst);
+    const auto want = before::greedy_cover(inst);
+    EXPECT_EQ(got.chosen, want.chosen);
+    EXPECT_EQ(got.cost, want.cost);
+    EXPECT_EQ(got.covered, want.covered);
+    uncoverable += want.covered ? 0 : 1;
+  }
+  EXPECT_GT(uncoverable, 100);
+  EXPECT_LT(uncoverable, 1900);
 }
 
 TEST(SetCover, CostsAreConsistent) {
