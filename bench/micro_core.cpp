@@ -8,7 +8,9 @@
 #include <benchmark/benchmark.h>
 
 #include <cmath>
+#include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/stats.h"
@@ -303,6 +305,64 @@ void BM_AthenaQueryInitResolve(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_AthenaQueryInitResolve);
+
+/// One decision whose evidence lives five hops away: a line of six nodes
+/// with an 8-segment sensor at the far end. Each query is issued after the
+/// previous capture, and the labels annotated from it, expired, so its
+/// request crosses every hop, a fresh object comes back through five relay
+/// caches, and the origin's label share travels back to the host.
+void BM_ObjectRelay(benchmark::State& state) {
+  world::GridMap map{4, 4};
+  world::ViabilityProcess truth(
+      std::vector<world::SegmentDynamics>(
+          map.segment_count(), world::SegmentDynamics{1.0, SimTime::seconds(1e7)}),
+      Rng(15));
+  world::SensorInfo s0;
+  s0.id = SourceId{0};
+  s0.name = naming::Name::parse("/b/far");
+  std::unordered_map<LabelId, double> p_true;
+  for (std::uint64_t seg = 0; seg < 8; ++seg) {
+    s0.covers.push_back(SegmentId{seg});
+    p_true.emplace(LabelId{seg}, 0.9);
+  }
+  s0.object_bytes = 100 * 1024;
+  s0.validity = SimTime::seconds(1);
+  world::SensorField field(map, truth, {s0});
+  net::Topology topo;
+  std::vector<NodeId> line;
+  for (int i = 0; i < 6; ++i) line.push_back(topo.add_node());
+  for (std::size_t i = 1; i < line.size(); ++i) {
+    topo.add_link(line[i - 1], line[i], 1e8, SimTime::millis(1));
+  }
+  topo.compute_routes();
+  des::Simulator sim;
+  net::Network net(sim, topo);
+  athena::Directory dir(topo, field, {line.back()}, std::move(p_true));
+  athena::AthenaMetrics metrics;
+  std::vector<std::unique_ptr<athena::AthenaNode>> nodes;
+  for (const NodeId n : line) {
+    nodes.push_back(std::make_unique<athena::AthenaNode>(
+        n, net, dir, field, config_for(athena::Scheme::kLvfl), metrics));
+  }
+  decision::DnfExpr expr;
+  expr.add_disjunct(decision::Conjunction{{decision::Term{LabelId{3}, false}}});
+  SimTime issue_at = SimTime::zero();
+  for (auto _ : state) {
+    issue_at = issue_at + SimTime::seconds(2);
+    sim.schedule_at(issue_at, [&] {
+      benchmark::DoNotOptimize(nodes.front()->query_init(expr, SimTime::seconds(1)));
+    });
+    sim.run_until(issue_at + SimTime::seconds(1));
+  }
+  if (metrics.queries_resolved != metrics.queries_issued ||
+      metrics.sensor_samples != metrics.queries_issued ||
+      metrics.label_bytes == 0) {
+    state.SkipWithError(
+        "BM_ObjectRelay: a query did not fetch a fresh capture and share it");
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ObjectRelay);
 
 void BM_GreedySetCover(benchmark::State& state) {
   Rng rng(7);

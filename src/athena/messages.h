@@ -17,8 +17,17 @@
 // bytes are billed to (kBilledTo); AthenaNode::send_msg reads both from the
 // type. Object replies weigh the object's bytes instead and are billed to
 // push_bytes or object_bytes.
+//
+// Payloads that travel unchanged hop by hop are shared, not copied: an
+// object reply holds the capture's ObjectRef, and label shares and replies
+// hold a LabelBatch, so forwarding one bumps a reference count.
 #pragma once
 
+#include <cstddef>
+#include <initializer_list>
+#include <memory>
+#include <span>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -30,6 +39,33 @@
 #include "world/evidence.h"
 
 namespace dde::athena {
+
+/// An immutable batch of label values, shared by every hop and copy of the
+/// message carrying it. A default batch is empty.
+class LabelBatch {
+ public:
+  LabelBatch() = default;
+  // Implicit, so a message can be built from a vector or a brace list.
+  LabelBatch(std::vector<decision::LabelValue> values)
+      : values_(std::make_shared<const std::vector<decision::LabelValue>>(
+            std::move(values))) {}
+  LabelBatch(std::initializer_list<decision::LabelValue> values)
+      : LabelBatch(std::vector<decision::LabelValue>(values)) {}
+
+  [[nodiscard]] std::span<const decision::LabelValue> view() const noexcept {
+    if (!values_) return {};
+    return {values_->data(), values_->size()};
+  }
+  [[nodiscard]] const decision::LabelValue* begin() const noexcept {
+    return view().data();
+  }
+  [[nodiscard]] const decision::LabelValue* end() const noexcept {
+    return view().data() + view().size();
+  }
+
+ private:
+  std::shared_ptr<const std::vector<decision::LabelValue>> values_;
+};
 
 /// A query's footprint announced to neighbors for prefetching.
 struct QueryAnnounce {
@@ -64,7 +100,7 @@ struct ObjectRequest {
 
 /// An evidence object travelling back toward requesters.
 struct ObjectReply {
-  world::EvidenceObject object;
+  world::ObjectRef object;  ///< never null
   QueryId query;       ///< query that triggered it (informational)
   NodeId origin;       ///< for prefetch pushes: node to push toward
   bool prefetch_push = false;
@@ -82,7 +118,7 @@ struct ObjectReply {
 struct LabelShare {
   static constexpr auto kSize = &AthenaConfig::label_bytes;
   static constexpr auto kBilledTo = &AthenaMetrics::label_bytes;
-  std::vector<decision::LabelValue> values;
+  LabelBatch values;
   NodeId toward;  ///< host node of the producing source
 };
 
@@ -103,7 +139,7 @@ struct Invalidation {
 struct LabelReply {
   static constexpr auto kSize = &AthenaConfig::label_bytes;
   static constexpr auto kBilledTo = &AthenaMetrics::label_bytes;
-  std::vector<decision::LabelValue> values;
+  LabelBatch values;
   QueryId query;
   NodeId origin;     ///< requester the reply travels to
   SourceId source;   ///< the source whose request this answers

@@ -19,25 +19,6 @@ std::uint64_t prefetch_key(NodeId origin, SourceId s) noexcept {
   return origin.value() * 1000003ULL + s.value();
 }
 
-/// Keys of an unordered map/set in ascending order. Iterating hash tables
-/// directly would make trace emission and event scheduling depend on the
-/// standard library's bucket layout; every order-sensitive walk in this file
-/// goes through an ordered container or a sorted key vector instead.
-template <typename Container>
-std::vector<typename Container::key_type> sorted_keys(const Container& c) {
-  std::vector<typename Container::key_type> keys;
-  keys.reserve(c.size());
-  for (const auto& entry : c) {  // lint: ordered-fold — keys sorted below
-    if constexpr (requires { entry.first; }) {
-      keys.push_back(entry.first);
-    } else {
-      keys.push_back(entry);
-    }
-  }
-  std::sort(keys.begin(), keys.end());
-  return keys;
-}
-
 }  // namespace
 
 void AthenaNode::trace(obs::EventKind kind, QueryId query,
@@ -196,17 +177,16 @@ std::vector<decision::LabelValue> AthenaNode::annotate(
     const world::EvidenceObject& obj) const {
   std::vector<decision::LabelValue> values;
   values.reserve(obj.readings.size());
-  // Sorted segment order: the values vector feeds label-share payloads and
-  // per-query settle traces, so its order must not depend on hash layout.
-  for (const auto segment : sorted_keys(obj.readings)) {
-    const bool viable = obj.readings.at(segment);
+  // Ascending segment order: the values feed label-share payloads and
+  // per-query settle traces.
+  for (const world::Reading& r : obj.readings) {
     decision::LabelValue v;
-    v.label = LabelId{segment.value()};
-    v.value = to_tristate(viable);
+    v.label = LabelId{r.segment.value()};
+    v.value = to_tristate(r.viable);
     v.evaluated_at = obj.captured_at;
     v.validity = obj.validity;
     v.annotator = AnnotatorId{id_.value()};
-    v.evidence = {obj.id};
+    v.evidence.push_back(obj.id);
     values.push_back(std::move(v));
   }
   return values;
@@ -217,17 +197,20 @@ std::vector<decision::LabelValue> AthenaNode::corroborate(
   const SimTime now = net_.now();
   std::vector<decision::LabelValue> decided;
   if (!obj.fresh_at(now)) return decided;  // expired observations are void
-  // Sorted segment order: decided labels flow into shares and settle traces.
-  for (const auto segment : sorted_keys(obj.readings)) {
-    const bool reading = obj.readings.at(segment);
-    const LabelId label{segment.value()};
+  // Ascending segment order: decided labels flow into shares and settle
+  // traces.
+  for (const world::Reading& reading : obj.readings) {
+    const LabelId label{reading.segment.value()};
     auto& entry = beliefs_[label];
     if (now >= entry.window_expires) entry = BeliefEntry{};  // window over
-    if (!entry.observed.insert(obj.id).second) continue;  // already counted
+    auto& observed = entry.observed;
+    const auto at = std::lower_bound(observed.begin(), observed.end(), obj.id);
+    if (at != observed.end() && *at == obj.id) continue;  // already counted
+    observed.insert(at, obj.id);
     // Clamp into the informative range; a reliability at or below 0.5
     // carries no information.
     const double r = std::clamp(obj.reliability, 0.5, 0.999);
-    entry.belief.observe(reading, r);
+    entry.belief.observe(reading.viable, r);
     entry.window_expires = std::min(entry.window_expires, obj.expires_at());
     const Tristate verdict =
         entry.belief.decided(config_.corroboration_confidence);
@@ -238,7 +221,7 @@ std::vector<decision::LabelValue> AthenaNode::corroborate(
     v.evaluated_at = now;
     v.validity = entry.window_expires - now;
     v.annotator = AnnotatorId{id_.value()};
-    v.evidence = sorted_keys(entry.observed);
+    for (const ObjectId id : observed) v.evidence.push_back(id);
     decided.push_back(std::move(v));
   }
   return decided;
@@ -274,7 +257,7 @@ SourceId AthenaNode::next_corroborating_source(const QueryState& q,
 }
 
 void AthenaNode::apply_labels_to_queries(
-    const std::vector<decision::LabelValue>& values) {
+    std::span<const decision::LabelValue> values) {
   // Issue order: each fill emits a kLabelSettle trace event.
   for (const auto& [qid, slot] : queries_) {
     QueryState& q = query_pool_.at(slot);
@@ -325,7 +308,7 @@ void AthenaNode::deliver_object(const world::EvidenceObject& obj) {
 
     // Share newly evaluated labels back into the network (Sec. VI-D).
     if (config_.label_sharing && !fresher.empty()) {
-      share_labels(fresher, obj.source);
+      share_labels(std::move(fresher), obj.source);
     }
   }
 
@@ -462,7 +445,7 @@ void AthenaNode::advance(QueryState& q) {
           // schedule the retry for then.
           if (const auto* cached = object_cache_.peek(source, net_.now())) {
             corroboration_retry =
-                std::min(corroboration_retry, cached->expires_at());
+                std::min(corroboration_retry, (*cached)->expires_at());
           }
           continue;
         }
@@ -775,8 +758,9 @@ void AthenaNode::handle(NodeId from, const ObjectRequest& r) {
   // Object service from cache or a hosted sensor.
   if (auto obj = local_object(r.source)) {
     if (!hosts(r.source)) ++metrics_.object_cache_hits;
-    const ObjectReply reply{*obj, r.query, r.origin, /*prefetch_push=*/false,
-                            reply_group_for(r), r.priority};
+    const ObjectReply reply{std::move(obj), r.query, r.origin,
+                            /*prefetch_push=*/false, reply_group_for(r),
+                            r.priority};
     send_msg(from, reply, r.priority);
     replicate(reply, from, r.origin);
     return;
@@ -793,7 +777,7 @@ void AthenaNode::handle(NodeId from, const ObjectRequest& r) {
       if (cached == nullptr) continue;
       const bool covers_all = std::all_of(
           r.labels.begin(), r.labels.end(), [&](LabelId l) {
-            return cached->readings.contains(SegmentId{l.value()});
+            return (*cached)->reading(SegmentId{l.value()}) != nullptr;
           });
       if (!covers_all) continue;
       ++metrics_.substitutions;
@@ -895,7 +879,7 @@ void AthenaNode::replicate(const Msg& m, NodeId primary_next, NodeId dest) {
 
 void AthenaNode::handle(NodeId /*from*/, const ObjectReply& r) {
   const SimTime now = net_.now();
-  const world::EvidenceObject& obj = r.object;
+  const world::EvidenceObject& obj = *r.object;
 
   // Multipath: drop later copies of a replicated reply before caching so
   // each node processes (and forwards) a group's reply exactly once.
@@ -906,7 +890,7 @@ void AthenaNode::handle(NodeId /*from*/, const ObjectReply& r) {
 
   // Cache along the way (Sec. VI-C).
   if (obj.fresh_at(now)) {
-    object_cache_.put(obj.source, obj, obj.expires_at(), now);
+    object_cache_.put(obj.source, r.object, obj.expires_at(), now);
   }
   forwarded_.erase(obj.source.value());
 
@@ -927,7 +911,7 @@ void AthenaNode::handle(NodeId /*from*/, const ObjectReply& r) {
     } else if (sent_to.insert(e.from)) {
       // A background push yields to every foreground class at link queues.
       send_msg(e.from,
-               ObjectReply{obj, e.query, e.origin, r.prefetch_push,
+               ObjectReply{r.object, e.query, e.origin, r.prefetch_push,
                            r.replica_group, e.priority},
                r.prefetch_push ? -1 : e.priority);
       forwarded_any = true;
@@ -937,7 +921,8 @@ void AthenaNode::handle(NodeId /*from*/, const ObjectReply& r) {
   // A prefetch push keeps moving toward the query origin even without
   // interests (Fig. 1: the source pushes u all the way to the requester).
   if (r.prefetch_push && !forwarded_any && r.origin != id_) {
-    send_toward(r.origin, ObjectReply{obj, r.query, r.origin, true, 0, -1}, -1);
+    send_toward(r.origin,
+                ObjectReply{r.object, r.query, r.origin, true, 0, -1}, -1);
   }
 
   // A replica copy travelling an alternate path crosses nodes that never
@@ -1012,7 +997,7 @@ void AthenaNode::handle(NodeId /*from*/, const LabelReply& r) {
     if (v.expires_at() > now) cache_label(v, now);
   }
   if (r.origin == id_) {
-    apply_labels_to_queries(r.values);
+    apply_labels_to_queries(r.values.view());
     for (const auto& [qid, slot] : queries_) {
       query_pool_.at(slot).outstanding.erase(r.source);
     }
@@ -1022,10 +1007,10 @@ void AthenaNode::handle(NodeId /*from*/, const LabelReply& r) {
   }
 }
 
-void AthenaNode::share_labels(const std::vector<decision::LabelValue>& values,
+void AthenaNode::share_labels(std::vector<decision::LabelValue> values,
                               SourceId produced_by) {
   const NodeId toward = directory_.host(produced_by);
-  send_toward(toward, LabelShare{values, toward});
+  send_toward(toward, LabelShare{std::move(values), toward});
 }
 
 void AthenaNode::broadcast_invalidation(const std::vector<LabelId>& labels) {
@@ -1065,12 +1050,11 @@ void AthenaNode::apply_invalidation(const std::vector<LabelId>& labels) {
     beliefs_.erase(l);
   }
   // Objects whose readings evidence any invalidated label are void too.
-  object_cache_.erase_if([&](SourceId, const world::EvidenceObject& obj) {
-    // lint: ordered-fold — pure any-of over readings, commutative.
-    for (const auto& [segment, value] : obj.readings) {
-      if (set.contains(LabelId{segment.value()})) return true;
-    }
-    return false;
+  object_cache_.erase_if([&](SourceId, const world::ObjectRef& obj) {
+    return std::any_of(obj->readings.begin(), obj->readings.end(),
+                       [&](const world::Reading& r) {
+                         return set.contains(LabelId{r.segment.value()});
+                       });
   });
   // Re-open affected decisions, in issue order.
   std::vector<QueryState*> affected;
@@ -1126,7 +1110,7 @@ void AthenaNode::pump_prefetch() {
       if (item.push) {
         if (auto obj = local_object(item.source)) {
           if (send_toward(item.origin,
-                          ObjectReply{*obj, item.query, item.origin,
+                          ObjectReply{std::move(obj), item.query, item.origin,
                                       /*prefetch_push=*/true, 0, -1},
                           /*priority=*/-1)) {
             ++metrics_.prefetch_pushes;
@@ -1323,16 +1307,14 @@ void AthenaNode::run_gc() {
 // Local object service
 // ---------------------------------------------------------------------------
 
-std::optional<world::EvidenceObject> AthenaNode::local_object(SourceId source) {
+world::ObjectRef AthenaNode::local_object(SourceId source) {
   const SimTime now = net_.now();
   if (const auto* obj = object_cache_.peek(source, now)) return *obj;
-  if (hosts(source)) {
-    world::EvidenceObject obj = field_.sample(source, now);
-    ++metrics_.sensor_samples;
-    object_cache_.put(source, obj, obj.expires_at(), now);
-    return obj;
-  }
-  return std::nullopt;
+  if (!hosts(source)) return nullptr;
+  world::ObjectRef obj = field_.sample(source, now);
+  ++metrics_.sensor_samples;
+  object_cache_.put(source, obj, obj->expires_at(), now);
+  return obj;
 }
 
 void AthenaNode::cache_label(const decision::LabelValue& v, SimTime now) {
@@ -1384,7 +1366,7 @@ void AthenaNode::send_msg(NodeId next, Message msg, int priority) {
       [this]<typename T>(const T& m) {
         if constexpr (std::is_same_v<T, ObjectReply>) {
           ++metrics_.object_reply_hops;
-          return Bill{m.object.bytes, m.prefetch_push
+          return Bill{m.object->bytes, m.prefetch_push
                                           ? &AthenaMetrics::push_bytes
                                           : &AthenaMetrics::object_bytes};
         } else {

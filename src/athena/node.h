@@ -18,6 +18,7 @@
 #include <limits>
 #include <map>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -148,6 +149,18 @@ class AthenaNode {
     return label_cache_.stats();
   }
 
+  // --- cache inspection (observation only: no stats or LRU effects) ------
+  /// The fresh object cached for `source`, or null.
+  [[nodiscard]] world::ObjectRef cached_object(SourceId source) const {
+    const world::ObjectRef* obj = object_cache_.peek(source, net_.now());
+    return obj != nullptr ? *obj : nullptr;
+  }
+  /// The fresh value cached for `label`, or nullptr. Valid until the node
+  /// next handles an event.
+  [[nodiscard]] const decision::LabelValue* cached_label(LabelId label) const {
+    return label_cache_.peek(label, net_.now());
+  }
+
   // --- state residency (observability + leak tests) ----------------------
   /// Interest-table entries currently held. Expired entries count until
   /// the GC sweep or an access to the same source prunes them.
@@ -265,7 +278,7 @@ class AthenaNode {
   /// Apply label values to every active query's assignment. Each value is
   /// accepted only if this node trusts its annotator and it is fresher
   /// than what the assignment already holds.
-  void apply_labels_to_queries(const std::vector<decision::LabelValue>& values);
+  void apply_labels_to_queries(std::span<const decision::LabelValue> values);
   void finish(QueryState& q, bool success, bool shed = false,
               bool crashed = false);
   /// True if even the quickest remaining retrieval for `order`'s labels
@@ -274,7 +287,7 @@ class AthenaNode {
   [[nodiscard]] bool deadline_infeasible(const QueryState& q,
                                          const std::vector<LabelId>& order,
                                          SimTime now) const;
-  void share_labels(const std::vector<decision::LabelValue>& values,
+  void share_labels(std::vector<decision::LabelValue> values,
                     SourceId produced_by);
 
   // --- forwarding / serving ----------------------------------------------
@@ -325,9 +338,8 @@ class AthenaNode {
   void run_gc();
 
   /// Fresh object for `source` from cache, or — if this node hosts the
-  /// sensor — a fresh sample. nullopt otherwise.
-  [[nodiscard]] std::optional<world::EvidenceObject> local_object(
-      SourceId source);
+  /// sensor — a fresh sample. Null otherwise.
+  [[nodiscard]] world::ObjectRef local_object(SourceId source);
 
   [[nodiscard]] bool hosts(SourceId source) const {
     return directory_.host(source) == id_;
@@ -392,7 +404,7 @@ class AthenaNode {
   std::vector<QueryRecord> records_;
   std::uint64_t next_query_ = 0;
 
-  cache::TtlCache<SourceId, world::EvidenceObject> object_cache_;
+  cache::TtlCache<SourceId, world::ObjectRef> object_cache_;
   cache::TtlCache<LabelId, decision::LabelValue> label_cache_;
 
   /// source.value() → interests waiting on that source. Flat table; all
@@ -416,7 +428,7 @@ class AthenaNode {
   struct BeliefEntry {
     fusion::LabelBelief belief;
     SimTime window_expires = SimTime::max();
-    std::unordered_set<ObjectId> observed;
+    std::vector<ObjectId> observed;  ///< ascending
   };
   std::unordered_map<LabelId, BeliefEntry> beliefs_;
   /// Object ids already annotated/corroborated at this node. Re-delivering

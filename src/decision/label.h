@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "common/arena.h"
 #include "common/ids.h"
 #include "common/sim_time.h"
 #include "common/tristate.h"
@@ -28,13 +29,15 @@ struct LabelInfo {
 };
 
 /// A resolved label value with provenance (the paper's signed-label record).
+/// Copying one allocates nothing unless it lists more than one evidence
+/// object (corroboration).
 struct LabelValue {
   LabelId label;
   Tristate value = Tristate::kUnknown;
   SimTime evaluated_at;               ///< when the annotation was made
   SimTime validity;                   ///< freshness interval of the value
   AnnotatorId annotator;              ///< who evaluated (signature)
-  std::vector<ObjectId> evidence;     ///< objects used to decide the value
+  SmallVec<ObjectId, 1> evidence;     ///< objects used, ascending
 
   [[nodiscard]] SimTime expires_at() const noexcept {
     return evaluated_at + validity;

@@ -5,10 +5,14 @@
 // with a validity interval after which it is stale (Sec. II-B, IV).
 // Object payloads (the "pictures") are represented by their size only; the
 // resource-management layer never looks inside them.
+//
+// A captured object never changes, so it is made once and shared: every
+// cache, reply and hop along its path holds the same ObjectRef.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <unordered_map>
+#include <memory>
 #include <vector>
 
 #include "common/ids.h"
@@ -37,6 +41,12 @@ struct SensorInfo {
   double reliability = 1.0;
 };
 
+/// One covered segment's viability as an object recorded it.
+struct Reading {
+  SegmentId segment;
+  bool viable = false;
+};
+
 /// One captured evidence object: a snapshot of covered-segment viability.
 struct EvidenceObject {
   ObjectId id;
@@ -47,9 +57,18 @@ struct EvidenceObject {
   SimTime validity;         ///< fresh while now < captured_at + validity
   double reliability = 1.0; ///< per-reading correctness probability
 
-  /// Ground-truth viability of each covered segment at captured_at.
-  /// An annotator reads these to produce labels.
-  std::unordered_map<SegmentId, bool> readings;
+  /// Ground-truth viability of each covered segment at captured_at, one
+  /// entry per segment, ascending by segment. An annotator reads these to
+  /// produce labels.
+  std::vector<Reading> readings;
+
+  /// The reading of `segment`, or nullptr if the object does not cover it.
+  [[nodiscard]] const Reading* reading(SegmentId segment) const noexcept {
+    const auto it = std::lower_bound(
+        readings.begin(), readings.end(), segment,
+        [](const Reading& r, SegmentId s) { return r.segment < s; });
+    return it != readings.end() && it->segment == segment ? &*it : nullptr;
+  }
 
   [[nodiscard]] SimTime expires_at() const noexcept {
     return captured_at + validity;
@@ -58,5 +77,8 @@ struct EvidenceObject {
     return t < expires_at();
   }
 };
+
+/// A captured object, shared immutably by everything that holds it.
+using ObjectRef = std::shared_ptr<const EvidenceObject>;
 
 }  // namespace dde::world

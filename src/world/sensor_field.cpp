@@ -94,22 +94,29 @@ std::vector<SegmentId> SensorField::covered_segments() const {
   return out;
 }
 
-EvidenceObject SensorField::sample(SourceId id, SimTime now) {
+ObjectRef SensorField::sample(SourceId id, SimTime now) {
   const SensorInfo& s = sensor(id);
-  EvidenceObject obj;
-  obj.id = ObjectId{samples_};
-  obj.source = id;
-  obj.name = s.name.child("capture" + std::to_string(samples_));
-  obj.bytes = s.object_bytes;
-  obj.captured_at = now;
-  obj.validity = s.validity;
-  obj.reliability = s.reliability;
+  auto obj = std::make_shared<EvidenceObject>();
+  obj->id = ObjectId{samples_};
+  obj->source = id;
+  obj->name = s.name.child("capture" + std::to_string(samples_));
+  obj->bytes = s.object_bytes;
+  obj->captured_at = now;
+  obj->validity = s.validity;
+  obj->reliability = s.reliability;
+  obj->readings.reserve(s.covers.size());
   for (SegmentId seg : s.covers) {
     bool reading = truth_.viable_at(seg, now);
     if (s.reliability < 1.0 && !noise_rng_.chance(s.reliability)) {
       reading = !reading;  // sensor error
     }
-    obj.readings.emplace(seg, reading);
+    auto& readings = obj->readings;
+    const auto it = std::lower_bound(
+        readings.begin(), readings.end(), seg,
+        [](const Reading& r, SegmentId key) { return r.segment < key; });
+    if (it == readings.end() || it->segment != seg) {
+      readings.insert(it, Reading{seg, reading});
+    }
   }
   ++samples_;
   return obj;

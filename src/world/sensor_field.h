@@ -2,7 +2,6 @@
 #pragma once
 
 #include <cstddef>
-#include <optional>
 #include <vector>
 
 #include "common/ids.h"
@@ -59,8 +58,10 @@ class SensorField {
 
   /// Capture a fresh evidence object from `sensor` at time `now`. If the
   /// sensor's reliability is below 1, each reading is independently flipped
-  /// with probability (1 − reliability).
-  [[nodiscard]] EvidenceObject sample(SourceId sensor, SimTime now);
+  /// with probability (1 − reliability). A segment listed twice in the
+  /// sensor's covers is read (and noise-drawn) each time; its first reading
+  /// is kept.
+  [[nodiscard]] ObjectRef sample(SourceId sensor, SimTime now);
 
   /// Number of samples taken so far (across all sensors).
   [[nodiscard]] std::uint64_t total_samples() const noexcept { return samples_; }

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <any>
 #include <memory>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "athena/directory.h"
@@ -842,6 +845,59 @@ TEST(AthenaNodeNoisy, LocalCorroborationResolvesWithoutNetwork) {
   EXPECT_GE(f.metrics.sensor_samples, 2u);
 }
 
+// A label's provenance lists the objects it was computed from: the one
+// annotated object, or every observation a corroborated verdict counted, in
+// ascending order.
+TEST(AthenaNode, LabelEvidenceListsItsObjects) {
+  {
+    SCOPED_TRACE("annotation");
+    Fixture f;
+    f.athena[2]->query_init(single_label(0), SimTime::seconds(30));
+    const world::ObjectRef obj = f.athena[2]->cached_object(SourceId{0});
+    ASSERT_NE(obj, nullptr);
+    for (const std::uint64_t l : {0, 1}) {
+      const decision::LabelValue* v = f.athena[2]->cached_label(LabelId{l});
+      ASSERT_NE(v, nullptr);
+      ASSERT_EQ(v->evidence.size(), 1u);
+      EXPECT_EQ(v->evidence[0], obj->id);
+    }
+  }
+  {
+    SCOPED_TRACE("corroboration");
+    auto cfg = config_for(Scheme::kLvfl);
+    cfg.corroboration_confidence = 0.9;
+    cfg.prefetch = false;
+    NoisyFixture f(cfg);
+    // Every sensor is local to C; step until the belief clears 0.9, then
+    // read the cached verdict while it is fresh.
+    f.athena[2]->query_init(single_label(0), SimTime::seconds(300));
+    for (int t = 1; t <= 300 && f.metrics.queries_resolved == 0; ++t) {
+      f.sim.run_until(SimTime::seconds(t));
+    }
+    ASSERT_EQ(f.metrics.queries_resolved, 1u);
+    const decision::LabelValue* v = f.athena[2]->cached_label(LabelId{0});
+    ASSERT_NE(v, nullptr);
+    // One 0.75-reliable reading cannot reach 0.9: the verdict counted at
+    // least two observations, so the inline evidence slot spilled.
+    ASSERT_GE(v->evidence.size(), 2u);
+    std::vector<ObjectId> current;
+    for (std::uint64_t s = 0; s < 3; ++s) {
+      if (const auto obj = f.athena[2]->cached_object(SourceId{s})) {
+        current.push_back(obj->id);
+      }
+    }
+    for (std::size_t i = 0; i < v->evidence.size(); ++i) {
+      if (i > 0) {
+        EXPECT_LT(v->evidence[i - 1], v->evidence[i]);
+      }
+      EXPECT_NE(std::find(current.begin(), current.end(), v->evidence[i]),
+                current.end())
+          << "evidence " << v->evidence[i].value()
+          << " is not a capture C holds";
+    }
+  }
+}
+
 // Regression (ISSUE 9): the prefetch push-dedup set used to be wiped
 // wholesale at its size bound, forgetting every in-flight (origin, source)
 // key at once and re-pushing all of them. The bound now evicts oldest-
@@ -1129,6 +1185,66 @@ TEST(AthenaNode, LabelSharePassingOriginResolvesQueryWithRequestOutstanding) {
   EXPECT_TRUE(f.last_record(1).success);
   EXPECT_LT(f.last_record(1).finished_at, SimTime::millis(200));
   EXPECT_EQ(f.last_record(1).requests_sent, 1u);
+}
+
+/// Replace `node`'s packet handler with one that keeps every Message it is
+/// sent (the node's AthenaNode stops receiving).
+void capture_at(Fixture& f, std::size_t node, std::vector<Message>& into) {
+  f.net.set_handler(f.nodes[node], [&into](NodeId, const net::Packet& pkt) {
+    into.push_back(std::any_cast<const Message&>(pkt.payload));
+  });
+}
+
+// A relay caches and forwards the very object the host sampled: one shared
+// capture, however many hops and caches hold it. Billing still weighs the
+// object's bytes once per hop.
+TEST(AthenaNode, RelayForwardsAndCachesTheHostsObject) {
+  auto cfg = config_for(Scheme::kLvfl);
+  cfg.prefetch = false;
+  Fixture f(cfg);
+  std::vector<Message> at_a;
+  f.athena[0]->query_init(single_label(0), SimTime::seconds(30));
+  capture_at(f, 0, at_a);
+  f.sim.run_until(SimTime::seconds(5));
+
+  ASSERT_EQ(at_a.size(), 1u);
+  const auto* reply = std::get_if<ObjectReply>(&at_a.front());
+  ASSERT_NE(reply, nullptr);
+  const world::ObjectRef sampled = f.athena[2]->cached_object(SourceId{0});
+  ASSERT_NE(sampled, nullptr);
+  EXPECT_EQ(reply->object, sampled);
+  EXPECT_EQ(f.athena[1]->cached_object(SourceId{0}), sampled);
+  EXPECT_EQ(f.metrics.sensor_samples, 1u);
+  EXPECT_EQ(f.metrics.object_reply_hops, 2u);
+  EXPECT_EQ(f.metrics.object_bytes, 2u * sampled->bytes);
+}
+
+// A relay forwards a label share, and a label reply, with the batch it
+// received: the next hop holds the same storage, not a copy.
+TEST(AthenaNode, ForwardedLabelShareSharesItsBatch) {
+  auto cfg = config_for(Scheme::kLvfl);
+  cfg.prefetch = false;
+  Fixture f(cfg);
+  std::vector<Message> at_c;
+  capture_at(f, 2, at_c);
+  const SimTime at = f.net.now();
+  const LabelBatch share_batch{true_value(0, at), true_value(1, at)};
+  const LabelBatch reply_batch{true_value(3, at)};
+  inject_at_b(f, LabelShare{share_batch, f.nodes[2]});
+  inject_at_b(f, LabelReply{reply_batch, QueryId{77}, f.nodes[2], SourceId{2}});
+  f.sim.run_until(SimTime::seconds(1));
+
+  ASSERT_EQ(at_c.size(), 2u);
+  const auto* share = std::get_if<LabelShare>(&at_c[0]);
+  ASSERT_NE(share, nullptr);
+  EXPECT_EQ(share->values.begin(), share_batch.begin());
+  const auto* reply = std::get_if<LabelReply>(&at_c[1]);
+  ASSERT_NE(reply, nullptr);
+  EXPECT_EQ(reply->values.begin(), reply_batch.begin());
+  // B cached the values it forwarded.
+  for (const std::uint64_t l : {0, 1, 3}) {
+    EXPECT_NE(f.athena[1]->cached_label(LabelId{l}), nullptr) << l;
+  }
 }
 
 // The serve walk re-checks an interest only when one of its labels is put,

@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <set>
 #include <string>
+#include <unordered_map>
+#include <vector>
 
 namespace dde::world {
 namespace {
@@ -112,15 +114,16 @@ TEST(SensorField, SampleMatchesGroundTruth) {
   SensorField field(f.map, f.truth, small_config(), f.rng);
   const SimTime t = SimTime::seconds(123);
   for (const auto& s : field.sensors()) {
-    const EvidenceObject obj = field.sample(s.id, t);
-    EXPECT_EQ(obj.source, s.id);
-    EXPECT_EQ(obj.captured_at, t);
-    EXPECT_EQ(obj.validity, s.validity);
-    EXPECT_EQ(obj.bytes, s.object_bytes);
-    EXPECT_EQ(obj.readings.size(), s.covers.size());
+    const ObjectRef obj = field.sample(s.id, t);
+    EXPECT_EQ(obj->source, s.id);
+    EXPECT_EQ(obj->captured_at, t);
+    EXPECT_EQ(obj->validity, s.validity);
+    EXPECT_EQ(obj->bytes, s.object_bytes);
+    EXPECT_EQ(obj->readings.size(), s.covers.size());
     for (SegmentId seg : s.covers) {
-      ASSERT_TRUE(obj.readings.contains(seg));
-      EXPECT_EQ(obj.readings.at(seg), f.truth.viable_at(seg, t));
+      const Reading* r = obj->reading(seg);
+      ASSERT_NE(r, nullptr);
+      EXPECT_EQ(r->viable, f.truth.viable_at(seg, t));
     }
   }
 }
@@ -131,8 +134,8 @@ TEST(SensorField, SampleIdsAreUniqueAndCounted) {
   const auto a = field.sample(SourceId{0}, SimTime::seconds(1));
   const auto b = field.sample(SourceId{0}, SimTime::seconds(2));
   const auto c = field.sample(SourceId{1}, SimTime::seconds(2));
-  EXPECT_NE(a.id, b.id);
-  EXPECT_NE(b.id, c.id);
+  EXPECT_NE(a->id, b->id);
+  EXPECT_NE(b->id, c->id);
   EXPECT_EQ(field.total_samples(), 3u);
 }
 
@@ -143,10 +146,51 @@ TEST(SensorField, FreshnessWindow) {
   cfg.slow_validity = SimTime::seconds(100);
   SensorField field(f.map, f.truth, cfg, f.rng);
   const auto obj = field.sample(SourceId{0}, SimTime::seconds(50));
-  EXPECT_TRUE(obj.fresh_at(SimTime::seconds(50)));
-  EXPECT_TRUE(obj.fresh_at(SimTime::seconds(149)));
-  EXPECT_FALSE(obj.fresh_at(SimTime::seconds(150)));
-  EXPECT_EQ(obj.expires_at(), SimTime::seconds(150));
+  EXPECT_TRUE(obj->fresh_at(SimTime::seconds(50)));
+  EXPECT_TRUE(obj->fresh_at(SimTime::seconds(149)));
+  EXPECT_FALSE(obj->fresh_at(SimTime::seconds(150)));
+  EXPECT_EQ(obj->expires_at(), SimTime::seconds(150));
+}
+
+// Readings ascend by segment and keep what a hash map's emplace kept: one
+// entry per segment, the first draw winning. Every listed segment is still
+// read and noise-drawn: at reliability 0.7 a skipped draw would put the
+// field's noise stream behind the reference's, and the flips of the later
+// samples would disagree.
+TEST(SensorField, ReadingsAscendAndKeepFirstDrawPerSegment) {
+  for (const double reliability : {1.0, 0.7}) {
+    SCOPED_TRACE(reliability);
+    Fixture f;
+    SensorInfo s;
+    s.id = SourceId{0};
+    s.name = naming::Name::parse("/t/dup");
+    s.covers = {SegmentId{5}, SegmentId{2}, SegmentId{9}, SegmentId{5},
+                SegmentId{0}};
+    s.object_bytes = 100;
+    s.validity = SimTime::seconds(10);
+    s.reliability = reliability;
+    SensorField field(f.map, f.truth, {s});
+    // The reference replays sample()'s draws on a copy of its noise stream.
+    Rng noise{0xD0D0CAFEULL};
+    for (int i = 0; i < 40; ++i) {
+      const SimTime t = SimTime::seconds(37.0 * i);
+      const ObjectRef obj = field.sample(s.id, t);
+      std::unordered_map<SegmentId, bool> emplaced;
+      for (SegmentId seg : s.covers) {
+        bool reading = f.truth.viable_at(seg, t);
+        if (reliability < 1.0 && !noise.chance(reliability)) reading = !reading;
+        emplaced.emplace(seg, reading);
+      }
+      ASSERT_EQ(obj->readings.size(), emplaced.size());
+      for (std::size_t k = 1; k < obj->readings.size(); ++k) {
+        EXPECT_LT(obj->readings[k - 1].segment, obj->readings[k].segment);
+      }
+      for (const Reading& r : obj->readings) {
+        ASSERT_TRUE(emplaced.contains(r.segment));
+        EXPECT_EQ(r.viable, emplaced.at(r.segment)) << "sample " << i;
+      }
+    }
+  }
 }
 
 TEST(SensorField, ThrowsOnUnknownSensor) {

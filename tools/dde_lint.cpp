@@ -660,9 +660,9 @@ void scan_file(const FileText& ft, const std::set<std::string>& unordered_ids,
       while (!range.empty() && (range.back() == ' ' || range.back() == '\t')) {
         range.pop_back();
       }
-      // A call expression (`sorted_keys(obj.readings)`) materializes a copy —
+      // A call expression (`forwarded_.sorted_keys()`) materializes a copy —
       // iterating the result is fine; only bare container accesses
-      // (`queries_`, `obj.readings`) are hazards.
+      // (`beliefs_`, `ingested_`) are hazards.
       const bool is_call = !range.empty() && range.back() == ')';
       const std::string id = last_ident(range);
       if (!is_call && unordered_ids.count(id)) {
