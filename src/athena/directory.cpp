@@ -86,7 +86,7 @@ decision::LabelMeta Directory::meta(LabelId label, SourceId source,
 
 Directory::Selection Directory::select_sources(
     const std::vector<LabelId>& labels, NodeId origin, bool minimize,
-    const std::unordered_set<SourceId>* exclude) const {
+    std::span<const SourceId> exclude) const {
   Selection sel;
   // The distinct coverable labels, ascending: element i of the cover is
   // needed[i].
@@ -106,8 +106,9 @@ Directory::Selection Directory::select_sources(
   // for a label only if nothing else covers it. Sorting the (source,
   // element) pairs groups them into candidates in ascending source order,
   // each with its elements ascending.
-  const bool excluding = exclude != nullptr && !exclude->empty();
-  auto excluded = [&](SourceId s) { return excluding && exclude->contains(s); };
+  auto excluded = [&](SourceId s) {
+    return std::binary_search(exclude.begin(), exclude.end(), s);
+  };
   std::vector<std::pair<SourceId, std::uint32_t>> pairs;
   for (std::size_t i = 0; i < needed.size(); ++i) {
     const auto& srcs = sources_for(needed[i]);

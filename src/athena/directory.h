@@ -8,8 +8,8 @@
 // (Sec. III-B / [10]) as a weighted set cover over the query's labels.
 #pragma once
 
+#include <span>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/ids.h"
@@ -73,14 +73,14 @@ class Directory {
   /// baseline: each label is designated its cheapest source, but the
   /// request list contains all covering sources).
   ///
-  /// `exclude` (may be null) soft-avoids sources a caller has given up on
+  /// `exclude` (ascending) soft-avoids sources a caller has given up on
   /// — failover after retry exhaustion (src/fault recovery): an excluded
   /// source is skipped unless it is the *only* one covering a label, in
   /// which case it stays eligible for that label rather than abandoning
   /// the query outright.
   [[nodiscard]] Selection select_sources(
       const std::vector<LabelId>& labels, NodeId origin, bool minimize,
-      const std::unordered_set<SourceId>* exclude = nullptr) const;
+      std::span<const SourceId> exclude = {}) const;
 
  private:
   const net::Topology& topo_;

@@ -19,6 +19,15 @@ std::uint64_t prefetch_key(NodeId origin, SourceId s) noexcept {
   return origin.value() * 1000003ULL + s.value();
 }
 
+/// Insert `value` into the ascending vector `v`; false if already present.
+template <typename T>
+bool insert_sorted(std::vector<T>& v, const std::type_identity_t<T>& value) {
+  const auto at = std::lower_bound(v.begin(), v.end(), value);
+  if (at != v.end() && *at == value) return false;
+  v.insert(at, value);
+  return true;
+}
+
 }  // namespace
 
 void AthenaNode::trace(obs::EventKind kind, QueryId query,
@@ -203,10 +212,7 @@ std::vector<decision::LabelValue> AthenaNode::corroborate(
     const LabelId label{reading.segment.value()};
     auto& entry = beliefs_[label];
     if (now >= entry.window_expires) entry = BeliefEntry{};  // window over
-    auto& observed = entry.observed;
-    const auto at = std::lower_bound(observed.begin(), observed.end(), obj.id);
-    if (at != observed.end() && *at == obj.id) continue;  // already counted
-    observed.insert(at, obj.id);
+    if (!insert_sorted(entry.observed, obj.id)) continue;  // already counted
     // Clamp into the informative range; a reliability at or below 0.5
     // carries no information.
     const double r = std::clamp(obj.reliability, 0.5, 0.999);
@@ -221,7 +227,7 @@ std::vector<decision::LabelValue> AthenaNode::corroborate(
     v.evaluated_at = now;
     v.validity = entry.window_expires - now;
     v.annotator = AnnotatorId{id_.value()};
-    for (const ObjectId id : observed) v.evidence.push_back(id);
+    for (const ObjectId id : entry.observed) v.evidence.push_back(id);
     decided.push_back(std::move(v));
   }
   return decided;
@@ -235,7 +241,9 @@ SourceId AthenaNode::next_corroborating_source(const QueryState& q,
   SimTime best_last = SimTime::max();
   double best_cost = 0.0;
   for (SourceId s : directory_.sources_for(label)) {
-    if (q.exhausted.contains(s)) continue;  // failed over away from it
+    if (std::binary_search(q.exhausted.begin(), q.exhausted.end(), s)) {
+      continue;  // failed over away from it
+    }
     SimTime last = SimTime::zero() - SimTime::seconds(1e9);
     if (const SimTime* t = q.last_request.find(s)) last = *t;
     // A repeat request within the sensor's validity window would return
@@ -571,7 +579,7 @@ void AthenaNode::issue_request(QueryState& q, SourceId source,
           trace(obs::EventKind::kRetry, qid, source.value());
           if (config_.max_source_attempts > 0 &&
               q2.request_counts.ref(source) >= config_.max_source_attempts &&
-              q2.exhausted.insert(source).second) {
+              insert_sorted(q2.exhausted, source)) {
             failover(q2);
           }
           advance(q2);
@@ -629,7 +637,7 @@ bool AthenaNode::deadline_infeasible(const QueryState& q,
 
 void AthenaNode::failover(QueryState& q) {
   Directory::Selection fresh = directory_.select_sources(
-      q.labels, id_, config_.source_selection, &q.exhausted);
+      q.labels, id_, config_.source_selection, q.exhausted);
   std::uint64_t moved = 0;
   // lint: ordered-fold — pure count of changed designations, commutative.
   for (const auto& [label, source] : fresh.designated) {
@@ -1320,11 +1328,8 @@ world::ObjectRef AthenaNode::local_object(SourceId source) {
 void AthenaNode::cache_label(const decision::LabelValue& v, SimTime now) {
   label_cache_.put(v.label, v, v.expires_at(), now);
   for (SourceId s : directory_.sources_for(v.label)) {
-    if (interest_table_.find(s.value()) == nullptr) continue;
-    const auto it = std::lower_bound(recheck_sources_.begin(),
-                                     recheck_sources_.end(), s.value());
-    if (it == recheck_sources_.end() || *it != s.value()) {
-      recheck_sources_.insert(it, s.value());
+    if (interest_table_.find(s.value()) != nullptr) {
+      insert_sorted(recheck_sources_, s.value());
     }
   }
 }

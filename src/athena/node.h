@@ -212,9 +212,9 @@ class AthenaNode {
     SmallMap<SourceId, SimTime, 4> outstanding;
     SmallMap<SourceId, std::uint32_t, 4> request_counts;
     /// Sources this query gave up on after max_source_attempts unanswered
-    /// requests; selection avoids them unless nothing else covers a label.
-    /// (Stays unordered_set: Directory::select_sources takes it by pointer.)
-    std::unordered_set<SourceId> exhausted;
+    /// requests, ascending; selection avoids them unless nothing else
+    /// covers a label.
+    std::vector<SourceId> exhausted;
     /// source → time of the last request this query sent it (used to
     /// rotate across sources when corroborating noisy evidence).
     SmallMap<SourceId, SimTime, 4> last_request;

@@ -13,8 +13,12 @@
 // now flat:
 //
 //   * an open-addressed FlatU64Map index from the key's u64 code to a
-//     slot in a contiguous slot vector (entries live in the slots, no
-//     per-entry heap allocation once the vectors reach steady state);
+//     slot index (entries live in the slots, no per-entry heap
+//     allocation once the storage reaches steady state);
+//   * slot storage in fixed chunks of kPageSlots<Slot> (~4 KB each,
+//     common/arena.h) that are allocated as the slot count first needs
+//     them and never move, so growth copies no value and leaves no
+//     freed block behind;
 //   * an intrusive doubly-linked LRU threaded through the slots
 //     (prev/next indices, head = most recent);
 //   * a lazy min-heap of (expires_at, slot, generation) triples so
@@ -28,19 +32,22 @@
 // LRU order, and the commutative stat sums — is identical). The old
 // semantics are pinned by tests/test_ttl_cache.cpp.
 //
-// Pointer stability: values returned by get()/peek() are invalidated by
-// the next mutating call (the slot vector may grow); callers must not
-// hold them across a put(). (The previous container was stable here;
-// all in-tree callers were audited to use-then-drop.)
+// Pointer stability: a slot's address never changes, but its contents
+// do. The next mutating call may overwrite the entry, or drop it (expiry,
+// eviction, erase) and recycle its slot for another key (the free list
+// is LIFO), so callers must still not hold a value returned by
+// get()/peek() across a put(); all in-tree callers use it and drop it.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "common/arena.h"
 #include "common/contracts.h"
 #include "common/flat_hash.h"
 #include "common/sim_time.h"
@@ -103,7 +110,7 @@ class TtlCache {
     if (capacity_ == 0) return;
     prune(now);
     if (const std::uint32_t* slot = index_.find(code(key))) {
-      Slot& s = slots_[*slot];
+      Slot& s = slot_at(*slot);
       s.value = std::move(value);
       s.expires_at = expires_at;
       ++s.gen;
@@ -114,7 +121,7 @@ class TtlCache {
     }
     if (live_ >= capacity_) evict_one(now);
     const std::uint32_t slot = alloc_slot();
-    Slot& s = slots_[slot];
+    Slot& s = slot_at(slot);
     s.key = key;
     s.value = std::move(value);
     s.expires_at = expires_at;
@@ -141,7 +148,7 @@ class TtlCache {
       ++stats_.misses;
       return nullptr;
     }
-    Slot& s = slots_[*slot];
+    Slot& s = slot_at(*slot);
     if (s.expires_at <= fresh_until) {
       // Present but would be stale by the time it is needed.
       if (s.expires_at <= now) {
@@ -161,8 +168,8 @@ class TtlCache {
   /// Peek without stats/LRU effects; freshness checked against `now` only.
   [[nodiscard]] const V* peek(const K& key, SimTime now) const {
     const std::uint32_t* slot = index_.find(code(key));
-    if (slot == nullptr || slots_[*slot].expires_at <= now) return nullptr;
-    return &slots_[*slot].value;
+    if (slot == nullptr || slot_at(*slot).expires_at <= now) return nullptr;
+    return &slot_at(*slot).value;
   }
 
   /// Remove an entry (explicit invalidation, counted in `invalidated`).
@@ -180,8 +187,8 @@ class TtlCache {
   /// predicate must be independent per entry.
   template <typename Pred>
   void erase_if(Pred pred) {
-    for (std::uint32_t i = 0; i < slots_.size(); ++i) {
-      if (slots_[i].in_lru && pred(slots_[i].key, slots_[i].value)) {
+    for (std::uint32_t i = 0; i < slot_count_; ++i) {
+      if (slot_at(i).in_lru && pred(slot_at(i).key, slot_at(i).value)) {
         erase_slot(i);
         ++stats_.invalidated;
       }
@@ -195,7 +202,7 @@ class TtlCache {
     while (!heap_.empty() && heap_.front().at <= now) {
       const HeapItem item = heap_.front();
       pop_heap_front();
-      Slot& s = slots_[item.slot];
+      Slot& s = slot_at(item.slot);
       if (s.in_lru && s.gen == item.gen) {
         // Generation matched, so item.at is this entry's current expiry
         // and it has genuinely run out.
@@ -213,7 +220,8 @@ class TtlCache {
   void clear() {
     stats_.flushed += live_;
     index_.clear();
-    slots_.clear();
+    chunks_.clear();
+    slot_count_ = 0;
     free_.clear();
     heap_.clear();
     head_ = tail_ = kNil;
@@ -232,6 +240,15 @@ class TtlCache {
     std::uint32_t gen = 0;   ///< bumped on refresh/erase; tags heap items
     bool in_lru = false;     ///< slot holds a live entry
   };
+
+  static constexpr std::size_t kChunkSlots = kPageSlots<Slot>;
+
+  [[nodiscard]] Slot& slot_at(std::uint32_t i) {
+    return chunks_[i / kChunkSlots][i % kChunkSlots];
+  }
+  [[nodiscard]] const Slot& slot_at(std::uint32_t i) const {
+    return chunks_[i / kChunkSlots][i % kChunkSlots];
+  }
 
   struct HeapItem {
     SimTime at;
@@ -256,14 +273,16 @@ class TtlCache {
       free_.pop_back();
       return slot;
     }
-    DDE_CHECK(slots_.size() < kNil, "TtlCache: slot space exhausted");
-    slots_.emplace_back();
-    return static_cast<std::uint32_t>(slots_.size() - 1);
+    DDE_CHECK(slot_count_ < kNil, "TtlCache: slot space exhausted");
+    if (slot_count_ % kChunkSlots == 0) {
+      chunks_.push_back(std::make_unique<Slot[]>(kChunkSlots));
+    }
+    return slot_count_++;
   }
 
   /// Unlink + index-erase + recycle. Stat attribution is the caller's job.
   void erase_slot(std::uint32_t slot) {
-    Slot& s = slots_[slot];
+    Slot& s = slot_at(slot);
     DDE_CHECK(s.in_lru, "TtlCache: erase of a dead slot (accounting desync)");
     index_.erase(code(s.key));
     unlink(slot);
@@ -279,19 +298,19 @@ class TtlCache {
   // ---- intrusive LRU list (head = most recent) -----------------------
 
   void link_front(std::uint32_t slot) {
-    Slot& s = slots_[slot];
+    Slot& s = slot_at(slot);
     s.prev = kNil;
     s.next = head_;
     s.in_lru = true;
-    if (head_ != kNil) slots_[head_].prev = slot;
+    if (head_ != kNil) slot_at(head_).prev = slot;
     head_ = slot;
     if (tail_ == kNil) tail_ = slot;
   }
 
   void unlink(std::uint32_t slot) {
-    Slot& s = slots_[slot];
-    if (s.prev != kNil) slots_[s.prev].next = s.next; else head_ = s.next;
-    if (s.next != kNil) slots_[s.next].prev = s.prev; else tail_ = s.prev;
+    Slot& s = slot_at(slot);
+    if (s.prev != kNil) slot_at(s.prev).next = s.next; else head_ = s.next;
+    if (s.next != kNil) slot_at(s.next).prev = s.prev; else tail_ = s.prev;
     s.prev = s.next = kNil;
   }
 
@@ -312,7 +331,8 @@ class TtlCache {
   }
 
   void push_expiry(std::uint32_t slot) {
-    heap_.push_back(HeapItem{slots_[slot].expires_at, slot, slots_[slot].gen});
+    const Slot& s = slot_at(slot);
+    heap_.push_back(HeapItem{s.expires_at, slot, s.gen});
     std::push_heap(heap_.begin(), heap_.end(), heap_after);
   }
 
@@ -327,10 +347,9 @@ class TtlCache {
   void maybe_compact_heap() {
     if (heap_.size() <= 4 * live_ + 64) return;
     heap_.clear();
-    for (std::uint32_t i = 0; i < slots_.size(); ++i) {
-      if (slots_[i].in_lru) {
-        heap_.push_back(HeapItem{slots_[i].expires_at, i, slots_[i].gen});
-      }
+    for (std::uint32_t i = 0; i < slot_count_; ++i) {
+      const Slot& s = slot_at(i);
+      if (s.in_lru) heap_.push_back(HeapItem{s.expires_at, i, s.gen});
     }
     std::make_heap(heap_.begin(), heap_.end(), heap_after);
   }
@@ -341,9 +360,9 @@ class TtlCache {
   [[nodiscard]] bool consistent() const {
     std::size_t walked = 0;
     std::uint32_t prev = kNil;
-    for (std::uint32_t at = head_; at != kNil; at = slots_[at].next) {
-      if (!slots_[at].in_lru || slots_[at].prev != prev) return false;
-      const std::uint32_t* slot = index_.find(code(slots_[at].key));
+    for (std::uint32_t at = head_; at != kNil; at = slot_at(at).next) {
+      if (!slot_at(at).in_lru || slot_at(at).prev != prev) return false;
+      const std::uint32_t* slot = index_.find(code(slot_at(at).key));
       if (slot == nullptr || *slot != at) return false;
       prev = at;
       if (++walked > live_) return false;
@@ -358,7 +377,7 @@ class TtlCache {
     // concurrent path — check the LRU tail for it, otherwise the tail is
     // simply the least-recently-used live entry.
     if (tail_ == kNil) return;
-    const bool expired = slots_[tail_].expires_at <= now;
+    const bool expired = slot_at(tail_).expires_at <= now;
     erase_slot(tail_);
     if (expired) {
       ++stats_.expired_drops;
@@ -369,7 +388,10 @@ class TtlCache {
 
   std::size_t capacity_;
   FlatU64Map<std::uint32_t> index_;
-  std::vector<Slot> slots_;
+  /// Slot i is chunks_[i / kChunkSlots][i % kChunkSlots]; slots below
+  /// slot_count_ exist, and chunks never move once allocated.
+  std::vector<std::unique_ptr<Slot[]>> chunks_;
+  std::uint32_t slot_count_ = 0;
   std::vector<std::uint32_t> free_;
   std::vector<HeapItem> heap_;
   std::uint32_t head_ = kNil;

@@ -5,6 +5,8 @@
 // supplies the same discipline one layer up, for athena's per-query
 // state:
 //
+//   kPageSlots<T>  — slots of T per ~4 KB page: the one chunk size rule
+//                    for chunked per-node storage.
 //   Pool<T>        — a chunked slot pool with a u32 freelist. Slots are
 //                    pointer-stable (chunks never move), creation reuses
 //                    the most recently freed slot (LIFO — deterministic),
@@ -35,13 +37,20 @@
 
 namespace dde {
 
+/// Slots of T that fit one ~4 KB page, and at least one: the chunk size
+/// of every chunked per-node store (Pool, cache::TtlCache), so a node's
+/// resident memory follows what it holds rather than a fixed reservation.
+template <typename T>
+inline constexpr std::size_t kPageSlots =
+    sizeof(T) >= 4096 ? 1 : 4096 / sizeof(T);
+
 /// Chunked object pool handing out u32 slot handles.
 ///
 /// Storage grows in fixed-size chunks that are never relocated, so `T&`
 /// references obtained from at() stay valid across later create() calls
 /// (unlike a plain std::vector<T>). destroy() pushes the slot onto a
 /// LIFO freelist; the next create() reuses it.
-template <typename T, std::size_t kChunkSize = 64>
+template <typename T, std::size_t kChunkSize = kPageSlots<T>>
 class Pool {
  public:
   using Slot = std::uint32_t;

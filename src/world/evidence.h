@@ -51,7 +51,6 @@ struct Reading {
 struct EvidenceObject {
   ObjectId id;
   SourceId source;
-  naming::Name name;        ///< sensor name extended with a capture index
   std::uint64_t bytes = 0;
   SimTime captured_at;      ///< sample time
   SimTime validity;         ///< fresh while now < captured_at + validity

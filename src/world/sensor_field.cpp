@@ -99,7 +99,6 @@ ObjectRef SensorField::sample(SourceId id, SimTime now) {
   auto obj = std::make_shared<EvidenceObject>();
   obj->id = ObjectId{samples_};
   obj->source = id;
-  obj->name = s.name.child("capture" + std::to_string(samples_));
   obj->bytes = s.object_bytes;
   obj->captured_at = now;
   obj->validity = s.validity;

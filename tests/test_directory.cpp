@@ -319,17 +319,21 @@ TEST(Directory, SelectSourcesMatchesBruteForce) {
     for (std::size_t k = 0, n = rng.below(7); k < n; ++k) {
       labels.push_back(LabelId{rng.below(10)});  // 8, 9: never covered
     }
-    std::unordered_set<SourceId> exclude;
+    // The same exclusions twice: ascending for select_sources, hashed for
+    // the reference.
+    std::vector<SourceId> exclude;
+    std::unordered_set<SourceId> exclude_set;
     const std::uint64_t mode = rng.below(4);
     for (std::size_t i = 0; i < n_sensors; ++i) {
       if (mode == 3 || (mode == 2 && rng.chance(0.4))) {
-        exclude.insert(SourceId{i});
+        exclude.push_back(SourceId{i});
+        exclude_set.insert(SourceId{i});
       }
     }
     const NodeId origin = nodes[rng.below(6)];
     for (const bool minimize : {true, false}) {
-      const auto* ex = mode == 0 ? nullptr : &exclude;
-      const auto got = dir.select_sources(labels, origin, minimize, ex);
+      const auto* ex = mode == 0 ? nullptr : &exclude_set;
+      const auto got = dir.select_sources(labels, origin, minimize, exclude);
       const auto want = reference_select(dir, labels, origin, minimize, ex);
       EXPECT_EQ(got.requests, want.requests) << "minimize " << minimize;
       EXPECT_EQ(got.designated, want.designated) << "minimize " << minimize;

@@ -247,6 +247,33 @@ TEST(Pool, DestructorsRunEagerlyAndOnClear) {
   EXPECT_EQ(Tracked::live, 0);  // pool destructor cleans up live objects
 }
 
+TEST(Pool, DefaultChunkFitsAPage) {
+  // About the size of athena's QueryState, the pool's main tenant.
+  struct Sized {
+    int value = 0;
+    unsigned char pad[660] = {};
+  };
+  static_assert(sizeof(Sized) == 664);
+  static_assert(kPageSlots<Sized> == 4096 / 664);
+  static_assert(kPageSlots<unsigned char[8192]> == 1);
+  Pool<Sized> pool;
+  std::vector<Pool<Sized>::Slot> slots{pool.create()};
+  const std::size_t per_chunk = pool.capacity();
+  EXPECT_GE(per_chunk, 1u);
+  EXPECT_LE(per_chunk, 4096u / sizeof(Sized));
+  const Sized* first = &pool.at(slots[0]);
+  // Fill three chunks, each slot with its own value.
+  while (slots.size() < 3 * per_chunk) slots.push_back(pool.create());
+  EXPECT_EQ(pool.capacity(), 3 * per_chunk);
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    pool.at(slots[i]).value = static_cast<int>(i) + 1;
+  }
+  EXPECT_EQ(first, &pool.at(slots[0]));  // chunks never move
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    EXPECT_EQ(pool.at(slots[i]).value, static_cast<int>(i) + 1);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // SmallVec / SmallMap / SmallSet
 // ---------------------------------------------------------------------------

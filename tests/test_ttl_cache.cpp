@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
 
 namespace dde::cache {
@@ -275,6 +276,68 @@ TEST(TtlCache, ManyInsertionsStayWithinCapacity) {
   for (int i = 984; i < 1000; ++i) {
     EXPECT_NE(c.peek(i, s(1000.5)), nullptr);
   }
+}
+
+/// A value big enough that one slot chunk (~4 KB) holds at most three
+/// entries, so a few dozen keys span many chunks.
+struct Bulky {
+  int v = 0;
+  char pad[1020] = {};
+};
+
+TEST(TtlCache, EntriesSpanSlotChunks) {
+  TtlCache<int, Bulky> c(24);  // at least eight chunks when full
+  std::map<int, int> want;     // the live entries: key → value
+  auto live_at = [&](double now) {
+    std::map<int, int> got;
+    for (int k = 0; k < 64; ++k) {
+      if (const Bulky* b = c.peek(k, s(now))) got[k] = b->v;
+    }
+    EXPECT_EQ(c.size(), got.size());
+    return got;
+  };
+  auto put = [&](int k, double expires, double now) {
+    c.put(k, Bulky{k * 10}, s(expires), s(now));
+    want[k] = k * 10;
+  };
+  // Distinct expiries: key k expires at 100 + k.
+  for (int k = 0; k < 24; ++k) put(k, 100 + k, 0);
+  EXPECT_EQ(live_at(1), want);
+
+  // LRU eviction at capacity: touching 0 and 4 spares them, so four new
+  // keys evict 1, 2, 3 and 5 and take over their slots.
+  ASSERT_NE(c.get(0, s(1), s(1)), nullptr);
+  ASSERT_NE(c.get(4, s(1), s(1)), nullptr);
+  for (int k = 30; k < 34; ++k) put(k, 200 + k, 2);
+  for (int k : {1, 2, 3, 5}) want.erase(k);
+  EXPECT_EQ(c.stats().evictions, 4u);
+  EXPECT_EQ(live_at(3), want);
+
+  // prune drops exactly the entries that expired, wherever they sit.
+  c.prune(s(110.5));
+  for (int k : {0, 4, 6, 7, 8, 9, 10}) want.erase(k);
+  EXPECT_EQ(c.stats().expired_drops, 7u);
+  EXPECT_EQ(live_at(110.5), want);
+
+  // erase_if sees every live slot's own key and value.
+  c.erase_if([](int key, const Bulky& b) {
+    return key % 3 == 0 || b.v == 310;
+  });
+  for (int k : {12, 15, 18, 21, 30, 31, 33}) want.erase(k);
+  EXPECT_EQ(c.stats().invalidated, 7u);
+  EXPECT_EQ(live_at(110.5), want);
+
+  // Fourteen new keys fill the fourteen freed slots back to capacity; the
+  // LRU tail is still the oldest survivor.
+  for (int k = 40; k < 54; ++k) put(k, 300 + k, 110.6);
+  EXPECT_EQ(live_at(110.6), want);
+  for (int k = 60; k < 63; ++k) put(k, 400 + k, 110.7);
+  for (int k : {11, 13, 14}) want.erase(k);
+  ASSERT_NE(c.get(16, s(110.7), s(110.7)), nullptr);
+  put(63, 463, 110.8);  // 16 was touched, so 17 goes
+  want.erase(17);
+  EXPECT_EQ(c.stats().evictions, 8u);
+  EXPECT_EQ(live_at(110.8), want);
 }
 
 }  // namespace
