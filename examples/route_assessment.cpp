@@ -1,6 +1,6 @@
 // Post-disaster route assessment — the paper's running example, built
 // piece by piece against the public API (rather than through the scenario
-// harness), with protocol logging enabled.
+// harness), with the message flow printed from a trace sink.
 //
 // An emergency team at the depot must move a patient to the medical camp.
 // Two candidate routes exist; roadside cameras can show whether each
@@ -14,7 +14,6 @@
 
 #include "athena/directory.h"
 #include "athena/node.h"
-#include "common/log.h"
 #include "des/simulator.h"
 #include "net/network.h"
 #include "obs/trace.h"
@@ -25,8 +24,6 @@
 using namespace dde;
 
 int main() {
-  log_threshold() = LogLevel::kOff;  // set kInfo to watch the protocol
-
   // --- the physical world: a 3x3 block downtown -------------------------
   world::GridMap map(3, 3);
   // Segment ids for the story: route 1 = {0, 1}, route 2 = {3, 4}.

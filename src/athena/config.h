@@ -74,10 +74,7 @@ struct AthenaConfig {
   /// source (if any). 0 disables failover (retry the same source forever,
   /// the pre-fault-subsystem behaviour).
   std::uint32_t max_source_attempts = 0;
-  SimTime prefetch_interval = SimTime::millis(200);  ///< background pump rate
-  SimTime interest_ttl = SimTime::seconds(120);    ///< interest entry expiry
   std::size_t object_cache_capacity = 64;
-  std::size_t label_cache_capacity = 512;
 
   // --- overload protection (Sec. V-C value under saturation) -----------
   // All knobs default to "off" so fault-free runs reproduce seed results
@@ -107,9 +104,6 @@ struct AthenaConfig {
   /// at the receiver. 1 (the default) sends a single copy — bit-for-bit
   /// the pre-multipath behaviour.
   std::size_t multipath_redundancy = 1;
-  /// Receiver-side replica dedup table bounds (per node).
-  std::size_t replica_dedup_capacity = 4096;
-  SimTime replica_dedup_ttl = SimTime::seconds(120);
 
   // --- crash recovery (src/fault restart semantics) ---------------------
   // Both knobs are inert under the default "ghost" restart policy, which

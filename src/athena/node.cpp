@@ -7,10 +7,16 @@
 #include <variant>
 
 #include "common/contracts.h"
-#include "common/log.h"
 
 namespace dde::athena {
 namespace {
+
+constexpr SimTime kPrefetchInterval = SimTime::millis(200);  ///< pump rate
+constexpr SimTime kInterestTtl = SimTime::seconds(120);  ///< interest expiry
+constexpr std::size_t kLabelCacheCapacity = 512;
+/// Receiver-side replica dedup table bounds (per node).
+constexpr std::size_t kReplicaDedupCapacity = 4096;
+constexpr SimTime kReplicaDedupTtl = SimTime::seconds(120);
 
 /// Dedup key for (origin, source) prefetch actions: once a source's object
 /// was pushed toward an origin, further queries from the same origin are
@@ -48,7 +54,7 @@ AthenaNode::AthenaNode(NodeId id, net::Network& net, const Directory& directory,
       config_(config),
       metrics_(metrics),
       object_cache_(config.object_cache_capacity),
-      label_cache_(config.label_cache_capacity) {
+      label_cache_(kLabelCacheCapacity) {
   net_.set_handler(id_, [this](NodeId, const net::Packet& pkt) {
     on_packet(pkt);
   });
@@ -602,7 +608,7 @@ void AthenaNode::issue_request(QueryState& q, SourceId source,
   interest_table_.find_or_insert(source.value())
       .push_back(Interest{NodeId{}, q.id, id_, r.labels, false,
                           r.accept_labels, q.priority,
-                          now + config_.interest_ttl});
+                          now + kInterestTtl});
   schedule_gc();
 
   // Multipath redundancy (Sec. V-C): critical requests are replicated over
@@ -740,7 +746,7 @@ void AthenaNode::handle(NodeId from, const QueryAnnounce& a) {
   }
   if (!prefetch_queue_.empty() && !pump_scheduled_) {
     pump_scheduled_ = true;
-    net_.simulator().schedule_after(config_.prefetch_interval,
+    net_.simulator().schedule_after(kPrefetchInterval,
                                     [this] { pump_prefetch(); });
   }
 }
@@ -816,7 +822,7 @@ void AthenaNode::handle(NodeId from, const ObjectRequest& r) {
   entries.remove_if([now](const Interest& e) { return e.expires <= now; });
   entries.push_back(Interest{from, r.query, r.origin, r.labels, r.prefetch,
                              r.accept_labels, r.priority,
-                             now + config_.interest_ttl});
+                             now + kInterestTtl});
   trace(obs::EventKind::kInterest, r.query, r.source.value());
   schedule_gc();
   forward_request(r);
@@ -864,8 +870,7 @@ std::uint64_t AthenaNode::reply_group_for(const ObjectRequest& r) {
 bool AthenaNode::replica_first_copy(std::uint64_t group, int kind) {
   if (group == 0) return true;  // untagged: single-path traffic
   if (!replica_dedup_) {
-    replica_dedup_.emplace(config_.replica_dedup_capacity,
-                           config_.replica_dedup_ttl);
+    replica_dedup_.emplace(kReplicaDedupCapacity, kReplicaDedupTtl);
   }
   // One key space for both legs of a group: requests on even, replies on
   // odd, so a reply reusing its request's group still deduplicates.
@@ -1140,7 +1145,7 @@ void AthenaNode::pump_prefetch() {
   }
   if (!prefetch_queue_.empty()) {
     pump_scheduled_ = true;
-    net_.simulator().schedule_after(config_.prefetch_interval,
+    net_.simulator().schedule_after(kPrefetchInterval,
                                     [this] { pump_prefetch(); });
   }
 }

@@ -215,6 +215,10 @@ class TtlCache {
 
   [[nodiscard]] std::size_t size() const noexcept { return live_; }
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
+  /// Slots allocated so far: whole chunks of kPageSlots<Slot> each.
+  [[nodiscard]] std::size_t slot_capacity() const noexcept {
+    return chunks_.size() * kChunkSlots;
+  }
   [[nodiscard]] const CacheStats& stats() const noexcept { return stats_; }
 
   void clear() {

@@ -11,13 +11,11 @@
 #include "athena/node.h"         // IWYU pragma: export
 #include "cache/ttl_cache.h"     // IWYU pragma: export
 #include "common/ids.h"          // IWYU pragma: export
-#include "common/log.h"          // IWYU pragma: export
 #include "common/rng.h"          // IWYU pragma: export
 #include "common/sim_time.h"     // IWYU pragma: export
 #include "common/stats.h"        // IWYU pragma: export
 #include "common/tristate.h"     // IWYU pragma: export
 #include "coverage/set_cover.h"  // IWYU pragma: export
-#include "decision/algebra.h"    // IWYU pragma: export
 #include "decision/estimator.h"  // IWYU pragma: export
 #include "decision/expression.h" // IWYU pragma: export
 #include "decision/label.h"      // IWYU pragma: export
@@ -31,7 +29,6 @@
 #include "fusion/reliability.h"  // IWYU pragma: export
 #include "naming/name.h"         // IWYU pragma: export
 #include "naming/prefix_index.h" // IWYU pragma: export
-#include "net/name_routing.h"    // IWYU pragma: export
 #include "net/network.h"         // IWYU pragma: export
 #include "net/topology.h"        // IWYU pragma: export
 #include "pubsub/utility.h"      // IWYU pragma: export

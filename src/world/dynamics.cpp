@@ -72,13 +72,6 @@ void ViabilityProcess::block_after(SegmentId segment, SimTime at) {
   t.blocked_after = std::min(t.blocked_after, at);
 }
 
-bool ViabilityProcess::disrupted_at(SegmentId segment, SimTime at) const {
-  if (!segment.valid() || segment.value() >= tracks_.size()) {
-    throw std::out_of_range("ViabilityProcess: unknown segment id");
-  }
-  return at >= tracks_[segment.value()].blocked_after;
-}
-
 SimTime ViabilityProcess::next_change_after(SegmentId segment, SimTime at) {
   Track& t = track(segment);
   extend(t, at);

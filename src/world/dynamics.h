@@ -52,9 +52,6 @@ class ViabilityProcess {
   /// blocked, regardless of its natural process. Irreversible.
   void block_after(SegmentId segment, SimTime at);
 
-  /// Whether `segment` is under a disruption at time `t`.
-  [[nodiscard]] bool disrupted_at(SegmentId segment, SimTime t) const;
-
  private:
   struct Track {
     SegmentDynamics params;

@@ -300,8 +300,19 @@ TEST(TtlCache, EntriesSpanSlotChunks) {
     c.put(k, Bulky{k * 10}, s(expires), s(now));
     want[k] = k * 10;
   };
-  // Distinct expiries: key k expires at 100 + k.
-  for (int k = 0; k < 24; ++k) put(k, 100 + k, 0);
+  // Distinct expiries: key k expires at 100 + k. With no erase, n live
+  // entries occupy exactly ceil(n / C) chunks of C slots.
+  put(0, 100, 0);
+  const std::size_t per_chunk = c.slot_capacity();
+  ASSERT_GE(per_chunk, 1u);
+  ASSERT_LE(per_chunk, 3u);
+  for (int k = 1; k < 24; ++k) {
+    put(k, 100 + k, 0);
+    const std::size_t n = static_cast<std::size_t>(k) + 1;
+    EXPECT_EQ(c.slot_capacity(), (n + per_chunk - 1) / per_chunk * per_chunk)
+        << "after " << n << " entries";
+  }
+  const std::size_t full = c.slot_capacity();
   EXPECT_EQ(live_at(1), want);
 
   // LRU eviction at capacity: touching 0 and 4 spares them, so four new
@@ -338,6 +349,11 @@ TEST(TtlCache, EntriesSpanSlotChunks) {
   want.erase(17);
   EXPECT_EQ(c.stats().evictions, 8u);
   EXPECT_EQ(live_at(110.8), want);
+  // Every freed slot was reused: no chunk beyond the first 24 entries'.
+  EXPECT_EQ(c.slot_capacity(), full);
+
+  c.clear();
+  EXPECT_EQ(c.slot_capacity(), 0u);
 }
 
 }  // namespace

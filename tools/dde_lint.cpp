@@ -39,6 +39,13 @@
 //                    so PDES can shard along clean layer boundaries. Files
 //                    in a src/ module the manifest does not declare are
 //                    flagged too, so the manifest cannot rot.
+//   orphan-header    files in a src/<module>/ directory that no #include
+//                    chain reaches from the roots: the scanned files outside
+//                    src/ and tests/ (benches, tools, examples). A reached
+//                    src/x/y.h also reaches src/x/y.cpp. Code only tests
+//                    reach is code no run executes. The pass runs only when
+//                    the scan holds at least one root; src/dde.h, outside
+//                    every module, is exempt.
 //
 // Suppressions:
 //   * inline: the flagged line, or the line directly above it, carries
@@ -521,6 +528,16 @@ std::string module_of(const std::string& rel_path) {
   return rel_path.substr(4, slash - 4);
 }
 
+/// Target of a `#include "..."` line, or "" for any other line.
+std::string quoted_include(const std::string& line) {
+  const std::size_t inc = line.find("#include \"");
+  if (inc == std::string::npos) return "";
+  const std::size_t open = line.find('"', inc);
+  const std::size_t close = line.find('"', open + 1);
+  if (close == std::string::npos) return "";
+  return line.substr(open + 1, close - open - 1);
+}
+
 void scan_layers(const FileText& ft, const LayerManifest& layers,
                  std::vector<Violation>& out) {
   const std::string from = module_of(ft.rel_path);
@@ -537,12 +554,7 @@ void scan_layers(const FileText& ft, const LayerManifest& layers,
   }
   for (std::size_t i = 0; i < ft.raw.size(); ++i) {
     const std::string& line = ft.raw[i];
-    const std::size_t inc = line.find("#include \"");
-    if (inc == std::string::npos) continue;
-    const std::size_t open = line.find('"', inc);
-    const std::size_t close = line.find('"', open + 1);
-    if (close == std::string::npos) continue;
-    const std::string target = line.substr(open + 1, close - open - 1);
+    const std::string target = quoted_include(line);
     const std::size_t slash = target.find('/');
     if (slash == std::string::npos) continue;
     const std::string to = target.substr(0, slash);
@@ -561,6 +573,61 @@ void scan_layers(const FileText& ft, const LayerManifest& layers,
             "); depend only on lower layers, or declare an audited "
             "'allow " + from + " " + to + "' edge in tools/dde_layers",
         line});
+  }
+}
+
+// --- orphan-header pass ----------------------------------------------------
+
+/// Flag every src/<module>/ file that no #include chain reaches from a
+/// root (a scanned file outside src/ and tests/). An include resolves
+/// against the including file's directory and against src/, the include
+/// root every target shares.
+void scan_orphans(const std::vector<FileText>& texts,
+                  std::vector<Violation>& out) {
+  std::map<std::string, std::size_t> index;  // rel_path -> texts position
+  for (std::size_t i = 0; i < texts.size(); ++i) {
+    index.emplace(texts[i].rel_path, i);
+  }
+  std::vector<bool> reached(texts.size(), false);
+  std::vector<std::size_t> work;  // reached, includes not yet followed
+  const auto reach = [&](const std::string& rel_path) {
+    const auto it = index.find(rel_path);
+    if (it == index.end() || reached[it->second]) return;
+    reached[it->second] = true;
+    work.push_back(it->second);
+  };
+  for (const FileText& ft : texts) {
+    if (!starts_with(ft.rel_path, "src/") &&
+        !starts_with(ft.rel_path, "tests/")) {
+      reach(ft.rel_path);
+    }
+  }
+  if (work.empty()) return;  // no roots: a src-only scan
+  while (!work.empty()) {
+    const FileText& ft = texts[work.back()];
+    work.pop_back();
+    const std::string& path = ft.rel_path;
+    if (starts_with(path, "src/") &&
+        path.compare(path.size() - 2, 2, ".h") == 0) {
+      reach(path.substr(0, path.size() - 2) + ".cpp");
+    }
+    const fs::path dir = fs::path(path).parent_path();
+    for (const std::string& line : ft.raw) {
+      const std::string target = quoted_include(line);
+      if (target.empty()) continue;
+      reach((dir / target).lexically_normal().generic_string());
+      reach("src/" + target);
+    }
+  }
+  for (std::size_t i = 0; i < texts.size(); ++i) {
+    const FileText& ft = texts[i];
+    if (reached[i] || module_of(ft.rel_path).empty()) continue;
+    out.push_back(Violation{
+        ft.rel_path, 1, "orphan-header",
+        "no bench, tool or example reaches this file through #include "
+        "(tests do not count): delete it, or allowlist it with the reason "
+        "it stays",
+        ft.raw.empty() ? std::string() : ft.raw[0]});
   }
 }
 
@@ -726,7 +793,9 @@ void list_rules() {
       "mutable-global    unowned mutable namespace-scope/static state in "
       "src/\n"
       "layer-violation   #include edge against the tools/dde_layers module "
-      "DAG");
+      "DAG\n"
+      "orphan-header     src/ module file no bench/tool/example #include "
+      "chain reaches");
 }
 
 }  // namespace
@@ -831,6 +900,7 @@ int main(int argc, char** argv) {
   for (const FileText& ft : texts) {
     scan_file(ft, unordered_ids, layers, violations);
   }
+  scan_orphans(texts, violations);
 
   // Allowlist filtering.
   std::vector<AllowEntry> allow = load_allowlist(allow_file);

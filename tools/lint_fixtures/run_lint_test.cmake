@@ -7,7 +7,11 @@
 # 3. The layers_bad tree (own tools/dde_layers manifest) must flag the
 #    inverted include and the undeclared module; layers_good must accept
 #    the downward and audited-allow edges silently.
-# 4. An unreadable input path must be a usage error (exit 2).
+# 4. The orphan_bad tree must flag both files of the module only a test
+#    reaches, and stay silent when scanned without a root (src/ only);
+#    orphan_good must accept transitive, directory-relative and
+#    header-to-source reach, and the exempt umbrella header.
+# 5. An unreadable input path must be a usage error (exit 2).
 
 execute_process(COMMAND ${LINT} --root ${FIXTURES}/bad ${FIXTURES}/bad/src
                 RESULT_VARIABLE bad_rc OUTPUT_VARIABLE bad_out
@@ -65,6 +69,43 @@ if(NOT good_rc EQUAL 0)
 endif()
 if(NOT good_out STREQUAL "")
   message(FATAL_ERROR "good twins: expected no output\n${good_out}")
+endif()
+
+execute_process(COMMAND ${LINT} --root ${FIXTURES}/orphan_bad
+                        ${FIXTURES}/orphan_bad
+                RESULT_VARIABLE obad_rc OUTPUT_VARIABLE obad_out
+                ERROR_VARIABLE obad_err)
+if(NOT obad_rc EQUAL 1)
+  message(FATAL_ERROR
+          "orphan_bad: expected exit 1, got ${obad_rc}\n${obad_out}")
+endif()
+foreach(want
+        "src/dead/thing.cpp:1: \\[orphan-header\\]"
+        "src/dead/thing.h:1: \\[orphan-header\\]"
+        "dde_lint: 2 violation")
+  if(NOT obad_out MATCHES "${want}")
+    message(FATAL_ERROR "orphan_bad: missing diagnostic ${want}\n${obad_out}")
+  endif()
+endforeach()
+
+execute_process(COMMAND ${LINT} --root ${FIXTURES}/orphan_bad
+                        ${FIXTURES}/orphan_bad/src
+                RESULT_VARIABLE osrc_rc OUTPUT_VARIABLE osrc_out
+                ERROR_VARIABLE osrc_err)
+if(NOT osrc_rc EQUAL 0 OR NOT osrc_out STREQUAL "")
+  message(FATAL_ERROR
+          "orphan_bad src only: expected a silent exit 0, got ${osrc_rc}\n"
+          "${osrc_out}")
+endif()
+
+execute_process(COMMAND ${LINT} --root ${FIXTURES}/orphan_good
+                        ${FIXTURES}/orphan_good
+                RESULT_VARIABLE ogood_rc OUTPUT_VARIABLE ogood_out
+                ERROR_VARIABLE ogood_err)
+if(NOT ogood_rc EQUAL 0 OR NOT ogood_out STREQUAL "")
+  message(FATAL_ERROR
+          "orphan_good: expected a silent exit 0, got ${ogood_rc}\n"
+          "${ogood_out}")
 endif()
 
 execute_process(COMMAND ${LINT} ${FIXTURES}/no_such_dir
