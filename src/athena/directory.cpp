@@ -162,7 +162,9 @@ Directory::Selection Directory::select_sources(
   }
   sel.designated.reserve(needed.size());
   for (std::size_t i = 0; i < needed.size(); ++i) {
-    if (best[i] != kNone) sel.designated[needed[i]] = sources[best[i]];
+    if (best[i] != kNone) {
+      sel.designated.emplace_back(needed[i], sources[best[i]]);
+    }
   }
 
   // Request list: every chosen source with the needed labels it covers.

@@ -8,8 +8,10 @@
 // (Sec. III-B / [10]) as a weighted set cover over the query's labels.
 #pragma once
 
+#include <algorithm>
 #include <span>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/ids.h"
@@ -59,12 +61,22 @@ class Directory {
 
   /// Source selection for a query.
   struct Selection {
-    /// designated[label] = the source a retrieval for that label targets.
-    std::unordered_map<LabelId, SourceId> designated;
+    /// (label, the source a retrieval for that label targets), ascending
+    /// by label and one entry per covered label.
+    std::vector<std::pair<LabelId, SourceId>> designated;
     /// All (source, labels it is designated for) pairs, for batch issue.
     std::vector<std::pair<SourceId, std::vector<LabelId>>> requests;
     /// Labels no source covers.
     std::vector<LabelId> uncovered;
+
+    /// The source designated for `label` (invalid if none is).
+    [[nodiscard]] SourceId designated_source(LabelId label) const {
+      const auto it = std::lower_bound(
+          designated.begin(), designated.end(), label,
+          [](const auto& entry, LabelId l) { return entry.first < l; });
+      return it != designated.end() && it->first == label ? it->second
+                                                          : SourceId{};
+    }
   };
 
   /// Choose sources to cover `labels` as seen from `origin`.

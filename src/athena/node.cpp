@@ -176,12 +176,11 @@ decision::LabelMeta AthenaNode::label_meta(QueryState& q,
   if (q.meta.empty()) q.meta.resize(q.labels.size());
   auto& memo = q.meta[pos];
   if (memo) return *memo;
-  SourceId source;
-  if (auto it = q.selection.designated.find(label);
-      it != q.selection.designated.end()) {
-    source = it->second;
-  } else if (const auto& srcs = directory_.sources_for(label); !srcs.empty()) {
-    source = srcs.front();
+  SourceId source = q.selection.designated_source(label);
+  if (!source.valid()) {
+    if (const auto& srcs = directory_.sources_for(label); !srcs.empty()) {
+      source = srcs.front();
+    }
   }
   memo = source.valid() ? directory_.meta(label, source, id_)
                         : decision::LabelMeta{};
@@ -446,9 +445,8 @@ void AthenaNode::advance(QueryState& q) {
           // Rotate across covering sources to gather fresh corroborating
           // observations; skip the label if none has a new capture yet.
           source = next_corroborating_source(q, l, &corroboration_retry);
-        } else if (const auto it = q.selection.designated.find(l);
-                   it != q.selection.designated.end()) {
-          source = it->second;
+        } else {
+          source = q.selection.designated_source(l);
         }
         if (!source.valid()) continue;  // uncovered (or nothing new yet)
         if (hosts(source)) {
@@ -645,10 +643,8 @@ void AthenaNode::failover(QueryState& q) {
   Directory::Selection fresh = directory_.select_sources(
       q.labels, id_, config_.source_selection, q.exhausted);
   std::uint64_t moved = 0;
-  // lint: ordered-fold — pure count of changed designations, commutative.
   for (const auto& [label, source] : fresh.designated) {
-    const auto prev = q.selection.designated.find(label);
-    if (prev == q.selection.designated.end() || prev->second != source) {
+    if (q.selection.designated_source(label) != source) {
       ++metrics_.failovers;
       ++moved;
     }
@@ -981,16 +977,12 @@ void AthenaNode::handle(NodeId /*from*/, const LabelShare& s) {
     const SourceId source{source_key};
     auto* entries = interest_table_.find(source_key);
     if (entries == nullptr) continue;
-    SmallVec<Interest, 2> keep;
-    for (Interest& e : *entries) {
-      if (e.expires <= now) continue;
-      if (!e.accept_labels || !e.from.valid() ||
-          !reply_with_labels(e.from, e.labels, e.query, e.origin, source,
-                             e.priority)) {
-        keep.push_back(std::move(e));
-      }
-    }
-    *entries = std::move(keep);
+    entries->remove_if([&](const Interest& e) {
+      return e.expires <= now ||
+             (e.accept_labels && e.from.valid() &&
+              reply_with_labels(e.from, e.labels, e.query, e.origin, source,
+                                e.priority));
+    });
   }
   recheck_sources_.clear();
 
@@ -1289,7 +1281,7 @@ void AthenaNode::run_gc() {
   gc_scheduled_ = false;
   const SimTime now = net_.now();
   interest_table_.erase_if(
-      [now](std::uint64_t, SmallVec<Interest, 2>& entries) {
+      [now](std::uint64_t, SmallVec<Interest, 1>& entries) {
         entries.remove_if([now](const Interest& e) { return e.expires <= now; });
         return entries.empty();
       });
@@ -1304,7 +1296,7 @@ void AthenaNode::run_gc() {
       ([&] {
         bool ok = true;
         interest_table_.for_each(
-            [&](std::uint64_t, const SmallVec<Interest, 2>& entries) {
+            [&](std::uint64_t, const SmallVec<Interest, 1>& entries) {
               if (entries.empty()) ok = false;
               for (const Interest& e : entries) {
                 if (e.expires <= now) ok = false;

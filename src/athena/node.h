@@ -411,7 +411,7 @@ class AthenaNode {
   /// hot lookups (request bookkeeping, reply fan-out, GC) probe it
   /// directly, and the label-share serve walk visits the sources in
   /// `recheck_sources_`.
-  FlatU64Map<SmallVec<Interest, 2>> interest_table_;
+  FlatU64Map<SmallVec<Interest, 1>> interest_table_;
   /// source.value() keys, ascending and distinct, whose interests the next
   /// LabelShare re-checks: every label put adds the sources covering the
   /// label that have interest-table entries (see cache_label()).

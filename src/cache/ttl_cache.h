@@ -12,9 +12,10 @@
 // per entry and a full-map expiry sweep inside every put(). The cache is
 // now flat:
 //
-//   * an open-addressed FlatU64Map index from the key's u64 code to a
-//     slot index (entries live in the slots, no per-entry heap
-//     allocation once the storage reaches steady state);
+//   * an open-addressed index of slot numbers, probed by the key's u64
+//     code and compared against the key the slot holds (entries live in
+//     the slots, no per-entry heap allocation once the storage reaches
+//     steady state; 4 bytes per index entry);
 //   * slot storage in fixed chunks of kPageSlots<Slot> (~4 KB each,
 //     common/arena.h) that are allocated as the slot count first needs
 //     them and never move, so growth copies no value and leaves no
@@ -109,13 +110,13 @@ class TtlCache {
   void put(const K& key, V value, SimTime expires_at, SimTime now) {
     if (capacity_ == 0) return;
     prune(now);
-    if (const std::uint32_t* slot = index_.find(code(key))) {
-      Slot& s = slot_at(*slot);
+    if (const std::uint32_t slot = find_slot(key); slot != kNil) {
+      Slot& s = slot_at(slot);
       s.value = std::move(value);
       s.expires_at = expires_at;
       ++s.gen;
-      push_expiry(*slot);
-      move_to_front(*slot);
+      push_expiry(slot);
+      move_to_front(slot);
       ++stats_.refreshes;
       return;
     }
@@ -126,7 +127,7 @@ class TtlCache {
     s.value = std::move(value);
     s.expires_at = expires_at;
     ++s.gen;
-    index_.insert(code(key), slot);
+    index_insert(slot);
     link_front(slot);
     ++live_;
     push_expiry(slot);
@@ -143,16 +144,16 @@ class TtlCache {
     // at `now` slip through the staleness check below; clamp it forward.
     DDE_CLAMP_OR(fresh_until >= now, fresh_until = now,
                  "TtlCache::get: fresh_until precedes now; clamped to now");
-    const std::uint32_t* slot = index_.find(code(key));
-    if (slot == nullptr) {
+    const std::uint32_t slot = find_slot(key);
+    if (slot == kNil) {
       ++stats_.misses;
       return nullptr;
     }
-    Slot& s = slot_at(*slot);
+    Slot& s = slot_at(slot);
     if (s.expires_at <= fresh_until) {
       // Present but would be stale by the time it is needed.
       if (s.expires_at <= now) {
-        erase_slot(*slot);
+        erase_slot(slot);
         ++stats_.expired_drops;
         ++stats_.misses;
       } else {
@@ -160,24 +161,24 @@ class TtlCache {
       }
       return nullptr;
     }
-    move_to_front(*slot);
+    move_to_front(slot);
     ++stats_.hits;
     return &s.value;
   }
 
   /// Peek without stats/LRU effects; freshness checked against `now` only.
   [[nodiscard]] const V* peek(const K& key, SimTime now) const {
-    const std::uint32_t* slot = index_.find(code(key));
-    if (slot == nullptr || slot_at(*slot).expires_at <= now) return nullptr;
-    return &slot_at(*slot).value;
+    const std::uint32_t slot = find_slot(key);
+    if (slot == kNil || slot_at(slot).expires_at <= now) return nullptr;
+    return &slot_at(slot).value;
   }
 
   /// Remove an entry (explicit invalidation, counted in `invalidated`).
   /// Returns true if present.
   bool erase_key(const K& key) {
-    const std::uint32_t* slot = index_.find(code(key));
-    if (slot == nullptr) return false;
-    erase_slot(*slot);
+    const std::uint32_t slot = find_slot(key);
+    if (slot == kNil) return false;
+    erase_slot(slot);
     ++stats_.invalidated;
     return true;
   }
@@ -224,6 +225,7 @@ class TtlCache {
   void clear() {
     stats_.flushed += live_;
     index_.clear();
+    tombstones_ = 0;
     chunks_.clear();
     slot_count_ = 0;
     free_.clear();
@@ -234,6 +236,8 @@ class TtlCache {
 
  private:
   static constexpr std::uint32_t kNil = ~std::uint32_t{0};
+  /// Index entry of an erased key (kNil marks a never-used entry).
+  static constexpr std::uint32_t kTombstone = kNil - 1;
 
   struct Slot {
     K key{};
@@ -277,7 +281,7 @@ class TtlCache {
       free_.pop_back();
       return slot;
     }
-    DDE_CHECK(slot_count_ < kNil, "TtlCache: slot space exhausted");
+    DDE_CHECK(slot_count_ < kTombstone, "TtlCache: slot space exhausted");
     if (slot_count_ % kChunkSlots == 0) {
       chunks_.push_back(std::make_unique<Slot[]>(kChunkSlots));
     }
@@ -288,7 +292,7 @@ class TtlCache {
   void erase_slot(std::uint32_t slot) {
     Slot& s = slot_at(slot);
     DDE_CHECK(s.in_lru, "TtlCache: erase of a dead slot (accounting desync)");
-    index_.erase(code(s.key));
+    index_erase(slot);
     unlink(slot);
     s.in_lru = false;
     ++s.gen;  // orphan any heap items still pointing here
@@ -297,6 +301,59 @@ class TtlCache {
     --live_;
     free_.push_back(slot);
     DDE_INVARIANT(consistent(), "TtlCache: index/LRU desync after erase");
+  }
+
+  // ---- key index -----------------------------------------------------
+  //
+  // Linear probing from flat_mix(code(key)) over slot numbers, load at
+  // most 1/2 counting tombstones, growing and rebuilding as FlatU64Map
+  // does. Nothing iterates the index, so its layout is unobservable.
+
+  [[nodiscard]] std::size_t index_mask() const { return index_.size() - 1; }
+
+  /// The slot holding `key`, or kNil.
+  [[nodiscard]] std::uint32_t find_slot(const K& key) const {
+    if (index_.empty()) return kNil;
+    const std::uint64_t c = code(key);
+    for (std::size_t i = flat_mix(c) & index_mask();;
+         i = (i + 1) & index_mask()) {
+      const std::uint32_t e = index_[i];
+      if (e == kNil) return kNil;
+      if (e != kTombstone && code(slot_at(e).key) == c) return e;
+    }
+  }
+
+  /// Index `slot`, whose key is absent from the index.
+  void index_insert(std::uint32_t slot) {
+    if ((live_ + tombstones_ + 1) * 2 > index_.size()) {
+      const std::size_t n = index_.size();
+      rebuild_index(n == 0                         ? 16
+                    : live_ * 2 + tombstones_ > n / 2 ? 2 * n
+                                                      : n);
+    }
+    std::size_t i = flat_mix(code(slot_at(slot).key)) & index_mask();
+    while (index_[i] < kTombstone) i = (i + 1) & index_mask();
+    if (index_[i] == kTombstone) --tombstones_;
+    index_[i] = slot;
+  }
+
+  void index_erase(std::uint32_t slot) {
+    std::size_t i = flat_mix(code(slot_at(slot).key)) & index_mask();
+    while (index_[i] != slot) i = (i + 1) & index_mask();
+    index_[i] = kTombstone;
+    ++tombstones_;
+  }
+
+  void rebuild_index(std::size_t size) {
+    std::vector<std::uint32_t> old = std::move(index_);
+    index_.assign(size, kNil);
+    tombstones_ = 0;
+    for (const std::uint32_t e : old) {
+      if (e >= kTombstone) continue;
+      std::size_t i = flat_mix(code(slot_at(e).key)) & index_mask();
+      while (index_[i] != kNil) i = (i + 1) & index_mask();
+      index_[i] = e;
+    }
   }
 
   // ---- intrusive LRU list (head = most recent) -----------------------
@@ -366,12 +423,15 @@ class TtlCache {
     std::uint32_t prev = kNil;
     for (std::uint32_t at = head_; at != kNil; at = slot_at(at).next) {
       if (!slot_at(at).in_lru || slot_at(at).prev != prev) return false;
-      const std::uint32_t* slot = index_.find(code(slot_at(at).key));
-      if (slot == nullptr || *slot != at) return false;
+      if (find_slot(slot_at(at).key) != at) return false;
       prev = at;
       if (++walked > live_) return false;
     }
-    return walked == live_ && tail_ == prev && index_.size() == live_;
+    const auto indexed = std::count_if(
+        index_.begin(), index_.end(),
+        [](std::uint32_t e) { return e < kTombstone; });
+    return walked == live_ && tail_ == prev &&
+           static_cast<std::size_t>(indexed) == live_;
   }
 
   void evict_one(SimTime now) {
@@ -391,7 +451,10 @@ class TtlCache {
   }
 
   std::size_t capacity_;
-  FlatU64Map<std::uint32_t> index_;
+  /// Slot numbers (kNil = empty, kTombstone = erased); empty until the
+  /// first put, then a power of two.
+  std::vector<std::uint32_t> index_;
+  std::size_t tombstones_ = 0;
   /// Slot i is chunks_[i / kChunkSlots][i % kChunkSlots]; slots below
   /// slot_count_ exist, and chunks never move once allocated.
   std::vector<std::unique_ptr<Slot[]>> chunks_;

@@ -25,11 +25,13 @@
 // (Pool), both pure functions of the operation history.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <new>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -144,13 +146,17 @@ class Pool {
 /// Vector with N inline elements and wholesale spill to heap storage.
 ///
 /// While size() <= N the elements live in the inline array; the first
-/// push past N moves everything into a std::vector and the inline array
-/// is abandoned. Either way storage is contiguous, so begin()/end() are
-/// plain pointers and the standard algorithms apply. Requires T to be
-/// default-constructible and movable.
+/// push past N moves everything into one heap array (doubling as it
+/// grows) and the inline array is abandoned until clear(). Either way
+/// storage is contiguous, so begin()/end() are plain pointers and the
+/// standard algorithms apply. The spill bookkeeping is one pointer and two
+/// u32 words, so a SmallVec<T, N> is N T's plus 16 bytes (for T aligned to
+/// at most 8). Requires T to be default-constructible and movable. Inline slots past size() hold
+/// T{}, so a popped element releases what it owned.
 template <typename T, std::size_t N>
 class SmallVec {
   static_assert(N >= 1, "SmallVec needs at least one inline slot");
+  static_assert(N <= 0xffffffffu / 2, "SmallVec sizes are u32");
 
  public:
   using value_type = T;
@@ -159,6 +165,33 @@ class SmallVec {
 
   SmallVec() = default;
 
+  /// Deep copy: a spilled source gets a heap array of its own.
+  SmallVec(const SmallVec& other)
+      : inline_(other.inline_), size_(other.size_) {
+    if (other.spilled()) {
+      capacity_ = std::max<std::uint32_t>(other.size_, 2 * N);
+      heap_ = std::make_unique<T[]>(capacity_);
+      std::copy(other.begin(), other.end(), heap_.get());
+    }
+  }
+  SmallVec& operator=(const SmallVec& other) {
+    if (this != &other) *this = SmallVec(other);
+    return *this;
+  }
+
+  /// Takes `other`'s elements and leaves it empty and inline.
+  SmallVec(SmallVec&& other) noexcept(std::is_nothrow_move_assignable_v<T>) {
+    take(other);
+  }
+  SmallVec& operator=(SmallVec&& other) noexcept(
+      std::is_nothrow_move_assignable_v<T>) {
+    if (this != &other) {
+      clear();
+      take(other);
+    }
+    return *this;
+  }
+
   void push_back(T value) {
     if (!spilled()) {
       if (size_ < N) {
@@ -166,25 +199,23 @@ class SmallVec {
         ++size_;
         return;
       }
-      spill();
+      grow(2 * N, inline_.data());
+    } else if (size_ == capacity_) {
+      grow(2 * std::size_t{capacity_}, heap_.get());
     }
-    heap_.push_back(std::move(value));
+    heap_[size_] = std::move(value);
     ++size_;
   }
 
   void pop_back() {
     DDE_CHECK(size_ > 0, "SmallVec::pop_back on empty");
     --size_;
-    if (spilled()) {
-      heap_.pop_back();
-    } else {
-      inline_[size_] = T{};
-    }
+    data()[size_] = T{};
   }
 
-  [[nodiscard]] T* data() { return spilled() ? heap_.data() : inline_.data(); }
+  [[nodiscard]] T* data() { return spilled() ? heap_.get() : inline_.data(); }
   [[nodiscard]] const T* data() const {
-    return spilled() ? heap_.data() : inline_.data();
+    return spilled() ? heap_.get() : inline_.data();
   }
 
   [[nodiscard]] iterator begin() { return data(); }
@@ -208,12 +239,19 @@ class SmallVec {
 
   [[nodiscard]] std::size_t size() const { return size_; }
   [[nodiscard]] bool empty() const { return size_ == 0; }
+  /// Whether the elements live on the heap (size() has exceeded N since
+  /// the last clear()).
+  [[nodiscard]] bool spilled() const { return heap_ != nullptr; }
 
+  /// Drop every element and any heap array: back to inline storage.
   void clear() {
-    heap_.clear();
-    for (std::size_t i = 0; i < (size_ < N ? size_ : N); ++i) inline_[i] = T{};
+    if (spilled()) {
+      heap_.reset();
+      capacity_ = N;
+    } else {
+      for (std::size_t i = 0; i < size_; ++i) inline_[i] = T{};
+    }
     size_ = 0;
-    spilled_ = false;
   }
 
   /// Remove every element matching `pred`, preserving relative order.
@@ -242,21 +280,39 @@ class SmallVec {
   }
 
  private:
-  [[nodiscard]] bool spilled() const { return spilled_; }
-
-  void spill() {
-    heap_.reserve(2 * N);
-    for (std::size_t i = 0; i < N; ++i) {
-      heap_.push_back(std::move(inline_[i]));
-      inline_[i] = T{};
+  /// Move the size() elements at `from` into a fresh heap array of
+  /// `capacity` slots; inline slots left behind are reset to T{}.
+  void grow(std::size_t capacity, T* from) {
+    DDE_CHECK(capacity <= 0xffffffffu, "SmallVec capacity exceeds u32");
+    auto fresh = std::make_unique<T[]>(capacity);
+    for (std::size_t i = 0; i < size_; ++i) {
+      fresh[i] = std::move(from[i]);
+      from[i] = T{};
     }
-    spilled_ = true;
+    heap_ = std::move(fresh);
+    capacity_ = static_cast<std::uint32_t>(capacity);
+  }
+
+  /// Move `other`'s elements into this (empty, inline) vector.
+  void take(SmallVec& other) noexcept(std::is_nothrow_move_assignable_v<T>) {
+    if (other.spilled()) {
+      heap_ = std::move(other.heap_);
+      capacity_ = other.capacity_;
+      other.capacity_ = N;
+    } else {
+      for (std::size_t i = 0; i < other.size_; ++i) {
+        inline_[i] = std::move(other.inline_[i]);
+        other.inline_[i] = T{};
+      }
+    }
+    size_ = other.size_;
+    other.size_ = 0;
   }
 
   std::array<T, N> inline_{};
-  std::vector<T> heap_;
-  std::size_t size_ = 0;
-  bool spilled_ = false;
+  std::unique_ptr<T[]> heap_;       ///< null while the elements are inline
+  std::uint32_t size_ = 0;
+  std::uint32_t capacity_ = N;      ///< heap_'s length once spilled
 };
 
 /// Insertion-ordered flat map with linear-scan lookup.

@@ -34,6 +34,15 @@
 
 namespace dde {
 
+/// The probe start of every flat table: the splitmix64 finalizer —
+/// full-avalanche, constant, platform-independent.
+[[nodiscard]] constexpr std::uint64_t flat_mix(std::uint64_t x) noexcept {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
 template <typename V>
 class FlatU64Map {
  public:
@@ -46,7 +55,7 @@ class FlatU64Map {
 
   /// Pointer to the value for `key`, or nullptr.
   [[nodiscard]] V* find(std::uint64_t key) noexcept {
-    std::size_t i = mix(key) & mask_;
+    std::size_t i = flat_mix(key) & mask_;
     for (;;) {
       const Ctrl c = ctrl_[i];
       if (c == Ctrl::kEmpty) return nullptr;
@@ -65,7 +74,7 @@ class FlatU64Map {
       rebuild(size_ * 2 + tombstones_ > ctrl_.size() / 2 ? ctrl_.size() * 2
                                                          : ctrl_.size());
     }
-    std::size_t i = mix(key) & mask_;
+    std::size_t i = flat_mix(key) & mask_;
     for (;;) {
       const Ctrl c = ctrl_[i];
       if (c != Ctrl::kFull) {
@@ -83,7 +92,7 @@ class FlatU64Map {
 
   /// Remove `key` if present. Returns whether it was.
   bool erase(std::uint64_t key) noexcept {
-    std::size_t i = mix(key) & mask_;
+    std::size_t i = flat_mix(key) & mask_;
     for (;;) {
       const Ctrl c = ctrl_[i];
       if (c == Ctrl::kEmpty) return false;
@@ -175,14 +184,6 @@ class FlatU64Map {
  private:
   enum class Ctrl : std::uint8_t { kEmpty, kFull, kTombstone };
 
-  static constexpr std::uint64_t mix(std::uint64_t x) noexcept {
-    // splitmix64 finalizer: full-avalanche, constant, platform-independent.
-    x += 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
-  }
-
   static std::size_t table_for(std::size_t expected) noexcept {
     std::size_t n = 16;
     while (n < expected * 2) n *= 2;
@@ -226,7 +227,7 @@ class FlatU64Set {
   [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
 
   [[nodiscard]] bool contains(std::uint64_t key) const noexcept {
-    std::size_t i = mix(key) & mask_;
+    std::size_t i = flat_mix(key) & mask_;
     for (;;) {
       const Ctrl c = ctrl_[i];
       if (c == Ctrl::kEmpty) return false;
@@ -242,7 +243,7 @@ class FlatU64Set {
       rebuild(size_ * 2 + tombstones_ > ctrl_.size() / 2 ? ctrl_.size() * 2
                                                          : ctrl_.size());
     }
-    std::size_t i = mix(key) & mask_;
+    std::size_t i = flat_mix(key) & mask_;
     for (;;) {
       const Ctrl c = ctrl_[i];
       if (c != Ctrl::kFull) {
@@ -258,7 +259,7 @@ class FlatU64Set {
 
   /// Remove `key` if present. Returns whether it was.
   bool erase(std::uint64_t key) noexcept {
-    std::size_t i = mix(key) & mask_;
+    std::size_t i = flat_mix(key) & mask_;
     for (;;) {
       const Ctrl c = ctrl_[i];
       if (c == Ctrl::kEmpty) return false;
@@ -299,13 +300,6 @@ class FlatU64Set {
 
  private:
   enum class Ctrl : std::uint8_t { kEmpty, kFull, kTombstone };
-
-  static constexpr std::uint64_t mix(std::uint64_t x) noexcept {
-    x += 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
-  }
 
   static std::size_t table_for(std::size_t expected) noexcept {
     std::size_t n = 16;

@@ -30,14 +30,15 @@ struct LabelInfo {
 
 /// A resolved label value with provenance (the paper's signed-label record).
 /// Copying one allocates nothing unless it lists more than one evidence
-/// object (corroboration).
+/// object (corroboration). `value` comes last so it packs into the tail
+/// padding: 64 bytes in all, one per label-cache slot.
 struct LabelValue {
   LabelId label;
-  Tristate value = Tristate::kUnknown;
   SimTime evaluated_at;               ///< when the annotation was made
   SimTime validity;                   ///< freshness interval of the value
   AnnotatorId annotator;              ///< who evaluated (signature)
   SmallVec<ObjectId, 1> evidence;     ///< objects used, ascending
+  Tristate value = Tristate::kUnknown;
 
   [[nodiscard]] SimTime expires_at() const noexcept {
     return evaluated_at + validity;

@@ -1,8 +1,8 @@
 #include "net/topology.h"
 
 #include <algorithm>
+#include <functional>
 #include <limits>
-#include <queue>
 #include <stdexcept>
 
 #include "common/contracts.h"
@@ -73,8 +73,9 @@ void Topology::compute_routes(const std::vector<char>& link_enabled) {
   DDE_CHECK(link_enabled.empty() || link_enabled.size() == links_.size(),
             "compute_routes: link_enabled mask size mismatch");
   const std::size_t n = node_count_;
-  next_hop_.assign(n * n, NodeId{});
-  hops_.assign(n * n, std::numeric_limits<std::size_t>::max());
+  DDE_CHECK(n < kNoRoute, "compute_routes: node ids exceed 32 bits");
+  next_hop_.assign(n * n, kNoRoute);
+  hops_.assign(n * n, kNoRoute);
   // Enabled links into each node, in link order: a relaxation visits the
   // same edges in the same order as a scan of every link would.
   std::vector<std::vector<const Link*>> incoming(n);
@@ -83,20 +84,26 @@ void Topology::compute_routes(const std::vector<char>& link_enabled) {
     incoming[l.to.value()].push_back(&l);
   }
   // Dijkstra from every destination over reversed edges, so a single pass
-  // yields next hops toward that destination from every node.
+  // yields next hops toward that destination from every node. Each pass
+  // writes its destination's rows in place and reuses one distance buffer
+  // and one heap. Heap entries are totally ordered by (distance, node), so
+  // the pop order, and with it every tie-break, is the heap's own.
+  std::vector<double> dist;
+  using Item = std::pair<double, std::uint32_t>;
+  std::vector<Item> heap;
+  const auto later = std::greater<>{};
   for (std::size_t dest = 0; dest < n; ++dest) {
-    std::vector<double> dist(n, std::numeric_limits<double>::infinity());
-    std::vector<std::size_t> hops(n, std::numeric_limits<std::size_t>::max());
-    std::vector<NodeId> next(n, NodeId{});
-    using Item = std::pair<double, std::size_t>;
-    std::priority_queue<Item, std::vector<Item>, std::greater<>> pq;
+    std::uint32_t* next = next_hop_.data() + dest * n;
+    std::uint32_t* hops = hops_.data() + dest * n;
+    dist.assign(n, std::numeric_limits<double>::infinity());
     dist[dest] = 0.0;
     hops[dest] = 0;
-    next[dest] = NodeId{dest};
-    pq.emplace(0.0, dest);
-    while (!pq.empty()) {
-      const auto [d, u] = pq.top();
-      pq.pop();
+    next[dest] = static_cast<std::uint32_t>(dest);
+    heap.assign(1, Item{0.0, static_cast<std::uint32_t>(dest)});
+    while (!heap.empty()) {
+      std::pop_heap(heap.begin(), heap.end(), later);
+      const auto [d, u] = heap.back();
+      heap.pop_back();
       if (d > dist[u]) continue;
       // Relax incoming edges v→u: from v, going through u gets closer.
       for (const Link* l : incoming[u]) {
@@ -106,14 +113,11 @@ void Topology::compute_routes(const std::vector<char>& link_enabled) {
         if (dist[u] + w < dist[v]) {
           dist[v] = dist[u] + w;
           hops[v] = hops[u] + 1;
-          next[v] = NodeId{u};
-          pq.emplace(dist[v], v);
+          next[v] = u;
+          heap.emplace_back(dist[v], static_cast<std::uint32_t>(v));
+          std::push_heap(heap.begin(), heap.end(), later);
         }
       }
-    }
-    for (std::size_t from = 0; from < n; ++from) {
-      next_hop_[from * n + dest] = next[from];
-      hops_[from * n + dest] = hops[from];
     }
   }
   routes_valid_ = true;
@@ -126,16 +130,17 @@ std::optional<NodeId> Topology::next_hop(NodeId from, NodeId dest) const {
             "next_hop: unknown source node");
   DDE_CHECK(dest.valid() && dest.value() < node_count_,
             "next_hop: unknown destination node");
-  const NodeId hop = next_hop_[from.value() * node_count_ + dest.value()];
-  if (!hop.valid()) return std::nullopt;
-  return hop;
+  const std::uint32_t hop =
+      next_hop_[dest.value() * node_count_ + from.value()];
+  if (hop == kNoRoute) return std::nullopt;
+  return NodeId{hop};
 }
 
 std::optional<std::size_t> Topology::hop_distance(NodeId from,
                                                   NodeId dest) const {
   if (!routes_valid_) return std::nullopt;
-  const std::size_t h = hops_[from.value() * node_count_ + dest.value()];
-  if (h == std::numeric_limits<std::size_t>::max()) return std::nullopt;
+  const std::uint32_t h = hops_[dest.value() * node_count_ + from.value()];
+  if (h == kNoRoute) return std::nullopt;
   return h;
 }
 

@@ -84,9 +84,13 @@ class Topology {
   std::size_t node_count_ = 0;
   std::vector<Link> links_;
   std::vector<std::vector<LinkId>> out_links_;  // per node
-  // next_hop_[from * node_count_ + dest] (kInvalid if unreachable)
-  std::vector<NodeId> next_hop_;
-  std::vector<std::size_t> hops_;
+  /// Route tables, one row per destination: next_hop_[dest * n + from] is
+  /// the next node from `from` toward `dest` and hops_[dest * n + from]
+  /// the hop count, both kNoRoute if unreachable. 32-bit entries halve the
+  /// n² tables; node ids are checked to fit.
+  static constexpr std::uint32_t kNoRoute = ~std::uint32_t{0};
+  std::vector<std::uint32_t> next_hop_;
+  std::vector<std::uint32_t> hops_;
   bool routes_valid_ = false;
   std::uint64_t routes_epoch_ = 0;
 };

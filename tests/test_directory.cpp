@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -128,10 +129,11 @@ TEST(Directory, SelectMinimizedCoversAllLabels) {
   const auto sel = dir.select_sources(labels, f.nodes[0], /*minimize=*/true);
   EXPECT_TRUE(sel.uncovered.empty());
   for (LabelId l : labels) {
-    ASSERT_TRUE(sel.designated.contains(l)) << l;
+    ASSERT_TRUE(sel.designated_source(l).valid()) << l;
   }
+  EXPECT_EQ(sel.designated.size(), labels.size());
+  EXPECT_TRUE(std::is_sorted(sel.designated.begin(), sel.designated.end()));
   // Every designated source actually covers its label.
-  // lint: ordered-fold — independent per-entry expectations.
   for (const auto& [label, source] : sel.designated) {
     const auto& srcs = dir.sources_for(label);
     EXPECT_NE(std::find(srcs.begin(), srcs.end(), source), srcs.end());
@@ -157,7 +159,7 @@ TEST(Directory, SelectComprehensiveListsAllCoveringSources) {
   EXPECT_EQ(sel.requests.size(), 2u);
   // The designated source is the cheaper one from node 0 (sensor 0:
   // 1000×1 hop = 1000 vs sensor 1: 500×3 = 1500).
-  EXPECT_EQ(sel.designated.at(LabelId{1}), SourceId{0});
+  EXPECT_EQ(sel.designated_source(LabelId{1}), SourceId{0});
 }
 
 TEST(Directory, SelectReportsUncoveredLabels) {
@@ -167,8 +169,8 @@ TEST(Directory, SelectReportsUncoveredLabels) {
                                       true);
   ASSERT_EQ(sel.uncovered.size(), 1u);
   EXPECT_EQ(sel.uncovered[0], LabelId{42});
-  EXPECT_TRUE(sel.designated.contains(LabelId{0}));
-  EXPECT_FALSE(sel.designated.contains(LabelId{42}));
+  EXPECT_TRUE(sel.designated_source(LabelId{0}).valid());
+  EXPECT_FALSE(sel.designated_source(LabelId{42}).valid());
 }
 
 TEST(Directory, SelectEmptyLabels) {
@@ -252,6 +254,7 @@ Directory::Selection reference_select(
   } else {
     chosen = candidates;
   }
+  std::map<LabelId, SourceId> designated;
   for (LabelId l : labels) {
     SourceId best;
     double best_cost = 0.0;
@@ -263,8 +266,9 @@ Directory::Selection reference_select(
         best_cost = c;
       }
     }
-    if (best.valid()) sel.designated[l] = best;
+    if (best.valid()) designated[l] = best;
   }
+  sel.designated.assign(designated.begin(), designated.end());
   for (SourceId s : chosen) {
     auto labs = covered_needed(s);
     if (!labs.empty()) sel.requests.emplace_back(s, std::move(labs));

@@ -31,6 +31,13 @@ DnfExpr route_example() {
   return e;
 }
 
+TEST(Assignment, LabelValueFitsSixtyFourBytes) {
+  // Every label-cache slot and assignment entry holds one LabelValue; pinned
+  // so its footprint cannot grow back unnoticed.
+  static_assert(sizeof(LabelValue) <= 64);
+  SUCCEED();
+}
+
 TEST(Assignment, UnknownByDefault) {
   Assignment a;
   EXPECT_EQ(a.value_at(LabelId{0}, SimTime::zero()), Tristate::kUnknown);

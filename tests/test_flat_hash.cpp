@@ -12,10 +12,12 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/arena.h"
 #include "common/flat_hash.h"
+#include "common/ids.h"
 
 namespace dde {
 namespace {
@@ -306,6 +308,100 @@ TEST(SmallVec, RemoveIfAndEraseAtPreserveOrder) {
   EXPECT_TRUE(v.empty());
   v.push_back(42);  // usable after clear, back in inline mode
   EXPECT_EQ(v[0], 42);
+}
+
+TEST(SmallVec, SpillBookkeepingIsOnePointerAndTwoWords) {
+  // Pinned so the per-entry footprint cannot grow back unnoticed: every
+  // label-cache slot holds a SmallVec<ObjectId, 1> and every interest-table
+  // slot a SmallVec<Interest, 1>.
+  static_assert(sizeof(SmallVec<ObjectId, 1>) <= 24);
+  static_assert(sizeof(SmallVec<std::uint64_t, 4>) <= 4 * 8 + 16);
+  SUCCEED();
+}
+
+TEST(SmallVec, CopyOfSpilledVectorIsDeep) {
+  SmallVec<std::string, 1> v;
+  for (int i = 0; i < 5; ++i) v.push_back(std::to_string(i));
+  ASSERT_TRUE(v.spilled());
+  SmallVec<std::string, 1> copy = v;
+  ASSERT_EQ(copy.size(), 5u);
+  EXPECT_NE(copy.data(), v.data());  // its own heap array
+  copy[0] = "changed";
+  copy.push_back("5");
+  copy.push_back("6");  // grows past the copied capacity
+  EXPECT_EQ(v[0], "0");
+  EXPECT_EQ(v.size(), 5u);
+  for (int i = 1; i < 7; ++i) {
+    EXPECT_EQ(copy[static_cast<std::size_t>(i)], std::to_string(i));
+  }
+  SmallVec<std::string, 1> assigned;
+  assigned.push_back("x");
+  assigned = v;
+  ASSERT_EQ(assigned.size(), 5u);
+  EXPECT_NE(assigned.data(), v.data());
+  EXPECT_EQ(assigned[4], "4");
+
+  // A spilled vector popped down to nothing still copies into a usable
+  // vector.
+  SmallVec<int, 1> drained;
+  drained.push_back(1);
+  drained.push_back(2);
+  drained.pop_back();
+  drained.pop_back();
+  SmallVec<int, 1> from_drained = drained;
+  for (int i = 0; i < 4; ++i) from_drained.push_back(i);
+  EXPECT_EQ(from_drained.size(), 4u);
+  EXPECT_EQ(from_drained[3], 3);
+}
+
+TEST(SmallVec, MovedFromVectorIsEmptyAndReusable) {
+  for (const int n : {1, 4}) {  // inline, then spilled
+    SmallVec<std::string, 2> src;
+    for (int i = 0; i < n; ++i) src.push_back(std::to_string(i));
+    const std::string* heap = src.spilled() ? src.data() : nullptr;
+    SmallVec<std::string, 2> dst = std::move(src);
+    ASSERT_EQ(dst.size(), static_cast<std::size_t>(n));
+    EXPECT_EQ(dst[static_cast<std::size_t>(n - 1)], std::to_string(n - 1));
+    if (heap != nullptr) {
+      EXPECT_EQ(dst.data(), heap);  // stolen, not copied
+    }
+    EXPECT_TRUE(src.empty());  // NOLINT(bugprone-use-after-move)
+    EXPECT_FALSE(src.spilled());
+    src.push_back("again");
+    src.push_back("and");
+    src.push_back("again");
+    ASSERT_EQ(src.size(), 3u);
+    EXPECT_EQ(src[1], "and");
+
+    SmallVec<std::string, 2> target;
+    for (int i = 0; i < 3; ++i) target.push_back("old");
+    target = std::move(dst);
+    ASSERT_EQ(target.size(), static_cast<std::size_t>(n));
+    EXPECT_EQ(target[0], "0");
+    EXPECT_TRUE(dst.empty());  // NOLINT(bugprone-use-after-move)
+    dst.push_back("reused");
+    EXPECT_EQ(dst.back(), "reused");
+  }
+}
+
+TEST(SmallVec, ClearAfterSpillReturnsToInlineStorage) {
+  SmallVec<int, 2> v;
+  const int* inline_data = v.data();
+  for (int i = 0; i < 6; ++i) v.push_back(i);
+  ASSERT_TRUE(v.spilled());
+  EXPECT_NE(v.data(), inline_data);
+  v.clear();
+  EXPECT_TRUE(v.empty());
+  EXPECT_FALSE(v.spilled());
+  EXPECT_EQ(v.data(), inline_data);
+  v.push_back(7);
+  v.push_back(8);
+  EXPECT_FALSE(v.spilled());
+  EXPECT_EQ(v.data(), inline_data);
+  v.push_back(9);  // spills afresh
+  EXPECT_TRUE(v.spilled());
+  EXPECT_EQ(v[0], 7);
+  EXPECT_EQ(v[2], 9);
 }
 
 TEST(SmallMap, RefSetFindErase) {

@@ -2,7 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <functional>
+#include <limits>
+#include <optional>
+#include <queue>
+#include <string>
+#include <utility>
 #include <vector>
+
+#include "common/rng.h"
 
 namespace dde::net {
 namespace {
@@ -178,6 +187,112 @@ TEST(Topology, ComputeRoutesWithDisabledLinksRoutesAround) {
   // An empty mask means "all enabled" and matches a plain recompute.
   t.compute_routes(std::vector<char>());
   EXPECT_EQ(t.hop_distance(n[0], n[2]), 2u);
+}
+
+/// Routes from a plain Dijkstra per destination over reversed edges:
+/// std::priority_queue of (distance, node), every link scanned in link order
+/// for each settled node, strict improvement only. Unreachable entries are
+/// nullopt.
+struct ReferenceRoutes {
+  std::vector<std::optional<NodeId>> next;  // [from * n + dest]
+  std::vector<std::optional<std::size_t>> hops;
+  std::size_t ties = 0;  // relaxations that matched an equal-cost path
+};
+
+ReferenceRoutes reference_routes(const Topology& t,
+                                 const std::vector<char>& enabled) {
+  const std::size_t n = t.node_count();
+  ReferenceRoutes out;
+  out.next.assign(n * n, std::nullopt);
+  out.hops.assign(n * n, std::nullopt);
+  for (std::size_t dest = 0; dest < n; ++dest) {
+    std::vector<double> dist(n, std::numeric_limits<double>::infinity());
+    std::vector<std::optional<std::size_t>> hops(n);
+    std::vector<std::optional<NodeId>> next(n);
+    using Item = std::pair<double, std::size_t>;
+    std::priority_queue<Item, std::vector<Item>, std::greater<>> pq;
+    dist[dest] = 0.0;
+    hops[dest] = 0;
+    next[dest] = NodeId{dest};
+    pq.emplace(0.0, dest);
+    while (!pq.empty()) {
+      const auto [d, u] = pq.top();
+      pq.pop();
+      if (d > dist[u]) continue;
+      for (const Link& l : t.links()) {
+        if (l.to.value() != u) continue;
+        if (!enabled.empty() && enabled[l.id.value()] == 0) continue;
+        const std::size_t v = l.from.value();
+        const double w =
+            l.latency.to_seconds() + 1024.0 * 8.0 / l.bandwidth_bps;
+        if (dist[u] + w < dist[v]) {
+          dist[v] = dist[u] + w;
+          hops[v] = *hops[u] + 1;
+          next[v] = NodeId{u};
+          pq.emplace(dist[v], v);
+        } else if (dist[u] + w == dist[v] && v != dest) {
+          ++out.ties;
+        }
+      }
+    }
+    for (std::size_t from = 0; from < n; ++from) {
+      out.next[from * n + dest] = next[from];
+      out.hops[from * n + dest] = hops[from];
+    }
+  }
+  return out;
+}
+
+// Random weighted graphs, some disconnected, with link weights from a
+// small set so equal-cost paths are common, routed with no mask, with an
+// all-enabled mask and with random directed links disabled.
+TEST(Topology, RoutesMatchReferenceDijkstra) {
+  Rng rng(2417);
+  const double bandwidths[] = {1e6, 2e6};
+  const std::int64_t latencies_ms[] = {1, 2};
+  std::size_t ties = 0;
+  std::size_t unreachable = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    Topology t;
+    const std::size_t n = 2 + rng.below(23);
+    for (std::size_t i = 0; i < n; ++i) t.add_node();
+    const double p = rng.uniform(0.05, 0.4);
+    for (std::size_t a = 0; a < n; ++a) {
+      for (std::size_t b = a + 1; b < n; ++b) {
+        if (!rng.chance(p)) continue;
+        t.add_link(NodeId{a}, NodeId{b}, bandwidths[rng.below(2)],
+                   SimTime::millis(latencies_ms[rng.below(2)]));
+      }
+    }
+    std::vector<char> all(t.link_count(), 1);
+    std::vector<char> some(t.link_count(), 1);
+    for (char& e : some) e = rng.chance(0.25) ? 0 : 1;
+    for (const int mode : {0, 1, 2}) {  // no mask, all enabled, some off
+      const std::vector<char> enabled =
+          mode == 0 ? std::vector<char>() : mode == 1 ? all : some;
+      if (mode == 0) {
+        t.compute_routes();
+      } else {
+        t.compute_routes(enabled);
+      }
+      const ReferenceRoutes want = reference_routes(t, enabled);
+      ties += want.ties;
+      for (std::size_t from = 0; from < n; ++from) {
+        for (std::size_t dest = 0; dest < n; ++dest) {
+          const std::size_t i = from * n + dest;
+          ASSERT_EQ(t.next_hop(NodeId{from}, NodeId{dest}), want.next[i])
+              << from << " -> " << dest;
+          ASSERT_EQ(t.hop_distance(NodeId{from}, NodeId{dest}), want.hops[i])
+              << from << " -> " << dest;
+          if (!want.hops[i]) ++unreachable;
+        }
+      }
+    }
+  }
+  // The sample exercises both tie-breaks and unreachable pairs.
+  EXPECT_GT(ties, 100u);
+  EXPECT_GT(unreachable, 100u);
 }
 
 TEST(Topology, RoutesEpochBumpsOnRecompute) {

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <iterator>
 #include <map>
 #include <string>
+#include <utility>
 
 namespace dde::cache {
 namespace {
@@ -275,6 +278,75 @@ TEST(TtlCache, ManyInsertionsStayWithinCapacity) {
   // The 16 most recent survive.
   for (int i = 984; i < 1000; ++i) {
     EXPECT_NE(c.peek(i, s(1000.5)), nullptr);
+  }
+}
+
+// The key index holds only slot numbers and compares the key stored in
+// the slot. Churn it through growth, tombstones, tombstone-driven rebuilds
+// and clear() — keys sparse in their u64 codes so probes collide — and
+// check every lookup against a plain map of what should be live.
+TEST(TtlCache, IndexMatchesReferenceUnderChurn) {
+  TtlCache<std::uint64_t, int> c(1000);  // no capacity evictions
+  std::map<std::uint64_t, std::pair<int, SimTime>> want;  // value, expiry
+  std::uint64_t rng = 12345;
+  auto next = [&rng](std::uint64_t n) {
+    rng = rng * 6364136223846793005ULL + 1442695040888963407ULL;
+    return (rng >> 33) % n;
+  };
+  SimTime now;
+  const auto prune_want = [&] {  // what put() and prune() drop
+    for (auto it = want.begin(); it != want.end();) {
+      it = it->second.second <= now ? want.erase(it) : std::next(it);
+    }
+  };
+  for (int step = 0; step < 20000; ++step) {
+    now += SimTime::millis(10);
+    const std::uint64_t key = next(300) << 32 | next(4);
+    switch (next(10)) {
+      case 0:
+      case 1:
+      case 2:
+      case 3: {  // insert or refresh
+        const int v = static_cast<int>(next(1000));
+        const auto secs = static_cast<std::int64_t>(next(50));
+        const SimTime expires = now + SimTime::millis(500 + 1000 * secs);
+        c.put(key, v, expires, now);
+        prune_want();
+        want[key] = {v, expires};
+        break;
+      }
+      case 4:
+      case 5:
+        EXPECT_EQ(c.erase_key(key), want.erase(key) == 1);
+        break;
+      case 6:
+        if (step % 5000 == 6) {
+          c.clear();
+          want.clear();
+        }
+        break;
+      default: {
+        const auto it = want.find(key);
+        const int* got = c.get(key, now, now);
+        if (it == want.end() || it->second.second <= now) {
+          EXPECT_EQ(got, nullptr);
+          if (it != want.end()) want.erase(it);  // get drops it
+        } else {
+          ASSERT_NE(got, nullptr);
+          EXPECT_EQ(*got, it->second.first);
+        }
+      }
+    }
+    if (step % 1000 == 999) {
+      c.prune(now);
+      prune_want();
+      ASSERT_EQ(c.size(), want.size());
+      for (const auto& [k, entry] : want) {
+        const int* got = c.peek(k, now);
+        ASSERT_NE(got, nullptr) << k;
+        EXPECT_EQ(*got, entry.first);
+      }
+    }
   }
 }
 
