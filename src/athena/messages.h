@@ -86,11 +86,9 @@ struct ObjectRequest {
   NodeId origin;                ///< query source node
   SourceId source;
   std::vector<LabelId> labels;  ///< labels this request should resolve
-  bool prefetch = false;        ///< background request; never forwarded
   bool accept_labels = false;   ///< cached label values acceptable (lvfl)
-  SimTime deadline_abs;         ///< requesting query's decision deadline
   /// Network priority of this request and of the data it pulls back
-  /// (Sec. V-C criticality; background prefetch uses −1).
+  /// (Sec. V-C criticality).
   int priority = 0;
   /// Multipath replica group: all parallel copies of one logical request
   /// carry the same nonzero group and receivers keep only the first copy.
@@ -131,7 +129,6 @@ struct Invalidation {
   static constexpr auto kBilledTo = &AthenaMetrics::label_bytes;
   std::uint64_t id = 0;  ///< flood-dedup identifier
   std::vector<LabelId> labels;
-  SimTime issued_at;
   int ttl = 0;
 };
 
@@ -152,9 +149,8 @@ struct LabelReply {
 struct RecoveryHello {
   static constexpr auto kSize = &AthenaConfig::hello_bytes;
   static constexpr auto kBilledTo = &AthenaMetrics::control_bytes;
-  NodeId node;                 ///< the restarted node
-  std::uint64_t epoch = 0;     ///< its restart count (state generation)
-  SimTime restarted_at;        ///< when it came back up
+  NodeId node;           ///< the restarted node
+  SimTime restarted_at;  ///< when it came back up
 };
 
 /// Every message a node sends or receives.

@@ -12,8 +12,6 @@ namespace dde::athena {
 namespace {
 
 constexpr SimTime kPrefetchInterval = SimTime::millis(200);  ///< pump rate
-constexpr SimTime kInterestTtl = SimTime::seconds(120);  ///< interest expiry
-constexpr std::size_t kLabelCacheCapacity = 512;
 /// Receiver-side replica dedup table bounds (per node).
 constexpr std::size_t kReplicaDedupCapacity = 4096;
 constexpr SimTime kReplicaDedupTtl = SimTime::seconds(120);
@@ -50,11 +48,10 @@ AthenaNode::AthenaNode(NodeId id, net::Network& net, const Directory& directory,
     : id_(id),
       net_(net),
       directory_(directory),
-      field_(field),
       config_(config),
       metrics_(metrics),
-      object_cache_(config.object_cache_capacity),
-      label_cache_(kLabelCacheCapacity) {
+      store_(id, config, field, metrics),
+      forwarder_(directory, config) {
   net_.set_handler(id_, [this](NodeId, const net::Packet& pkt) {
     on_packet(pkt);
   });
@@ -116,11 +113,7 @@ QueryId AthenaNode::query_init(decision::DnfExpr expr,
 
   // Deadline watchdog.
   net_.simulator().schedule_at(q.deadline_abs, [this, qid] {
-    drain_retired();
-    QueryState* state = lookup_query(qid);
-    if (state != nullptr && !state->finished) {
-      finish(*state, /*success=*/false);
-    }
+    if (QueryState* state = live_query(qid)) finish(*state, Outcome::kExpired);
   });
 
   const std::uint32_t slot = query_pool_.create(std::move(q));
@@ -131,7 +124,10 @@ QueryId AthenaNode::query_init(decision::DnfExpr expr,
   return qid;
 }
 
-AthenaNode::QueryState* AthenaNode::lookup_query(QueryId qid) {
+AthenaNode::QueryState* AthenaNode::live_query(QueryId qid) {
+  // Every query finished before now is retired by the drain, so an entry
+  // still in the table is unfinished.
+  drain_retired();
   auto it = queries_.find(qid);
   if (it == queries_.end()) return nullptr;
   return &query_pool_.at(it->second);
@@ -148,13 +144,13 @@ void AthenaNode::drain_retired() {
 }
 
 bool AthenaNode::prefetch_mark_seen(std::uint64_t key) {
-  if (prefetch_seen_.contains(key)) return false;
+  if (prefetch_seen_.find(key) != nullptr) return false;
   const std::size_t cap = std::max<std::size_t>(config_.prefetch_dedup_capacity, 1);
   while (prefetch_seen_.size() >= cap && !prefetch_seen_fifo_.empty()) {
     prefetch_seen_.erase(prefetch_seen_fifo_.front());
     prefetch_seen_fifo_.pop_front();
   }
-  prefetch_seen_.insert(key);
+  prefetch_seen_.insert(key, 0);
   prefetch_seen_fifo_.push_back(key);
   return true;
 }
@@ -185,57 +181,6 @@ decision::LabelMeta AthenaNode::label_meta(QueryState& q,
   memo = source.valid() ? directory_.meta(label, source, id_)
                         : decision::LabelMeta{};
   return *memo;
-}
-
-std::vector<decision::LabelValue> AthenaNode::annotate(
-    const world::EvidenceObject& obj) const {
-  std::vector<decision::LabelValue> values;
-  values.reserve(obj.readings.size());
-  // Ascending segment order: the values feed label-share payloads and
-  // per-query settle traces.
-  for (const world::Reading& r : obj.readings) {
-    decision::LabelValue v;
-    v.label = LabelId{r.segment.value()};
-    v.value = to_tristate(r.viable);
-    v.evaluated_at = obj.captured_at;
-    v.validity = obj.validity;
-    v.annotator = AnnotatorId{id_.value()};
-    v.evidence.push_back(obj.id);
-    values.push_back(std::move(v));
-  }
-  return values;
-}
-
-std::vector<decision::LabelValue> AthenaNode::corroborate(
-    const world::EvidenceObject& obj) {
-  const SimTime now = net_.now();
-  std::vector<decision::LabelValue> decided;
-  if (!obj.fresh_at(now)) return decided;  // expired observations are void
-  // Ascending segment order: decided labels flow into shares and settle
-  // traces.
-  for (const world::Reading& reading : obj.readings) {
-    const LabelId label{reading.segment.value()};
-    auto& entry = beliefs_[label];
-    if (now >= entry.window_expires) entry = BeliefEntry{};  // window over
-    if (!insert_sorted(entry.observed, obj.id)) continue;  // already counted
-    // Clamp into the informative range; a reliability at or below 0.5
-    // carries no information.
-    const double r = std::clamp(obj.reliability, 0.5, 0.999);
-    entry.belief.observe(reading.viable, r);
-    entry.window_expires = std::min(entry.window_expires, obj.expires_at());
-    const Tristate verdict =
-        entry.belief.decided(config_.corroboration_confidence);
-    if (verdict == Tristate::kUnknown) continue;
-    decision::LabelValue v;
-    v.label = label;
-    v.value = verdict;
-    v.evaluated_at = now;
-    v.validity = entry.window_expires - now;
-    v.annotator = AnnotatorId{id_.value()};
-    for (const ObjectId id : entry.observed) v.evidence.push_back(id);
-    decided.push_back(std::move(v));
-  }
-  return decided;
 }
 
 SourceId AthenaNode::next_corroborating_source(const QueryState& q,
@@ -292,36 +237,17 @@ void AthenaNode::apply_labels_to_queries(
 
 void AthenaNode::deliver_object(const world::EvidenceObject& obj) {
   const SimTime now = net_.now();
-  // Bound the dedup set on very long runs; losing old entries only risks
-  // re-annotating an already-expired capture, never incorrectness.
-  if (ingested_.size() > 200000) ingested_.clear();
-  const bool first_ingest = ingested_.insert(obj.id).second;
-  if (first_ingest && !obj.fresh_at(now)) ++metrics_.stale_arrivals;
-
-  if (first_ingest) {
-    // Annotate (the origin is the evaluator, Sec. VI-C). With noisy
-    // sensors, readings feed per-label Bayesian beliefs and only decided
-    // labels emerge (Sec. IV-B); otherwise a single reading decides. Stale
-    // values are dropped; fresh ones update assignments, and those that
-    // improve on the label cache are cached and shared.
-    std::vector<decision::LabelValue> values =
-        config_.corroboration_confidence > 0.5 ? corroborate(obj)
-                                               : annotate(obj);
-    std::erase_if(values, [now](const decision::LabelValue& v) {
-      return v.expires_at() <= now;
-    });
-    std::vector<decision::LabelValue> fresher;
-    for (const auto& v : values) {
-      const auto* existing = label_cache_.peek(v.label, now);
-      if (existing && existing->expires_at() >= v.expires_at()) continue;
-      cache_label(v, now);
-      fresher.push_back(v);
-    }
-    apply_labels_to_queries(values);
+  // Annotate a first arrival (the origin is the evaluator, Sec. VI-C).
+  // Its fresh values update assignments, and those that improve on the
+  // label cache are cached and shared.
+  if (const auto values = store_.ingest(obj, now)) {
+    std::vector<decision::LabelValue> fresher = cache_labels(*values, now);
+    apply_labels_to_queries(*values);
 
     // Share newly evaluated labels back into the network (Sec. VI-D).
     if (config_.label_sharing && !fresher.empty()) {
-      share_labels(std::move(fresher), obj.source);
+      const NodeId toward = directory_.host(obj.source);
+      send_toward(toward, LabelShare{std::move(fresher), toward});
     }
   }
 
@@ -348,7 +274,7 @@ bool AthenaNode::try_local(QueryState& q, LabelId label) {
 
   // 1. Label cache: a fresh value signed by a trusted annotator settles
   //    the label outright (Sec. VI-D trust model).
-  if (const auto* v = label_cache_.peek(label, now)) {
+  if (const auto* v = store_.labels().peek(label, now)) {
     if (trusts(v->annotator)) {
       q.assignment.set(*v);
       trace(obs::EventKind::kLabelSettle, q.id, v->label.value(), 0,
@@ -362,11 +288,11 @@ bool AthenaNode::try_local(QueryState& q, LabelId label) {
   //    carry no new information and are skipped. Under corroboration one
   //    object may not decide the label, so every local source is consulted.
   for (SourceId s : directory_.sources_for(label)) {
-    const bool cached = object_cache_.peek(s, now) != nullptr;
+    const bool cached = store_.objects().peek(s, now) != nullptr;
     if (!cached && !hosts(s)) continue;
-    auto obj = local_object(s);
+    auto obj = store_.local_object(s, hosts(s), now);
     if (!obj) continue;
-    if (ingested_.contains(obj->id)) continue;
+    if (store_.ingested(obj->id)) continue;
     if (cached) ++metrics_.object_cache_hits;
     deliver_object(*obj);
     // deliver_object() applied the annotation to q's assignment.
@@ -379,7 +305,7 @@ void AthenaNode::advance(QueryState& q) {
   if (q.finished) return;
   const SimTime now = net_.now();
   if (now > q.deadline_abs) {
-    finish(q, false);
+    finish(q, Outcome::kExpired);
     return;
   }
   const auto meta = [this, &q](LabelId label) { return label_meta(q, label); };
@@ -401,7 +327,7 @@ void AthenaNode::advance(QueryState& q) {
         return;
       }
       if (q.expr.resolved(q.assignment, now)) {
-        finish(q, true);
+        finish(q, Outcome::kDecided);
         return;
       }
       q.unresolved_version = q.assignment.version();
@@ -416,7 +342,7 @@ void AthenaNode::advance(QueryState& q) {
         q.expr, q.assignment, now, meta, config_.order, q.deadline_abs,
         scratch);
     if (order.empty()) {  // empty exactly when the query is resolved
-      finish(q, true);
+      finish(q, Outcome::kDecided);
       return;
     }
     q.unresolved_version = q.assignment.version();
@@ -428,12 +354,12 @@ void AthenaNode::advance(QueryState& q) {
     // would have burned — and account the query as shed, not failed.
     if (config_.shed_infeasible && q.outstanding.empty() &&
         deadline_infeasible(q, order, now)) {
-      finish(q, /*success=*/false, /*shed=*/true);
+      finish(q, Outcome::kShed);
       return;
     }
 
-    bool progressed = false;
     if (config_.sequential) {
+      bool progressed = false;  // local knowledge settled a label: re-plan
       SimTime corroboration_retry = SimTime::max();
       for (LabelId l : order) {
         if (try_local(q, l)) {
@@ -455,7 +381,7 @@ void AthenaNode::advance(QueryState& q) {
           // requesting it over the network is meaningless — but a NEW
           // capture becomes available once the current one expires, so
           // schedule the retry for then.
-          if (const auto* cached = object_cache_.peek(source, net_.now())) {
+          if (const auto* cached = store_.objects().peek(source, now)) {
             corroboration_retry =
                 std::min(corroboration_retry, (*cached)->expires_at());
           }
@@ -472,34 +398,27 @@ void AthenaNode::advance(QueryState& q) {
         issue_request(q, source, std::move(want));
         return;
       }
-      if (!progressed) {
-        // Corroboration may be blocked until some sensor produces a fresh
-        // capture; wake up then instead of sleeping to the deadline.
-        if (corroboration_retry != SimTime::max() &&
-            corroboration_retry < q.deadline_abs) {
-          const QueryId qid = q.id;
-          net_.simulator().schedule_at(
-              corroboration_retry + SimTime::millis(1), [this, qid] {
-                drain_retired();
-                QueryState* state = lookup_query(qid);
-                if (state != nullptr && !state->finished) {
-                  advance(*state);
-                }
-              });
-        }
-        return;
+      if (progressed) continue;
+      // Corroboration may be blocked until some sensor produces a fresh
+      // capture; wake up then instead of sleeping to the deadline.
+      if (corroboration_retry != SimTime::max() &&
+          corroboration_retry < q.deadline_abs) {
+        const QueryId qid = q.id;
+        net_.simulator().schedule_at(
+            corroboration_retry + SimTime::millis(1), [this, qid] {
+              if (QueryState* state = live_query(qid)) advance(*state);
+            });
       }
+      return;
     } else {
       // Batch (cmp / slt): request every selected source that still has a
       // relevant label, all at once.
-      for (LabelId l : order) {
-        if (try_local(q, l)) progressed = true;
-      }
+      for (LabelId l : order) try_local(q, l);
       const auto fresh_order = decision::plan_retrieval_order(
           q.expr, q.assignment, now, meta, config_.order, q.deadline_abs,
           scratch);
       if (fresh_order.empty()) {  // resolved from local knowledge
-        finish(q, true);
+        finish(q, Outcome::kDecided);
         return;
       }
       for (const auto& [source, labels] : q.selection.requests) {
@@ -517,9 +436,7 @@ void AthenaNode::advance(QueryState& q) {
         }
         if (want.empty()) continue;
         issue_request(q, source, std::move(want));
-        progressed = true;
       }
-      if (!progressed) return;
       // Batch requests are all issued; nothing further until replies.
       return;
     }
@@ -572,9 +489,8 @@ void AthenaNode::issue_request(QueryState& q, SourceId source,
   // failed over to an alternate one once this source's attempts are spent.
   net_.simulator().schedule_after(
       timeout + SimTime::micros(1), [this, qid = q.id, source] {
-        drain_retired();
-        QueryState* state = lookup_query(qid);
-        if (state == nullptr || state->finished) return;
+        QueryState* state = live_query(qid);
+        if (state == nullptr) return;
         QueryState& q2 = *state;
         const SimTime* o = q2.outstanding.find(source);
         if (o != nullptr && *o <= net_.now()) {
@@ -590,31 +506,20 @@ void AthenaNode::issue_request(QueryState& q, SourceId source,
         }
       });
 
-  ObjectRequest r;
-  r.query = q.id;
-  r.origin = id_;
-  r.source = source;
-  r.labels = std::move(labels);
-  r.prefetch = false;
   // Accept cached labels on the first attempt only: a retry means the label
   // answer was unusable (e.g. expired in transit), so insist on the object.
-  r.accept_labels = config_.label_sharing && count == 1;
-  r.deadline_abs = q.deadline_abs;
-  r.priority = q.priority;
-
-  // Local interest entry so the returning object is delivered to us.
-  interest_table_.find_or_insert(source.value())
-      .push_back(Interest{NodeId{}, q.id, id_, r.labels, false,
-                          r.accept_labels, q.priority,
-                          now + kInterestTtl});
-  schedule_gc();
-
+  ObjectRequest r{q.id, id_, source, std::move(labels),
+                  config_.label_sharing && count == 1, q.priority};
   // Multipath redundancy (Sec. V-C): critical requests are replicated over
   // alternate downhill first hops, tagged with a replica group so the
   // copies deduplicate downstream. Non-critical traffic stays single-path.
   if (config_.multipath_redundancy > 1 && r.priority > 0) {
     r.replica_group = new_replica_group();
   }
+
+  // Local interest entry so the returning object is delivered to us.
+  forwarder_.bookmark(NodeId{}, r, now);
+  schedule_gc();
   forward_request(r);
   const NodeId dest = directory_.host(r.source);
   if (const auto next = net_.next_hop(id_, dest)) replicate(r, *next, dest);
@@ -654,36 +559,40 @@ void AthenaNode::failover(QueryState& q) {
   trace(obs::EventKind::kFailover, q.id, moved);
 }
 
-void AthenaNode::finish(QueryState& q, bool success, bool shed,
-                        bool crashed) {
+void AthenaNode::finish(QueryState& q, Outcome outcome) {
   if (q.finished) return;
   q.finished = true;
   const SimTime now = net_.now();
 
   QueryRecord& rec = records_[q.record_index];
-  rec.success = success;
+  rec.success = outcome == Outcome::kDecided;
   rec.finished_at = now;
-  if (success) {
-    rec.chosen_action = q.expr.chosen_action(q.assignment, now);
-    ++metrics_.queries_resolved;
-    metrics_.total_resolution_latency_s += (now - q.issued_at).to_seconds();
-    trace(obs::EventKind::kDecide, q.id,
-          rec.chosen_action ? *rec.chosen_action : 0, 0,
-          (now - q.issued_at).to_seconds());
-  } else if (crashed) {
-    // Terminal failed_crash: the query died with its node. Kept out of
-    // queries_failed so deadline-miss rates stay attributable to the
-    // protocol, not the fault schedule.
-    rec.crashed = true;
-    ++metrics_.queries_failed_crash;
-    trace(obs::EventKind::kCrashDrop, q.id);
-  } else if (shed) {
-    rec.shed = true;
-    ++metrics_.queries_shed;
-    trace(obs::EventKind::kShed, q.id);
-  } else {
-    ++metrics_.queries_failed;
-    trace(obs::EventKind::kExpire, q.id);
+  switch (outcome) {
+    case Outcome::kDecided:
+      rec.chosen_action = q.expr.chosen_action(q.assignment, now);
+      ++metrics_.queries_resolved;
+      metrics_.total_resolution_latency_s += (now - q.issued_at).to_seconds();
+      trace(obs::EventKind::kDecide, q.id,
+            rec.chosen_action ? *rec.chosen_action : 0, 0,
+            (now - q.issued_at).to_seconds());
+      break;
+    case Outcome::kExpired:
+      ++metrics_.queries_failed;
+      trace(obs::EventKind::kExpire, q.id);
+      break;
+    case Outcome::kShed:
+      rec.shed = true;
+      ++metrics_.queries_shed;
+      trace(obs::EventKind::kShed, q.id);
+      break;
+    case Outcome::kCrashed:
+      // Terminal failed_crash: the query died with its node. Kept out of
+      // queries_failed so deadline-miss rates stay attributable to the
+      // protocol, not the fault schedule.
+      rec.crashed = true;
+      ++metrics_.queries_failed_crash;
+      trace(obs::EventKind::kCrashDrop, q.id);
+      break;
   }
   q.outstanding.clear();
   // The pooled state is recycled at the next drain_retired() entry point —
@@ -730,14 +639,13 @@ void AthenaNode::handle(NodeId from, const QueryAnnounce& a) {
   // The push-dedup set is bounded (config_.prefetch_dedup_capacity) by
   // oldest-first eviction inside prefetch_mark_seen: losing the stalest
   // entries only risks one redundant background push per (origin, source)
-  // pair, never incorrectness — and, unlike the wholesale clear() this
-  // replaces, an overflow no longer forgets every in-flight key at once.
+  // pair, never incorrectness.
   for (LabelId label : a.labels) {
     for (SourceId s : directory_.sources_for(label)) {
       if (!hosts(s)) continue;
       if (!prefetch_mark_seen(prefetch_key(a.origin, s))) continue;
       prefetch_queue_.push_back(
-          PrefetchItem{true, s, a.query, a.origin, a.deadline_abs});
+          PrefetchItem{s, a.query, a.origin, a.deadline_abs});
     }
   }
   if (!prefetch_queue_.empty() && !pump_scheduled_) {
@@ -765,47 +673,45 @@ void AthenaNode::handle(NodeId from, const ObjectRequest& r) {
     return;
   }
 
-  // Object service from cache or a hosted sensor.
-  if (auto obj = local_object(r.source)) {
+  // Object service from cache or a hosted sensor. Failing that, semantic
+  // object substitution (Sec. V-A): a cached object from a *different*
+  // source whose field of view covers every requested label is an exact
+  // answer for this request — the equivalent of substituting camera2 for
+  // camera1 when both see the same scene.
+  world::ObjectRef obj = store_.local_object(r.source, hosts(r.source), now);
+  if (obj) {
     if (!hosts(r.source)) ++metrics_.object_cache_hits;
+  } else if (config_.substitute_equivalent_objects && !r.labels.empty()) {
+    for (SourceId candidate : directory_.sources_for(r.labels.front())) {
+      if (candidate == r.source) continue;
+      const auto* cached = store_.objects().peek(candidate, now);
+      if (cached != nullptr &&
+          std::all_of(r.labels.begin(), r.labels.end(), [&](LabelId l) {
+            return (*cached)->reading(SegmentId{l.value()}) != nullptr;
+          })) {
+        obj = *cached;
+        ++metrics_.substitutions;
+        break;
+      }
+    }
+  }
+  if (obj) {
+    // A critical reply to an untagged request fans out under a fresh group.
+    const std::uint64_t group =
+        r.replica_group == 0 && config_.multipath_redundancy > 1 &&
+                r.priority > 0
+            ? new_replica_group()
+            : r.replica_group;
     const ObjectReply reply{std::move(obj), r.query, r.origin,
-                            /*prefetch_push=*/false, reply_group_for(r),
-                            r.priority};
+                            /*prefetch_push=*/false, group, r.priority};
     send_msg(from, reply, r.priority);
     replicate(reply, from, r.origin);
     return;
   }
 
-  // Semantic object substitution (Sec. V-A): a cached object from a
-  // *different* source whose field of view covers every requested label is
-  // an exact answer for this request — the equivalent of substituting
-  // camera2 for camera1 when both see the same scene.
-  if (config_.substitute_equivalent_objects && !r.labels.empty()) {
-    for (SourceId candidate : directory_.sources_for(r.labels.front())) {
-      if (candidate == r.source) continue;
-      const auto* cached = object_cache_.peek(candidate, now);
-      if (cached == nullptr) continue;
-      const bool covers_all = std::all_of(
-          r.labels.begin(), r.labels.end(), [&](LabelId l) {
-            return (*cached)->reading(SegmentId{l.value()}) != nullptr;
-          });
-      if (!covers_all) continue;
-      ++metrics_.substitutions;
-      const ObjectReply reply{*cached, r.query, r.origin,
-                              /*prefetch_push=*/false, reply_group_for(r),
-                              r.priority};
-      send_msg(from, reply, r.priority);
-      replicate(reply, from, r.origin);
-      return;
-    }
-  }
-
-  // Miss: prefetch requests are never forwarded (Sec. VI-B).
-  if (r.prefetch) return;
-
-  // Bookmark the interest and forward toward the source. The label-share
-  // serve walk relies on the source covering every label of the interest:
-  // a put of any of them then marks this source for recheck.
+  // Miss: bookmark the interest and forward toward the source. The
+  // label-share serve walk relies on the source covering every label of
+  // the interest: a put of any of them then marks this source for recheck.
   DDE_CHECK(std::all_of(r.labels.begin(), r.labels.end(),
                         [&](LabelId l) {
                           const auto& srcs = directory_.sources_for(l);
@@ -814,38 +720,23 @@ void AthenaNode::handle(NodeId from, const ObjectRequest& r) {
                         }),
             "handle(ObjectRequest): the source does not cover every label "
             "of the interest");
-  auto& entries = interest_table_.find_or_insert(r.source.value());
-  entries.remove_if([now](const Interest& e) { return e.expires <= now; });
-  entries.push_back(Interest{from, r.query, r.origin, r.labels, r.prefetch,
-                             r.accept_labels, r.priority,
-                             now + kInterestTtl});
+  forwarder_.bookmark(from, r, now);
   trace(obs::EventKind::kInterest, r.query, r.source.value());
   schedule_gc();
   forward_request(r);
 }
 
 void AthenaNode::forward_request(const ObjectRequest& r) {
-  const SimTime now = net_.now();
   const NodeId dest = directory_.host(r.source);
   const auto next = net_.next_hop(id_, dest);
   if (!next || *next == id_) return;  // unreachable or we are the host
 
   // Interest aggregation: if an equivalent upstream request is already in
   // flight, the pending reply will serve this interest too.
-  if (const SimTime* lease_until = forwarded_.find(r.source.value());
-      lease_until != nullptr && *lease_until > now) {
+  if (forwarder_.aggregate(r.source, net_.now())) {
     ++metrics_.interest_aggregations;
     return;
   }
-  // The marker lease defaults to the full request timeout; a configured
-  // recovery_lease caps it so markers whose upstream copy could die with a
-  // crashed hop expire early (crash recovery; no-op at zero, the default).
-  SimTime lease = config_.request_timeout;
-  if (config_.recovery_lease > SimTime::zero() &&
-      config_.recovery_lease < lease) {
-    lease = config_.recovery_lease;
-  }
-  forwarded_.find_or_insert(r.source.value()) = now + lease;
   schedule_gc();
   send_msg(*next, r, r.priority);
 }
@@ -854,13 +745,6 @@ std::uint64_t AthenaNode::new_replica_group() {
   // Node-local counter packed with the node id: unique across a run's nodes
   // without shared state. Pre-increment keeps 0 free for "untagged".
   return pack_node_counter(id_, ++next_replica_group_);
-}
-
-std::uint64_t AthenaNode::reply_group_for(const ObjectRequest& r) {
-  if (config_.multipath_redundancy <= 1 || r.priority <= 0) {
-    return r.replica_group;
-  }
-  return r.replica_group != 0 ? r.replica_group : new_replica_group();
 }
 
 bool AthenaNode::replica_first_copy(std::uint64_t group, int kind) {
@@ -897,19 +781,10 @@ void AthenaNode::handle(NodeId /*from*/, const ObjectReply& r) {
     return;
   }
 
-  // Cache along the way (Sec. VI-C).
-  if (obj.fresh_at(now)) {
-    object_cache_.put(obj.source, r.object, obj.expires_at(), now);
-  }
-  forwarded_.erase(obj.source.value());
-
-  // Serve all pending interests for this source.
-  std::vector<Interest> consumers;
-  if (auto* entries = interest_table_.find(obj.source.value())) {
-    consumers.reserve(entries->size());
-    for (Interest& e : *entries) consumers.push_back(std::move(e));
-    interest_table_.erase(obj.source.value());
-  }
+  // Cache along the way (Sec. VI-C), then serve all pending interests for
+  // this source.
+  store_.put_object(r.object, now);
+  const SmallVec<Interest, 1> consumers = forwarder_.take(obj.source);
   bool delivered_locally = false;
   bool forwarded_any = false;
   SmallSet<NodeId, 4> sent_to;
@@ -949,58 +824,34 @@ void AthenaNode::handle(NodeId /*from*/, const ObjectReply& r) {
 
 void AthenaNode::handle(NodeId /*from*/, const LabelShare& s) {
   const SimTime now = net_.now();
-  // Cache fresher label values along the path (Sec. VI-D).
-  std::vector<decision::LabelValue> fresher;
-  for (const auto& v : s.values) {
-    const auto* existing = label_cache_.peek(v.label, now);
-    if (existing && existing->expires_at() >= v.expires_at()) continue;
-    if (v.expires_at() > now) {
-      cache_label(v, now);
-      fresher.push_back(v);
-    }
-  }
-
-  // Local queries may be waiting on exactly these labels.
+  // Cache fresher label values along the path (Sec. VI-D). Local queries
+  // may be waiting on exactly these labels.
+  const std::vector<decision::LabelValue> fresher =
+      cache_labels(s.values.view(), now);
   if (!fresher.empty()) {
     apply_labels_to_queries(fresher);
     advance_active();
   }
 
-  // Serve pending label-accepting interests that are now fully covered, in
-  // ascending source order. Only marked sources can have one: an interest
-  // was unservable when it was bookmarked or last re-checked, and only a
-  // later put of one of its labels can complete it. Every put marks the
-  // sources covering the label, its own source among them (checked at
-  // bookmark time), including puts by LabelReplies passing through and by
-  // local deliveries since the last share. The walk itself puts nothing.
-  for (const std::uint64_t source_key : recheck_sources_) {
-    const SourceId source{source_key};
-    auto* entries = interest_table_.find(source_key);
-    if (entries == nullptr) continue;
-    entries->remove_if([&](const Interest& e) {
-      return e.expires <= now ||
-             (e.accept_labels && e.from.valid() &&
-              reply_with_labels(e.from, e.labels, e.query, e.origin, source,
-                                e.priority));
-    });
-  }
-  recheck_sources_.clear();
+  // Serve pending label-accepting interests that are now fully covered.
+  // The marks include puts by LabelReplies passing through and by local
+  // deliveries since the last share; the walk itself puts nothing.
+  forwarder_.serve_marked(now, [&](SourceId source, const Interest& e) {
+    return e.accept_labels && e.from.valid() &&
+           reply_with_labels(e.from, e.labels, e.query, e.origin, source,
+                             e.priority);
+  });
 
   // Keep propagating toward the data source's host.
   send_toward(s.toward, s);
 }
 
 void AthenaNode::handle(NodeId /*from*/, const LabelReply& r) {
-  const SimTime now = net_.now();
   // The upstream interest this node forwarded (if any) was consumed by a
   // label answer; a later object request for the same source must be
   // forwarded anew rather than aggregated into the finished one.
-  forwarded_.erase(r.source.value());
-  for (const auto& v : r.values) {
-    const auto* existing = label_cache_.peek(v.label, now);
-    if (existing && existing->expires_at() >= v.expires_at()) continue;
-    if (v.expires_at() > now) cache_label(v, now);
-  }
+  forwarder_.unmark(r.source);
+  cache_labels(r.values.view(), net_.now());
   if (r.origin == id_) {
     apply_labels_to_queries(r.values.view());
     for (const auto& [qid, slot] : queries_) {
@@ -1012,10 +863,23 @@ void AthenaNode::handle(NodeId /*from*/, const LabelReply& r) {
   }
 }
 
-void AthenaNode::share_labels(std::vector<decision::LabelValue> values,
-                              SourceId produced_by) {
-  const NodeId toward = directory_.host(produced_by);
-  send_toward(toward, LabelShare{std::move(values), toward});
+std::vector<decision::LabelValue> AthenaNode::cache_labels(
+    std::span<const decision::LabelValue> values, SimTime now) {
+  std::vector<decision::LabelValue> cached = store_.put_labels(values, now);
+  forwarder_.mark_recheck(cached);
+  return cached;
+}
+
+bool AthenaNode::reply_with_labels(NodeId to,
+                                   const std::vector<LabelId>& labels,
+                                   QueryId query, NodeId origin,
+                                   SourceId source, int priority) {
+  std::vector<decision::LabelValue> vals =
+      store_.fresh_labels(labels, net_.now());
+  if (vals.empty()) return false;
+  ++metrics_.label_cache_hits;
+  send_msg(to, LabelReply{std::move(vals), query, origin, source}, priority);
+  return true;
 }
 
 void AthenaNode::broadcast_invalidation(const std::vector<LabelId>& labels) {
@@ -1026,7 +890,6 @@ void AthenaNode::broadcast_invalidation(const std::vector<LabelId>& labels) {
   // as entries expire.
   inv.id = pack_node_counter(id_, next_invalidation_++);
   inv.labels = labels;
-  inv.issued_at = net_.now();
   inv.ttl = 64;  // network-wide
   invalidations_seen_.insert_if_absent(inv.id, net_.now() + config_.dedup_ttl);
   schedule_gc();
@@ -1049,18 +912,7 @@ void AthenaNode::handle(NodeId from, const Invalidation& inv) {
 }
 
 void AthenaNode::apply_invalidation(const std::vector<LabelId>& labels) {
-  const std::unordered_set<LabelId> set(labels.begin(), labels.end());
-  for (LabelId l : labels) {
-    label_cache_.erase_key(l);
-    beliefs_.erase(l);
-  }
-  // Objects whose readings evidence any invalidated label are void too.
-  object_cache_.erase_if([&](SourceId, const world::ObjectRef& obj) {
-    return std::any_of(obj->readings.begin(), obj->readings.end(),
-                       [&](const world::Reading& r) {
-                         return set.contains(LabelId{r.segment.value()});
-                       });
-  });
+  store_.invalidate(labels);
   // Re-open affected decisions, in issue order.
   std::vector<QueryState*> affected;
   for (const auto& [qid, slot] : queries_) {
@@ -1082,11 +934,9 @@ void AthenaNode::apply_invalidation(const std::vector<LabelId>& labels) {
 // Prefetching (background queue, Sec. VI-A)
 // ---------------------------------------------------------------------------
 
-bool AthenaNode::prefetch_congested(const PrefetchItem& item) const {
+bool AthenaNode::prefetch_congested(NodeId origin) const {
   if (config_.prefetch_watermark == 0) return false;
-  const NodeId toward =
-      item.push ? item.origin : directory_.host(item.source);
-  const auto next = net_.next_hop(id_, toward);
+  const auto next = net_.next_hop(id_, origin);
   if (!next || *next == id_) return false;
   const auto link = net_.topology().link_between(id_, *next);
   if (!link) return false;
@@ -1096,49 +946,32 @@ bool AthenaNode::prefetch_congested(const PrefetchItem& item) const {
 void AthenaNode::pump_prefetch() {
   drain_retired();
   pump_scheduled_ = false;
+  if (prefetch_queue_.empty()) return;
   const SimTime now = net_.now();
-  // Backpressure (overload protection): while the first hop of the head
-  // item sits above the congestion watermark, hold the whole pump — the
-  // background traffic would only deepen the queue it is observing — and
-  // re-check at the throttle interval.
-  if (!prefetch_queue_.empty() && prefetch_congested(prefetch_queue_.front())) {
+  SimTime next_pump = kPrefetchInterval;
+  if (prefetch_congested(prefetch_queue_.front().origin)) {
+    // Backpressure (overload protection): while the first hop of the head
+    // item sits above the congestion watermark, hold the whole pump — the
+    // background traffic would only deepen the queue it is observing — and
+    // re-check at the throttle interval.
     ++metrics_.prefetch_throttled;
-    pump_scheduled_ = true;
-    net_.simulator().schedule_after(config_.prefetch_throttle_interval,
-                                    [this] { pump_prefetch(); });
-    return;
-  }
-  if (!prefetch_queue_.empty()) {
-    PrefetchItem item = prefetch_queue_.front();
+    next_pump = config_.prefetch_throttle_interval;
+  } else {
+    const PrefetchItem item = prefetch_queue_.front();
     prefetch_queue_.pop_front();
-    if (now < item.deadline_abs) {
-      if (item.push) {
-        if (auto obj = local_object(item.source)) {
-          if (send_toward(item.origin,
-                          ObjectReply{std::move(obj), item.query, item.origin,
-                                      /*prefetch_push=*/true, 0, -1},
-                          /*priority=*/-1)) {
-            ++metrics_.prefetch_pushes;
-          }
-        }
-      } else {
-        ObjectRequest r;
-        r.query = item.query;
-        r.origin = item.origin;
-        r.source = item.source;
-        r.labels = directory_.labels_of(item.source);
-        r.prefetch = true;
-        r.accept_labels = false;
-        r.deadline_abs = item.deadline_abs;
-        r.priority = -1;
-        send_toward(directory_.host(item.source), r, -1);
-      }
+    auto obj = now < item.deadline_abs
+                   ? store_.local_object(item.source, hosts(item.source), now)
+                   : nullptr;
+    if (obj && send_toward(item.origin,
+                           ObjectReply{std::move(obj), item.query, item.origin,
+                                       /*prefetch_push=*/true, 0, -1},
+                           /*priority=*/-1)) {
+      ++metrics_.prefetch_pushes;
     }
   }
   if (!prefetch_queue_.empty()) {
     pump_scheduled_ = true;
-    net_.simulator().schedule_after(kPrefetchInterval,
-                                    [this] { pump_prefetch(); });
+    net_.simulator().schedule_after(next_pump, [this] { pump_prefetch(); });
   }
 }
 
@@ -1168,28 +1001,20 @@ void AthenaNode::on_crash(fault::RestartPolicy policy) {
   for (const auto& [qid, slot] : queries_) {
     QueryState& q = query_pool_.at(slot);
     if (q.finished) continue;
-    finish(q, /*success=*/false, /*shed=*/false, /*crashed=*/true);
+    finish(q, Outcome::kCrashed);
     ++dropped;
   }
 
-  // Volatile protocol tables are lost under every non-ghost policy.
-  interest_table_.clear();
-  recheck_sources_.clear();
-  forwarded_.clear();
+  // Volatile protocol tables are lost under every non-ghost policy; only
+  // cold also loses the store.
+  forwarder_.clear();
   announces_seen_.clear();
   invalidations_seen_.clear();
   prefetch_queue_.clear();
   prefetch_seen_.clear();
   prefetch_seen_fifo_.clear();
   replica_dedup_.reset();
-  if (policy == fault::RestartPolicy::kCold) {
-    // Cold also loses what warm restarts recover from local storage:
-    // cached objects/labels, corroboration beliefs, and the ingest log.
-    object_cache_.clear();
-    label_cache_.clear();
-    beliefs_.clear();
-    ingested_.clear();
-  }
+  store_.on_crash(policy);
   trace(obs::EventKind::kNodeCrash, QueryId{0}, dropped);
 }
 
@@ -1204,7 +1029,7 @@ void AthenaNode::on_restart(fault::RestartPolicy policy) {
   // this node's soft state is gone. One hop only — the damage a crash does
   // to other nodes' tables is confined to entries whose next hop is this
   // node, so neighbors are exactly the audience.
-  const RecoveryHello hello{id_, restart_epoch_, net_.now()};
+  const RecoveryHello hello{id_, net_.now()};
   send_to_neighbors(hello, /*priority=*/1);
 }
 
@@ -1220,40 +1045,19 @@ void AthenaNode::handle(NodeId /*from*/, const RecoveryHello& hello) {
   // Every aggregation marker whose upstream path (re)runs through the
   // restarted node is a dangling promise: the interest-table entry backing
   // it died in the crash, so the reply it waits for will never route back.
-  // Purge the marker and re-issue the first live, foreground downstream
-  // interest upstream — the lease-stamped entries a crashed hop orphaned
-  // recover in one hop-trip instead of a full downstream retry timeout.
-  for (const std::uint64_t source_key : forwarded_.sorted_keys()) {
-    if (forwarded_.find(source_key) == nullptr) continue;
-    const SourceId s{source_key};
-    const NodeId dest = directory_.host(s);
-    const auto next = net_.next_hop(id_, dest);
-    if (!next || *next != hello.node) continue;
-    forwarded_.erase(source_key);
-    ++metrics_.recovery_marker_purges;
-
-    const auto* entries = interest_table_.find(source_key);
-    if (entries == nullptr) continue;
-    const Interest* live = nullptr;
-    for (const Interest& e : *entries) {
-      if (e.expires > now && !e.prefetch) {
-        live = &e;
-        break;
-      }
-    }
-    if (live == nullptr) continue;
-    ObjectRequest r;
-    r.query = live->query;
-    r.origin = live->origin;
-    r.source = s;
-    r.labels = live->labels;
-    r.prefetch = false;
-    r.accept_labels = live->accept_labels;
-    r.deadline_abs = live->expires;
-    r.priority = live->priority;
-    forward_request(r);
-    ++metrics_.recovery_reissues;
-  }
+  // Purge the marker and re-issue the first live downstream interest
+  // upstream — the lease-stamped entries a crashed hop orphaned recover in
+  // one hop-trip instead of a full downstream retry timeout.
+  const auto routed_via_hello = [&](SourceId s) {
+    const auto next = net_.next_hop(id_, directory_.host(s));
+    return next && *next == hello.node;
+  };
+  metrics_.recovery_marker_purges += forwarder_.purge_markers(
+      now, routed_via_hello, [this](SourceId s, const Interest& live) {
+        forward_request(ObjectRequest{live.query, live.origin, s, live.labels,
+                                      live.accept_labels, live.priority});
+        ++metrics_.recovery_reissues;
+      });
 }
 
 // ---------------------------------------------------------------------------
@@ -1268,8 +1072,8 @@ void AthenaNode::handle(NodeId /*from*/, const RecoveryHello& hello) {
 
 void AthenaNode::schedule_gc() {
   if (gc_scheduled_) return;
-  if (interest_table_.empty() && forwarded_.empty() &&
-      announces_seen_.empty() && invalidations_seen_.empty()) {
+  if (forwarder_.empty() && announces_seen_.empty() &&
+      invalidations_seen_.empty()) {
     return;
   }
   gc_scheduled_ = true;
@@ -1280,72 +1084,12 @@ void AthenaNode::schedule_gc() {
 void AthenaNode::run_gc() {
   gc_scheduled_ = false;
   const SimTime now = net_.now();
-  interest_table_.erase_if(
-      [now](std::uint64_t, SmallVec<Interest, 1>& entries) {
-        entries.remove_if([now](const Interest& e) { return e.expires <= now; });
-        return entries.empty();
-      });
-  forwarded_.erase_if([now](std::uint64_t, SimTime t) { return t <= now; });
+  forwarder_.sweep(now);
   announces_seen_.erase_if(
       [now](std::uint64_t, SimTime t) { return t <= now; });
   invalidations_seen_.erase_if(
       [now](std::uint64_t, SimTime t) { return t <= now; });
-  // Expensive interest-table sweep (DDE_INVARIANTS builds only): GC must
-  // leave no empty per-source list and no expired entry behind.
-  DDE_INVARIANT(
-      ([&] {
-        bool ok = true;
-        interest_table_.for_each(
-            [&](std::uint64_t, const SmallVec<Interest, 1>& entries) {
-              if (entries.empty()) ok = false;
-              for (const Interest& e : entries) {
-                if (e.expires <= now) ok = false;
-              }
-            });
-        return ok;
-      }()),
-      "run_gc: interest table retained an empty list or expired entry");
   schedule_gc();
-}
-
-// ---------------------------------------------------------------------------
-// Local object service
-// ---------------------------------------------------------------------------
-
-world::ObjectRef AthenaNode::local_object(SourceId source) {
-  const SimTime now = net_.now();
-  if (const auto* obj = object_cache_.peek(source, now)) return *obj;
-  if (!hosts(source)) return nullptr;
-  world::ObjectRef obj = field_.sample(source, now);
-  ++metrics_.sensor_samples;
-  object_cache_.put(source, obj, obj->expires_at(), now);
-  return obj;
-}
-
-void AthenaNode::cache_label(const decision::LabelValue& v, SimTime now) {
-  label_cache_.put(v.label, v, v.expires_at(), now);
-  for (SourceId s : directory_.sources_for(v.label)) {
-    if (interest_table_.find(s.value()) != nullptr) {
-      insert_sorted(recheck_sources_, s.value());
-    }
-  }
-}
-
-bool AthenaNode::reply_with_labels(NodeId to,
-                                   const std::vector<LabelId>& labels,
-                                   QueryId query, NodeId origin,
-                                   SourceId source, int priority) {
-  if (labels.empty()) return false;
-  const SimTime now = net_.now();
-  for (LabelId l : labels) {
-    if (label_cache_.peek(l, now) == nullptr) return false;
-  }
-  std::vector<decision::LabelValue> vals;
-  vals.reserve(labels.size());
-  for (LabelId l : labels) vals.push_back(*label_cache_.peek(l, now));
-  ++metrics_.label_cache_hits;
-  send_msg(to, LabelReply{std::move(vals), query, origin, source}, priority);
-  return true;
 }
 
 bool AthenaNode::send_toward(NodeId dest, Message msg, int priority) {

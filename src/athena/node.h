@@ -19,22 +19,21 @@
 #include <map>
 #include <optional>
 #include <span>
-#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "athena/config.h"
 #include "athena/directory.h"
+#include "athena/forwarder.h"
 #include "athena/messages.h"
 #include "athena/metrics.h"
-#include "cache/ttl_cache.h"
+#include "athena/store.h"
 #include "common/arena.h"
 #include "common/flat_hash.h"
 #include "decision/expression.h"
 #include "decision/planner.h"
 #include "fault/restart_policy.h"
-#include "fusion/belief.h"
 #include "net/multipath.h"
 #include "net/network.h"
 #include "obs/trace.h"
@@ -143,36 +142,33 @@ class AthenaNode {
   void set_trace_sink(obs::TraceSink* sink) noexcept { trace_sink_ = sink; }
 
   [[nodiscard]] const cache::CacheStats& object_cache_stats() const noexcept {
-    return object_cache_.stats();
+    return store_.objects().stats();
   }
   [[nodiscard]] const cache::CacheStats& label_cache_stats() const noexcept {
-    return label_cache_.stats();
+    return store_.labels().stats();
   }
 
   // --- cache inspection (observation only: no stats or LRU effects) ------
   /// The fresh object cached for `source`, or null.
   [[nodiscard]] world::ObjectRef cached_object(SourceId source) const {
-    const world::ObjectRef* obj = object_cache_.peek(source, net_.now());
+    const world::ObjectRef* obj = store_.objects().peek(source, net_.now());
     return obj != nullptr ? *obj : nullptr;
   }
   /// The fresh value cached for `label`, or nullptr. Valid until the node
   /// next handles an event.
   [[nodiscard]] const decision::LabelValue* cached_label(LabelId label) const {
-    return label_cache_.peek(label, net_.now());
+    return store_.labels().peek(label, net_.now());
   }
 
   // --- state residency (observability + leak tests) ----------------------
   /// Interest-table entries currently held. Expired entries count until
   /// the GC sweep or an access to the same source prunes them.
   [[nodiscard]] std::size_t interest_entries() const {
-    std::size_t n = 0;
-    interest_table_.for_each(
-        [&n](std::uint64_t, const auto& entries) { n += entries.size(); });
-    return n;
+    return forwarder_.interest_entries();
   }
   /// Outstanding interest-aggregation markers.
   [[nodiscard]] std::size_t forwarded_entries() const noexcept {
-    return forwarded_.size();
+    return forwarder_.forwarded_entries();
   }
   /// Flood-dedup entries (query announces + invalidations) currently held.
   [[nodiscard]] std::size_t dedup_entries() const noexcept {
@@ -222,25 +218,21 @@ class AthenaNode {
     bool finished = false;
   };
 
-  /// One interest-table entry (Sec. VI-B).
-  struct Interest {
-    NodeId from;          ///< neighbor the request came from (invalid = local)
-    QueryId query;
-    NodeId origin;
-    std::vector<LabelId> labels;
-    bool prefetch = false;
-    bool accept_labels = false;
-    int priority = 0;
-    SimTime expires;
-  };
-
-  /// One queued prefetch action (Sec. VI-A: background-only).
+  /// One queued prefetch push (Sec. VI-A: background-only): the object of
+  /// a hosted `source`, pushed toward the announcing query's `origin`.
   struct PrefetchItem {
-    bool push = false;  ///< push an object we have vs. request one hop out
     SourceId source;
     QueryId query;
     NodeId origin;
     SimTime deadline_abs;
+  };
+
+  /// How a locally-originated query ended.
+  enum class Outcome : std::uint8_t {
+    kDecided,  ///< resolved before its deadline
+    kExpired,  ///< its deadline passed unresolved
+    kShed,     ///< dropped by overload protection as deadline-infeasible
+    kCrashed,  ///< died with its node (non-ghost crash)
   };
 
   // --- message handlers: one per Message alternative ----------------------
@@ -279,22 +271,20 @@ class AthenaNode {
   /// accepted only if this node trusts its annotator and it is fresher
   /// than what the assignment already holds.
   void apply_labels_to_queries(std::span<const decision::LabelValue> values);
-  void finish(QueryState& q, bool success, bool shed = false,
-              bool crashed = false);
+  void finish(QueryState& q, Outcome outcome);
   /// True if even the quickest remaining retrieval for `order`'s labels
   /// provably misses q's deadline (lower-bound latency estimates, so a
   /// `true` is conservative). Locally-hosted evidence is always feasible.
   [[nodiscard]] bool deadline_infeasible(const QueryState& q,
                                          const std::vector<LabelId>& order,
                                          SimTime now) const;
-  void share_labels(std::vector<decision::LabelValue> values,
-                    SourceId produced_by);
 
   // --- forwarding / serving ----------------------------------------------
   void forward_request(const ObjectRequest& r);
-  /// Cache `v` in the label cache and mark every source covering its label
-  /// that has interest-table entries for the next label-share serve walk.
-  void cache_label(const decision::LabelValue& v, SimTime now);
+  /// Put `values` through the store's one label put path, and mark the
+  /// labels it cached for the forwarder's serve walk. Returns those values.
+  std::vector<decision::LabelValue> cache_labels(
+      std::span<const decision::LabelValue> values, SimTime now);
   /// Answer with cached label values in place of the object (lvfl, Sec.
   /// VI-D) if every one of `labels` is cached fresh; false otherwise.
   bool reply_with_labels(NodeId to, const std::vector<LabelId>& labels,
@@ -303,10 +293,6 @@ class AthenaNode {
   // --- multipath redundancy (Sec. V-C over lossy links) -------------------
   /// A fresh replica-group id, unique across this run's nodes.
   [[nodiscard]] std::uint64_t new_replica_group();
-  /// Group for a reply answering `r`: the request's own group, or a fresh
-  /// one when this node fans out a critical reply to an untagged request.
-  /// 0 when multipath is off (no reply fan-out).
-  [[nodiscard]] std::uint64_t reply_group_for(const ObjectRequest& r);
   /// First sight of a replica-group copy? (true when dedup is off or the
   /// message is untagged). `kind` disambiguates the request (0) and reply
   /// (1) legs of one group.
@@ -318,9 +304,9 @@ class AthenaNode {
   void replicate(const Msg& m, NodeId primary_next, NodeId dest);
   void deliver_object(const world::EvidenceObject& obj);
   void pump_prefetch();
-  /// Whether the link toward `item`'s next hop is congested past the
+  /// Whether the first link toward `origin` is congested past the
   /// configured prefetch watermark (false when throttling is off).
-  [[nodiscard]] bool prefetch_congested(const PrefetchItem& item) const;
+  [[nodiscard]] bool prefetch_congested(NodeId origin) const;
   /// Send one hop to `next`. The wire size and the AthenaMetrics byte
   /// counter it is billed to follow from the message type (messages.h).
   void send_msg(NodeId next, Message msg, int priority = 0);
@@ -337,10 +323,6 @@ class AthenaNode {
   /// Drop expired interest/aggregation/dedup entries, then re-arm.
   void run_gc();
 
-  /// Fresh object for `source` from cache, or — if this node hosts the
-  /// sensor — a fresh sample. Null otherwise.
-  [[nodiscard]] world::ObjectRef local_object(SourceId source);
-
   [[nodiscard]] bool hosts(SourceId source) const {
     return directory_.host(source) == id_;
   }
@@ -350,8 +332,10 @@ class AthenaNode {
   [[nodiscard]] decision::LabelMeta label_meta(QueryState& q,
                                                LabelId label) const;
 
-  /// Live state for `qid`, or nullptr if unknown or already retired.
-  [[nodiscard]] QueryState* lookup_query(QueryId qid);
+  /// State of `qid` for a scheduled callback that wakes it: drains the
+  /// retired queries, then returns the query if it is still unfinished,
+  /// else nullptr.
+  [[nodiscard]] QueryState* live_query(QueryId qid);
   /// Destroy pooled state for queries finished since the last drain.
   /// Deferred (not done inside finish()) because deliver_object/advance
   /// recursion may still hold references to the finishing QueryState;
@@ -365,16 +349,6 @@ class AthenaNode {
   void trace(obs::EventKind kind, QueryId query, std::uint64_t subject = 0,
              std::uint64_t bytes = 0, double value = 0.0);
 
-  /// Annotate an object into label values (origin-side annotator).
-  [[nodiscard]] std::vector<decision::LabelValue> annotate(
-      const world::EvidenceObject& obj) const;
-
-  /// Noisy-sensor path (Sec. IV-B): fold the object's readings into the
-  /// per-label Bayesian beliefs and return values for labels whose
-  /// confidence now meets config_.corroboration_confidence.
-  [[nodiscard]] std::vector<decision::LabelValue> corroborate(
-      const world::EvidenceObject& obj);
-
   /// Source to ask next for `label` under corroboration: the covering
   /// source least-recently asked by this query (and not asked within its
   /// own validity window, so a fresh capture exists). Invalid id if every
@@ -387,7 +361,6 @@ class AthenaNode {
   NodeId id_;
   net::Network& net_;
   const Directory& directory_;
-  world::SensorField& field_;
   AthenaConfig config_;
   AthenaMetrics& metrics_;
   obs::TraceSink* trace_sink_ = nullptr;
@@ -404,45 +377,18 @@ class AthenaNode {
   std::vector<QueryRecord> records_;
   std::uint64_t next_query_ = 0;
 
-  cache::TtlCache<SourceId, world::ObjectRef> object_cache_;
-  cache::TtlCache<LabelId, decision::LabelValue> label_cache_;
-
-  /// source.value() → interests waiting on that source. Flat table; all
-  /// hot lookups (request bookkeeping, reply fan-out, GC) probe it
-  /// directly, and the label-share serve walk visits the sources in
-  /// `recheck_sources_`.
-  FlatU64Map<SmallVec<Interest, 1>> interest_table_;
-  /// source.value() keys, ascending and distinct, whose interests the next
-  /// LabelShare re-checks: every label put adds the sources covering the
-  /// label that have interest-table entries (see cache_label()).
-  std::vector<std::uint64_t> recheck_sources_;
-  /// source.value() → expiry of the upstream forward we already sent
-  /// (dedup).
-  FlatU64Map<SimTime> forwarded_;
+  Store store_;
+  Forwarder forwarder_;
 
   std::optional<std::unordered_set<AnnotatorId>> trusted_annotators_;
-
-  /// Per-label corroboration state (only used when the corroboration
-  /// confidence is enabled). Observations expire with their objects: the
-  /// window ends at the earliest expiry among counted observations.
-  struct BeliefEntry {
-    fusion::LabelBelief belief;
-    SimTime window_expires = SimTime::max();
-    std::vector<ObjectId> observed;  ///< ascending
-  };
-  std::unordered_map<LabelId, BeliefEntry> beliefs_;
-  /// Object ids already annotated/corroborated at this node. Re-delivering
-  /// an ingested object is a no-op for knowledge (it still settles
-  /// outstanding requests) — this also bounds the try_local/deliver_object
-  /// recursion when corroboration leaves labels undecided.
-  std::unordered_set<ObjectId> ingested_;
 
   std::deque<PrefetchItem> prefetch_queue_;
   /// (origin,source) keys already pushed. Bounded at
   /// config_.prefetch_dedup_capacity by oldest-first eviction
   /// (`prefetch_seen_fifo_` records insertion order) — forgetting only the
   /// stalest keys, each of which risks no more than a redundant re-push.
-  FlatU64Set prefetch_seen_;
+  /// The values are unused.
+  FlatU64Map<std::uint8_t> prefetch_seen_;
   std::deque<std::uint64_t> prefetch_seen_fifo_;
   /// Announce flood dedup: query id → entry expiry (the query's deadline;
   /// post-deadline duplicates are discarded either way, so expiry changes
@@ -460,8 +406,8 @@ class AthenaNode {
   /// Locally-assigned replica groups (keeps group ids unique per node;
   /// combined with the node id for run-wide uniqueness).
   std::uint64_t next_replica_group_ = 0;
-  /// Completed non-ghost restarts (bumped in on_restart). Carried in
-  /// RecoveryHello as the state generation; survives crashes by design.
+  /// Completed non-ghost restarts (bumped in on_restart); survives crashes
+  /// by design.
   std::uint64_t restart_epoch_ = 0;
   bool pump_scheduled_ = false;
   bool gc_scheduled_ = false;

@@ -1,5 +1,6 @@
 // Flat open-addressing hash map from uint64 keys to small values — the
-// determinism-preserving facade the hot-path tables sit behind.
+// determinism-preserving facade the hot-path tables sit behind. A set is a
+// map whose values go unused.
 //
 // Why not std::unordered_map: tree-wide policy (docs/STATIC_ANALYSIS.md)
 // bans iteration over unordered containers because their order leaks the
@@ -210,118 +211,6 @@ class FlatU64Map {
   std::vector<Ctrl> ctrl_;
   std::vector<std::uint64_t> keys_;
   std::vector<V> values_;
-  std::size_t mask_ = 0;
-  std::size_t size_ = 0;
-  std::size_t tombstones_ = 0;
-};
-
-/// Flat open-addressing set of uint64 keys: FlatU64Map's probing scheme
-/// without the value array. Same determinism contract — contains/insert/
-/// erase only, plus slot-order for_each (commutative folds) and
-/// sorted_keys() for order-sensitive walks.
-class FlatU64Set {
- public:
-  explicit FlatU64Set(std::size_t expected = 16) { rebuild(table_for(expected)); }
-
-  [[nodiscard]] std::size_t size() const noexcept { return size_; }
-  [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
-
-  [[nodiscard]] bool contains(std::uint64_t key) const noexcept {
-    std::size_t i = flat_mix(key) & mask_;
-    for (;;) {
-      const Ctrl c = ctrl_[i];
-      if (c == Ctrl::kEmpty) return false;
-      if (c == Ctrl::kFull && keys_[i] == key) return true;
-      i = (i + 1) & mask_;
-    }
-  }
-
-  /// Insert `key` if absent. Returns whether it inserted.
-  bool insert(std::uint64_t key) {
-    if (contains(key)) return false;
-    if ((size_ + tombstones_ + 1) * 2 > ctrl_.size()) {
-      rebuild(size_ * 2 + tombstones_ > ctrl_.size() / 2 ? ctrl_.size() * 2
-                                                         : ctrl_.size());
-    }
-    std::size_t i = flat_mix(key) & mask_;
-    for (;;) {
-      const Ctrl c = ctrl_[i];
-      if (c != Ctrl::kFull) {
-        if (c == Ctrl::kTombstone) --tombstones_;
-        ctrl_[i] = Ctrl::kFull;
-        keys_[i] = key;
-        ++size_;
-        return true;
-      }
-      i = (i + 1) & mask_;
-    }
-  }
-
-  /// Remove `key` if present. Returns whether it was.
-  bool erase(std::uint64_t key) noexcept {
-    std::size_t i = flat_mix(key) & mask_;
-    for (;;) {
-      const Ctrl c = ctrl_[i];
-      if (c == Ctrl::kEmpty) return false;
-      if (c == Ctrl::kFull && keys_[i] == key) {
-        ctrl_[i] = Ctrl::kTombstone;
-        --size_;
-        ++tombstones_;
-        return true;
-      }
-      i = (i + 1) & mask_;
-    }
-  }
-
-  /// Drop every key, keeping the current capacity.
-  void clear() noexcept {
-    std::fill(ctrl_.begin(), ctrl_.end(), Ctrl::kEmpty);
-    size_ = 0;
-    tombstones_ = 0;
-  }
-
-  /// Visit every key in slot-index order (commutative folds only).
-  template <typename Fn>
-  void for_each(Fn&& fn) const {
-    for (std::size_t i = 0; i < ctrl_.size(); ++i) {
-      if (ctrl_[i] == Ctrl::kFull) fn(keys_[i]);
-    }
-  }
-
-  [[nodiscard]] std::vector<std::uint64_t> sorted_keys() const {
-    std::vector<std::uint64_t> keys;
-    keys.reserve(size_);
-    for (std::size_t i = 0; i < ctrl_.size(); ++i) {
-      if (ctrl_[i] == Ctrl::kFull) keys.push_back(keys_[i]);
-    }
-    std::sort(keys.begin(), keys.end());
-    return keys;
-  }
-
- private:
-  enum class Ctrl : std::uint8_t { kEmpty, kFull, kTombstone };
-
-  static std::size_t table_for(std::size_t expected) noexcept {
-    std::size_t n = 16;
-    while (n < expected * 2) n *= 2;
-    return n;
-  }
-
-  void rebuild(std::size_t new_size) {
-    std::vector<Ctrl> old_ctrl = std::move(ctrl_);
-    std::vector<std::uint64_t> old_keys = std::move(keys_);
-    ctrl_.assign(new_size, Ctrl::kEmpty);
-    keys_.assign(new_size, 0);
-    mask_ = new_size - 1;
-    size_ = 0;
-    tombstones_ = 0;
-    for (std::size_t i = 0; i < old_ctrl.size(); ++i) {
-      if (old_ctrl[i] == Ctrl::kFull) insert(old_keys[i]);
-    }
-  }
-
-  std::vector<Ctrl> ctrl_;
-  std::vector<std::uint64_t> keys_;
   std::size_t mask_ = 0;
   std::size_t size_ = 0;
   std::size_t tombstones_ = 0;

@@ -927,6 +927,35 @@ TEST(AthenaNode, PrefetchDedupOverflowEvictsOldestFirst) {
   EXPECT_EQ(f.metrics.prefetch_pushes, 3u);
 }
 
+// A non-ghost crash splits the node's state: the forwarder's tables and
+// the flood-dedup sets are lost under both policies, while the store (the
+// object and label caches) survives a warm restart and not a cold one.
+TEST(AthenaNode, WarmCrashKeepsStoreColdCrashWipesIt) {
+  for (const auto policy :
+       {fault::RestartPolicy::kWarm, fault::RestartPolicy::kCold}) {
+    Fixture f;
+    AthenaNode& a = *f.athena[0];
+    // Sensor 0's object travels from C: A caches it and labels 0 and 1.
+    a.query_init(single_label(0), SimTime::seconds(10));
+    f.sim.run_until(SimTime::seconds(1));
+    ASSERT_TRUE(f.last_record(0).success);
+    // A second remote fetch is in flight at the crash: A holds its local
+    // interest, its aggregation marker and the announce's dedup entry.
+    a.query_init(single_label(3), SimTime::seconds(10));
+    ASSERT_GT(a.interest_entries(), 0u);
+    ASSERT_GT(a.forwarded_entries(), 0u);
+    ASSERT_GT(a.dedup_entries(), 0u);
+
+    a.on_crash(policy);
+    const bool warm = policy == fault::RestartPolicy::kWarm;
+    EXPECT_EQ(a.cached_object(SourceId{0}) != nullptr, warm);
+    EXPECT_EQ(a.cached_label(LabelId{0}) != nullptr, warm);
+    EXPECT_EQ(a.interest_entries(), 0u);
+    EXPECT_EQ(a.forwarded_entries(), 0u);
+    EXPECT_EQ(a.dedup_entries(), 0u);
+  }
+}
+
 // Regression (ISSUE 9): the GC dedup-expiry boundary. Announce-dedup
 // entries expire with the query deadline under the `expires_at <= now`
 // convention: a sweep strictly before the deadline must keep the entry,
@@ -1259,7 +1288,6 @@ TEST(AthenaNodeDeathTest, InterestWithLabelItsSourceDoesNotCoverAborts) {
         r.origin = f.nodes[0];
         r.source = SourceId{0};
         r.labels = {LabelId{2}};  // covered by sensor 1 only
-        r.deadline_abs = SimTime::seconds(60);
         inject_at_b(f, r);
         f.sim.run_until(SimTime::seconds(1));
       },

@@ -1,7 +1,7 @@
-// Flat hash map/set and arena adapters: determinism and churn coverage.
+// Flat hash map and arena adapters: determinism and churn coverage.
 //
 // The athena hot-path tranche (docs/PERFORMANCE.md) moved per-node
-// protocol tables onto FlatU64Map/FlatU64Set and per-query state onto
+// protocol tables onto FlatU64Map and per-query state onto
 // Pool/SmallVec/SmallMap/SmallSet. These containers carry a determinism
 // contract — slot layout and iteration order are pure functions of the
 // operation history — that the simulation's byte-identical trajectories
@@ -132,57 +132,6 @@ TEST(FlatU64Map, NonTrivialValueType) {
   m.erase(1);
   EXPECT_EQ(m.find(1), nullptr);
   EXPECT_EQ(*m.find(2), "two");
-}
-
-// ---------------------------------------------------------------------------
-// FlatU64Set
-// ---------------------------------------------------------------------------
-
-TEST(FlatU64Set, InsertContainsErase) {
-  FlatU64Set s;
-  EXPECT_TRUE(s.insert(5));
-  EXPECT_FALSE(s.insert(5));
-  EXPECT_TRUE(s.contains(5));
-  EXPECT_FALSE(s.contains(6));
-  EXPECT_TRUE(s.erase(5));
-  EXPECT_FALSE(s.erase(5));
-  EXPECT_TRUE(s.empty());
-}
-
-TEST(FlatU64Set, TombstoneChurnStaysCorrect) {
-  FlatU64Set s(8);
-  constexpr std::uint64_t kWindow = 16;
-  for (std::uint64_t k = 0; k < 10000; ++k) {
-    ASSERT_TRUE(s.insert(k));
-    if (k >= kWindow) {
-      ASSERT_TRUE(s.erase(k - kWindow));
-    }
-  }
-  EXPECT_EQ(s.size(), kWindow);
-  for (std::uint64_t k = 10000 - kWindow; k < 10000; ++k) {
-    EXPECT_TRUE(s.contains(k));
-  }
-  EXPECT_FALSE(s.contains(10000 - kWindow - 1));
-}
-
-TEST(FlatU64Set, SortedKeysAndForEachAgree) {
-  FlatU64Set s;
-  std::uint64_t expect_sum = 0;
-  for (std::uint64_t k = 0; k < 200; ++k) {
-    s.insert(k * 7919);
-    expect_sum += k * 7919;
-  }
-  std::uint64_t sum = 0;
-  s.for_each([&](std::uint64_t k) { sum += k; });
-  EXPECT_EQ(sum, expect_sum);
-  const auto sorted = s.sorted_keys();
-  ASSERT_EQ(sorted.size(), 200u);
-  for (std::size_t i = 1; i < sorted.size(); ++i) {
-    EXPECT_LT(sorted[i - 1], sorted[i]);
-  }
-  s.clear();
-  EXPECT_TRUE(s.empty());
-  EXPECT_FALSE(s.contains(0));
 }
 
 // ---------------------------------------------------------------------------
