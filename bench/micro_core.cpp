@@ -282,7 +282,6 @@ void BM_AthenaQueryInitResolve(benchmark::State& state) {
       Rng(14));
   world::SensorInfo s0;
   s0.id = SourceId{0};
-  s0.name = naming::Name::parse("/b/s0");
   s0.covers = {SegmentId{0}};
   s0.object_bytes = 1000;
   s0.validity = SimTime::seconds(100);
@@ -319,7 +318,6 @@ void BM_ObjectRelay(benchmark::State& state) {
       Rng(15));
   world::SensorInfo s0;
   s0.id = SourceId{0};
-  s0.name = naming::Name::parse("/b/far");
   std::unordered_map<LabelId, double> p_true;
   for (std::uint64_t seg = 0; seg < 8; ++seg) {
     s0.covers.push_back(SegmentId{seg});
@@ -382,19 +380,21 @@ void BM_GreedySetCover(benchmark::State& state) {
 }
 BENCHMARK(BM_GreedySetCover);
 
-/// Source selection for one route query shaped like city's: 160 sensors on
-/// a 20x20 grid (coverage radius 1.25, nodes at the sensors, linked within
-/// 2.2 grid units plus a chain so every node is reachable), and the ~40
-/// labels of five candidate routes.
-void BM_SelectSources(benchmark::State& state) {
-  const world::GridMap map(20, 20);
+/// Source selection for one route query: `sensors` sensors on a
+/// `grid`x`grid` map (coverage radius 1.25, nodes at the sensors, linked
+/// within 2.2 grid units plus a chain so every node is reachable), and the
+/// labels of the first draw of five candidate routes that number at least
+/// `min_labels`.
+void select_sources_bench(benchmark::State& state, int grid,
+                          std::size_t sensors, std::size_t min_labels) {
+  const world::GridMap map(grid, grid);
   world::ViabilityProcess truth(
       std::vector<world::SegmentDynamics>(
           map.segment_count(),
           world::SegmentDynamics{0.75, SimTime::seconds(900)}),
       Rng(15));
   world::SensorFieldConfig field_cfg;
-  field_cfg.sensor_count = 160;
+  field_cfg.sensor_count = sensors;
   field_cfg.coverage_radius = 1.25;
   Rng rng(16);
   const world::SensorField field(map, truth, field_cfg, rng);
@@ -416,9 +416,8 @@ void BM_SelectSources(benchmark::State& state) {
   const athena::Directory dir(topo, field, hosts, {});
   std::vector<char> covered(map.segment_count(), 0);
   for (SegmentId seg : field.covered_segments()) covered[seg.value()] = 1;
-  // The first draw of five routes whose segments number at least 36.
   std::vector<LabelId> labels;
-  while (labels.size() < 36) {
+  while (labels.size() < min_labels) {
     decision::DnfExpr expr;
     for (const auto& route : map.random_route_choices(5, 4, rng, covered)) {
       decision::Conjunction c;
@@ -434,7 +433,19 @@ void BM_SelectSources(benchmark::State& state) {
     benchmark::DoNotOptimize(dir.select_sources(labels, hosts[0], true));
   }
 }
+
+/// Shaped like city's queries: 160 sensors on a 20x20 grid, 41 labels.
+void BM_SelectSources(benchmark::State& state) {
+  select_sources_bench(state, 20, 160, 36);
+}
 BENCHMARK(BM_SelectSources);
+
+/// Shaped like the paper's setup (bench/fig2_resolution_ratio): 30 sensors
+/// on an 8x8 grid, 23 labels (paper queries average 18.4).
+void BM_SelectSourcesPaper(benchmark::State& state) {
+  select_sources_bench(state, 8, 30, 16);
+}
+BENCHMARK(BM_SelectSourcesPaper);
 
 void BM_InfomaxTriage(benchmark::State& state) {
   Rng rng(8);

@@ -33,21 +33,19 @@ int main() {
   world::ViabilityProcess truth(std::move(dynamics), Rng(7));
 
   // --- roadside cameras ---------------------------------------------------
-  auto camera = [](std::uint64_t id, const char* name,
-                   std::vector<SegmentId> covers,
+  auto camera = [](std::uint64_t id, std::vector<SegmentId> covers,
                    std::uint64_t bytes) {
     world::SensorInfo s;
     s.id = SourceId{id};
-    s.name = naming::Name::parse(name);
     s.covers = std::move(covers);
     s.object_bytes = bytes;
     s.validity = SimTime::seconds(120);
     return s;
   };
   std::vector<world::SensorInfo> cameras{
-      camera(0, "/city/north/cam0", {SegmentId{0}, SegmentId{1}}, 400 * 1024),
-      camera(1, "/city/south/cam1", {SegmentId{3}, SegmentId{4}}, 250 * 1024),
-      camera(2, "/city/south/cam2", {SegmentId{4}}, 600 * 1024),
+      camera(0, {SegmentId{0}, SegmentId{1}}, 400 * 1024),
+      camera(1, {SegmentId{3}, SegmentId{4}}, 250 * 1024),
+      camera(2, {SegmentId{4}}, 600 * 1024),
   };
   world::SensorField field(map, truth, std::move(cameras));
 

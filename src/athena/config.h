@@ -42,10 +42,6 @@ struct AthenaConfig {
   decision::OrderPolicy order = decision::OrderPolicy::kVariationalLvf;
   /// Share evaluated labels back into the network and accept cached labels.
   bool label_sharing = true;
-  /// Serve a request for source S from a cached object of a different
-  /// source that covers all the requested labels — semantic object
-  /// substitution in the spirit of Sec. V-A's approximate matching.
-  bool substitute_equivalent_objects = false;
   /// When > 0.5, sensors are treated as noisy (Sec. IV-B): a label value
   /// is only committed once Bayesian corroboration of the observations
   /// reaches this confidence; until then more evidence is retrieved,

@@ -99,7 +99,6 @@ struct ObjectRequest {
 /// An evidence object travelling back toward requesters.
 struct ObjectReply {
   world::ObjectRef object;  ///< never null
-  QueryId query;       ///< query that triggered it (informational)
   NodeId origin;       ///< for prefetch pushes: node to push toward
   bool prefetch_push = false;
   /// Multipath replica group of the reply fan-out (see ObjectRequest);
@@ -137,7 +136,6 @@ struct LabelReply {
   static constexpr auto kSize = &AthenaConfig::label_bytes;
   static constexpr auto kBilledTo = &AthenaMetrics::label_bytes;
   LabelBatch values;
-  QueryId query;
   NodeId origin;     ///< requester the reply travels to
   SourceId source;   ///< the source whose request this answers
 };

@@ -36,7 +36,6 @@ struct AthenaMetrics {
   std::uint64_t refetches = 0;           ///< repeat requests by one query
   std::uint64_t prefetch_pushes = 0;
   std::uint64_t interest_aggregations = 0;  ///< duplicate upstreams avoided
-  std::uint64_t substitutions = 0;   ///< equivalent-object substitutions served
 
   // Overload-protection counters (all zero unless the knobs are enabled).
   std::uint64_t queries_shed = 0;      ///< early aborts: deadline provably
@@ -127,7 +126,6 @@ constexpr void for_each_field(M& m, F&& f) {
   f("refetches", m.refetches);
   f("prefetch_pushes", m.prefetch_pushes);
   f("interest_aggregations", m.interest_aggregations);
-  f("substitutions", m.substitutions);
   f("queries_shed", m.queries_shed);
   f("queries_rejected", m.queries_rejected);
   f("prefetch_throttled", m.prefetch_throttled);

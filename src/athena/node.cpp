@@ -92,7 +92,8 @@ QueryId AthenaNode::query_init(decision::DnfExpr expr,
   const auto labels = q.expr.all_labels();
   q.labels = labels;
   std::sort(q.labels.begin(), q.labels.end());
-  q.selection = directory_.select_sources(labels, id_, config_.source_selection);
+  q.selection =
+      directory_.select_sources(q.labels, id_, config_.source_selection);
   q.priority = priority;
   q.record_index = records_.size();
 
@@ -198,7 +199,7 @@ SourceId AthenaNode::next_corroborating_source(const QueryState& q,
     if (const SimTime* t = q.last_request.find(s)) last = *t;
     // A repeat request within the sensor's validity window would return
     // the same capture — no new information.
-    const SimTime eligible_at = last + directory_.sensor(s).validity;
+    const SimTime eligible_at = last + directory_.validity(s);
     if (eligible_at > now) {
       if (earliest_retry) *earliest_retry = std::min(*earliest_retry, eligible_at);
       continue;
@@ -421,14 +422,15 @@ void AthenaNode::advance(QueryState& q) {
         finish(q, Outcome::kDecided);
         return;
       }
-      for (const auto& [source, labels] : q.selection.requests) {
+      for (std::size_t i = 0; i < q.selection.requests.size(); ++i) {
+        const SourceId source = q.selection.requests[i].first;
         if (q.outstanding.contains(source)) continue;
         // Locally hosted evidence was already consumed by try_local; a
         // network request to ourselves would be meaningless (reachable
         // only in exotic configs, e.g. batch issue + corroboration).
         if (hosts(source)) continue;
         std::vector<LabelId> want;
-        for (LabelId l : labels) {
+        for (LabelId l : q.selection.requested(i)) {
           if (std::find(fresh_order.begin(), fresh_order.end(), l) !=
               fresh_order.end()) {
             want.push_back(l);
@@ -645,7 +647,7 @@ void AthenaNode::handle(NodeId from, const QueryAnnounce& a) {
       if (!hosts(s)) continue;
       if (!prefetch_mark_seen(prefetch_key(a.origin, s))) continue;
       prefetch_queue_.push_back(
-          PrefetchItem{s, a.query, a.origin, a.deadline_abs});
+          PrefetchItem{s, a.origin, a.deadline_abs});
     }
   }
   if (!prefetch_queue_.empty() && !pump_scheduled_) {
@@ -668,41 +670,22 @@ void AthenaNode::handle(NodeId from, const ObjectRequest& r) {
   // Label-cache service (lvfl): if every requested label is covered by a
   // fresh cached label, answer with labels instead of the object —
   // orders-of-magnitude cheaper (Sec. VI-D).
-  if (r.accept_labels && reply_with_labels(from, r.labels, r.query, r.origin,
+  if (r.accept_labels && reply_with_labels(from, r.labels, r.origin,
                                            r.source, r.priority)) {
     return;
   }
 
-  // Object service from cache or a hosted sensor. Failing that, semantic
-  // object substitution (Sec. V-A): a cached object from a *different*
-  // source whose field of view covers every requested label is an exact
-  // answer for this request — the equivalent of substituting camera2 for
-  // camera1 when both see the same scene.
-  world::ObjectRef obj = store_.local_object(r.source, hosts(r.source), now);
-  if (obj) {
+  // Object service from cache or a hosted sensor.
+  if (world::ObjectRef obj =
+          store_.local_object(r.source, hosts(r.source), now)) {
     if (!hosts(r.source)) ++metrics_.object_cache_hits;
-  } else if (config_.substitute_equivalent_objects && !r.labels.empty()) {
-    for (SourceId candidate : directory_.sources_for(r.labels.front())) {
-      if (candidate == r.source) continue;
-      const auto* cached = store_.objects().peek(candidate, now);
-      if (cached != nullptr &&
-          std::all_of(r.labels.begin(), r.labels.end(), [&](LabelId l) {
-            return (*cached)->reading(SegmentId{l.value()}) != nullptr;
-          })) {
-        obj = *cached;
-        ++metrics_.substitutions;
-        break;
-      }
-    }
-  }
-  if (obj) {
     // A critical reply to an untagged request fans out under a fresh group.
     const std::uint64_t group =
         r.replica_group == 0 && config_.multipath_redundancy > 1 &&
                 r.priority > 0
             ? new_replica_group()
             : r.replica_group;
-    const ObjectReply reply{std::move(obj), r.query, r.origin,
+    const ObjectReply reply{std::move(obj), r.origin,
                             /*prefetch_push=*/false, group, r.priority};
     send_msg(from, reply, r.priority);
     replicate(reply, from, r.origin);
@@ -795,7 +778,7 @@ void AthenaNode::handle(NodeId /*from*/, const ObjectReply& r) {
     } else if (sent_to.insert(e.from)) {
       // A background push yields to every foreground class at link queues.
       send_msg(e.from,
-               ObjectReply{r.object, e.query, e.origin, r.prefetch_push,
+               ObjectReply{r.object, e.origin, r.prefetch_push,
                            r.replica_group, e.priority},
                r.prefetch_push ? -1 : e.priority);
       forwarded_any = true;
@@ -806,7 +789,7 @@ void AthenaNode::handle(NodeId /*from*/, const ObjectReply& r) {
   // interests (Fig. 1: the source pushes u all the way to the requester).
   if (r.prefetch_push && !forwarded_any && r.origin != id_) {
     send_toward(r.origin,
-                ObjectReply{r.object, r.query, r.origin, true, 0, -1}, -1);
+                ObjectReply{r.object, r.origin, true, 0, -1}, -1);
   }
 
   // A replica copy travelling an alternate path crosses nodes that never
@@ -838,8 +821,7 @@ void AthenaNode::handle(NodeId /*from*/, const LabelShare& s) {
   // deliveries since the last share; the walk itself puts nothing.
   forwarder_.serve_marked(now, [&](SourceId source, const Interest& e) {
     return e.accept_labels && e.from.valid() &&
-           reply_with_labels(e.from, e.labels, e.query, e.origin, source,
-                             e.priority);
+           reply_with_labels(e.from, e.labels, e.origin, source, e.priority);
   });
 
   // Keep propagating toward the data source's host.
@@ -872,13 +854,13 @@ std::vector<decision::LabelValue> AthenaNode::cache_labels(
 
 bool AthenaNode::reply_with_labels(NodeId to,
                                    const std::vector<LabelId>& labels,
-                                   QueryId query, NodeId origin,
-                                   SourceId source, int priority) {
+                                   NodeId origin, SourceId source,
+                                   int priority) {
   std::vector<decision::LabelValue> vals =
       store_.fresh_labels(labels, net_.now());
   if (vals.empty()) return false;
   ++metrics_.label_cache_hits;
-  send_msg(to, LabelReply{std::move(vals), query, origin, source}, priority);
+  send_msg(to, LabelReply{std::move(vals), origin, source}, priority);
   return true;
 }
 
@@ -963,7 +945,7 @@ void AthenaNode::pump_prefetch() {
                    ? store_.local_object(item.source, hosts(item.source), now)
                    : nullptr;
     if (obj && send_toward(item.origin,
-                           ObjectReply{std::move(obj), item.query, item.origin,
+                           ObjectReply{std::move(obj), item.origin,
                                        /*prefetch_push=*/true, 0, -1},
                            /*priority=*/-1)) {
       ++metrics_.prefetch_pushes;

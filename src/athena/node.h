@@ -222,7 +222,6 @@ class AthenaNode {
   /// a hosted `source`, pushed toward the announcing query's `origin`.
   struct PrefetchItem {
     SourceId source;
-    QueryId query;
     NodeId origin;
     SimTime deadline_abs;
   };
@@ -288,8 +287,7 @@ class AthenaNode {
   /// Answer with cached label values in place of the object (lvfl, Sec.
   /// VI-D) if every one of `labels` is cached fresh; false otherwise.
   bool reply_with_labels(NodeId to, const std::vector<LabelId>& labels,
-                         QueryId query, NodeId origin, SourceId source,
-                         int priority);
+                         NodeId origin, SourceId source, int priority);
   // --- multipath redundancy (Sec. V-C over lossy links) -------------------
   /// A fresh replica-group id, unique across this run's nodes.
   [[nodiscard]] std::uint64_t new_replica_group();

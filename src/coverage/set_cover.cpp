@@ -1,7 +1,9 @@
 #include "coverage/set_cover.h"
 
 #include <algorithm>
+#include <array>
 #include <limits>
+#include <utility>
 
 #include "common/contracts.h"
 
@@ -58,45 +60,107 @@ OwnedFlat flatten(const CoverInstance& in) {
 
 using Mask = std::vector<bool>;
 
+/// The score greedy_cover ranks a set by; -1 takes it out of the running.
+double score(std::uint32_t gain, double cost) {
+  return gain == 0 ? -1.0
+                   : static_cast<double>(gain) / std::max(cost, 1e-12);
+}
+
+/// The highest of `scores`, or -1 if none is higher; a NaN never wins, as
+/// under `>`. Four running maxima keep the compare chains short, and max is
+/// exact, so the grouping does not change the result.
+double max_score(std::span<const double> scores) {
+  const auto higher = [](double a, double b) { return b > a ? b : a; };
+  std::array<double, 4> m{-1.0, -1.0, -1.0, -1.0};
+  std::size_t i = 0;
+  for (; i + 4 <= scores.size(); i += 4) {
+    for (std::size_t k = 0; k < 4; ++k) m[k] = higher(m[k], scores[i + k]);
+  }
+  for (; i < scores.size(); ++i) m[0] = higher(m[0], scores[i]);
+  return higher(higher(m[0], m[1]), higher(m[2], m[3]));
+}
+
+/// Whether every set's cached gain equals a recount of its uncovered
+/// elements.
+[[maybe_unused]] bool gains_recount(const FlatCover& cover,
+                                    const GreedyScratch& s) {
+  for (std::size_t i = 0; i < cover.costs.size(); ++i) {
+    std::uint32_t uncovered = 0;
+    for (std::uint32_t b : cover.set(i)) uncovered += s.covered[b] == 0;
+    if (uncovered != s.gain[i]) return false;
+  }
+  return true;
+}
+
 }  // namespace
 
-CoverResult greedy_cover(const FlatCover& cover) {
+const CoverResult& greedy_cover(const FlatCover& cover, GreedyScratch& s) {
   const std::size_t sets = cover.costs.size();
-  CoverResult result;
-  Mask covered(cover.universe, false);
-  std::size_t remaining = cover.universe;
-  std::vector<bool> used(sets, false);
-  while (remaining > 0) {
-    double best_ratio = -1.0;
-    std::size_t best = sets;
-    for (std::size_t i = 0; i < sets; ++i) {
-      if (used[i]) continue;
-      std::size_t gain = 0;
-      for (std::uint32_t b : cover.set(i)) {
-        if (!covered[b]) ++gain;
-      }
-      if (gain == 0) continue;
-      const double ratio =
-          static_cast<double>(gain) / std::max(cover.costs[i], 1e-12);
-      if (ratio > best_ratio) {
-        best_ratio = ratio;
-        best = i;
-      }
-    }
-    if (best == sets) break;  // nothing covers more
-    used[best] = true;
-    result.chosen.push_back(best);
-    result.cost += cover.costs[best];
-    for (std::uint32_t b : cover.set(best)) {
-      if (!covered[b]) {
-        covered[b] = true;
-        --remaining;
-      }
+  const std::size_t universe = cover.universe;
+  s.gain.resize(sets);
+  s.ratio.resize(sets);
+  s.used.assign(sets, 0);
+  s.covered.assign(universe, 0);
+  // Invert set → elements into element → sets by counting: the sets
+  // holding element b are holders[holders_at[b] .. holders_at[b + 1]).
+  s.holders_at.assign(universe + 1, 0);
+  for (std::size_t i = 0; i < sets; ++i) {
+    const auto elements = cover.set(i);
+    s.gain[i] = static_cast<std::uint32_t>(elements.size());
+    s.ratio[i] = score(s.gain[i], cover.costs[i]);
+    for (std::uint32_t b : elements) ++s.holders_at[b];
+  }
+  for (std::size_t b = 1; b < universe; ++b) {
+    s.holders_at[b] += s.holders_at[b - 1];
+  }
+  // Each count is now its element's end; filling backwards moves it to the
+  // start.
+  const std::uint32_t pairs = universe == 0 ? 0 : s.holders_at[universe - 1];
+  s.holders_at[universe] = pairs;
+  s.holders.resize(pairs);
+  for (std::size_t i = sets; i-- > 0;) {
+    for (std::uint32_t b : cover.set(i)) {
+      s.holders[--s.holders_at[b]] = static_cast<std::uint32_t>(i);
     }
   }
+
+  CoverResult& result = s.result;
+  result.chosen.clear();
+  result.cost = 0.0;
+  std::size_t remaining = universe;
+  while (remaining > 0) {
+    // The first set with the highest score: the same pick as keeping the
+    // first strict improvement.
+    const double best_ratio = max_score(s.ratio);
+    if (best_ratio == -1.0) break;  // nothing covers more
+    std::size_t best = 0;
+    while (s.ratio[best] != best_ratio) ++best;
+    s.used[best] = 1;
+    result.cost += cover.costs[best];
+    for (std::uint32_t b : cover.set(best)) {
+      if (s.covered[b]) continue;
+      s.covered[b] = 1;
+      --remaining;
+      for (std::uint32_t k = s.holders_at[b]; k < s.holders_at[b + 1]; ++k) {
+        const std::uint32_t j = s.holders[k];
+        // A chosen set ends at gain 0, so its score ends at -1 too.
+        s.ratio[j] = score(--s.gain[j], cover.costs[j]);
+      }
+    }
+    DDE_INVARIANT(gains_recount(cover, s),
+                  "greedy_cover: a cached gain disagrees with a recount");
+  }
+  for (std::size_t i = 0; i < sets; ++i) {
+    if (s.used[i]) result.chosen.push_back(i);
+  }
   result.covered = remaining == 0;
-  std::sort(result.chosen.begin(), result.chosen.end());
   return result;
+}
+
+CoverResult greedy_cover(const FlatCover& cover) {
+  GreedyScratch scratch;
+  greedy_cover(cover, scratch);
+  return std::move(scratch.result);
 }
 
 CoverResult greedy_cover(const CoverInstance& instance) {

@@ -52,10 +52,28 @@ struct FlatCover {
   }
 };
 
+/// Working memory for greedy_cover, reused across calls so that a caller
+/// solving many small instances allocates only while they grow. Not for
+/// concurrent use.
+struct GreedyScratch {
+  std::vector<std::uint32_t> gain;    ///< per set: its uncovered elements
+  std::vector<double> ratio;          ///< per set: pick score, -1 if out
+  std::vector<std::uint32_t> holders_at;  ///< element → sets, CSR offsets
+  std::vector<std::uint32_t> holders;
+  std::vector<std::uint8_t> covered;  ///< per element
+  std::vector<std::uint8_t> used;     ///< per set: chosen
+  CoverResult result;
+};
+
 /// Greedy weighted set cover: repeatedly pick the set with the most
-/// uncovered elements per unit cost (the lowest index on a tie).
-/// O(sets × universe) per pick. If full coverage is impossible, covers what
-/// it can (covered=false). `chosen` is ascending.
+/// uncovered elements per unit cost, gain / max(cost, 1e-12) (the lowest
+/// index on a tie). Each set's score is recomputed only when one of its
+/// elements gets covered, so a pick costs one scan of the scores. If full
+/// coverage is impossible, covers what it can (covered=false). `chosen` is
+/// ascending. The result lives in `scratch` until its next use.
+const CoverResult& greedy_cover(const FlatCover& cover, GreedyScratch& scratch);
+
+/// greedy_cover with working memory of its own.
 [[nodiscard]] CoverResult greedy_cover(const FlatCover& cover);
 
 /// greedy_cover over `instance`'s universe; elements outside it are

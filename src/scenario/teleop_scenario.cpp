@@ -15,7 +15,6 @@
 #include "des/periodic.h"
 #include "des/simulator.h"
 #include "fault/gilbert_elliott.h"
-#include "naming/name.h"
 #include "net/network.h"
 #include "net/topology.h"
 #include "scenario/runner.h"
@@ -122,7 +121,6 @@ TeleopRun::TeleopRun(const TeleopScenarioConfig& config)
   for (std::size_t v = 0; v < cfg.vehicle_count; ++v) {
     world::SensorInfo s;
     s.id = SourceId{v};
-    s.name = naming::Name::parse("/teleop/cam" + std::to_string(v));
     s.covers = {SegmentId{v}};
     s.object_bytes = static_cast<std::uint64_t>(
         rng.between(static_cast<std::int64_t>(cfg.min_object_bytes),

@@ -17,7 +17,6 @@
 
 #include "common/ids.h"
 #include "common/sim_time.h"
-#include "naming/name.h"
 
 namespace dde::world {
 
@@ -30,7 +29,6 @@ enum class ChangeRate : std::uint8_t {
 /// Static description of a deployed sensor (e.g. a roadside camera).
 struct SensorInfo {
   SourceId id;
-  naming::Name name;            ///< hierarchical semantic name
   double x = 0.0;               ///< position on the grid
   double y = 0.0;
   std::vector<SegmentId> covers;  ///< segments in the field of view

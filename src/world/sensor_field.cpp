@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <string>
 
 #include "common/contracts.h"
 
@@ -37,10 +36,6 @@ SensorField::SensorField(const GridMap& map, ViabilityProcess& truth,
     s.validity = s.rate == ChangeRate::kFast ? config.fast_validity
                                              : config.slow_validity;
     s.reliability = config.reliability;
-    s.name = naming::Name{"city", "grid",
-                          std::string("x") + std::to_string(static_cast<int>(s.x)),
-                          std::string("y") + std::to_string(static_cast<int>(s.y)),
-                          std::string("camera") + std::to_string(i)};
     sensors_.push_back(std::move(s));
   }
   // Shuffle which sensors are fast so rate does not correlate with position.

@@ -49,19 +49,16 @@ struct Fixture {
   static std::vector<SensorInfo> sensors() {
     SensorInfo s0;
     s0.id = SourceId{0};
-    s0.name = naming::Name::parse("/t/c");
     s0.covers = {SegmentId{0}, SegmentId{1}};
     s0.object_bytes = 1000;
     s0.validity = SimTime::seconds(100);
     SensorInfo s1;
     s1.id = SourceId{1};
-    s1.name = naming::Name::parse("/t/a");
     s1.covers = {SegmentId{2}};
     s1.object_bytes = 800;
     s1.validity = SimTime::seconds(100);
     SensorInfo s2;
     s2.id = SourceId{2};
-    s2.name = naming::Name::parse("/t/c2");
     s2.covers = {SegmentId{3}};
     s2.object_bytes = 1000;
     s2.validity = SimTime::millis(10);
@@ -375,27 +372,6 @@ TEST(AthenaNode, TrustsOwnAnnotationsAlways) {
   EXPECT_FALSE(f.athena[0]->trusts(AnnotatorId{1}));
 }
 
-TEST(AthenaNode, EquivalentObjectSubstitutionServesRequest) {
-  // Sensor 0 (at C) covers segments {0,1}. A fourth sensor at B covering
-  // segment 0 would be the substitution candidate; here we instead verify
-  // via the cache: B holds sensor 0's object, and a request directed at a
-  // hypothetical different source covering label 0 can be served by it.
-  auto cfg = config_for(Scheme::kLvf);
-  cfg.substitute_equivalent_objects = true;
-  Fixture f(cfg);
-  // Warm B's cache with sensor 0's object.
-  f.athena[1]->query_init(single_label(0), SimTime::seconds(30));
-  f.sim.run_until(SimTime::seconds(3));
-  ASSERT_EQ(f.metrics.queries_resolved, 1u);
-  // A asks for label 1 — designated source is sensor 0 again, so the cache
-  // at B serves directly (normal cache hit). Substitution engages when the
-  // designated source differs; with a single covering sensor per label in
-  // this fixture, assert the flag at least leaves behaviour correct.
-  f.athena[0]->query_init(single_label(1), SimTime::seconds(30));
-  f.sim.run_until(SimTime::seconds(8));
-  EXPECT_EQ(f.metrics.queries_resolved, 2u);
-}
-
 TEST(AthenaNode, InvalidationPurgesAndRefetches) {
   Fixture f;  // lvfl
   // Resolve once: label 0 now cached at A (labels + object along the path).
@@ -543,64 +519,85 @@ TEST(AthenaNode, RecoverWhenBothRequestAndReplyAreLost) {
   EXPECT_GE(f.metrics.refetches, 1u);
 }
 
+/// Line network A(0) — B(1) — C(2) with two sources of segment 0: a cheap
+/// one at C (300 B × 2 hops = 600 from A: designated) and a fallback at B
+/// (800 B × 1 hop = 800 from A: runner-up).
+struct TwoSourceFixture {
+  world::GridMap map{4, 4};
+  world::ViabilityProcess truth;
+  world::SensorField field;
+  net::Topology topo;
+  std::vector<NodeId> nodes;
+  des::Simulator sim;
+  net::Network net;
+  Directory dir;
+  AthenaMetrics metrics;
+  std::vector<std::unique_ptr<AthenaNode>> athena;
+
+  static std::vector<SensorInfo> sensors() {
+    SensorInfo cheap;
+    cheap.id = SourceId{0};
+    cheap.covers = {SegmentId{0}};
+    cheap.object_bytes = 300;  // 300 B × 2 hops = 600: designated
+    cheap.validity = SimTime::seconds(100);
+    SensorInfo fallback;
+    fallback.id = SourceId{1};
+    fallback.covers = {SegmentId{0}};
+    fallback.object_bytes = 800;  // 800 B × 1 hop = 800: runner-up
+    fallback.validity = SimTime::seconds(100);
+    return {cheap, fallback};
+  }
+
+  explicit TwoSourceFixture(const AthenaConfig& cfg)
+      : truth(std::vector<world::SegmentDynamics>(
+                  map.segment_count(),
+                  world::SegmentDynamics{1.0, SimTime::seconds(1e7)}),
+              Rng(1)),
+        field(map, truth, sensors()),
+        topo(),
+        nodes(),
+        sim(),
+        net(make_net()),
+        dir(topo, field, {NodeId{2}, NodeId{1}}, {{LabelId{0}, 0.9}}) {
+    for (std::size_t i = 0; i < 3; ++i) {
+      athena.push_back(std::make_unique<AthenaNode>(NodeId{i}, net, dir,
+                                                    field, cfg, metrics));
+    }
+  }
+
+  net::Network make_net() {
+    for (int i = 0; i < 3; ++i) nodes.push_back(topo.add_node());
+    topo.add_link(nodes[0], nodes[1], 1e6, SimTime::millis(1));
+    topo.add_link(nodes[1], nodes[2], 1e6, SimTime::millis(1));
+    topo.compute_routes();
+    return net::Network(sim, topo);
+  }
+};
+
+// A relay caching another covering source's object still forwards a
+// request to the source it names: only that source's object reaches the
+// origin's interest, so the query decides on the first reply.
+TEST(AthenaNode, RelayForwardsRequestPastAnotherSourcesObject) {
+  auto cfg = config_for(Scheme::kLvf);
+  cfg.prefetch = false;
+  TwoSourceFixture f(cfg);
+  // B decides on its own fallback sensor, which leaves that object cached.
+  f.athena[1]->query_init(single_label(0), SimTime::seconds(60));
+  ASSERT_EQ(f.metrics.queries_resolved, 1u);
+  ASSERT_NE(f.athena[1]->cached_object(SourceId{1}), nullptr);
+  // A's request for the cheap source passes B on its way to C.
+  f.athena[0]->query_init(single_label(0), SimTime::seconds(60));
+  f.sim.run_until(SimTime::seconds(60));
+  EXPECT_TRUE(f.athena[0]->records().back().success);
+  EXPECT_LT(f.athena[0]->records().back().finished_at, SimTime::seconds(1));
+  EXPECT_EQ(f.metrics.retries, 0u);
+  EXPECT_EQ(f.metrics.object_cache_hits, 0u);
+  EXPECT_NE(f.athena[0]->cached_object(SourceId{0}), nullptr);
+}
+
 TEST(AthenaNode, FailoverSwitchesToAlternateSourceWhenHostUnreachable) {
-  // Two sources cover segment 0: the cheap one at C (designated first) and a
-  // fallback at B. Severing B↔C silences C; after max_source_attempts
-  // unanswered requests the query must fail over to B's source and resolve.
-  struct TwoSourceFixture {
-    world::GridMap map{4, 4};
-    world::ViabilityProcess truth;
-    world::SensorField field;
-    net::Topology topo;
-    std::vector<NodeId> nodes;
-    des::Simulator sim;
-    net::Network net;
-    Directory dir;
-    AthenaMetrics metrics;
-    std::vector<std::unique_ptr<AthenaNode>> athena;
-
-    static std::vector<SensorInfo> sensors() {
-      SensorInfo cheap;
-      cheap.id = SourceId{0};
-      cheap.name = naming::Name::parse("/f/c");
-      cheap.covers = {SegmentId{0}};
-      cheap.object_bytes = 300;  // 300 B × 2 hops = 600: designated
-      cheap.validity = SimTime::seconds(100);
-      SensorInfo fallback;
-      fallback.id = SourceId{1};
-      fallback.name = naming::Name::parse("/f/b");
-      fallback.covers = {SegmentId{0}};
-      fallback.object_bytes = 800;  // 800 B × 1 hop = 800: runner-up
-      fallback.validity = SimTime::seconds(100);
-      return {cheap, fallback};
-    }
-
-    explicit TwoSourceFixture(const AthenaConfig& cfg)
-        : truth(std::vector<world::SegmentDynamics>(
-                    map.segment_count(),
-                    world::SegmentDynamics{1.0, SimTime::seconds(1e7)}),
-                Rng(1)),
-          field(map, truth, sensors()),
-          topo(),
-          nodes(),
-          sim(),
-          net(make_net()),
-          dir(topo, field, {NodeId{2}, NodeId{1}}, {{LabelId{0}, 0.9}}) {
-      for (std::size_t i = 0; i < 3; ++i) {
-        athena.push_back(std::make_unique<AthenaNode>(NodeId{i}, net, dir,
-                                                      field, cfg, metrics));
-      }
-    }
-
-    net::Network make_net() {
-      for (int i = 0; i < 3; ++i) nodes.push_back(topo.add_node());
-      topo.add_link(nodes[0], nodes[1], 1e6, SimTime::millis(1));
-      topo.add_link(nodes[1], nodes[2], 1e6, SimTime::millis(1));
-      topo.compute_routes();
-      return net::Network(sim, topo);
-    }
-  };
-
+  // Severing B↔C silences C; after max_source_attempts unanswered requests
+  // to the cheap source the query must fail over to B's source and resolve.
   auto cfg = config_for(Scheme::kLvf);
   cfg.prefetch = false;
   cfg.request_timeout = SimTime::seconds(1);
@@ -642,7 +639,6 @@ struct RingFixture {
                            std::uint64_t bytes) {
     SensorInfo s;
     s.id = SourceId{id};
-    s.name = naming::Name::parse("/ring/s" + std::to_string(id));
     s.covers = {SegmentId{label}};
     s.object_bytes = bytes;
     s.validity = SimTime::seconds(100);
@@ -756,7 +752,6 @@ struct NoisyFixture {
     for (std::uint64_t i = 0; i < 3; ++i) {
       SensorInfo s;
       s.id = SourceId{i};
-      s.name = naming::Name::parse("/n/cam" + std::to_string(i));
       s.covers = {SegmentId{0}};
       s.object_bytes = 1000;
       s.validity = SimTime::seconds(100);
@@ -1159,8 +1154,7 @@ TEST(AthenaNode, LabelShareServesInterestCompletedByPassingLabelReply) {
 
   // Label 1 passes through B in a reply bound for C (dropped at the down
   // link); B caches it on the way.
-  inject_at_b(f, LabelReply{{true_value(1, at)}, QueryId{77}, f.nodes[2],
-                            SourceId{0}});
+  inject_at_b(f, LabelReply{{true_value(1, at)}, f.nodes[2], SourceId{0}});
   f.sim.run_until(SimTime::millis(300));
   EXPECT_EQ(f.metrics.label_cache_hits, 0u);
 
@@ -1260,7 +1254,7 @@ TEST(AthenaNode, ForwardedLabelShareSharesItsBatch) {
   const LabelBatch share_batch{true_value(0, at), true_value(1, at)};
   const LabelBatch reply_batch{true_value(3, at)};
   inject_at_b(f, LabelShare{share_batch, f.nodes[2]});
-  inject_at_b(f, LabelReply{reply_batch, QueryId{77}, f.nodes[2], SourceId{2}});
+  inject_at_b(f, LabelReply{reply_batch, f.nodes[2], SourceId{2}});
   f.sim.run_until(SimTime::seconds(1));
 
   ASSERT_EQ(at_c.size(), 2u);

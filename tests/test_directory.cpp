@@ -28,19 +28,16 @@ struct Fixture {
   static std::vector<SensorInfo> sensors() {
     SensorInfo s0;
     s0.id = SourceId{0};
-    s0.name = naming::Name::parse("/t/cam0");
     s0.covers = {SegmentId{0}, SegmentId{1}};
     s0.object_bytes = 1000;
     s0.validity = SimTime::seconds(100);
     SensorInfo s1;
     s1.id = SourceId{1};
-    s1.name = naming::Name::parse("/t/cam1");
     s1.covers = {SegmentId{1}, SegmentId{2}};
     s1.object_bytes = 500;
     s1.validity = SimTime::seconds(50);
     SensorInfo s2;
     s2.id = SourceId{2};
-    s2.name = naming::Name::parse("/t/cam2");
     s2.covers = {SegmentId{3}};
     s2.object_bytes = 2000;
     s2.validity = SimTime::seconds(10);
@@ -69,7 +66,9 @@ struct Fixture {
 TEST(Directory, SourcesForLabel) {
   Fixture f;
   const auto dir = f.make_directory();
-  EXPECT_EQ(dir.sources_for(LabelId{0}), std::vector<SourceId>{SourceId{0}});
+  const auto one = dir.sources_for(LabelId{0});
+  EXPECT_EQ(std::vector<SourceId>(one.begin(), one.end()),
+            std::vector<SourceId>{SourceId{0}});
   const auto both = dir.sources_for(LabelId{1});
   EXPECT_EQ(both.size(), 2u);
   EXPECT_TRUE(dir.sources_for(LabelId{99}).empty());
@@ -90,6 +89,8 @@ TEST(Directory, LabelsOfSource) {
   ASSERT_EQ(labels.size(), 2u);
   EXPECT_EQ(labels[0], LabelId{0});
   EXPECT_EQ(labels[1], LabelId{1});
+  EXPECT_THROW((void)dir.labels_of(SourceId{9}), std::out_of_range);
+  EXPECT_EQ(dir.validity(SourceId{2}), SimTime::seconds(10));
 }
 
 TEST(Directory, RetrievalCostScalesWithBytesAndHops) {
@@ -186,20 +187,40 @@ TEST(Directory, RequestsContainOnlyNeededLabels) {
   Fixture f;
   const auto dir = f.make_directory();
   const auto sel = dir.select_sources({LabelId{1}}, f.nodes[0], false);
-  for (const auto& [source, labels] : sel.requests) {
-    EXPECT_EQ(labels, std::vector<LabelId>{LabelId{1}})
+  for (std::size_t i = 0; i < sel.requests.size(); ++i) {
+    const auto labels = sel.requested(i);
+    EXPECT_EQ(std::vector<LabelId>(labels.begin(), labels.end()),
+              std::vector<LabelId>{LabelId{1}})
         << "only the needed label is requested even if the source covers more";
   }
 }
 
+/// A selection with its request list nested: (source, its labels) pairs.
+struct NestedSelection {
+  std::vector<std::pair<LabelId, SourceId>> designated;
+  std::vector<std::pair<SourceId, std::vector<LabelId>>> requests;
+  std::vector<LabelId> uncovered;
+};
+
+NestedSelection nested(const Directory::Selection& sel) {
+  NestedSelection out{sel.designated, {}, sel.uncovered};
+  for (std::size_t i = 0; i < sel.requests.size(); ++i) {
+    const auto labels = sel.requested(i);
+    out.requests.emplace_back(sel.requests[i].first,
+                              std::vector<LabelId>(labels.begin(), labels.end()));
+  }
+  return out;
+}
+
 /// Source selection as it stood before the labels → sources inversion:
 /// `covered_needed` rescans every needed label for each candidate.
-Directory::Selection reference_select(
+NestedSelection reference_select(
     const Directory& dir, const std::vector<LabelId>& labels, NodeId origin,
     bool minimize, const std::unordered_set<SourceId>* exclude) {
-  Directory::Selection sel;
+  NestedSelection sel;
   auto available = [&](LabelId l) {
-    std::vector<SourceId> srcs = dir.sources_for(l);
+    const auto listed = dir.sources_for(l);
+    std::vector<SourceId> srcs(listed.begin(), listed.end());
     if (exclude == nullptr || exclude->empty()) return srcs;
     std::vector<SourceId> filtered;
     for (SourceId s : srcs) {
@@ -278,13 +299,16 @@ Directory::Selection reference_select(
 
 // Random sensor fields on a random 6-node topology (one node isolated, so
 // some sources are unreachable), with object sizes drawn from a small set
-// so cost ties are common. Labels repeat, some are uncovered, and exclude
-// sets range over none, empty, some and all sources.
+// so cost ties are common. Some sensors list a segment twice. Labels
+// repeat, some are uncovered, and exclude sets range over none, empty,
+// some, every source of one queried label, and all sources.
 TEST(Directory, SelectSourcesMatchesBruteForce) {
   Rng rng(1717);
   const world::GridMap map{4, 4};
   const std::size_t segments = map.segment_count();
   const std::uint32_t sizes[] = {500, 1000, 2000};
+  int doubled = 0;       // trials where a needed label lists a source twice
+  int label_barred = 0;  // trials excluding every source of a needed label
   for (int trial = 0; trial < 300; ++trial) {
     SCOPED_TRACE("trial " + std::to_string(trial));
     net::Topology topo;
@@ -300,11 +324,11 @@ TEST(Directory, SelectSourcesMatchesBruteForce) {
     for (std::size_t i = 0; i < n_sensors; ++i) {
       SensorInfo si;
       si.id = SourceId{i};
-      si.name = naming::Name::parse("/t/s" + std::to_string(i));
       for (std::size_t k = 0, n = 1 + rng.below(4); k < n; ++k) {
         const SegmentId seg{rng.below(8)};
         if (std::find(si.covers.begin(), si.covers.end(), seg) ==
-            si.covers.end()) {
+                si.covers.end() ||
+            rng.chance(0.3)) {
           si.covers.push_back(seg);
         }
       }
@@ -325,25 +349,65 @@ TEST(Directory, SelectSourcesMatchesBruteForce) {
     }
     // The same exclusions twice: ascending for select_sources, hashed for
     // the reference.
-    std::vector<SourceId> exclude;
     std::unordered_set<SourceId> exclude_set;
-    const std::uint64_t mode = rng.below(4);
+    const std::uint64_t mode = rng.below(5);
     for (std::size_t i = 0; i < n_sensors; ++i) {
-      if (mode == 3 || (mode == 2 && rng.chance(0.4))) {
-        exclude.push_back(SourceId{i});
+      if (mode == 4 || (mode >= 2 && rng.chance(0.4))) {
         exclude_set.insert(SourceId{i});
       }
     }
+    if (mode == 3 && !labels.empty()) {
+      for (SourceId src : dir.sources_for(labels[rng.below(labels.size())])) {
+        exclude_set.insert(src);
+      }
+    }
+    std::vector<SourceId> exclude(exclude_set.begin(), exclude_set.end());
+    std::sort(exclude.begin(), exclude.end());
+    for (LabelId l : labels) {
+      const auto srcs = dir.sources_for(l);
+      std::vector<SourceId> sorted(srcs.begin(), srcs.end());
+      std::sort(sorted.begin(), sorted.end());
+      if (std::adjacent_find(sorted.begin(), sorted.end()) != sorted.end()) {
+        ++doubled;
+        break;
+      }
+    }
+    for (LabelId l : labels) {
+      const auto srcs = dir.sources_for(l);
+      if (mode != 0 && !srcs.empty() &&
+          std::all_of(srcs.begin(), srcs.end(), [&](SourceId src) {
+            return exclude_set.contains(src);
+          })) {
+        ++label_barred;
+        break;
+      }
+    }
+
     const NodeId origin = nodes[rng.below(6)];
     for (const bool minimize : {true, false}) {
       const auto* ex = mode == 0 ? nullptr : &exclude_set;
       const auto got = dir.select_sources(labels, origin, minimize, exclude);
       const auto want = reference_select(dir, labels, origin, minimize, ex);
-      EXPECT_EQ(got.requests, want.requests) << "minimize " << minimize;
+      EXPECT_EQ(nested(got).requests, want.requests) << "minimize " << minimize;
       EXPECT_EQ(got.designated, want.designated) << "minimize " << minimize;
       EXPECT_EQ(got.uncovered, want.uncovered) << "minimize " << minimize;
+      if (!minimize) {
+        // Every covering source is requested, in the flat form too: the
+        // request ends partition request_labels.
+        std::vector<LabelId> flat;
+        for (const auto& [source, labs] : want.requests) {
+          flat.insert(flat.end(), labs.begin(), labs.end());
+        }
+        EXPECT_EQ(got.request_labels, flat);
+        ASSERT_EQ(got.requests.size(), want.requests.size());
+        if (!got.requests.empty()) {
+          EXPECT_EQ(got.requests.back().second, flat.size());
+        }
+      }
     }
   }
+  EXPECT_GT(doubled, 20);
+  EXPECT_GT(label_barred, 20);
 }
 
 }  // namespace

@@ -50,19 +50,16 @@ struct Fixture {
   static std::vector<SensorInfo> sensors() {
     SensorInfo s0;
     s0.id = SourceId{0};
-    s0.name = naming::Name::parse("/t/c");
     s0.covers = {SegmentId{0}, SegmentId{1}};
     s0.object_bytes = 1000;
     s0.validity = SimTime::seconds(100);
     SensorInfo s1;
     s1.id = SourceId{1};
-    s1.name = naming::Name::parse("/t/a");
     s1.covers = {SegmentId{2}};
     s1.object_bytes = 800;
     s1.validity = SimTime::seconds(100);
     SensorInfo s2;
     s2.id = SourceId{2};
-    s2.name = naming::Name::parse("/t/c2");
     s2.covers = {SegmentId{3}};
     s2.object_bytes = 1000;
     s2.validity = SimTime::millis(10);

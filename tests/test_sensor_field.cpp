@@ -3,8 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <set>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -163,7 +161,6 @@ TEST(SensorField, ReadingsAscendAndKeepFirstDrawPerSegment) {
     Fixture f;
     SensorInfo s;
     s.id = SourceId{0};
-    s.name = naming::Name::parse("/t/dup");
     s.covers = {SegmentId{5}, SegmentId{2}, SegmentId{9}, SegmentId{5},
                 SegmentId{0}};
     s.object_bytes = 100;
@@ -199,16 +196,6 @@ TEST(SensorField, ThrowsOnUnknownSensor) {
   EXPECT_THROW((void)field.sensor(SourceId{999}), std::out_of_range);
   EXPECT_THROW((void)field.sample(SourceId{999}, SimTime::zero()),
                std::out_of_range);
-}
-
-TEST(SensorField, NamesAreUniqueHierarchical) {
-  Fixture f;
-  SensorField field(f.map, f.truth, small_config(), f.rng);
-  std::set<std::string> names;
-  for (const auto& s : field.sensors()) {
-    EXPECT_GE(s.name.size(), 3u);
-    EXPECT_TRUE(names.insert(s.name.to_string()).second);
-  }
 }
 
 }  // namespace

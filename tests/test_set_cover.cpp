@@ -258,6 +258,87 @@ TEST(SetCover, GreedyMatchesPreChangeForm) {
   EXPECT_LT(uncoverable, 1900);
 }
 
+/// greedy_cover(FlatCover) as it stood before the incremental form: every
+/// pick rescans each unused set's elements to recount its gain.
+CoverResult rescan_greedy(const FlatCover& cover) {
+  const std::size_t sets = cover.costs.size();
+  CoverResult result;
+  std::vector<bool> covered(cover.universe, false);
+  std::size_t remaining = cover.universe;
+  std::vector<bool> used(sets, false);
+  while (remaining > 0) {
+    double best_ratio = -1.0;
+    std::size_t best = sets;
+    for (std::size_t i = 0; i < sets; ++i) {
+      if (used[i]) continue;
+      std::size_t gain = 0;
+      for (std::uint32_t b : cover.set(i)) {
+        if (!covered[b]) ++gain;
+      }
+      if (gain == 0) continue;
+      const double ratio =
+          static_cast<double>(gain) / std::max(cover.costs[i], 1e-12);
+      if (ratio > best_ratio) {
+        best_ratio = ratio;
+        best = i;
+      }
+    }
+    if (best == sets) break;
+    used[best] = true;
+    result.chosen.push_back(best);
+    result.cost += cover.costs[best];
+    for (std::uint32_t b : cover.set(best)) {
+      if (!covered[b]) {
+        covered[b] = true;
+        --remaining;
+      }
+    }
+  }
+  result.covered = remaining == 0;
+  std::sort(result.chosen.begin(), result.chosen.end());
+  return result;
+}
+
+// Random flat instances with equal costs, zero and near-zero costs (both
+// clamped to 1e-12), empty sets and elements no set covers, solved through
+// one reused scratch as instances grow and shrink.
+TEST(SetCover, IncrementalGreedyMatchesRescan) {
+  Rng rng(2626);
+  const double costs[] = {0.0, 1e-15, 0.5, 1.0, 1.0, 2.0, 3.5};
+  GreedyScratch scratch;
+  int uncoverable = 0;
+  int empty_sets = 0;
+  int clamped = 0;
+  for (int trial = 0; trial < 3000; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const std::size_t universe = rng.below(16);
+    const std::size_t sets = rng.below(14);
+    std::vector<double> set_costs;
+    std::vector<std::uint32_t> offsets{0};
+    std::vector<std::uint32_t> elements;
+    for (std::size_t i = 0; i < sets; ++i) {
+      set_costs.push_back(costs[rng.below(7)]);
+      clamped += set_costs.back() < 1e-12 ? 1 : 0;
+      const double density = rng.uniform(0.0, 0.5);
+      for (std::uint32_t e = 0; e < universe; ++e) {
+        if (rng.chance(density)) elements.push_back(e);
+      }
+      empty_sets += elements.size() == offsets.back() ? 1 : 0;
+      offsets.push_back(static_cast<std::uint32_t>(elements.size()));
+    }
+    const FlatCover cover{universe, set_costs, offsets, elements};
+    const CoverResult want = rescan_greedy(cover);
+    const CoverResult& got = greedy_cover(cover, scratch);
+    EXPECT_EQ(got.chosen, want.chosen);
+    EXPECT_EQ(got.cost, want.cost);
+    EXPECT_EQ(got.covered, want.covered);
+    uncoverable += want.covered ? 0 : 1;
+  }
+  EXPECT_GT(uncoverable, 300);
+  EXPECT_GT(empty_sets, 300);
+  EXPECT_GT(clamped, 1000);
+}
+
 TEST(SetCover, CostsAreConsistent) {
   Rng rng(11);
   for (int trial = 0; trial < 50; ++trial) {
