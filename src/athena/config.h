@@ -118,9 +118,10 @@ struct AthenaConfig {
   SimTime recovery_lease = SimTime::zero();
 
   // --- state hygiene (bounded memory on long runs) ----------------------
-  /// Expiry of invalidation flood-dedup entries. Duplicates of a flood id
-  /// can only arrive while copies are still in flight, so any value far
-  /// above the network's drain time is safe; entries are then collected.
+  /// Expiry of invalidation flood-dedup entries, and the margin an
+  /// ingest-dedup entry outlives its object by. Duplicates can only arrive
+  /// while copies are still in flight, so any value far above the
+  /// network's drain time is safe; entries are then collected.
   SimTime dedup_ttl = SimTime::seconds(3600);
   /// Period of the background sweep that drops expired interest-table,
   /// aggregation-marker, and dedup entries (they are also purged

@@ -242,6 +242,7 @@ void AthenaNode::deliver_object(const world::EvidenceObject& obj) {
   // Its fresh values update assignments, and those that improve on the
   // label cache are cached and shared.
   if (const auto values = store_.ingest(obj, now)) {
+    schedule_gc();
     std::vector<decision::LabelValue> fresher = cache_labels(*values, now);
     apply_labels_to_queries(*values);
 
@@ -1055,7 +1056,7 @@ void AthenaNode::handle(NodeId /*from*/, const RecoveryHello& hello) {
 void AthenaNode::schedule_gc() {
   if (gc_scheduled_) return;
   if (forwarder_.empty() && announces_seen_.empty() &&
-      invalidations_seen_.empty()) {
+      invalidations_seen_.empty() && store_.ingested_entries() == 0) {
     return;
   }
   gc_scheduled_ = true;
@@ -1067,6 +1068,7 @@ void AthenaNode::run_gc() {
   gc_scheduled_ = false;
   const SimTime now = net_.now();
   forwarder_.sweep(now);
+  store_.sweep(now);
   announces_seen_.erase_if(
       [now](std::uint64_t, SimTime t) { return t <= now; });
   invalidations_seen_.erase_if(

@@ -170,9 +170,11 @@ class AthenaNode {
   [[nodiscard]] std::size_t forwarded_entries() const noexcept {
     return forwarder_.forwarded_entries();
   }
-  /// Flood-dedup entries (query announces + invalidations) currently held.
+  /// Dedup entries (query announces, invalidations and ingested objects)
+  /// currently held.
   [[nodiscard]] std::size_t dedup_entries() const noexcept {
-    return announces_seen_.size() + invalidations_seen_.size();
+    return announces_seen_.size() + invalidations_seen_.size() +
+           store_.ingested_entries();
   }
   /// Query-table entries: unresolved queries plus those finished since the
   /// last drain (see drain_retired()).

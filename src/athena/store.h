@@ -12,6 +12,7 @@
 #include "athena/config.h"
 #include "athena/metrics.h"
 #include "cache/ttl_cache.h"
+#include "common/flat_hash.h"
 #include "fault/restart_policy.h"
 #include "fusion/belief.h"
 #include "world/sensor_field.h"
@@ -26,6 +27,7 @@ class Store {
         AthenaMetrics& metrics)
       : self_(self.value()),
         corroboration_confidence_(config.corroboration_confidence),
+        dedup_ttl_(config.dedup_ttl),
         field_(field),
         metrics_(metrics),
         object_cache_(config.object_cache_capacity),
@@ -80,7 +82,15 @@ class Store {
   }
 
   [[nodiscard]] bool ingested(ObjectId object) const {
-    return ingested_.contains(object);
+    return ingested_.find(object.value()) != nullptr;
+  }
+  /// Ingest-dedup entries currently held (swept by sweep()).
+  [[nodiscard]] std::size_t ingested_entries() const noexcept {
+    return ingested_.size();
+  }
+  /// Drop ingest-dedup entries whose drain margin has passed.
+  void sweep(SimTime now) {
+    ingested_.erase_if([now](std::uint64_t, SimTime t) { return t <= now; });
   }
   /// The fresh label values `obj` yields at its first ingest here, or
   /// nullopt if it was ingested before: re-delivering an object adds no
@@ -90,10 +100,10 @@ class Store {
   /// emerge (Sec. IV-B); otherwise a single reading decides.
   std::optional<std::vector<decision::LabelValue>> ingest(
       const world::EvidenceObject& obj, SimTime now) {
-    // Bound the dedup set on very long runs; losing old entries only risks
-    // re-annotating an already-expired capture, never incorrectness.
-    if (ingested_.size() > 200000) ingested_.clear();
-    if (!ingested_.insert(obj.id).second) return std::nullopt;
+    if (!ingested_.insert_if_absent(obj.id.value(),
+                                    obj.expires_at() + dedup_ttl_)) {
+      return std::nullopt;
+    }
     if (!obj.fresh_at(now)) ++metrics_.stale_arrivals;
     std::vector<decision::LabelValue> values =
         corroboration_confidence_ > 0.5 ? corroborate(obj, now)
@@ -186,6 +196,7 @@ class Store {
 
   AnnotatorId self_;
   double corroboration_confidence_;
+  SimTime dedup_ttl_;
   world::SensorField& field_;
   AthenaMetrics& metrics_;
 
@@ -201,7 +212,10 @@ class Store {
     std::vector<ObjectId> observed;  ///< ascending
   };
   std::unordered_map<LabelId, BeliefEntry> beliefs_;
-  std::unordered_set<ObjectId> ingested_;
+  /// Ingest dedup: object id → expiry (the object's own expiry plus
+  /// dedup_ttl, so copies still in flight after it expires are dropped
+  /// too). Swept by the node's GC.
+  FlatU64Map<SimTime> ingested_;
 };
 
 }  // namespace dde::athena

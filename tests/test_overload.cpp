@@ -221,9 +221,11 @@ TEST(Overload, GcDrainsInterestForwardingAndDedupState) {
   std::size_t held = 0;
   for (const auto& node : f.athena) held += node->dedup_entries();
   EXPECT_GT(held, 0u);
-  // Well past every deadline and TTL, the background sweep has returned
-  // the node to an empty steady state — nothing grows without bound.
-  f.sim.run_until(SimTime::seconds(30));
+  // Well past every deadline and TTL (the ingested object's entry lives
+  // until its 100 s expiry plus dedup_ttl), the background sweep has
+  // returned the node to an empty steady state — nothing grows without
+  // bound.
+  f.sim.run_until(SimTime::seconds(110));
   for (const auto& node : f.athena) {
     EXPECT_EQ(node->interest_entries(), 0u);
     EXPECT_EQ(node->forwarded_entries(), 0u);
