@@ -1,31 +1,22 @@
-// City-scale hot-path bench (ISSUE 8): a heavy open-arrival workload on a
-// large grid — far beyond the paper's 8×8/30-node setup — plus a timed
-// head-to-head between the production ladder-queue DES kernel
-// (des::Simulator) and the frozen std::priority_queue kernel
-// (des::ReferenceSimulator) on an identical synthetic schedule/cancel
-// workload.
+// City-scale hot-path bench: a heavy open-arrival workload on a large
+// grid, far beyond the paper's 8×8/30-node setup.
 //
 // Output discipline: stdout carries ONLY deterministic simulation results
 // (byte-identical at any DDE_BENCH_JOBS), so CI can diff jobs=1 vs jobs=4
 // runs directly. Wall-clock throughput and peak RSS go to stderr and into
-// BENCH_scale_city.json (schemes `ladder_kernel`, `reference_kernel`,
-// `process`), validated by tools/check_bench_report --require-positive.
+// BENCH_scale_city.json (scheme `process`), validated by
+// tools/check_bench_report --require-positive.
 //
 // Usage: scale_city [seeds] [city|small]
-//   small = CI/sanitizer smoke preset (shrunken grid + kernel workload).
+//   small = CI/sanitizer smoke preset (shrunken grid).
 #include <sys/resource.h>
 
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <functional>
-#include <vector>
 
 #include "bench_util.h"
-#include "common/rng.h"
-#include "des/reference_kernel.h"
-#include "des/simulator.h"
 
 namespace {
 
@@ -38,40 +29,10 @@ struct Preset {
   std::size_t queries_per_node;
   double interarrival_s;    ///< Poisson mean inter-arrival per node
   double horizon_s;
-  int kernel_events;        ///< synthetic head-to-head schedule count
 };
 
-constexpr Preset kCity{"city", 20, 160, 4, 15.0, 600.0, 1500000};
-constexpr Preset kSmall{"small", 10, 48, 2, 10.0, 120.0, 150000};
-
-/// Synthetic hot-path workload, identical for both kernels: bursts of
-/// schedules over a spread of horizons, ~30% cancellation churn (exercising
-/// tombstones + compaction), and staged run_until windows. Returns executed
-/// events — both kernels must agree exactly.
-template <typename Sim>
-std::uint64_t run_kernel_workload(std::uint64_t seed, int events) {
-  Sim sim;
-  Rng rng(seed);
-  std::vector<decltype(sim.schedule_at(SimTime{}, nullptr))> handles;
-  handles.reserve(512);
-  std::uint64_t fired = 0;
-  int scheduled = 0;
-  while (scheduled < events) {
-    for (int i = 0; i < 512 && scheduled < events; ++i, ++scheduled) {
-      const SimTime when =
-          sim.now() + SimTime::micros(static_cast<SimTime::rep>(
-                          rng.below(50000)));
-      handles.push_back(sim.schedule_at(when, [&fired] { ++fired; }));
-    }
-    for (auto& h : handles) {
-      if (rng.chance(0.3)) sim.cancel(h);
-    }
-    handles.clear();
-    sim.run_until(sim.now() + SimTime::millis(10));
-  }
-  sim.run_until();
-  return fired;
-}
+constexpr Preset kCity{"city", 20, 160, 4, 15.0, 600.0};
+constexpr Preset kSmall{"small", 10, 48, 2, 10.0, 120.0};
 
 double seconds_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -128,50 +89,13 @@ int main(int argc, char** argv) {
               bench::scheme_name(cfg.scheme).c_str(), ratio.mean(), mb.mean(),
               latency.mean(), sim_events.sum(), queries.sum());
 
-  // --- Kernel head-to-head: ladder queue vs frozen priority_queue -------
-  constexpr int kRounds = 3;
-  RunningStats ladder_eps;
-  RunningStats reference_eps;
-  for (int round = 0; round < kRounds; ++round) {
-    const std::uint64_t seed = static_cast<std::uint64_t>(round + 1);
-
-    auto start = std::chrono::steady_clock::now();
-    const std::uint64_t ladder_fired =
-        run_kernel_workload<des::Simulator>(seed, preset.kernel_events);
-    ladder_eps.add(static_cast<double>(ladder_fired) / seconds_since(start));
-
-    start = std::chrono::steady_clock::now();
-    const std::uint64_t reference_fired =
-        run_kernel_workload<des::ReferenceSimulator>(seed,
-                                                     preset.kernel_events);
-    reference_eps.add(static_cast<double>(reference_fired) /
-                      seconds_since(start));
-
-    if (ladder_fired != reference_fired) {
-      std::fprintf(stderr,
-                   "KERNEL DIVERGENCE: ladder fired %llu, reference %llu "
-                   "(seed %llu)\n",
-                   static_cast<unsigned long long>(ladder_fired),
-                   static_cast<unsigned long long>(reference_fired),
-                   static_cast<unsigned long long>(seed));
-      return 1;
-    }
-  }
-
   // Wall-clock results: stderr only, so stdout stays byte-identical across
   // DDE_BENCH_JOBS settings and hosts.
   const double city_eps = sim_events.sum() / city_elapsed;
   std::fprintf(stderr,
                "\ncity throughput: %.0f events/s (%.0f events in %.2fs)\n"
-               "kernel head-to-head (%d x %d synthetic events, ~30%% cancel "
-               "churn):\n"
-               "  ladder_kernel     %12.0f events/s\n"
-               "  reference_kernel  %12.0f events/s\n"
-               "  speedup           %12.2fx\n"
                "peak RSS: %.1f MB\n",
-               city_eps, sim_events.sum(), city_elapsed, kRounds,
-               preset.kernel_events, ladder_eps.mean(), reference_eps.mean(),
-               ladder_eps.mean() / reference_eps.mean(), peak_rss_mb());
+               city_eps, sim_events.sum(), city_elapsed, peak_rss_mb());
 
   obs::BenchReport report("scale_city");
   report.add_metric("city", "resolution_ratio", ratio);
@@ -179,8 +103,6 @@ int main(int argc, char** argv) {
   report.add_metric("city", "mean_latency_s", latency);
   report.add_metric("city", "sim_events", sim_events);
   report.add_metric("city", "queries", queries);
-  report.add_metric("ladder_kernel", "events_per_sec", ladder_eps);
-  report.add_metric("reference_kernel", "events_per_sec", reference_eps);
   {
     RunningStats city_throughput;
     city_throughput.add(city_eps);

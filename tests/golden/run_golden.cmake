@@ -9,8 +9,8 @@
 # exactly <GOLDEN>/<NAME>.txt, and the SHA-256 of every BENCH_*.json they
 # write must match <GOLDEN>/<NAME>.sha256 (one "<sha256>  <file>" line per
 # report, sorted by file name; no file for a bench that writes none).
-# scale_city's host-measured schemes (ladder_kernel, reference_kernel,
-# process) are removed before hashing; everything else is simulated.
+# scale_city's host-measured scheme (process) is removed before hashing;
+# everything else is simulated.
 #
 # On a mismatch the actual output stays under <WORK> and the test prints
 # the cp command that refreshes the golden. A trajectory change is a
@@ -67,7 +67,7 @@ foreach(jobs 1 4)
   foreach(report ${reports})
     file(READ ${dir}/${report} json)
     if(NAME STREQUAL "scale_city")
-      foreach(scheme ladder_kernel reference_kernel process)
+      foreach(scheme process)
         string(JSON json REMOVE "${json}" schemes ${scheme})
       endforeach()
     endif()

@@ -3,10 +3,8 @@
 //
 // NOT for production use — des::Simulator (the ladder-queue kernel) is the
 // one engine the stack runs on. This copy exists so that
-//   * tests/test_event_queue_equiv.cpp can pin the ladder queue
-//     byte-identical against the trajectory the old kernel produces, and
-//   * bench/scale_city.cpp can race the two kernels on the same recorded
-//     workload and report both events/sec figures.
+// tests/test_event_queue_equiv.cpp can pin the ladder queue byte-identical
+// against the trajectory (and event counts) the old kernel produces.
 // Behavior is frozen at PR 7 (clock-advance fix, past-time clamp, queue
 // compaction) and must not be "improved": it is the baseline being compared
 // against.

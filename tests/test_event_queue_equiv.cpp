@@ -15,8 +15,8 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "des/reference_kernel.h"
 #include "des/simulator.h"
+#include "reference_kernel.h"
 
 namespace dde::des {
 namespace {
@@ -190,6 +190,45 @@ TEST(EventQueueEquivalence, CountersMatchAfterRun) {
   EXPECT_EQ(ladder.executed_events(), reference.executed_events());
   EXPECT_EQ(ladder.pending_events(), reference.pending_events());
   EXPECT_EQ(ladder.now(), reference.now());
+}
+
+/// Bursts of 512 schedules over a spread of horizons, ~30% cancellation
+/// churn (exercising tombstones and compaction), and staged run_until
+/// windows. Returns executed events.
+template <typename Sim>
+std::uint64_t run_burst_churn_workload(std::uint64_t seed, int events) {
+  Sim sim;
+  Rng rng(seed);
+  std::vector<decltype(sim.schedule_at(SimTime{}, nullptr))> handles;
+  handles.reserve(512);
+  std::uint64_t fired = 0;
+  int scheduled = 0;
+  while (scheduled < events) {
+    for (int i = 0; i < 512 && scheduled < events; ++i, ++scheduled) {
+      const SimTime when =
+          sim.now() + SimTime::micros(static_cast<SimTime::rep>(
+                          rng.below(50000)));
+      handles.push_back(sim.schedule_at(when, [&fired] { ++fired; }));
+    }
+    for (auto& h : handles) {
+      if (rng.chance(0.3)) sim.cancel(h);
+    }
+    handles.clear();
+    sim.run_until(sim.now() + SimTime::millis(10));
+  }
+  sim.run_until();
+  return fired;
+}
+
+TEST(EventQueueEquivalence, BurstCancelChurnFiresEqualEventCounts) {
+  for (std::uint64_t seed : {1u, 2u, 3u}) {
+    const std::uint64_t ladder =
+        run_burst_churn_workload<Simulator>(seed, 150000);
+    const std::uint64_t reference =
+        run_burst_churn_workload<ReferenceSimulator>(seed, 150000);
+    EXPECT_GT(ladder, 90000u);
+    EXPECT_EQ(ladder, reference) << "seed " << seed;
+  }
 }
 
 /// Same-time FIFO across band boundaries: events at one instant scheduled
