@@ -116,14 +116,7 @@ std::uint64_t outcome_digest(const scenario::ScenarioResult& r) {
   d.fold(m.link_down_drops);
   d.fold(r.traffic.bytes);
   d.fold(r.events);
-  for (const auto& out : r.outcomes) {
-    d.fold(static_cast<std::uint64_t>(out.priority));
-    d.fold(static_cast<std::uint64_t>(out.success ? 1 : 0));
-    d.fold(static_cast<std::uint64_t>(out.crashed ? 1 : 0));
-    d.fold(out.latency_s);
-    d.fold(out.issued_s);
-    d.fold(out.finished_s);
-  }
+  d.fold(r.totals.digest.value());
   for (const auto& p : r.probes) {
     d.fold(p.node);
     d.fold(p.active_queries);

@@ -31,36 +31,17 @@ int main(int argc, char** argv) {
     cfg.critical_fraction = 0.2;
     cfg.critical_priority = priorities_on ? 1 : 0;
     for (const auto& r : bench::run_seeds(cfg, seeds)) {
-      int crit_total = 0;
-      int crit_ok = 0;
-      int norm_total = 0;
-      int norm_ok = 0;
-      double crit_lat = 0;
-      double norm_lat = 0;
-      for (const auto& o : r.outcomes) {
-        // With priorities off the critical class still exists logically; we
-        // recover it from the seeded issue order being identical. The
-        // simplest robust split: priority field when on; when off, every
-        // query reports priority 0 and the class split is meaningless, so
-        // report the aggregate in both rows.
-        const bool critical = o.priority > 0;
-        if (critical) {
-          ++crit_total;
-          crit_ok += o.success;
-          if (o.success) crit_lat += o.latency_s;
-        } else {
-          ++norm_total;
-          norm_ok += o.success;
-          if (o.success) norm_lat += o.latency_s;
-        }
+      // With priorities off every query reports priority 0 and the class
+      // split is meaningless, so the aggregate is reported in one row.
+      const auto& crit = r.totals.critical;
+      const auto& norm = r.totals.normal;
+      if (crit.issued > 0) {
+        crit_ratio.add(crit.resolution_ratio());
+        if (crit.decided > 0) crit_latency.add(crit.mean_latency_s());
       }
-      if (crit_total > 0) {
-        crit_ratio.add(static_cast<double>(crit_ok) / crit_total);
-        if (crit_ok > 0) crit_latency.add(crit_lat / crit_ok);
-      }
-      if (norm_total > 0) {
-        norm_ratio.add(static_cast<double>(norm_ok) / norm_total);
-        if (norm_ok > 0) norm_latency.add(norm_lat / norm_ok);
+      if (norm.issued > 0) {
+        norm_ratio.add(norm.resolution_ratio());
+        if (norm.decided > 0) norm_latency.add(norm.mean_latency_s());
       }
     }
     const char* label = priorities_on ? "on" : "off";

@@ -42,22 +42,16 @@ int main(int argc, char** argv) {
     cfg.disruption_fraction = 0.15;
     cfg.broadcast_invalidation = invalidate;
     for (const auto& r : bench::run_seeds(cfg, seeds)) {
-      int nb = 0;
-      int cb = 0;
-      int na = 0;
-      int ca = 0;
-      for (const auto& o : r.outcomes) {
-        if (!o.audited) continue;
-        if (o.finished_s < 60.0) {
-          ++nb;
-          cb += o.correct;
-        } else {
-          ++na;
-          ca += o.correct;
-        }
+      const auto& t = r.totals;
+      const std::uint64_t na = t.audited - t.audited_before;
+      if (t.audited_before > 0) {
+        before.add(static_cast<double>(t.correct_before) /
+                   static_cast<double>(t.audited_before));
       }
-      if (nb > 0) before.add(static_cast<double>(cb) / nb);
-      if (na > 0) after.add(static_cast<double>(ca) / na);
+      if (na > 0) {
+        after.add(static_cast<double>(t.correct - t.correct_before) /
+                  static_cast<double>(na));
+      }
       mb.add(r.total_megabytes());
     }
     std::printf("%-14s %12.3f %12.3f %10.1f\n", invalidate ? "on" : "off",

@@ -103,39 +103,21 @@ OverloadCell run_cell(athena::Scheme scheme, double load, bool protection,
       dde::bench::run_seeds_traced(make_config(scheme, load, protection), seeds);
   for (const bench::SeedRun& run : runs) {
     const auto& r = run.result;
-    double seed_crit_issued = 0, seed_crit_ok = 0;
-    double seed_low_issued = 0, seed_low_ok = 0, seed_shed = 0;
-    for (const auto& out : r.outcomes) {
-      if (out.priority > 0) {
-        seed_crit_issued += 1;
-        if (out.success) seed_crit_ok += 1;
-      } else {
-        seed_low_issued += 1;
-        if (out.success) seed_low_ok += 1;
-      }
-      if (out.shed) seed_shed += 1;
-    }
-    cell.crit_ratio_stats.add(
-        seed_crit_issued == 0 ? 0 : seed_crit_ok / seed_crit_issued);
-    cell.low_ratio_stats.add(
-        seed_low_issued == 0 ? 0 : seed_low_ok / seed_low_issued);
-    const double seed_issued = seed_crit_issued + seed_low_issued;
+    const auto& crit = r.totals.critical;
+    const auto& low = r.totals.normal;
+    const double seed_issued = static_cast<double>(crit.issued + low.issued);
+    const double seed_shed = static_cast<double>(crit.shed + low.shed);
+    cell.crit_ratio_stats.add(crit.resolution_ratio());
+    cell.low_ratio_stats.add(low.resolution_ratio());
     cell.shed_ratio_stats.add(seed_issued == 0 ? 0 : seed_shed / seed_issued);
     cell.megabytes_stats.add(r.total_megabytes());
     cell.telem.merge(run.telem);
-    for (const auto& out : r.outcomes) {
-      if (out.priority > 0) {
-        cell.crit_issued += 1;
-        if (out.success) {
-          cell.crit_ok += 1;
-          cell.crit_latency_s += out.latency_s;
-        }
-      } else {
-        cell.low_issued += 1;
-        if (out.success) cell.low_ok += 1;
-      }
-      if (out.shed) cell.shed += 1;
-    }
+    cell.crit_issued += static_cast<double>(crit.issued);
+    cell.crit_ok += static_cast<double>(crit.decided);
+    cell.crit_latency_s += crit.latency_s;
+    cell.low_issued += static_cast<double>(low.issued);
+    cell.low_ok += static_cast<double>(low.decided);
+    cell.shed += seed_shed;
     cell.megabytes += r.total_megabytes() / seeds;
     cell.queue_drops += static_cast<double>(r.metrics.queue_drops) / seeds;
   }

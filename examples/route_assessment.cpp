@@ -88,6 +88,13 @@ int main() {
       {.ring_capacity = 1024, .jsonl = nullptr, .derive = false});
   network.set_trace_sink(&trace);
 
+  // The depot hands its query's record over when the query retires.
+  athena::QueryRecord record;
+  nodes[depot.value()]->set_retire_hook(
+      [&record](const athena::QueryRecord& r, const decision::DnfExpr&) {
+        record = r;
+      });
+
   std::printf("Decision query issued at the depot:\n");
   std::printf("  (viable(s0) AND viable(s1)) OR (viable(s3) AND viable(s4))\n");
   std::printf("  ground truth: s1 is blocked; the southern route is open.\n\n");
@@ -118,8 +125,7 @@ int main() {
   std::printf("\n");
 
   // --- what happened -------------------------------------------------------
-  const auto& record = nodes[depot.value()]->records().back();
-  std::printf("outcome: %s\n", record.success ? "decision reached" : "FAILED");
+  std::printf("outcome: %s\n", record.success() ? "decision reached" : "FAILED");
   if (record.chosen_action) {
     std::printf("chosen course of action: route %zu (%s)\n",
                 *record.chosen_action,
@@ -141,5 +147,5 @@ int main() {
       "decides the whole query; the northern camera is never contacted.\n"
       "The evaluated labels were then shared back toward the source\n"
       "(edges 6-7), ready to answer future queries at the relay.\n");
-  return record.success ? 0 : 1;
+  return record.success() ? 0 : 1;
 }

@@ -74,13 +74,16 @@ QueryId AthenaNode::query_init(decision::DnfExpr expr,
   // visible in the metrics. Critical queries are always admitted.
   if (config_.admission_max_active > 0 && priority <= 0 &&
       active_queries() >= config_.admission_max_active) {
-    records_.push_back(
-        QueryRecord{qid, priority, false, now, now, std::nullopt, 0, true});
     ++metrics_.queries_issued;
     ++metrics_.queries_rejected;
     trace(obs::EventKind::kQueryIssue, qid, 0, 0,
           (now + relative_deadline).to_seconds());
     trace(obs::EventKind::kQueryReject, qid);
+    if (retire_hook_) {
+      retire_hook_(QueryRecord{qid, priority, Outcome::kShed, now, now,
+                               std::nullopt, 0},
+                   expr);
+    }
     return qid;
   }
 
@@ -95,10 +98,6 @@ QueryId AthenaNode::query_init(decision::DnfExpr expr,
   q.selection =
       directory_.select_sources(q.labels, id_, config_.source_selection);
   q.priority = priority;
-  q.record_index = records_.size();
-
-  records_.push_back(QueryRecord{qid, priority, false, now, SimTime::max(),
-                                 std::nullopt, 0, false});
   ++metrics_.queries_issued;
   trace(obs::EventKind::kQueryIssue, qid, labels.size(), 0,
         q.deadline_abs.to_seconds());
@@ -460,7 +459,6 @@ void AthenaNode::issue_request(QueryState& q, SourceId source,
   q.last_request.set(source, now);
   ++metrics_.object_requests;
   if (count > 1) ++metrics_.refetches;
-  ++records_[q.record_index].requests_sent;
   trace(obs::EventKind::kFetch, q.id, source.value(), config_.request_bytes,
         static_cast<double>(count));
 
@@ -567,9 +565,10 @@ void AthenaNode::finish(QueryState& q, Outcome outcome) {
   q.finished = true;
   const SimTime now = net_.now();
 
-  QueryRecord& rec = records_[q.record_index];
-  rec.success = outcome == Outcome::kDecided;
-  rec.finished_at = now;
+  QueryRecord rec{q.id, q.priority, outcome, q.issued_at, now, std::nullopt, 0};
+  for (const auto& [source, count] : q.request_counts) {
+    rec.requests_sent += count;
+  }
   switch (outcome) {
     case Outcome::kDecided:
       rec.chosen_action = q.expr.chosen_action(q.assignment, now);
@@ -584,7 +583,6 @@ void AthenaNode::finish(QueryState& q, Outcome outcome) {
       trace(obs::EventKind::kExpire, q.id);
       break;
     case Outcome::kShed:
-      rec.shed = true;
       ++metrics_.queries_shed;
       trace(obs::EventKind::kShed, q.id);
       break;
@@ -592,12 +590,12 @@ void AthenaNode::finish(QueryState& q, Outcome outcome) {
       // Terminal failed_crash: the query died with its node. Kept out of
       // queries_failed so deadline-miss rates stay attributable to the
       // protocol, not the fault schedule.
-      rec.crashed = true;
       ++metrics_.queries_failed_crash;
       trace(obs::EventKind::kCrashDrop, q.id);
       break;
   }
   q.outstanding.clear();
+  if (retire_hook_) retire_hook_(rec, q.expr);
   // The pooled state is recycled at the next drain_retired() entry point —
   // never here, because callers up the stack (deliver_object/advance
   // recursion) may still hold a reference to q.
@@ -968,9 +966,9 @@ void AthenaNode::pump_prefetch() {
 // crash drops every in-flight local query to the terminal failed_crash
 // outcome and wipes the soft state a restart could not recover from disk.
 // Monotonic id counters (query, invalidation, replica group) survive on
-// purpose — they are what keeps post-restart identifiers unique — and the
-// records_ vector survives because it is the experiment's measurement log,
-// not node state. Pending pump/GC callbacks are left armed: they are
+// purpose — they are what keeps post-restart identifiers unique. Each
+// dropped query is reported to the retire hook as crashed. Pending pump/GC
+// callbacks are left armed: they are
 // written to no-op against empty tables and re-arm only when state exists.
 
 void AthenaNode::on_crash(fault::RestartPolicy policy) {

@@ -15,6 +15,7 @@
 #pragma once
 
 #include <deque>
+#include <functional>
 #include <limits>
 #include <map>
 #include <optional>
@@ -41,24 +42,35 @@
 
 namespace dde::athena {
 
-/// Outcome record of one locally-originated query.
+/// How a locally-originated query ended.
+enum class Outcome : std::uint8_t {
+  kDecided,  ///< resolved before its deadline
+  kExpired,  ///< its deadline passed unresolved
+  /// Deliberately dropped by overload protection — shed as
+  /// deadline-infeasible or rejected by admission control — rather than
+  /// failing its deadline with work in flight.
+  kShed,
+  /// Died with its node: a non-ghost crash dropped it to the terminal
+  /// failed_crash outcome (never counted as a deadline failure).
+  kCrashed,
+};
+
+/// Outcome record of one locally-originated query, handed to the retire
+/// hook when the query ends.
 struct QueryRecord {
   QueryId id;
   int priority = 0;
-  bool success = false;
+  Outcome outcome = Outcome::kExpired;
   SimTime issued_at;
   SimTime finished_at;
   /// Index of the chosen course of action, if one was found viable.
   std::optional<std::size_t> chosen_action;
   /// Objects requested by this query (refetches included).
   std::uint64_t requests_sent = 0;
-  /// The query was deliberately dropped by overload protection — shed as
-  /// deadline-infeasible or rejected by admission control — rather than
-  /// failing its deadline with work in flight.
-  bool shed = false;
-  /// The query died with its node: a non-ghost crash dropped it to the
-  /// terminal failed_crash outcome (never counted as a deadline failure).
-  bool crashed = false;
+
+  [[nodiscard]] bool success() const noexcept {
+    return outcome == Outcome::kDecided;
+  }
 };
 
 class AthenaNode {
@@ -87,10 +99,6 @@ class AthenaNode {
     return queries_.size() - retire_pending_.size();
   }
 
-  /// Outcomes of locally-originated queries (completed and active).
-  [[nodiscard]] const std::vector<QueryRecord>& records() const noexcept {
-    return records_;
-  }
 
   /// Flood an invalidation notice for `labels` (Sec. II-A: an external
   /// event voided prior observations). Every node purges the labels from
@@ -119,8 +127,7 @@ class AthenaNode {
   /// Otherwise every in-flight local query drops to the terminal
   /// failed_crash outcome and volatile tables are wiped — cold loses
   /// everything, warm keeps caches and corroboration beliefs. Monotonic id
-  /// counters and finished outcome records always survive (measurement
-  /// artifacts, not node state). Called with the node already marked down,
+  /// counters always survive. Called with the node already marked down,
   /// so nothing here can transmit.
   void on_crash(fault::RestartPolicy policy);
   /// The node came back up. Non-ghost restarts count in
@@ -140,6 +147,15 @@ class AthenaNode {
   /// alters protocol state, so the trajectory is bit-for-bit identical
   /// with and without a sink.
   void set_trace_sink(obs::TraceSink* sink) noexcept { trace_sink_ = sink; }
+
+  /// Called once per locally-originated query when it ends — decided,
+  /// expired, shed, crashed, or rejected by admission control — with its
+  /// record and the expression it was issued with. Observation only, like
+  /// the trace sink: the hook must not schedule events, draw shared RNG or
+  /// call back into the node.
+  using RetireHook =
+      std::function<void(const QueryRecord&, const decision::DnfExpr&)>;
+  void set_retire_hook(RetireHook hook) { retire_hook_ = std::move(hook); }
 
   [[nodiscard]] const cache::CacheStats& object_cache_stats() const noexcept {
     return store_.objects().stats();
@@ -216,7 +232,6 @@ class AthenaNode {
     /// source → time of the last request this query sent it (used to
     /// rotate across sources when corroborating noisy evidence).
     SmallMap<SourceId, SimTime, 4> last_request;
-    std::size_t record_index = 0;
     bool finished = false;
   };
 
@@ -226,14 +241,6 @@ class AthenaNode {
     SourceId source;
     NodeId origin;
     SimTime deadline_abs;
-  };
-
-  /// How a locally-originated query ended.
-  enum class Outcome : std::uint8_t {
-    kDecided,  ///< resolved before its deadline
-    kExpired,  ///< its deadline passed unresolved
-    kShed,     ///< dropped by overload protection as deadline-infeasible
-    kCrashed,  ///< died with its node (non-ghost crash)
   };
 
   // --- message handlers: one per Message alternative ----------------------
@@ -364,6 +371,7 @@ class AthenaNode {
   AthenaConfig config_;
   AthenaMetrics& metrics_;
   obs::TraceSink* trace_sink_ = nullptr;
+  RetireHook retire_hook_;
 
   /// In-flight query state lives in a slot pool; `queries_` maps the id to
   /// its pool slot. Query ids ascend in issue order, so every walk over the
@@ -374,7 +382,6 @@ class AthenaNode {
   std::map<QueryId, std::uint32_t> queries_;
   Pool<QueryState> query_pool_;
   std::vector<QueryId> retire_pending_;
-  std::vector<QueryRecord> records_;
   std::uint64_t next_query_ = 0;
 
   Store store_;

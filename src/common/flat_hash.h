@@ -53,6 +53,8 @@ class FlatU64Map {
 
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
   [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
+  /// Slots allocated (live, tombstoned and empty).
+  [[nodiscard]] std::size_t capacity() const noexcept { return ctrl_.size(); }
 
   /// Pointer to the value for `key`, or nullptr.
   [[nodiscard]] V* find(std::uint64_t key) noexcept {
@@ -72,8 +74,11 @@ class FlatU64Map {
   /// always probe first, so a double insert is a logic error upstream.
   void insert(std::uint64_t key, V value) {
     if ((size_ + tombstones_ + 1) * 2 > ctrl_.size()) {
-      rebuild(size_ * 2 + tombstones_ > ctrl_.size() / 2 ? ctrl_.size() * 2
-                                                         : ctrl_.size());
+      // The rebuild drops every tombstone and sizes the table to the live
+      // entries (a quarter full at most), so a table that churns through
+      // many more keys than it holds neither grows nor keeps the slots of
+      // its busiest moment.
+      rebuild(table_for(2 * (size_ + 1)));
     }
     std::size_t i = flat_mix(key) & mask_;
     for (;;) {

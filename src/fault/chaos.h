@@ -114,6 +114,7 @@ class ReplayDigest {
     fold(bits);
   }
   [[nodiscard]] std::uint64_t value() const noexcept { return h_; }
+  bool operator==(const ReplayDigest&) const = default;
 
  private:
   std::uint64_t h_ = 14695981039346656037ULL;

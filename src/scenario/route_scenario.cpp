@@ -111,8 +111,8 @@ decision::DnfExpr make_route_query(const world::GridMap& map,
 
 /// One in-flight route-scenario run.
 ///
-/// The constructor builds the world, network, nodes and workload and
-/// schedules every query; advance()/collect() are the remaining two phases,
+/// The constructor builds the world, network and nodes and schedules each
+/// node's first query; advance()/collect() are the remaining two phases,
 /// split out so the ScenarioRunner plugin can drive setup/tick/outcome
 /// separately. Members are declared in dependency order, so destruction
 /// tears down nodes before the network and simulator they use. The order of
@@ -130,6 +130,25 @@ class RouteRun {
   [[nodiscard]] ScenarioResult collect();
 
  private:
+  /// One node's arrival process. Each node draws its queries from its own
+  /// RNG substream and keeps one arrival pending: the next one is drawn
+  /// when the current one fires.
+  struct Arrivals {
+    Rng rng;
+    std::size_t drawn = 0;  ///< arrival times drawn so far
+    /// kPoisson: the last arrival time. kConcurrent: the last arrival's
+    /// position in [0, 1] of issue_jitter, an order statistic.
+    double last = 0.0;
+  };
+
+  /// Draw node `i`'s next arrival and schedule it (no-op once the node has
+  /// drawn queries_per_node of them).
+  void schedule_next_arrival(std::size_t i);
+  /// Node `i`'s pending arrival fired: draw its query and issue it.
+  void arrive(std::size_t i);
+  /// Fold a retired query into `totals_` (the nodes' retire hook).
+  void retire(const athena::QueryRecord& rec, const decision::DnfExpr& expr);
+
   ScenarioConfig cfg_;
   Rng rng_;
   std::optional<world::GridMap> map_;
@@ -143,9 +162,9 @@ class RouteRun {
   std::optional<athena::Directory> directory_;
   athena::AthenaMetrics metrics_;
   std::vector<std::unique_ptr<athena::AthenaNode>> nodes_;
-  std::uint64_t issued_ = 0;
-  std::vector<std::vector<std::pair<SimTime, decision::DnfExpr>>>
-      issued_exprs_;
+  std::vector<char> covered_;  ///< per segment: does some sensor cover it
+  std::vector<Arrivals> arrivals_;
+  QueryTotals totals_;
 };
 
 RouteRun::RouteRun(const ScenarioConfig& config)
@@ -237,6 +256,10 @@ RouteRun::RouteRun(const ScenarioConfig& config)
     if (cfg.trace_sink != nullptr) {
       nodes_.back()->set_trace_sink(cfg.trace_sink);
     }
+    nodes_.back()->set_retire_hook(
+        [this](const athena::QueryRecord& rec, const decision::DnfExpr& expr) {
+          retire(rec, expr);
+        });
   }
 
   // Crash-faithful restarts: route injector transitions into the protocol
@@ -255,54 +278,12 @@ RouteRun::RouteRun(const ScenarioConfig& config)
   }
 
   // --- workload ----------------------------------------------------------------
-  std::vector<char> covered(map.segment_count(), 0);
-  for (SegmentId s : field.covered_segments()) covered[s.value()] = 1;
-
-  // Remember each issued expression (with its issue time) so chosen routes
-  // can be audited against ground truth after the run. Per node, records()
-  // is in query_init order = issue-time order (ties keep schedule order),
-  // so sorting these stably by time aligns index k with records()[k].
-  issued_exprs_.resize(cfg.node_count);
+  covered_.assign(map.segment_count(), 0);
+  for (SegmentId s : field.covered_segments()) covered_[s.value()] = 1;
+  arrivals_.reserve(cfg.node_count);
   for (std::size_t i = 0; i < cfg.node_count; ++i) {
-    SimTime cursor = SimTime::zero();
-    for (std::size_t k = 0; k < cfg.queries_per_node; ++k) {
-      decision::DnfExpr expr = make_route_query(map, covered, cfg, rng);
-      if (expr.empty()) continue;
-      SimTime when;
-      switch (cfg.arrival) {
-        case ScenarioConfig::Arrival::kConcurrent:
-          when = SimTime::micros(static_cast<SimTime::rep>(
-              rng.uniform() * static_cast<double>(cfg.issue_jitter.count())));
-          break;
-        case ScenarioConfig::Arrival::kPoisson:
-          cursor += SimTime::seconds(
-              rng.exponential(cfg.mean_interarrival.to_seconds()));
-          when = cursor;
-          break;
-        case ScenarioConfig::Arrival::kPeriodic:
-          when = cfg.mean_interarrival * static_cast<SimTime::rep>(k) +
-                 SimTime::micros(static_cast<SimTime::rep>(
-                     rng.uniform() *
-                     static_cast<double>(cfg.issue_jitter.count())));
-          break;
-      }
-      athena::AthenaNode* node = nodes_[i].get();
-      const int priority = cfg.critical_fraction > 0.0 &&
-                                   rng.chance(cfg.critical_fraction)
-                               ? cfg.critical_priority
-                               : 0;
-      issued_exprs_[i].emplace_back(when, expr);
-      sim_.schedule_at(when, [this, node, expr = std::move(expr), priority] {
-        node->query_init(expr, cfg_.query_deadline, priority);
-      });
-      ++issued_;
-    }
-  }
-  for (auto& per_node : issued_exprs_) {
-    std::stable_sort(per_node.begin(), per_node.end(),
-                     [](const auto& a, const auto& b) {
-                       return a.first < b.first;
-                     });
+    arrivals_.push_back(Arrivals{Rng(cfg.seed * 1000003 + 7919 * i + 29)});
+    schedule_next_arrival(i);
   }
 
   // --- disruption --------------------------------------------------------------
@@ -335,9 +316,96 @@ RouteRun::RouteRun(const ScenarioConfig& config)
   }
 }
 
-ScenarioResult RouteRun::collect() {
-  const ScenarioConfig& cfg = cfg_;
+void RouteRun::schedule_next_arrival(std::size_t i) {
+  Arrivals& a = arrivals_[i];
+  if (a.drawn == cfg_.queries_per_node) return;
+  SimTime when;
+  switch (cfg_.arrival) {
+    case ScenarioConfig::Arrival::kConcurrent: {
+      // The next smallest of the node's remaining uniforms over [last, 1].
+      const double remaining =
+          static_cast<double>(cfg_.queries_per_node - a.drawn);
+      a.last = 1.0 - (1.0 - a.last) * std::pow(a.rng.uniform(),
+                                               1.0 / remaining);
+      when = SimTime::micros(static_cast<SimTime::rep>(
+          a.last * static_cast<double>(cfg_.issue_jitter.count())));
+      break;
+    }
+    case ScenarioConfig::Arrival::kPoisson:
+      a.last += a.rng.exponential(cfg_.mean_interarrival.to_seconds());
+      when = SimTime::seconds(a.last);
+      break;
+    case ScenarioConfig::Arrival::kPeriodic:
+      when = cfg_.mean_interarrival * static_cast<SimTime::rep>(a.drawn) +
+             SimTime::micros(static_cast<SimTime::rep>(
+                 a.rng.uniform() *
+                 static_cast<double>(cfg_.issue_jitter.count())));
+      break;
+  }
+  ++a.drawn;
+  sim_.schedule_at(when, [this, i] { arrive(i); });
+}
 
+void RouteRun::arrive(std::size_t i) {
+  Rng& rng = arrivals_[i].rng;
+  decision::DnfExpr expr = make_route_query(*map_, covered_, cfg_, rng);
+  const int priority =
+      cfg_.critical_fraction > 0.0 && rng.chance(cfg_.critical_fraction)
+          ? cfg_.critical_priority
+          : 0;
+  if (!expr.empty()) {
+    ++(priority > 0 ? totals_.critical : totals_.normal).issued;
+    nodes_[i]->query_init(std::move(expr), cfg_.query_deadline, priority);
+  }
+  schedule_next_arrival(i);
+}
+
+void RouteRun::retire(const athena::QueryRecord& rec,
+                      const decision::DnfExpr& expr) {
+  QueryTotals::Class& cls = rec.priority > 0 ? totals_.critical
+                                             : totals_.normal;
+  const double latency_s =
+      rec.success() ? (rec.finished_at - rec.issued_at).to_seconds() : 0.0;
+  cls.decided += rec.success() ? 1 : 0;
+  cls.shed += rec.outcome == athena::Outcome::kShed ? 1 : 0;
+  cls.crashed += rec.outcome == athena::Outcome::kCrashed ? 1 : 0;
+  cls.latency_s += latency_s;
+
+  // Audit a committed route against ground truth at decision time: every
+  // segment of it must have been viable. Each segment's track draws from
+  // its own memoised RNG, so reading it now changes nothing.
+  bool audited = false;
+  bool correct = false;
+  if (rec.success() && rec.chosen_action &&
+      *rec.chosen_action < expr.disjunct_count()) {
+    audited = true;
+    correct = std::all_of(
+        expr.disjuncts()[*rec.chosen_action].terms.begin(),
+        expr.disjuncts()[*rec.chosen_action].terms.end(),
+        [&](const decision::Term& term) {
+          return truth_->viable_at(SegmentId{term.label.value()},
+                                   rec.finished_at) != term.negated;
+        });
+    const bool before = rec.finished_at < cfg_.disruption_at;
+    ++totals_.audited;
+    totals_.correct += correct ? 1 : 0;
+    totals_.audited_before += before ? 1 : 0;
+    totals_.correct_before += before && correct ? 1 : 0;
+  } else if (rec.success()) {
+    ++totals_.declined;
+  }
+
+  fault::ReplayDigest& d = totals_.digest;
+  d.fold(static_cast<std::uint64_t>(rec.priority));
+  d.fold(static_cast<std::uint64_t>(rec.outcome));
+  d.fold(latency_s);
+  d.fold(rec.issued_at.to_seconds());
+  d.fold(rec.success() ? rec.finished_at.to_seconds() : 0.0);
+  d.fold(static_cast<std::uint64_t>(audited));
+  d.fold(static_cast<std::uint64_t>(correct));
+}
+
+ScenarioResult RouteRun::collect() {
   ScenarioResult result;
   result.metrics = metrics_;
   result.traffic = network_->stats();
@@ -348,47 +416,8 @@ ScenarioResult RouteRun::collect() {
     result.metrics.reroutes = injector_->stats().reroutes;
   }
   result.events = sim_.executed_events();
-  result.queries = issued_;
-
-  // --- per-query outcomes + ground-truth audit ----------------------------------
-  // For every resolved query that committed to a route, check that route
-  // was genuinely viable (every segment, at resolution time).
-  for (std::size_t i = 0; i < cfg.node_count; ++i) {
-    const auto& records = nodes_[i]->records();
-    const bool mapped = records.size() == issued_exprs_[i].size();
-    for (std::size_t k = 0; k < records.size(); ++k) {
-      const auto& rec = records[k];
-      ScenarioResult::QueryOutcome out;
-      out.priority = rec.priority;
-      out.success = rec.success;
-      out.shed = rec.shed;
-      out.crashed = rec.crashed;
-      out.issued_s = rec.issued_at.to_seconds();
-      out.finished_s = rec.success ? rec.finished_at.to_seconds() : 0.0;
-      out.latency_s =
-          rec.success ? (rec.finished_at - rec.issued_at).to_seconds() : 0.0;
-      if (mapped && rec.issued_at == issued_exprs_[i][k].first &&
-          rec.success && rec.chosen_action) {
-        const auto& expr = issued_exprs_[i][k].second;
-        if (*rec.chosen_action < expr.disjunct_count()) {
-          out.audited = true;
-          out.correct = true;
-          for (const auto& term :
-               expr.disjuncts()[*rec.chosen_action].terms) {
-            const bool viable = truth_->viable_at(
-                SegmentId{term.label.value()}, rec.finished_at);
-            if ((term.negated ? !viable : viable) == false) {
-              out.correct = false;
-              break;
-            }
-          }
-          ++result.decisions_audited;
-          result.decisions_correct += out.correct ? 1 : 0;
-        }
-      }
-      result.outcomes.push_back(out);
-    }
-  }
+  result.queries = totals_.issued();
+  result.totals = totals_;
 
   // Residual-state probes for the chaos harness's quiesce-point invariant
   // check (cheap counts; harmless to fill on every collect).
@@ -554,8 +583,7 @@ class RouteScenarioRunner final : public ScenarioRunner {
     out.metrics["mean_latency_s"] = r.metrics.mean_latency_s();
     out.metrics["total_megabytes"] = r.total_megabytes();
     out.metrics["decision_accuracy"] = r.decision_accuracy();
-    out.metrics["decisions_audited"] =
-        static_cast<double>(r.decisions_audited);
+    out.metrics["decisions_audited"] = static_cast<double>(r.totals.audited);
     out.metrics["events"] = static_cast<double>(r.events);
     out.metrics["refetches"] = static_cast<double>(r.metrics.refetches);
     out.metrics["retries"] = static_cast<double>(r.metrics.retries);

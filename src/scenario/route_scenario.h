@@ -3,9 +3,10 @@
 //
 // Builds the full stack — grid world, viability dynamics, sensor field,
 // network topology of Athena nodes co-located with the sensors, directory —
-// generates the route-finding query workload (five candidate routes per
+// streams the route-finding query workload (five candidate routes per
 // query, three concurrent queries per node), runs the simulation, and
-// reports resolution ratio and bandwidth consumption.
+// reports resolution ratio, bandwidth consumption and, from each query as
+// it retires, per-class totals and a ground-truth audit.
 #pragma once
 
 #include <cstdint>
@@ -131,6 +132,52 @@ struct ScenarioConfig {
   std::uint64_t seed = 1;
 };
 
+/// Running totals over a run's queries, folded as each one retires, so
+/// nothing here grows with the horizon. A query still active at collection
+/// counts as issued and not decided.
+struct QueryTotals {
+  /// One priority class: critical (priority > 0) or normal.
+  struct Class {
+    std::uint64_t issued = 0;
+    std::uint64_t decided = 0;
+    /// Shed as deadline-infeasible or rejected by admission control.
+    std::uint64_t shed = 0;
+    /// Dropped to failed_crash by a non-ghost crash of its node.
+    std::uint64_t crashed = 0;
+    double latency_s = 0.0;  ///< issue-to-decision time, summed
+
+    [[nodiscard]] double resolution_ratio() const noexcept {
+      return issued == 0 ? 0.0
+                         : static_cast<double>(decided) /
+                               static_cast<double>(issued);
+    }
+    [[nodiscard]] double mean_latency_s() const noexcept {
+      return decided == 0 ? 0.0 : latency_s / static_cast<double>(decided);
+    }
+    bool operator==(const Class&) const = default;
+  };
+  Class normal;
+  Class critical;
+  /// Decided queries that chose a route, audited against ground truth at
+  /// their decision time: `correct` counts those whose chosen route was
+  /// fully viable. The `_before` pair counts the decisions made before
+  /// `disruption_at`. `declined` counts the decided queries that found no
+  /// viable route (not audited).
+  std::uint64_t audited = 0;
+  std::uint64_t declined = 0;
+  std::uint64_t correct = 0;
+  std::uint64_t audited_before = 0;
+  std::uint64_t correct_before = 0;
+  /// Order-sensitive digest, in retirement order, of each retired query's
+  /// priority, outcome, latency, issue and finish time and audit result.
+  fault::ReplayDigest digest;
+
+  [[nodiscard]] std::uint64_t issued() const noexcept {
+    return normal.issued + critical.issued;
+  }
+  bool operator==(const QueryTotals&) const = default;
+};
+
 /// Outcome of one run.
 struct ScenarioResult {
   athena::AthenaMetrics metrics;
@@ -138,33 +185,9 @@ struct ScenarioResult {
   /// What the fault injector did (all-zero when `faults` was empty).
   fault::FaultStats faults;
   std::uint64_t events = 0;
+  /// Queries issued so far (admission rejects included).
   std::uint64_t queries = 0;
-  /// Decision-quality audit over resolved queries that chose a route:
-  /// `decisions_correct` counts those whose chosen route was genuinely
-  /// fully viable at resolution time (ground truth).
-  std::uint64_t decisions_audited = 0;
-  std::uint64_t decisions_correct = 0;
-
-  /// Per-query outcomes (priority class, success, resolution latency,
-  /// issue/finish times, and — when the query chose a route — whether that
-  /// route was genuinely viable at resolution time).
-  struct QueryOutcome {
-    int priority = 0;
-    bool success = false;
-    /// Deliberately dropped by overload protection (deadline-infeasible
-    /// shed or admission rejection) rather than failing with work in
-    /// flight.
-    bool shed = false;
-    /// Dropped to the terminal failed_crash outcome when its node crashed
-    /// under a non-ghost restart policy.
-    bool crashed = false;
-    double latency_s = 0.0;
-    double issued_s = 0.0;
-    double finished_s = 0.0;
-    bool audited = false;
-    bool correct = false;
-  };
-  std::vector<QueryOutcome> outcomes;
+  QueryTotals totals;
 
   /// Residual protocol state per node at collection time. At a quiesce
   /// point (run_to_quiescence) a correct run drains every count to zero —
@@ -172,10 +195,9 @@ struct ScenarioResult {
   std::vector<fault::NodeStateProbe> probes;
 
   [[nodiscard]] double decision_accuracy() const noexcept {
-    return decisions_audited == 0
-               ? 1.0
-               : static_cast<double>(decisions_correct) /
-                     static_cast<double>(decisions_audited);
+    return totals.audited == 0 ? 1.0
+                               : static_cast<double>(totals.correct) /
+                                     static_cast<double>(totals.audited);
   }
 
   [[nodiscard]] double resolution_ratio() const noexcept {

@@ -281,12 +281,6 @@ TeleopScenarioResult TeleopRun::collect() {
   result.bytes_sent = network_->stats().bytes;
   result.replica_copies = metrics_.replica_copies;
   result.replica_duplicates = metrics_.replica_duplicates;
-  for (const auto& rec : nodes_[0]->records()) {
-    if (rec.success) {
-      result.latency_s.push_back(
-          (rec.finished_at - rec.issued_at).to_seconds());
-    }
-  }
   return result;
 }
 
@@ -404,12 +398,8 @@ class TeleopScenarioRunner final : public ScenarioRunner {
     out.metrics["queries"] = static_cast<double>(r.queries_issued);
     out.metrics["deadline_hits"] = static_cast<double>(r.deadline_hits);
     out.metrics["deadline_hit_rate"] = r.deadline_hit_rate();
-    double latency = 0.0;
-    for (double l : r.latency_s) latency += l;
-    out.metrics["mean_latency_s"] =
-        r.latency_s.empty()
-            ? 0.0
-            : latency / static_cast<double>(r.latency_s.size());
+    // Only node 0 issues queries, so the run-wide mean is the operator's.
+    out.metrics["mean_latency_s"] = r.metrics.mean_latency_s();
     out.metrics["total_megabytes"] =
         static_cast<double>(r.bytes_sent) / 1e6;
     out.metrics["replica_copies"] = static_cast<double>(r.replica_copies);

@@ -96,8 +96,6 @@ struct TeleopScenarioResult {
   std::uint64_t bytes_sent = 0;       ///< network bytes (incl. replicas)
   std::uint64_t replica_copies = 0;      ///< redundant copies transmitted
   std::uint64_t replica_duplicates = 0;  ///< copies suppressed by dedup
-  /// Seconds from issue to decision, per deadline hit.
-  std::vector<double> latency_s;
 
   [[nodiscard]] double deadline_hit_rate() const noexcept {
     return queries_issued == 0

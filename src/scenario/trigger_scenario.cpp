@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 #include <memory>
 #include <numeric>
 #include <optional>
@@ -109,7 +110,10 @@ class TriggerRun {
   std::vector<std::unique_ptr<athena::AthenaNode>> nodes_;
   std::vector<LabelId> id_labels_;
   TriggerScenarioResult result_;
-  std::vector<SimTime> event_times_;  // aligned with issued queries
+  /// Event onset per watch-node query counter, held until the query
+  /// retires. The watch loop is the only issuer at that node, so a query's
+  /// counter is the number of queries issued before it.
+  std::map<std::uint64_t, SimTime> onsets_;
   bool prev_state_ = false;
   std::optional<des::PeriodicTask> watch_;
 };
@@ -190,6 +194,18 @@ TriggerRun::TriggerRun(const TriggerScenarioConfig& config)
     nodes_.push_back(std::make_unique<athena::AthenaNode>(
         NodeId{i}, network, *directory_, field, node_cfg, metrics_));
   }
+  // Reaction time: physical event to decision, per resolved query.
+  nodes_[watch_node_.value()]->set_retire_hook(
+      [this](const athena::QueryRecord& rec, const decision::DnfExpr&) {
+        const auto onset = onsets_.find(rec.id.value() & 0xFFFF'FFFFULL);
+        DDE_CHECK(onset != onsets_.end(),
+                  "trigger scenario: retired query has no event onset");
+        if (rec.success()) {
+          result_.reaction_s.push_back(
+              (rec.finished_at - onset->second).to_seconds());
+        }
+        onsets_.erase(onset);
+      });
 
   // Identification query: evidence from cameras covering segments around
   // the watched one (excluding the watch sensor's own footprint, which the
@@ -232,7 +248,7 @@ TriggerRun::TriggerRun(const TriggerScenarioConfig& config)
       onset = truth_->next_change_after(watched_, probe);
       if (onset > now) onset = probe;  // flipped exactly at the probe point
       ++result_.events;
-      event_times_.push_back(onset);
+      onsets_.emplace(result_.queries_issued, onset);
       result_.detection_s.push_back((now - onset).to_seconds());
       decision::DnfExpr expr;
       decision::Conjunction c;
@@ -254,15 +270,6 @@ TriggerScenarioResult TriggerRun::collect() {
 
   TriggerScenarioResult result = result_;
   result.metrics = metrics_;
-  // Reaction times: records at the watch node align 1:1 with events.
-  const auto& records = nodes_[watch_node_.value()]->records();
-  for (std::size_t i = 0; i < records.size() && i < event_times_.size();
-       ++i) {
-    if (records[i].success) {
-      result.reaction_s.push_back(
-          (records[i].finished_at - event_times_[i]).to_seconds());
-    }
-  }
   return result;
 }
 

@@ -23,6 +23,29 @@ decision::DnfExpr single_label(std::uint64_t l) {
   return e;
 }
 
+/// Every query each node retired, in retirement order, with the expression
+/// it was issued with (filled by the nodes' retire hooks).
+struct RetireLog {
+  std::vector<std::vector<std::pair<QueryRecord, decision::DnfExpr>>> by_node;
+
+  void attach(const std::vector<std::unique_ptr<AthenaNode>>& nodes) {
+    by_node.resize(nodes.size());
+    for (std::size_t i = 0; i < nodes.size(); ++i) {
+      nodes[i]->set_retire_hook(
+          [this, i](const QueryRecord& rec, const decision::DnfExpr& expr) {
+            by_node[i].emplace_back(rec, expr);
+          });
+    }
+  }
+
+  /// The record of the query `node` retired last.
+  const QueryRecord& last(std::size_t node) const {
+    static const QueryRecord kNone{};
+    EXPECT_FALSE(by_node[node].empty()) << "node " << node << " retired none";
+    return by_node[node].empty() ? kNone : by_node[node].back().first;
+  }
+};
+
 /// Line network A(0) — B(1) — C(2).
 ///   sensor 0 @ C covers segments {0 (viable), 1 (blocked)}, 1000 B, 100 s.
 ///   sensor 1 @ A covers segment {2 (viable)}, 800 B, 100 s.
@@ -38,6 +61,7 @@ struct Fixture {
   Directory dir;
   AthenaMetrics metrics;
   std::vector<std::unique_ptr<AthenaNode>> athena;
+  RetireLog retired;
 
   static std::vector<world::SegmentDynamics> dynamics(std::size_t n) {
     std::vector<world::SegmentDynamics> d(
@@ -82,6 +106,7 @@ struct Fixture {
       athena.push_back(std::make_unique<AthenaNode>(NodeId{i}, net, dir, field,
                                                     cfg, metrics));
     }
+    retired.attach(athena);
   }
 
   net::Network make_net() {
@@ -93,7 +118,7 @@ struct Fixture {
   }
 
   const QueryRecord& last_record(std::size_t node) const {
-    return athena[node]->records().back();
+    return retired.last(node);
   }
 };
 
@@ -102,7 +127,7 @@ TEST(AthenaNode, LocalSensorResolvesWithoutObjectTraffic) {
   f.athena[2]->query_init(single_label(0), SimTime::seconds(30));
   f.sim.run_until(SimTime::seconds(1));
   EXPECT_EQ(f.metrics.queries_resolved, 1u);
-  EXPECT_TRUE(f.last_record(2).success);
+  EXPECT_TRUE(f.last_record(2).success());
   EXPECT_EQ(f.metrics.object_bytes, 0u);
   EXPECT_EQ(f.metrics.object_requests, 0u);
   EXPECT_GE(f.metrics.sensor_samples, 1u);
@@ -112,7 +137,7 @@ TEST(AthenaNode, ResolutionIsImmediateForLocalEvidence) {
   Fixture f;
   f.athena[2]->query_init(single_label(0), SimTime::seconds(30));
   // Resolution happens synchronously at init; no simulation needed.
-  EXPECT_TRUE(f.last_record(2).success);
+  EXPECT_TRUE(f.last_record(2).success());
   EXPECT_EQ(f.last_record(2).finished_at, SimTime::zero());
 }
 
@@ -121,7 +146,7 @@ TEST(AthenaNode, RemoteFetchResolvesQuery) {
   f.athena[0]->query_init(single_label(0), SimTime::seconds(30));
   f.sim.run_until(SimTime::seconds(5));
   EXPECT_EQ(f.metrics.queries_resolved, 1u);
-  EXPECT_TRUE(f.last_record(0).success);
+  EXPECT_TRUE(f.last_record(0).success());
   // One request (2 hops) and the object back (2 hops).
   EXPECT_EQ(f.metrics.object_requests, 1u);
   EXPECT_EQ(f.metrics.object_bytes, 2000u);
@@ -134,7 +159,7 @@ TEST(AthenaNode, BlockedSegmentResolvesToNoViableAction) {
   f.sim.run_until(SimTime::seconds(5));
   // Decision reached (route known blocked): still a resolved query.
   EXPECT_EQ(f.metrics.queries_resolved, 1u);
-  EXPECT_TRUE(f.last_record(0).success);
+  EXPECT_TRUE(f.last_record(0).success());
   EXPECT_FALSE(f.last_record(0).chosen_action.has_value());
 }
 
@@ -146,7 +171,7 @@ TEST(AthenaNode, ChosenActionIdentifiesViableRoute) {
   e.add_disjunct(decision::Conjunction{{decision::Term{LabelId{0}, false}}});
   f.athena[0]->query_init(std::move(e), SimTime::seconds(30));
   f.sim.run_until(SimTime::seconds(5));
-  ASSERT_TRUE(f.last_record(0).success);
+  ASSERT_TRUE(f.last_record(0).success());
   EXPECT_EQ(f.last_record(0).chosen_action, std::size_t{1});
 }
 
@@ -203,7 +228,7 @@ TEST(AthenaNode, StaleObjectCountedAndRefetched) {
   EXPECT_EQ(f.metrics.queries_failed, 1u);
   EXPECT_GE(f.metrics.stale_arrivals, 1u);
   EXPECT_GE(f.metrics.refetches, 1u);
-  EXPECT_FALSE(f.last_record(0).success);
+  EXPECT_FALSE(f.last_record(0).success());
 }
 
 TEST(AthenaNode, FastLocalQueryIgnoresTransitStaleness) {
@@ -513,7 +538,7 @@ TEST(AthenaNode, RecoverWhenBothRequestAndReplyAreLost) {
   f.athena[0]->query_init(single_label(0), SimTime::seconds(60));
   f.sim.run_until(SimTime::seconds(60));
   EXPECT_EQ(f.metrics.queries_resolved, 1u);
-  EXPECT_TRUE(f.last_record(0).success);
+  EXPECT_TRUE(f.last_record(0).success());
   EXPECT_EQ(f.net.stats().dropped, 2u);
   EXPECT_GE(f.metrics.retries, 2u) << "one timeout per lost packet";
   EXPECT_GE(f.metrics.refetches, 1u);
@@ -533,6 +558,7 @@ struct TwoSourceFixture {
   Directory dir;
   AthenaMetrics metrics;
   std::vector<std::unique_ptr<AthenaNode>> athena;
+  RetireLog retired;
 
   static std::vector<SensorInfo> sensors() {
     SensorInfo cheap;
@@ -563,6 +589,11 @@ struct TwoSourceFixture {
       athena.push_back(std::make_unique<AthenaNode>(NodeId{i}, net, dir,
                                                     field, cfg, metrics));
     }
+    retired.attach(athena);
+  }
+
+  const QueryRecord& last_record(std::size_t node) const {
+    return retired.last(node);
   }
 
   net::Network make_net() {
@@ -588,8 +619,8 @@ TEST(AthenaNode, RelayForwardsRequestPastAnotherSourcesObject) {
   // A's request for the cheap source passes B on its way to C.
   f.athena[0]->query_init(single_label(0), SimTime::seconds(60));
   f.sim.run_until(SimTime::seconds(60));
-  EXPECT_TRUE(f.athena[0]->records().back().success);
-  EXPECT_LT(f.athena[0]->records().back().finished_at, SimTime::seconds(1));
+  EXPECT_TRUE(f.last_record(0).success());
+  EXPECT_LT(f.last_record(0).finished_at, SimTime::seconds(1));
   EXPECT_EQ(f.metrics.retries, 0u);
   EXPECT_EQ(f.metrics.object_cache_hits, 0u);
   EXPECT_NE(f.athena[0]->cached_object(SourceId{0}), nullptr);
@@ -609,7 +640,7 @@ TEST(AthenaNode, FailoverSwitchesToAlternateSourceWhenHostUnreachable) {
   f.athena[0]->query_init(single_label(0), SimTime::seconds(60));
   f.sim.run_until(SimTime::seconds(60));
   EXPECT_EQ(f.metrics.queries_resolved, 1u);
-  EXPECT_TRUE(f.athena[0]->records().back().success);
+  EXPECT_TRUE(f.last_record(0).success());
   EXPECT_GE(f.metrics.retries, 2u);
   EXPECT_GE(f.metrics.failovers, 1u)
       << "label 0 must be re-designated to the reachable source";
@@ -934,7 +965,7 @@ TEST(AthenaNode, WarmCrashKeepsStoreColdCrashWipesIt) {
     // Sensor 0's object travels from C: A caches it and labels 0 and 1.
     a.query_init(single_label(0), SimTime::seconds(10));
     f.sim.run_until(SimTime::seconds(1));
-    ASSERT_TRUE(f.last_record(0).success);
+    ASSERT_TRUE(f.last_record(0).success());
     // A second remote fetch is in flight at the crash: A holds its local
     // interest, its aggregation marker and the announce's dedup entry.
     a.query_init(single_label(3), SimTime::seconds(10));
@@ -951,6 +982,53 @@ TEST(AthenaNode, WarmCrashKeepsStoreColdCrashWipesIt) {
     // Only the ingest entry of sensor 0's object can survive.
     EXPECT_EQ(a.dedup_entries(), warm ? 1u : 0u);
   }
+}
+
+// The retire hook sees every way a query ends exactly once, with the
+// expression the query was issued with: rejected by admission control and
+// shed as infeasible (both at issue), decided, expired, and crashed.
+TEST(AthenaNode, RetireHookFiresOnceWithTheIssuedExpression) {
+  auto cfg = config_for(Scheme::kLvfl);
+  cfg.shed_infeasible = true;
+  cfg.admission_max_active = 2;
+  Fixture f(cfg);
+  AthenaNode& a = *f.athena[0];
+  const QueryId decided = a.query_init(single_label(0), SimTime::seconds(30));
+  const QueryId expired = a.query_init(single_label(50), SimTime::seconds(3));
+  const QueryId rejected = a.query_init(single_label(2), SimTime::seconds(30));
+  const QueryId shed =
+      a.query_init(single_label(1), SimTime::millis(1), /*priority=*/1);
+  f.sim.run_until(SimTime::seconds(5));
+  // Label 3's objects arrive stale, so this query is still fetching when
+  // its node crashes.
+  const QueryId crashed = a.query_init(single_label(3), SimTime::seconds(30));
+  f.sim.run_until(SimTime::seconds(6));
+  a.on_crash(fault::RestartPolicy::kCold);
+  f.sim.run_until(SimTime::seconds(60));
+
+  struct Want {
+    QueryId id;
+    Outcome outcome;
+    std::uint64_t label;
+  };
+  const Want want[] = {{rejected, Outcome::kShed, 2},
+                       {shed, Outcome::kShed, 1},
+                       {decided, Outcome::kDecided, 0},
+                       {expired, Outcome::kExpired, 50},
+                       {crashed, Outcome::kCrashed, 3}};
+  const auto& log = f.retired.by_node[0];
+  ASSERT_EQ(log.size(), std::size(want));
+  for (std::size_t i = 0; i < log.size(); ++i) {
+    const auto& [rec, expr] = log[i];
+    EXPECT_EQ(rec.id, want[i].id) << i;
+    EXPECT_EQ(rec.outcome, want[i].outcome) << i;
+    EXPECT_EQ(expr.disjuncts(), single_label(want[i].label).disjuncts()) << i;
+  }
+  EXPECT_EQ(log[1].first.priority, 1);
+  EXPECT_EQ(log[3].first.finished_at, SimTime::seconds(3));
+  EXPECT_GT(log[4].first.requests_sent, 0u);
+  EXPECT_TRUE(f.retired.by_node[1].empty());
+  EXPECT_TRUE(f.retired.by_node[2].empty());
 }
 
 // Regression (ISSUE 9): the GC dedup-expiry boundary. Announce-dedup
@@ -1169,7 +1247,7 @@ TEST(AthenaNode, LabelShareServesInterestCompletedByPassingLabelReply) {
   f.sim.run_until(SimTime::seconds(1));
   EXPECT_EQ(f.metrics.label_cache_hits, 1u);
   EXPECT_EQ(f.athena[1]->interest_entries(), 0u);
-  EXPECT_TRUE(f.last_record(0).success);
+  EXPECT_TRUE(f.last_record(0).success());
 }
 
 // A share whose fresher labels no waiting interest needs answers nothing.
@@ -1203,14 +1281,15 @@ TEST(AthenaNode, LabelSharePassingOriginResolvesQueryWithRequestOutstanding) {
   f.athena[1]->query_init(single_label(0), SimTime::seconds(60));
   f.sim.run_until(SimTime::millis(100));
   ASSERT_EQ(f.athena[1]->active_queries(), 1u);
-  ASSERT_EQ(f.last_record(1).requests_sent, 1u);
+  ASSERT_TRUE(f.retired.by_node[1].empty());
+  ASSERT_EQ(f.metrics.object_requests, 1u);  // B's one request, in flight
 
   // The share is bound for C; B caches it on the way and applies it.
   const SimTime at = f.net.now();
   inject_at_b(f, LabelShare{{true_value(0, at)}, f.nodes[2]});
   f.sim.run_until(SimTime::millis(200));
   EXPECT_EQ(f.athena[1]->active_queries(), 0u);
-  EXPECT_TRUE(f.last_record(1).success);
+  EXPECT_TRUE(f.last_record(1).success());
   EXPECT_LT(f.last_record(1).finished_at, SimTime::millis(200));
   EXPECT_EQ(f.last_record(1).requests_sent, 1u);
 }

@@ -299,12 +299,7 @@ std::uint64_t digest(const ScenarioResult& r) {
   for_each_field(r.metrics, fold);
   for_each_field(r.traffic, fold);
   d.fold(r.events);
-  for (const auto& out : r.outcomes) {
-    d.fold(static_cast<std::uint64_t>(out.success ? 1 : 0));
-    d.fold(static_cast<std::uint64_t>(out.crashed ? 1 : 0));
-    d.fold(out.latency_s);
-    d.fold(out.finished_s);
-  }
+  d.fold(r.totals.digest.value());
   return d.value();
 }
 
@@ -332,10 +327,9 @@ TEST(ScenarioChaos, ColdChurnDropsInFlightWorkAndRecovers) {
   EXPECT_GT(r.metrics.recovery_hellos, 0u);
   EXPECT_GT(r.metrics.control_bytes, 0u);
   // Crash-failed queries are their own terminal bucket, mirrored into the
-  // per-query outcome flags.
-  std::uint64_t crashed_outcomes = 0;
-  for (const auto& out : r.outcomes) crashed_outcomes += out.crashed ? 1 : 0;
-  EXPECT_EQ(crashed_outcomes, r.metrics.queries_failed_crash);
+  // retired-query totals.
+  EXPECT_EQ(r.totals.normal.crashed + r.totals.critical.crashed,
+            r.metrics.queries_failed_crash);
   // And the run differs from the ghost twin (state loss is observable).
   const auto g = run_route_scenario(churn_config(fault::RestartPolicy::kGhost));
   EXPECT_NE(digest(r), digest(g));
@@ -344,15 +338,15 @@ TEST(ScenarioChaos, ColdChurnDropsInFlightWorkAndRecovers) {
 TEST(ScenarioChaos, PerKindByteBillingIsPinned) {
   // Every message kind, billed to its own counter: requests, announces,
   // foreground objects, prefetch pushes, label shares/replies and restart
-  // hellos all occur in this run. The values were captured when each
-  // send site still passed its size and counter by hand; deriving both
-  // from the message type must not move a byte.
+  // hellos all occur in this run. The values were first captured when each
+  // send site still passed its size and counter by hand, and re-captured
+  // once when the workload became streamed per node.
   const auto r = run_route_scenario(churn_config(fault::RestartPolicy::kCold));
-  EXPECT_EQ(r.metrics.request_bytes, 8100u);
-  EXPECT_EQ(r.metrics.announce_bytes, 44800u);
-  EXPECT_EQ(r.metrics.object_bytes, 8745626u);
-  EXPECT_EQ(r.metrics.push_bytes, 16767534u);
-  EXPECT_EQ(r.metrics.label_bytes, 16600u);
+  EXPECT_EQ(r.metrics.request_bytes, 5100u);
+  EXPECT_EQ(r.metrics.announce_bytes, 42800u);
+  EXPECT_EQ(r.metrics.object_bytes, 10983763u);
+  EXPECT_EQ(r.metrics.push_bytes, 25356029u);
+  EXPECT_EQ(r.metrics.label_bytes, 13400u);
   EXPECT_EQ(r.metrics.control_bytes, 18720u);
 }
 

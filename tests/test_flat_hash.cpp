@@ -81,6 +81,7 @@ TEST(FlatU64Map, TombstoneChurnStaysCorrect) {
     EXPECT_EQ(*m.find(k), k * 3);
   }
   EXPECT_EQ(m.find(20000 - kWindow - 1), nullptr);
+  EXPECT_LE(m.capacity(), 4 * 2 * kWindow);
 }
 
 // Same operation history => same slot layout, observed through for_each

@@ -386,13 +386,9 @@ TEST(TraceSink, AttachingSinkIsBitForBitInvisible) {
   EXPECT_EQ(traced.queries, bare.queries);
   EXPECT_EQ(traced.metrics, bare.metrics);  // every AthenaMetrics field
   EXPECT_EQ(traced.traffic, bare.traffic);  // every TrafficStats field
-  ASSERT_EQ(traced.outcomes.size(), bare.outcomes.size());
-  for (std::size_t i = 0; i < bare.outcomes.size(); ++i) {
-    EXPECT_EQ(traced.outcomes[i].success, bare.outcomes[i].success);
-    EXPECT_DOUBLE_EQ(traced.outcomes[i].latency_s, bare.outcomes[i].latency_s);
-    EXPECT_DOUBLE_EQ(traced.outcomes[i].finished_s,
-                     bare.outcomes[i].finished_s);
-  }
+  // Per-class totals, audit counts and the per-query outcome digest.
+  EXPECT_EQ(traced.totals, bare.totals);
+  EXPECT_GT(bare.totals.normal.decided, 0u);
 
   // And the sink actually observed the run.
   EXPECT_GT(sink.emitted(), 0u);

@@ -128,10 +128,57 @@ TEST(Scenario, AuditCoversChosenRoutes) {
   const auto r = run_route_scenario(small_config(athena::Scheme::kLvfl));
   // Some queries choose a route; the audit must cover them and accuracy is
   // a valid ratio.
-  EXPECT_GT(r.decisions_audited, 0u);
-  EXPECT_LE(r.decisions_correct, r.decisions_audited);
+  EXPECT_GT(r.totals.audited, 0u);
+  EXPECT_LE(r.totals.correct, r.totals.audited);
   EXPECT_GE(r.decision_accuracy(), 0.0);
   EXPECT_LE(r.decision_accuracy(), 1.0);
+}
+
+/// The route scenario's long-run setup: 30 nodes, Poisson arrivals every
+/// 60 s per node, horizon 60 s × queries + 600 s.
+ScenarioConfig long_run_config(std::size_t queries_per_node) {
+  ScenarioConfig cfg;
+  cfg.arrival = ScenarioConfig::Arrival::kPoisson;
+  cfg.mean_interarrival = SimTime::seconds(60);
+  cfg.queries_per_node = queries_per_node;
+  cfg.horizon = SimTime::seconds(
+      60.0 * static_cast<double>(queries_per_node) + 600.0);
+  cfg.seed = 1;
+  return cfg;
+}
+
+TEST(Scenario, EveryCommittedDecisionIsAudited) {
+  // Some nodes' arrivals run past the 3,600 s horizon: their issued
+  // queries must still be audited, and only issued queries are counted.
+  auto cfg = long_run_config(50);
+  cfg.horizon = SimTime::seconds(3600);
+  const auto r = run_route_scenario(cfg);
+  const QueryTotals& t = r.totals;
+  EXPECT_EQ(r.queries, r.metrics.queries_issued);
+  EXPECT_LT(r.queries, 30u * 50u);
+  EXPECT_GT(t.audited, 0u);
+  EXPECT_GT(t.declined, 0u);
+  EXPECT_EQ(t.audited + t.declined, t.normal.decided + t.critical.decided);
+  EXPECT_EQ(t.normal.decided + t.critical.decided, r.metrics.queries_resolved);
+}
+
+TEST(Scenario, ResidentStateDoesNotGrowWithQueries) {
+  // Per-node tables at the horizon hold what the last hour or so touched,
+  // not every query the run issued: four times the queries (and horizon)
+  // leaves them about the same size.
+  const auto resident = [](std::size_t queries_per_node) {
+    std::uint64_t sum = 0;
+    for (const auto& p : run_route_scenario(long_run_config(queries_per_node))
+                             .probes) {
+      sum += p.active_queries + p.interest_entries + p.forwarded_entries +
+             p.dedup_entries;
+    }
+    return sum;
+  };
+  const std::uint64_t at50 = resident(50);
+  const std::uint64_t at200 = resident(200);
+  EXPECT_GT(at50, 0u);
+  EXPECT_LT(at200, 2 * at50) << "at 50: " << at50 << ", at 200: " << at200;
 }
 
 TEST(Scenario, PerfectSensorsShortValidityIsAccurate) {
@@ -239,10 +286,9 @@ TEST(Scenario, CriticalFractionMarksOutcomes) {
   auto cfg = small_config(athena::Scheme::kLvfl);
   cfg.critical_fraction = 0.5;
   const auto r = run_route_scenario(cfg);
-  int critical = 0;
-  for (const auto& o : r.outcomes) critical += o.priority > 0 ? 1 : 0;
-  EXPECT_GT(critical, 0);
-  EXPECT_LT(critical, static_cast<int>(r.outcomes.size()));
+  EXPECT_GT(r.totals.critical.issued, 0u);
+  EXPECT_GT(r.totals.normal.issued, 0u);
+  EXPECT_EQ(r.totals.issued(), r.queries);
 }
 
 TEST(Scenario, PacketLossStillAccountsQueries) {
@@ -270,11 +316,9 @@ TEST(Scenario, DisruptionWithInvalidationKeepsAccuracy) {
       auto cfg = base;
       cfg.seed = seed;
       cfg.broadcast_invalidation = invalidate;
-      for (const auto& o : run_route_scenario(cfg).outcomes) {
-        if (!o.audited || o.finished_s < 60.0) continue;
-        ++total;
-        correct += o.correct;
-      }
+      const QueryTotals t = run_route_scenario(cfg).totals;
+      total += static_cast<double>(t.audited - t.audited_before);
+      correct += static_cast<double>(t.correct - t.correct_before);
     }
     return total > 0 ? correct / total : 1.0;
   };
