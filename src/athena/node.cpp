@@ -565,7 +565,8 @@ void AthenaNode::finish(QueryState& q, Outcome outcome) {
   q.finished = true;
   const SimTime now = net_.now();
 
-  QueryRecord rec{q.id, q.priority, outcome, q.issued_at, now, std::nullopt, 0};
+  QueryRecord rec{q.id, q.priority, outcome, q.issued_at, now,
+                  std::nullopt, 0};
   for (const auto& [source, count] : q.request_counts) {
     rec.requests_sent += count;
   }
@@ -968,8 +969,8 @@ void AthenaNode::pump_prefetch() {
 // Monotonic id counters (query, invalidation, replica group) survive on
 // purpose — they are what keeps post-restart identifiers unique. Each
 // dropped query is reported to the retire hook as crashed. Pending pump/GC
-// callbacks are left armed: they are
-// written to no-op against empty tables and re-arm only when state exists.
+// callbacks are left armed: they are written to no-op against empty tables
+// and re-arm only when state exists.
 
 void AthenaNode::on_crash(fault::RestartPolicy policy) {
   if (policy == fault::RestartPolicy::kGhost) return;

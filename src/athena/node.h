@@ -99,7 +99,6 @@ class AthenaNode {
     return queries_.size() - retire_pending_.size();
   }
 
-
   /// Flood an invalidation notice for `labels` (Sec. II-A: an external
   /// event voided prior observations). Every node purges the labels from
   /// its caches and re-opens affected decisions; this node purges

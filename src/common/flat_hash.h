@@ -19,10 +19,10 @@
 //     output depends on visit order must go through sorted_keys().
 //   * sorted_keys() — ascending key order, for trajectory-pinned walks.
 //
-// Erasure uses tombstone control bytes; a rebuild (same size, entries
-// re-laid in slot-index order — deterministic) reclaims them once they
-// would degrade probing. The table grows by doubling if the caller exceeds
-// the expected capacity, so it is never wrong, only slower than promised.
+// Erasure uses tombstone control bytes; a rebuild (entries re-laid in
+// slot-index order — deterministic) reclaims them once they would degrade
+// probing, and sizes the table to the live entries, so it grows past the
+// expected capacity when the caller exceeds it and shrinks after a burst.
 #pragma once
 
 #include <algorithm>
@@ -74,10 +74,8 @@ class FlatU64Map {
   /// always probe first, so a double insert is a logic error upstream.
   void insert(std::uint64_t key, V value) {
     if ((size_ + tombstones_ + 1) * 2 > ctrl_.size()) {
-      // The rebuild drops every tombstone and sizes the table to the live
-      // entries (a quarter full at most), so a table that churns through
-      // many more keys than it holds neither grows nor keeps the slots of
-      // its busiest moment.
+      // Size by the live entries alone (a quarter full at most): counting
+      // tombstones doubled a churning table on every rebuild.
       rebuild(table_for(2 * (size_ + 1)));
     }
     std::size_t i = flat_mix(key) & mask_;
