@@ -362,8 +362,8 @@ void RouteRun::arrive(std::size_t i) {
 
 void RouteRun::retire(const athena::QueryRecord& rec,
                       const decision::DnfExpr& expr) {
-  QueryTotals::Class& cls = rec.priority > 0 ? totals_.critical
-                                             : totals_.normal;
+  QueryTotals::Class& cls =
+      rec.priority > 0 ? totals_.critical : totals_.normal;
   const double latency_s =
       rec.success() ? (rec.finished_at - rec.issued_at).to_seconds() : 0.0;
   cls.decided += rec.success() ? 1 : 0;
@@ -374,26 +374,21 @@ void RouteRun::retire(const athena::QueryRecord& rec,
   // Audit a committed route against ground truth at decision time: every
   // segment of it must have been viable. Each segment's track draws from
   // its own memoised RNG, so reading it now changes nothing.
-  bool audited = false;
-  bool correct = false;
-  if (rec.success() && rec.chosen_action &&
-      *rec.chosen_action < expr.disjunct_count()) {
-    audited = true;
-    correct = std::all_of(
-        expr.disjuncts()[*rec.chosen_action].terms.begin(),
-        expr.disjuncts()[*rec.chosen_action].terms.end(),
-        [&](const decision::Term& term) {
-          return truth_->viable_at(SegmentId{term.label.value()},
-                                   rec.finished_at) != term.negated;
-        });
-    const bool before = rec.finished_at < cfg_.disruption_at;
-    ++totals_.audited;
-    totals_.correct += correct ? 1 : 0;
-    totals_.audited_before += before ? 1 : 0;
-    totals_.correct_before += before && correct ? 1 : 0;
-  } else if (rec.success()) {
-    ++totals_.declined;
-  }
+  const bool audited = rec.chosen_action.has_value();
+  const bool correct =
+      audited && std::ranges::all_of(
+                     expr.disjuncts()[*rec.chosen_action].terms,
+                     [&](const decision::Term& term) {
+                       return truth_->viable_at(SegmentId{term.label.value()},
+                                                rec.finished_at) !=
+                              term.negated;
+                     });
+  const bool before = rec.finished_at < cfg_.disruption_at;
+  totals_.audited += audited ? 1 : 0;
+  totals_.correct += correct ? 1 : 0;
+  totals_.audited_before += audited && before ? 1 : 0;
+  totals_.correct_before += correct && before ? 1 : 0;
+  totals_.declined += rec.success() && !audited ? 1 : 0;
 
   fault::ReplayDigest& d = totals_.digest;
   d.fold(static_cast<std::uint64_t>(rec.priority));
@@ -416,7 +411,7 @@ ScenarioResult RouteRun::collect() {
     result.metrics.reroutes = injector_->stats().reroutes;
   }
   result.events = sim_.executed_events();
-  result.queries = totals_.issued();
+  result.queries = totals_.normal.issued + totals_.critical.issued;
   result.totals = totals_;
 
   // Residual-state probes for the chaos harness's quiesce-point invariant

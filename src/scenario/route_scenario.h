@@ -172,9 +172,6 @@ struct QueryTotals {
   /// priority, outcome, latency, issue and finish time and audit result.
   fault::ReplayDigest digest;
 
-  [[nodiscard]] std::uint64_t issued() const noexcept {
-    return normal.issued + critical.issued;
-  }
   bool operator==(const QueryTotals&) const = default;
 };
 

@@ -288,7 +288,6 @@ TEST(Scenario, CriticalFractionMarksOutcomes) {
   const auto r = run_route_scenario(cfg);
   EXPECT_GT(r.totals.critical.issued, 0u);
   EXPECT_GT(r.totals.normal.issued, 0u);
-  EXPECT_EQ(r.totals.issued(), r.queries);
 }
 
 TEST(Scenario, PacketLossStillAccountsQueries) {
