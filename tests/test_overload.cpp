@@ -129,7 +129,7 @@ TEST(Overload, InfeasibleDeadlineShedNotFailed) {
   EXPECT_EQ(f.metrics.queries_issued, 1u);
   EXPECT_EQ(f.metrics.queries_shed, 1u);
   EXPECT_EQ(f.metrics.queries_failed, 0u);
-  EXPECT_TRUE(f.last_record(0).outcome == Outcome::kShed);
+  EXPECT_EQ(f.last_record(0).outcome, Outcome::kShed);
   EXPECT_FALSE(f.last_record(0).success());
   f.sim.run_until(SimTime::seconds(5));
   // No object traffic was spent on the doomed query.
@@ -144,7 +144,7 @@ TEST(Overload, WithoutShedKnobSameQueryFailsAtDeadline) {
   f.sim.run_until(SimTime::seconds(5));
   EXPECT_EQ(f.metrics.queries_shed, 0u);
   EXPECT_EQ(f.metrics.queries_failed, 1u);
-  EXPECT_FALSE(f.last_record(0).outcome == Outcome::kShed);
+  EXPECT_EQ(f.last_record(0).outcome, Outcome::kExpired);
 }
 
 TEST(Overload, LocallyHostedEvidenceIsNeverShed) {
@@ -170,7 +170,7 @@ TEST(Overload, AdmissionRejectsOnlyLowPriorityBeyondCap) {
   // ...the third low-priority query bounces at issue...
   f.athena[0]->query_init(single_label(0), SimTime::seconds(30));
   EXPECT_EQ(f.metrics.queries_rejected, 1u);
-  EXPECT_TRUE(f.last_record(0).outcome == Outcome::kShed);
+  EXPECT_EQ(f.last_record(0).outcome, Outcome::kShed);
   EXPECT_EQ(f.athena[0]->active_queries(), 2u);
   // ...but a critical query is admitted above the cap.
   f.athena[0]->query_init(single_label(0), SimTime::seconds(30),
