@@ -30,9 +30,10 @@ int main(int argc, char** argv) {
       cfg.config_override = ac;
       const auto cell = bench::run_cell(cfg, seeds);
       std::printf("%-6s %-7s %8.3f %10.1f %11.2f %9.1f\n",
-                  bench::scheme_name(scheme).c_str(), cache_on ? "on" : "off",
-                  cell.ratio.mean(), cell.megabytes.mean(),
-                  cell.latency_s.mean(), cell.refetches.mean());
+                  std::string(to_string(scheme)).c_str(),
+                  cache_on ? "on" : "off", cell.ratio.mean(),
+                  cell.megabytes.mean(), cell.latency_s.mean(),
+                  cell.refetches.mean());
     }
   }
   return 0;

@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
       cfg.config_override = ac;
       const auto cell = bench::run_cell(cfg, seeds);
       std::printf("%-6s %-9s %8.3f %10.1f %11.2f %9.1f\n",
-                  bench::scheme_name(scheme).c_str(),
+                  std::string(to_string(scheme)).c_str(),
                   prefetch ? "on" : "off", cell.ratio.mean(),
                   cell.megabytes.mean(), cell.latency_s.mean(),
                   cell.stale.mean());

@@ -47,8 +47,8 @@ int main(int argc, char** argv) {
         lhit.add(static_cast<double>(r.metrics.label_cache_hits));
       }
       std::printf("%-6s %-12s %8.3f %10.1f %11.2f %7.1f\n",
-                  bench::scheme_name(scheme).c_str(), p.name, ratio.mean(),
-                  mb.mean(), latency.mean(), lhit.mean());
+                  std::string(to_string(scheme)).c_str(), p.name,
+                  ratio.mean(), mb.mean(), latency.mean(), lhit.mean());
     }
   }
   std::printf(

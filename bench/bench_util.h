@@ -122,8 +122,4 @@ inline const std::vector<athena::Scheme>& all_schemes() {
   return schemes;
 }
 
-inline std::string scheme_name(athena::Scheme s) {
-  return std::string(to_string(s));
-}
-
 }  // namespace dde::bench

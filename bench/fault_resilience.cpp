@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
   // the returned config afterwards.
   auto base_config = [&](athena::Scheme scheme) {
     scenario::ScenarioSpec spec;
-    spec.set("scheme", bench::scheme_name(scheme));
+    spec.set("scheme", std::string(to_string(scheme)));
     spec.set("fast_ratio", 0.2);
     auto cfg = scenario::route_config_from_spec(spec);
     cfg.config_override = recovery_config(scheme);
@@ -51,7 +51,7 @@ int main(int argc, char** argv) {
               "f=0", "f=0.1", "f=0.2", "f=0.3", "MB@.2", "retry@.2",
               "fail@.2", "rert@.2", "drop@.2");
   for (athena::Scheme scheme : bench::all_schemes()) {
-    std::printf("%-6s", bench::scheme_name(scheme).c_str());
+    std::printf("%-6s", std::string(to_string(scheme)).c_str());
     double mb = 0;
     double retries = 0;
     double failovers = 0;
@@ -84,7 +84,7 @@ int main(int argc, char** argv) {
   std::printf("%-6s %8s %8s %8s %8s\n", "scheme", "iid", "L=2", "L=8",
               "L=32");
   for (athena::Scheme scheme : bench::all_schemes()) {
-    std::printf("%-6s", bench::scheme_name(scheme).c_str());
+    std::printf("%-6s", std::string(to_string(scheme)).c_str());
     for (double burst_len : {1.0, 2.0, 8.0, 32.0}) {
       RunningStats ratio;
       scenario::ScenarioConfig cfg = base_config(scheme);

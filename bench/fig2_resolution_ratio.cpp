@@ -24,19 +24,19 @@ int main(int argc, char** argv) {
 
   obs::BenchReport report("fig2_resolution_ratio");
   for (athena::Scheme scheme : bench::all_schemes()) {
-    std::printf("%-6s", bench::scheme_name(scheme).c_str());
+    std::printf("%-6s", std::string(to_string(scheme)).c_str());
     for (double fr : fast_ratios) {
       // Declarative sweep point through the scenario registry's spec path
       // (typo'd knob names abort instead of being silently ignored).
       scenario::ScenarioSpec spec;
-      spec.set("scheme", bench::scheme_name(scheme));
+      spec.set("scheme", std::string(to_string(scheme)));
       spec.set("fast_ratio", fr);
       const auto cfg = scenario::route_config_from_spec(spec);
       const auto cell = bench::run_cell(cfg, seeds);
       std::printf("  %.3f+-%.3f", cell.ratio.mean(), cell.ratio.ci95());
       char key[32];
       std::snprintf(key, sizeof(key), "%s@fr=%.1f",
-                    bench::scheme_name(scheme).c_str(), fr);
+                    std::string(to_string(scheme)).c_str(), fr);
       bench::report_cell(report, key, cell);
     }
     std::printf("\n");

@@ -24,12 +24,13 @@ int main(int argc, char** argv) {
     cfg.scheme = scheme;
     cfg.fast_ratio = 0.4;
     const auto cell = bench::run_cell(cfg, seeds);
-    bench::report_cell(report, bench::scheme_name(scheme), cell);
+    bench::report_cell(report, std::string(to_string(scheme)), cell);
     std::printf("%-6s %10.1f %9.1f | %9.1f %8.1f %8.1f | %8.1f %8.1f\n",
-                bench::scheme_name(scheme).c_str(), cell.megabytes.mean(),
-                cell.megabytes.ci95(), cell.object_mb.mean(),
-                cell.push_mb.mean(), cell.label_mb.mean(),
-                cell.refetches.mean(), cell.stale.mean());
+                std::string(to_string(scheme)).c_str(),
+                cell.megabytes.mean(), cell.megabytes.ci95(),
+                cell.object_mb.mean(), cell.push_mb.mean(),
+                cell.label_mb.mean(), cell.refetches.mean(),
+                cell.stale.mean());
     if (previous >= 0 && cell.megabytes.mean() > previous) monotone = false;
     previous = cell.megabytes.mean();
   }

@@ -20,7 +20,7 @@ int main(int argc, char** argv) {
               "p=0.01", "p=0.05", "p=0.10", "MB@0.05", "drop@.05");
 
   for (athena::Scheme scheme : bench::all_schemes()) {
-    std::printf("%-6s", bench::scheme_name(scheme).c_str());
+    std::printf("%-6s", std::string(to_string(scheme)).c_str());
     double mb_at_5 = 0;
     double drops_at_5 = 0;
     for (double loss : {0.0, 0.01, 0.05, 0.10}) {

@@ -165,16 +165,16 @@ int main(int argc, char** argv) {
       const OverloadCell on = run_cell(scheme, load, true, seeds);
       char key[48];
       std::snprintf(key, sizeof(key), "%s@load=%.1f",
-                    bench::scheme_name(scheme).c_str(), load);
+                    std::string(to_string(scheme)).c_str(), load);
       report_overload(std::string(key) + ":off", off);
       report_overload(std::string(key) + ":on", on);
       std::printf(
           "%-6s %-5.1f | %8.3f %8.3f | %8.3f %8.3f | %7.3f %7.3f | "
           "%7.1f %7.1f | %6.1f %6.1f\n",
-          bench::scheme_name(scheme).c_str(), load, off.crit_ratio(),
-          on.crit_ratio(), off.low_ratio(), on.low_ratio(), off.shed_ratio(),
-          on.shed_ratio(), off.megabytes, on.megabytes, off.crit_latency(),
-          on.crit_latency());
+          std::string(to_string(scheme)).c_str(), load, off.crit_ratio(),
+          on.crit_ratio(), off.low_ratio(), on.low_ratio(),
+          off.shed_ratio(), on.shed_ratio(), off.megabytes, on.megabytes,
+          off.crit_latency(), on.crit_latency());
     }
     std::printf("\n");
   }

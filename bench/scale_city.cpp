@@ -86,8 +86,8 @@ int main(int argc, char** argv) {
   }
   const double city_elapsed = seconds_since(city_start);
   std::printf("%-6s %8.3f %10.1f %11.2f %12.0f %9.0f\n",
-              bench::scheme_name(cfg.scheme).c_str(), ratio.mean(), mb.mean(),
-              latency.mean(), sim_events.sum(), queries.sum());
+              std::string(to_string(cfg.scheme)).c_str(), ratio.mean(),
+              mb.mean(), latency.mean(), sim_events.sum(), queries.sum());
 
   // Wall-clock results: stderr only, so stdout stays byte-identical across
   // DDE_BENCH_JOBS settings and hosts.

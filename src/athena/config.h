@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <string_view>
 
 #include "common/sim_time.h"
@@ -29,6 +30,20 @@ enum class Scheme {
   return "?";
 }
 
+/// Store the scheme that `to_string` spells `name` in `*out` and return
+/// true; return false, leaving `*out` alone, for any other name.
+[[nodiscard]] constexpr bool parse_scheme(std::string_view name,
+                                          Scheme* out) noexcept {
+  for (Scheme s : {Scheme::kCmp, Scheme::kSlt, Scheme::kLcf, Scheme::kLvf,
+                   Scheme::kLvfl}) {
+    if (to_string(s) == name) {
+      *out = s;
+      return true;
+    }
+  }
+  return false;
+}
+
 /// Tunable knobs of an Athena node. Scheme presets set the first block;
 /// the rest defaults to the Sec. VII experiment values.
 struct AthenaConfig {
@@ -47,9 +62,6 @@ struct AthenaConfig {
   /// reaches this confidence; until then more evidence is retrieved,
   /// rotating across covering sources. 0 disables (single reading decides).
   double corroboration_confidence = 0.0;
-  /// Purge caches/beliefs and re-open decisions when an Invalidation
-  /// notice arrives (off = ignore notices; ablation knob).
-  bool honor_invalidations = true;
 
   // --- protocol parameters ---------------------------------------------
   bool prefetch = true;               ///< process prefetch queues

@@ -890,7 +890,7 @@ void AthenaNode::handle(NodeId from, const Invalidation& inv) {
     next.ttl = inv.ttl - 1;
     send_to_neighbors(next, /*priority=*/1, from);
   }
-  if (config_.honor_invalidations) apply_invalidation(inv.labels);
+  apply_invalidation(inv.labels);
 }
 
 void AthenaNode::apply_invalidation(const std::vector<LabelId>& labels) {

@@ -3,16 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
-#include <numeric>
-#include <unordered_map>
 #include <vector>
 
-#include "athena/directory.h"
 #include "common/contracts.h"
 #include "common/rng.h"
-#include "des/simulator.h"
-#include "net/topology.h"
-#include "scenario/runner.h"
+#include "scenario/plugin.h"
 #include "scenario/spec.h"
 #include "world/dynamics.h"
 #include "world/grid_map.h"
@@ -20,62 +15,6 @@
 
 namespace dde::scenario {
 namespace {
-
-/// Connect sensors' host nodes: geometric links within `radius`, then join
-/// any remaining components by their closest node pair so the network is
-/// always connected.
-void build_links(net::Topology& topo, const world::SensorField& field,
-                 const ScenarioConfig& cfg) {
-  const auto& sensors = field.sensors();
-  const std::size_t n = sensors.size();
-  auto dist = [&](std::size_t a, std::size_t b) {
-    const double dx = sensors[a].x - sensors[b].x;
-    const double dy = sensors[a].y - sensors[b].y;
-    return std::sqrt(dx * dx + dy * dy);
-  };
-
-  // Union-find for connectivity.
-  std::vector<std::size_t> parent(n);
-  std::iota(parent.begin(), parent.end(), std::size_t{0});
-  auto find = [&](std::size_t x) {
-    while (parent[x] != x) {
-      parent[x] = parent[parent[x]];
-      x = parent[x];
-    }
-    return x;
-  };
-
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 1; j < n; ++j) {
-      if (dist(i, j) <= cfg.link_radius) {
-        topo.add_link(NodeId{i}, NodeId{j}, cfg.link_bandwidth_bps,
-                      cfg.link_latency);
-        parent[find(i)] = find(j);
-      }
-    }
-  }
-  // Join disconnected components by their closest cross pair.
-  for (;;) {
-    double best = 0.0;
-    std::size_t bi = n;
-    std::size_t bj = n;
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = i + 1; j < n; ++j) {
-        if (find(i) == find(j)) continue;
-        const double d = dist(i, j);
-        if (bi == n || d < best) {
-          best = d;
-          bi = i;
-          bj = j;
-        }
-      }
-    }
-    if (bi == n) break;  // connected
-    topo.add_link(NodeId{bi}, NodeId{bj}, cfg.link_bandwidth_bps,
-                  cfg.link_latency);
-    parent[find(bi)] = find(bj);
-  }
-}
 
 /// Build one route-finding decision expression: OR over candidate routes of
 /// AND(viable(segment)). Prefers route sets whose segments are all covered
@@ -121,10 +60,8 @@ decision::DnfExpr make_route_query(const world::GridMap& map,
 class RouteRun {
  public:
   explicit RouteRun(const ScenarioConfig& config);
-  RouteRun(const RouteRun&) = delete;
-  RouteRun& operator=(const RouteRun&) = delete;
 
-  void advance(SimTime until) { sim_.run_until(until); }
+  void advance(SimTime until) { stack_.sim.run_until(until); }
 
   /// Assemble the result for the run advanced so far (idempotent).
   [[nodiscard]] ScenarioResult collect();
@@ -154,14 +91,7 @@ class RouteRun {
   std::optional<world::GridMap> map_;
   std::optional<world::ViabilityProcess> truth_;
   std::optional<world::SensorField> field_;
-  net::Topology topo_;
-  std::vector<NodeId> hosts_;
-  des::Simulator sim_;
-  std::optional<net::Network> network_;
-  std::optional<fault::FaultInjector> injector_;
-  std::optional<athena::Directory> directory_;
-  athena::AthenaMetrics metrics_;
-  std::vector<std::unique_ptr<athena::AthenaNode>> nodes_;
+  Stack stack_;
   std::vector<char> covered_;  ///< per segment: does some sensor cover it
   std::vector<Arrivals> arrivals_;
   QueryTotals totals_;
@@ -194,15 +124,9 @@ RouteRun::RouteRun(const ScenarioConfig& config)
   world::SensorField& field = *field_;
 
   // --- network ---------------------------------------------------------------
-  hosts_.reserve(cfg.node_count);
-  for (std::size_t i = 0; i < cfg.node_count; ++i) {
-    hosts_.push_back(topo_.add_node());
-  }
-  build_links(topo_, field, cfg);
-  topo_.compute_routes();
-
-  network_.emplace(sim_, topo_);
-  net::Network& network = *network_;
+  std::vector<NodeId> hosts = stack_.connect_sensors(
+      field, cfg.link_radius, cfg.link_bandwidth_bps, cfg.link_latency);
+  net::Network& network = stack_.open_network();
   if (cfg.packet_loss > 0.0) {
     network.set_loss_rate(cfg.packet_loss, cfg.seed * 7919 + 13);
   }
@@ -211,37 +135,10 @@ RouteRun::RouteRun(const ScenarioConfig& config)
     network.set_queue_limits(net::QueueLimits{cfg.link_queue_max_packets,
                                               cfg.link_queue_max_bytes});
   }
+  stack_.inject_faults(cfg.faults, cfg.chaos, cfg.seed,
+                       /*owns_loss_model=*/false);
 
-  // Structured fault injection. Realized from its own RNG streams so that
-  // enabling faults or chaos never perturbs world/workload generation, and
-  // empty specs construct nothing at all. Chaos churn draws from a third
-  // stream: adding churn to a faulted run leaves the FaultSpec schedule
-  // itself bit-for-bit unchanged.
-  if (!cfg.faults.empty() || !cfg.chaos.empty()) {
-    Rng fault_rng(cfg.seed * 6271 + 17);
-    fault::FaultPlan plan = cfg.faults.realize(topo_, fault_rng);
-    if (!cfg.chaos.empty()) {
-      Rng chaos_rng(cfg.seed * 15485863 + 19);
-      fault::FaultPlan churn = fault::realize_chaos(cfg.chaos, topo_,
-                                                    chaos_rng);
-      plan.events.insert(plan.events.end(), churn.events.begin(),
-                         churn.events.end());
-      if (churn.burst.enabled()) plan.burst = churn.burst;
-      // One policy governs the merged plan; a non-empty chaos spec wins.
-      plan.restart_policy = churn.restart_policy;
-    }
-    injector_.emplace(sim_, topo_, network, std::move(plan),
-                      cfg.seed * 104729 + 7);
-  }
-
-  // --- directory -------------------------------------------------------------
-  std::unordered_map<LabelId, double> p_true;
-  for (const auto& seg : map.segments()) {
-    p_true[LabelId{seg.id.value()}] = truth.params(seg.id).p_viable;
-  }
-  directory_.emplace(topo_, field, hosts_, std::move(p_true));
-
-  // --- nodes -----------------------------------------------------------------
+  // --- directory and nodes ---------------------------------------------------
   athena::AthenaConfig node_cfg =
       cfg.config_override.value_or(athena::config_for(cfg.scheme));
   if (!cfg.config_override) {
@@ -249,32 +146,13 @@ RouteRun::RouteRun(const ScenarioConfig& config)
     node_cfg.crash_recovery = cfg.fault_crash_recovery;
     node_cfg.recovery_lease = cfg.recovery_lease;
   }
-  nodes_.reserve(cfg.node_count);
-  for (std::size_t i = 0; i < cfg.node_count; ++i) {
-    nodes_.push_back(std::make_unique<athena::AthenaNode>(
-        NodeId{i}, network, *directory_, field, node_cfg, metrics_));
-    if (cfg.trace_sink != nullptr) {
-      nodes_.back()->set_trace_sink(cfg.trace_sink);
-    }
-    nodes_.back()->set_retire_hook(
+  stack_.add_nodes(field, std::move(hosts), truth, map.segment_count(),
+                   node_cfg, cfg.trace_sink);
+  for (const auto& node : stack_.nodes) {
+    node->set_retire_hook(
         [this](const athena::QueryRecord& rec, const decision::DnfExpr& expr) {
           retire(rec, expr);
         });
-  }
-
-  // Crash-faithful restarts: route injector transitions into the protocol
-  // layer. Under the default ghost policy the hooks return immediately, so
-  // wiring them is free and legacy fault runs stay bit-for-bit identical.
-  if (injector_) {
-    const fault::RestartPolicy policy = injector_->plan().restart_policy;
-    injector_->set_node_hook([this, policy](NodeId node, bool up) {
-      if (node.value() >= nodes_.size()) return;
-      if (up) {
-        nodes_[node.value()]->on_restart(policy);
-      } else {
-        nodes_[node.value()]->on_crash(policy);
-      }
-    });
   }
 
   // --- workload ----------------------------------------------------------------
@@ -297,13 +175,15 @@ RouteRun::RouteRun(const ScenarioConfig& config)
     // An empty network has no herald node to broadcast the invalidation
     // from; the physical disruption still applies.
     bool broadcast = cfg.broadcast_invalidation;
-    DDE_CLAMP_OR(!nodes_.empty() || !broadcast, broadcast = false,
+    DDE_CLAMP_OR(!stack_.nodes.empty() || !broadcast, broadcast = false,
                  "route scenario: broadcast_invalidation needs at least one "
                  "node; disruption applied without a broadcast");
-    athena::AthenaNode* herald = nodes_.empty() ? nullptr : nodes_[0].get();
+    athena::AthenaNode* herald =
+        stack_.nodes.empty() ? nullptr : stack_.nodes[0].get();
     world::ViabilityProcess* world_truth = &truth;
-    sim_.schedule_at(cfg.disruption_at, [hit, herald, world_truth, broadcast,
-                                         at = cfg.disruption_at] {
+    stack_.sim.schedule_at(cfg.disruption_at, [hit, herald, world_truth,
+                                               broadcast,
+                                               at = cfg.disruption_at] {
       std::vector<LabelId> labels;
       for (SegmentId s : hit) {
         world_truth->block_after(s, at);
@@ -343,7 +223,7 @@ void RouteRun::schedule_next_arrival(std::size_t i) {
       break;
   }
   ++a.drawn;
-  sim_.schedule_at(when, [this, i] { arrive(i); });
+  stack_.sim.schedule_at(when, [this, i] { arrive(i); });
 }
 
 void RouteRun::arrive(std::size_t i) {
@@ -355,7 +235,7 @@ void RouteRun::arrive(std::size_t i) {
           : 0;
   if (!expr.empty()) {
     ++(priority > 0 ? totals_.critical : totals_.normal).issued;
-    nodes_[i]->query_init(std::move(expr), cfg_.query_deadline, priority);
+    stack_.nodes[i]->query_init(std::move(expr), cfg_.query_deadline, priority);
   }
   schedule_next_arrival(i);
 }
@@ -402,22 +282,17 @@ void RouteRun::retire(const athena::QueryRecord& rec,
 
 ScenarioResult RouteRun::collect() {
   ScenarioResult result;
-  result.metrics = metrics_;
-  result.traffic = network_->stats();
-  result.metrics.link_down_drops = network_->stats().link_down_drops;
-  result.metrics.queue_drops = network_->stats().queue_drops;
-  if (injector_) {
-    result.faults = injector_->stats();
-    result.metrics.reroutes = injector_->stats().reroutes;
-  }
-  result.events = sim_.executed_events();
+  result.metrics = stack_.collect_metrics();
+  result.traffic = stack_.network->stats();
+  result.faults = stack_.fault_stats();
+  result.events = stack_.sim.executed_events();
   result.queries = totals_.normal.issued + totals_.critical.issued;
   result.totals = totals_;
 
   // Residual-state probes for the chaos harness's quiesce-point invariant
   // check (cheap counts; harmless to fill on every collect).
-  result.probes.reserve(nodes_.size());
-  for (const auto& node : nodes_) {
+  result.probes.reserve(stack_.nodes.size());
+  for (const auto& node : stack_.nodes) {
     fault::NodeStateProbe p;
     p.node = node->id().value();
     p.active_queries = node->active_queries();
@@ -430,16 +305,6 @@ ScenarioResult RouteRun::collect() {
 }
 
 // --- the "route" plugin ----------------------------------------------------
-
-bool parse_scheme(const std::string& v, athena::Scheme* out) {
-  if (v == "cmp") *out = athena::Scheme::kCmp;
-  else if (v == "slt") *out = athena::Scheme::kSlt;
-  else if (v == "lcf") *out = athena::Scheme::kLcf;
-  else if (v == "lvf") *out = athena::Scheme::kLvf;
-  else if (v == "lvfl") *out = athena::Scheme::kLvfl;
-  else return false;
-  return true;
-}
 
 std::string arrival_name(ScenarioConfig::Arrival a) {
   switch (a) {
@@ -494,80 +359,31 @@ SpecBinder route_binder(ScenarioConfig& cfg) {
   b.bind_seconds("disruption_at_s", &cfg.disruption_at);
   b.bind("disruption_fraction", &cfg.disruption_fraction);
   b.bind("broadcast_invalidation", &cfg.broadcast_invalidation);
-  // Structured fault injection (scalar knobs; the burst channel stays
-  // typed-only).
-  b.bind("fault_link_outage_fraction", &cfg.faults.link_outage_fraction);
-  b.bind_seconds("fault_outage_at_s", &cfg.faults.outage_at);
-  b.bind_seconds("fault_outage_duration_s", &cfg.faults.outage_duration);
-  b.bind("fault_crash_fraction", &cfg.faults.node_crash_fraction);
-  b.bind_seconds("fault_crash_at_s", &cfg.faults.crash_at);
-  b.bind_seconds("fault_crash_duration_s", &cfg.faults.crash_duration);
-  b.bind_enum(
-      "fault_restart_policy",
-      [&cfg] { return std::string(fault::to_string(cfg.faults.restart_policy)); },
-      [&cfg](const std::string& v) {
-        return fault::parse_restart_policy(v, &cfg.faults.restart_policy);
-      });
-  b.bind("fault_crash_recovery", &cfg.fault_crash_recovery);
-  b.bind_seconds("fault_recovery_lease_s", &cfg.recovery_lease);
-  // Seeded chaos churn (chaos.spare_node0 and chaos.burst stay typed-only).
-  b.bind_seconds("chaos_window_start_s", &cfg.chaos.window_start);
-  b.bind_seconds("chaos_window_end_s", &cfg.chaos.window_end);
-  b.bind("chaos_crashes_per_node_min", &cfg.chaos.crashes_per_node_min);
-  b.bind_seconds("chaos_min_downtime_s", &cfg.chaos.min_downtime);
-  b.bind_seconds("chaos_max_downtime_s", &cfg.chaos.max_downtime);
-  b.bind("chaos_flaps_per_link_min", &cfg.chaos.flaps_per_link_min);
-  b.bind_seconds("chaos_min_flap_s", &cfg.chaos.min_flap);
-  b.bind_seconds("chaos_max_flap_s", &cfg.chaos.max_flap);
-  b.bind_enum(
-      "chaos_restart_policy",
-      [&cfg] { return std::string(fault::to_string(cfg.chaos.restart_policy)); },
-      [&cfg](const std::string& v) {
-        return fault::parse_restart_policy(v, &cfg.chaos.restart_policy);
-      });
+  bind_fault_knobs(b, cfg.faults, cfg.chaos, cfg.fault_crash_recovery,
+                   cfg.recovery_lease);
   b.bind("run_to_quiescence", &cfg.run_to_quiescence);
   b.bind_enum(
       "scheme", [&cfg] { return std::string(to_string(cfg.scheme)); },
-      [&cfg](const std::string& v) { return parse_scheme(v, &cfg.scheme); });
+      [&cfg](const std::string& v) {
+        return athena::parse_scheme(v, &cfg.scheme);
+      });
   return b;
 }
 
-class RouteScenarioRunner final : public ScenarioRunner {
- public:
-  [[nodiscard]] const ScenarioMetadata& metadata() const override {
-    static const ScenarioMetadata meta{
-        "route",
-        "Post-disaster route assessment on a Manhattan grid (paper Sec. VII)",
-        "evaluation"};
-    return meta;
+/// The "route" plugin (see scenario/plugin.h).
+struct RoutePlugin {
+  using Config = ScenarioConfig;
+  using Run = RouteRun;
+
+  static ScenarioMetadata metadata() {
+    return {"route",
+            "Post-disaster route assessment on a Manhattan grid (paper "
+            "Sec. VII)",
+            "evaluation"};
   }
+  static constexpr auto binder = &route_binder;
 
-  [[nodiscard]] ScenarioSpec spec() const override {
-    ScenarioConfig copy = cfg_;
-    return route_binder(copy).to_spec();
-  }
-
-  void configure(const ScenarioSpec& spec) override {
-    DDE_CHECK(run_ == nullptr,
-              "route scenario: configure() between setup() and reset()");
-    route_binder(cfg_).apply(spec);
-  }
-
-  void setup(std::uint64_t seed) override {
-    cfg_.seed = seed;
-    run_ = std::make_unique<RouteRun>(cfg_);
-  }
-
-  void tick(SimTime until) override {
-    DDE_CHECK(run_ != nullptr, "route scenario: tick() before setup()");
-    run_->advance(until);
-  }
-
-  [[nodiscard]] SimTime horizon() const override { return cfg_.horizon; }
-
-  [[nodiscard]] ScenarioOutcome outcome() override {
-    DDE_CHECK(run_ != nullptr, "route scenario: outcome() before setup()");
-    const ScenarioResult r = run_->collect();
+  static ScenarioOutcome outcome(const ScenarioResult& r) {
     ScenarioOutcome out;
     out.metrics["queries"] = static_cast<double>(r.queries);
     out.metrics["queries_resolved"] =
@@ -590,12 +406,6 @@ class RouteScenarioRunner final : public ScenarioRunner {
     out.metrics["recovery_time_s"] = r.metrics.mean_recovery_time_s();
     return out;
   }
-
-  void reset() override { run_.reset(); }
-
- private:
-  ScenarioConfig cfg_;
-  std::unique_ptr<RouteRun> run_;
 };
 
 }  // namespace
@@ -616,14 +426,8 @@ ScenarioConfig route_config_from_spec(const ScenarioSpec& spec) {
   return cfg;
 }
 
-void register_route_scenario() {
-  static const bool once = [] {
-    register_scenario("route", +[]() -> std::unique_ptr<ScenarioRunner> {
-      return std::make_unique<RouteScenarioRunner>();
-    });
-    return true;
-  }();
-  (void)once;
+std::unique_ptr<ScenarioRunner> make_route_scenario() {
+  return std::make_unique<PluginRunner<RoutePlugin>>();
 }
 
 }  // namespace dde::scenario

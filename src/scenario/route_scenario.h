@@ -218,7 +218,4 @@ class ScenarioSpec;
 /// are spec-reachable.
 [[nodiscard]] ScenarioConfig route_config_from_spec(const ScenarioSpec& spec);
 
-/// Register the "route" plugin with the scenario registry (idempotent).
-void register_route_scenario();
-
 }  // namespace dde::scenario

@@ -5,9 +5,7 @@
 #include "common/contracts.h"
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
-#include "scenario/route_scenario.h"
-#include "scenario/teleop_scenario.h"
-#include "scenario/trigger_scenario.h"
+#include "scenario/plugin.h"
 
 namespace dde::scenario {
 namespace {
@@ -35,9 +33,10 @@ Registry& registry() {
 /// library is linked statically and nothing references the plugin TU.
 void ensure_builtins() {
   static const bool once = [] {
-    register_route_scenario();
-    register_trigger_scenario();
-    register_teleop_scenario();
+    for (ScenarioFactory factory :
+         {make_route_scenario, make_teleop_scenario, make_trigger_scenario}) {
+      register_scenario(factory()->metadata().name, factory);
+    }
     return true;
   }();
   (void)once;

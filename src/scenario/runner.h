@@ -13,10 +13,12 @@
 //   runner->reset();               // drop run state; setup() again reuses it
 //
 // run(seed) bundles setup/tick/outcome for the common whole-run case.
-// Registration is explicit and idempotent (register_route_scenario() etc.,
-// invoked lazily by the registry) — no static-initialization order games —
-// and the registry iterates in sorted name order, so listings and
-// any-scenario sweeps are deterministic and lint-clean.
+// Registration is explicit and idempotent (the registry registers the
+// built-in factories, make_route_scenario() etc., on first use) — no
+// static-initialization order games — and the registry iterates in sorted
+// name order, so listings and any-scenario sweeps are deterministic and
+// lint-clean. The built-in plugins are PluginRunner instances over the
+// shared protocol stack (both in plugin.h).
 #pragma once
 
 #include <cstdint>

@@ -4,20 +4,14 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "athena/directory.h"
-#include "athena/node.h"
 #include "common/contracts.h"
 #include "common/rng.h"
 #include "des/periodic.h"
-#include "des/simulator.h"
 #include "fault/gilbert_elliott.h"
-#include "net/network.h"
-#include "net/topology.h"
-#include "scenario/runner.h"
+#include "scenario/plugin.h"
 #include "scenario/spec.h"
 #include "world/dynamics.h"
 #include "world/grid_map.h"
@@ -41,10 +35,8 @@ namespace {
 class TeleopRun {
  public:
   explicit TeleopRun(const TeleopScenarioConfig& config);
-  TeleopRun(const TeleopRun&) = delete;
-  TeleopRun& operator=(const TeleopRun&) = delete;
 
-  void advance(SimTime until) { sim_.run_until(until); }
+  void advance(SimTime until) { stack_.sim.run_until(until); }
 
   /// Assemble the result for the run advanced so far (idempotent).
   [[nodiscard]] TeleopScenarioResult collect();
@@ -71,17 +63,11 @@ class TeleopRun {
   std::optional<world::GridMobility> mobility_;
   /// carrier_covers_[c][cell.y * width + cell.x]: static coverage map.
   std::vector<std::vector<char>> carrier_covers_;
-  net::Topology topo_;
   /// Directed cellular link id → its loss-channel binding.
   std::map<std::uint64_t, CellularLink> cellular_;
   std::vector<fault::GilbertElliott> channels_;
   Rng loss_rng_;
-  des::Simulator sim_;
-  std::optional<net::Network> network_;
-  std::optional<fault::FaultInjector> injector_;
-  std::optional<athena::Directory> directory_;
-  athena::AthenaMetrics metrics_;
-  std::vector<std::unique_ptr<athena::AthenaNode>> nodes_;
+  Stack stack_;
   std::uint64_t issued_ = 0;
   std::optional<des::PeriodicTask> ticker_;
 };
@@ -147,22 +133,23 @@ TeleopRun::TeleopRun(const TeleopScenarioConfig& config)
   }
 
   // --- network: wired core + multi-homed cellular links -------------------
-  const NodeId op = topo_.add_node();  // node 0: the teleoperation center
+  net::Topology& topo = stack_.topo;
+  const NodeId op = topo.add_node();  // node 0: the teleoperation center
   DDE_CHECK(op.value() == 0, "teleop scenario: operator must be node 0");
   for (std::size_t c = 0; c < cfg.carrier_count; ++c) {
-    const NodeId gw = topo_.add_node();
-    topo_.add_link(op, gw, cfg.core_bandwidth_bps, cfg.core_latency);
+    const NodeId gw = topo.add_node();
+    topo.add_link(op, gw, cfg.core_bandwidth_bps, cfg.core_latency);
   }
   const auto ge =
       fault::GilbertElliottParams::for_average_loss(cfg.cell_loss,
                                                     cfg.mean_burst_len);
   for (std::size_t v = 0; v < cfg.vehicle_count; ++v) {
-    const NodeId vn = topo_.add_node();
+    const NodeId vn = topo.add_node();
     DDE_CHECK(vn == vehicle_node(v), "teleop scenario: node layout broken");
     for (std::size_t c = 0; c < cfg.carrier_count; ++c) {
-      const auto [up, down] = topo_.add_link(vn, gateway_node(c),
-                                             cfg.cell_bandwidth_bps,
-                                             cfg.cell_latency);
+      const auto [up, down] = topo.add_link(vn, gateway_node(c),
+                                            cfg.cell_bandwidth_bps,
+                                            cfg.cell_latency);
       // Each direction is its own independently-evolving channel.
       cellular_[up.value()] = CellularLink{v, c, channels_.size()};
       channels_.emplace_back(ge);
@@ -170,15 +157,14 @@ TeleopRun::TeleopRun(const TeleopScenarioConfig& config)
       channels_.emplace_back(ge);
     }
   }
-  topo_.compute_routes();
+  topo.compute_routes();
 
-  network_.emplace(sim_, topo_);
-  net::Network& network = *network_;
-  network.set_loss_model([this](LinkId link) {
+  stack_.open_network().set_loss_model([this](LinkId link) {
     const auto it = cellular_.find(link.value());
     if (it == cellular_.end()) return false;  // wired core: lossless
     const CellularLink& cl = it->second;
-    const world::GridCell cell = mobility_->cell_at(cl.vehicle, sim_.now());
+    const world::GridCell cell =
+        mobility_->cell_at(cl.vehicle, stack_.sim.now());
     const std::size_t idx =
         static_cast<std::size_t>(cell.y) *
             static_cast<std::size_t>(map_->width()) +
@@ -193,72 +179,32 @@ TeleopRun::TeleopRun(const TeleopScenarioConfig& config)
   // --- structured fault injection ------------------------------------------
   // Gateway/vehicle crashes and link outages compose with mobility and
   // multipath redundancy. This scenario owns the network's loss model (the
-  // cellular chains above), so a configured burst channel — which the
-  // injector would install over it — is clamped off instead. RNG streams
-  // mirror the route scenario's: enabling faults or chaos never perturbs
-  // world/workload generation.
-  if (!cfg.faults.empty() || !cfg.chaos.empty()) {
-    Rng fault_rng(cfg.seed * 6271 + 17);
-    fault::FaultPlan plan = cfg.faults.realize(topo_, fault_rng);
-    if (!cfg.chaos.empty()) {
-      Rng chaos_rng(cfg.seed * 15485863 + 19);
-      fault::FaultPlan churn = fault::realize_chaos(cfg.chaos, topo_,
-                                                    chaos_rng);
-      plan.events.insert(plan.events.end(), churn.events.begin(),
-                         churn.events.end());
-      plan.restart_policy = churn.restart_policy;
-    }
-    DDE_CLAMP_OR(!plan.burst.enabled(),
-                 plan.burst = fault::GilbertElliottParams{},
-                 "teleop scenario owns the loss model; the fault burst "
-                 "channel is disabled");
-    injector_.emplace(sim_, topo_, *network_, std::move(plan),
-                      cfg.seed * 104729 + 7);
-  }
+  // cellular chains above), so a configured burst channel is clamped off.
+  stack_.inject_faults(cfg.faults, cfg.chaos, cfg.seed,
+                       /*owns_loss_model=*/true);
 
   // --- directory / nodes ---------------------------------------------------
-  std::unordered_map<LabelId, double> p_true;
   std::vector<NodeId> host_of_sensor;
   for (std::size_t v = 0; v < cfg.vehicle_count; ++v) {
-    p_true[LabelId{v}] = truth.params(SegmentId{v}).p_viable;
     host_of_sensor.push_back(vehicle_node(v));
   }
-  directory_.emplace(topo_, field, std::move(host_of_sensor),
-                     std::move(p_true));
-
   athena::AthenaConfig node_cfg = athena::config_for(cfg.scheme);
   node_cfg.multipath_redundancy = redundancy;
   node_cfg.crash_recovery = cfg.fault_crash_recovery;
   node_cfg.recovery_lease = cfg.recovery_lease;
-  const std::size_t node_count = 1 + cfg.carrier_count + cfg.vehicle_count;
-  nodes_.reserve(node_count);
-  for (std::size_t i = 0; i < node_count; ++i) {
-    nodes_.push_back(std::make_unique<athena::AthenaNode>(
-        NodeId{i}, network, *directory_, field, node_cfg, metrics_));
-  }
-
-  // Crash-faithful restarts (no-op hooks under the default ghost policy).
-  if (injector_) {
-    const fault::RestartPolicy policy = injector_->plan().restart_policy;
-    injector_->set_node_hook([this, policy](NodeId node, bool up) {
-      if (node.value() >= nodes_.size()) return;
-      if (up) {
-        nodes_[node.value()]->on_restart(policy);
-      } else {
-        nodes_[node.value()]->on_crash(policy);
-      }
-    });
-  }
+  // Only the vehicles' labels are queried, so only they need priors.
+  stack_.add_nodes(field, std::move(host_of_sensor), truth, cfg.vehicle_count,
+                   node_cfg, /*trace_sink=*/nullptr);
 
   // --- workload: the operator assesses every vehicle each period ----------
-  ticker_.emplace(sim_, cfg.decision_period, [this](std::uint64_t) {
+  ticker_.emplace(stack_.sim, cfg.decision_period, [this](std::uint64_t) {
     for (std::size_t v = 0; v < cfg_.vehicle_count; ++v) {
       decision::DnfExpr expr;
       decision::Conjunction c;
       c.terms.push_back(decision::Term{LabelId{v}, false});
       expr.add_disjunct(std::move(c));
-      nodes_[0]->query_init(std::move(expr), cfg_.query_deadline,
-                            cfg_.critical_priority);
+      stack_.nodes[0]->query_init(std::move(expr), cfg_.query_deadline,
+                                  cfg_.critical_priority);
       ++issued_;
     }
   });
@@ -269,32 +215,18 @@ TeleopScenarioResult TeleopRun::collect() {
   ticker_->stop();
 
   TeleopScenarioResult result;
-  result.metrics = metrics_;
-  result.metrics.link_down_drops = network_->stats().link_down_drops;
-  if (injector_) {
-    result.faults = injector_->stats();
-    result.metrics.reroutes = injector_->stats().reroutes;
-  }
+  result.metrics = stack_.collect_metrics();
+  result.faults = stack_.fault_stats();
   result.queries_issued = issued_;
-  result.deadline_hits = metrics_.queries_resolved;
-  result.events = sim_.executed_events();
-  result.bytes_sent = network_->stats().bytes;
-  result.replica_copies = metrics_.replica_copies;
-  result.replica_duplicates = metrics_.replica_duplicates;
+  result.deadline_hits = result.metrics.queries_resolved;
+  result.events = stack_.sim.executed_events();
+  result.bytes_sent = stack_.network->stats().bytes;
+  result.replica_copies = result.metrics.replica_copies;
+  result.replica_duplicates = result.metrics.replica_duplicates;
   return result;
 }
 
 // --- the "teleop" plugin ---------------------------------------------------
-
-bool parse_scheme(const std::string& v, athena::Scheme* out) {
-  if (v == "cmp") *out = athena::Scheme::kCmp;
-  else if (v == "slt") *out = athena::Scheme::kSlt;
-  else if (v == "lcf") *out = athena::Scheme::kLcf;
-  else if (v == "lvf") *out = athena::Scheme::kLvf;
-  else if (v == "lvfl") *out = athena::Scheme::kLvfl;
-  else return false;
-  return true;
-}
 
 /// The "teleop" plugin's spec schema over a config instance. The binder
 /// holds pointers into `cfg`: it must not outlive it.
@@ -320,80 +252,32 @@ SpecBinder teleop_binder(TeleopScenarioConfig& cfg) {
   b.bind("max_object_bytes", &cfg.max_object_bytes);
   b.bind("critical_priority", &cfg.critical_priority);
   b.bind("multipath_redundancy", &cfg.multipath_redundancy);
-  // Structured fault injection (the burst channel is not honored here; see
-  // TeleopScenarioConfig::faults).
-  b.bind("fault_link_outage_fraction", &cfg.faults.link_outage_fraction);
-  b.bind_seconds("fault_outage_at_s", &cfg.faults.outage_at);
-  b.bind_seconds("fault_outage_duration_s", &cfg.faults.outage_duration);
-  b.bind("fault_crash_fraction", &cfg.faults.node_crash_fraction);
-  b.bind_seconds("fault_crash_at_s", &cfg.faults.crash_at);
-  b.bind_seconds("fault_crash_duration_s", &cfg.faults.crash_duration);
-  b.bind_enum(
-      "fault_restart_policy",
-      [&cfg] { return std::string(fault::to_string(cfg.faults.restart_policy)); },
-      [&cfg](const std::string& v) {
-        return fault::parse_restart_policy(v, &cfg.faults.restart_policy);
-      });
-  b.bind("fault_crash_recovery", &cfg.fault_crash_recovery);
-  b.bind_seconds("fault_recovery_lease_s", &cfg.recovery_lease);
-  b.bind_seconds("chaos_window_start_s", &cfg.chaos.window_start);
-  b.bind_seconds("chaos_window_end_s", &cfg.chaos.window_end);
-  b.bind("chaos_crashes_per_node_min", &cfg.chaos.crashes_per_node_min);
-  b.bind_seconds("chaos_min_downtime_s", &cfg.chaos.min_downtime);
-  b.bind_seconds("chaos_max_downtime_s", &cfg.chaos.max_downtime);
-  b.bind("chaos_flaps_per_link_min", &cfg.chaos.flaps_per_link_min);
-  b.bind_seconds("chaos_min_flap_s", &cfg.chaos.min_flap);
-  b.bind_seconds("chaos_max_flap_s", &cfg.chaos.max_flap);
-  b.bind_enum(
-      "chaos_restart_policy",
-      [&cfg] { return std::string(fault::to_string(cfg.chaos.restart_policy)); },
-      [&cfg](const std::string& v) {
-        return fault::parse_restart_policy(v, &cfg.chaos.restart_policy);
-      });
+  // The burst channel is not honored here; see TeleopScenarioConfig::faults.
+  bind_fault_knobs(b, cfg.faults, cfg.chaos, cfg.fault_crash_recovery,
+                   cfg.recovery_lease);
   b.bind_seconds("horizon_s", &cfg.horizon);
   b.bind_enum(
       "scheme", [&cfg] { return std::string(to_string(cfg.scheme)); },
-      [&cfg](const std::string& v) { return parse_scheme(v, &cfg.scheme); });
+      [&cfg](const std::string& v) {
+        return athena::parse_scheme(v, &cfg.scheme);
+      });
   return b;
 }
 
-class TeleopScenarioRunner final : public ScenarioRunner {
- public:
-  [[nodiscard]] const ScenarioMetadata& metadata() const override {
-    static const ScenarioMetadata meta{
-        "teleop",
-        "Vehicular teleoperation over lossy multi-homed cellular links "
-        "(paper Sec. IV-A)",
-        "evaluation"};
-    return meta;
+/// The "teleop" plugin (see scenario/plugin.h).
+struct TeleopPlugin {
+  using Config = TeleopScenarioConfig;
+  using Run = TeleopRun;
+
+  static ScenarioMetadata metadata() {
+    return {"teleop",
+            "Vehicular teleoperation over lossy multi-homed cellular links "
+            "(paper Sec. IV-A)",
+            "evaluation"};
   }
+  static constexpr auto binder = &teleop_binder;
 
-  [[nodiscard]] ScenarioSpec spec() const override {
-    TeleopScenarioConfig copy = cfg_;
-    return teleop_binder(copy).to_spec();
-  }
-
-  void configure(const ScenarioSpec& spec) override {
-    DDE_CHECK(run_ == nullptr,
-              "teleop scenario: configure() between setup() and reset()");
-    teleop_binder(cfg_).apply(spec);
-  }
-
-  void setup(std::uint64_t seed) override {
-    cfg_.seed = seed;
-    run_ = std::make_unique<TeleopRun>(cfg_);
-  }
-
-  void tick(SimTime until) override {
-    DDE_CHECK(run_ != nullptr, "teleop scenario: tick() before setup()");
-    run_->advance(until);
-  }
-
-  [[nodiscard]] SimTime horizon() const override { return cfg_.horizon; }
-
-  [[nodiscard]] ScenarioOutcome outcome() override {
-    DDE_CHECK(run_ != nullptr, "teleop scenario: outcome() before setup()");
-    const TeleopScenarioResult r = run_->collect();
+  static ScenarioOutcome outcome(const TeleopScenarioResult& r) {
     ScenarioOutcome out;
     out.metrics["queries"] = static_cast<double>(r.queries_issued);
     out.metrics["deadline_hits"] = static_cast<double>(r.deadline_hits);
@@ -413,12 +297,6 @@ class TeleopScenarioRunner final : public ScenarioRunner {
     out.metrics["recovery_time_s"] = r.metrics.mean_recovery_time_s();
     return out;
   }
-
-  void reset() override { run_.reset(); }
-
- private:
-  TeleopScenarioConfig cfg_;
-  std::unique_ptr<TeleopRun> run_;
 };
 
 }  // namespace
@@ -429,14 +307,8 @@ TeleopScenarioResult run_teleop_scenario(const TeleopScenarioConfig& cfg) {
   return run.collect();
 }
 
-void register_teleop_scenario() {
-  static const bool once = [] {
-    register_scenario("teleop", +[]() -> std::unique_ptr<ScenarioRunner> {
-      return std::make_unique<TeleopScenarioRunner>();
-    });
-    return true;
-  }();
-  (void)once;
+std::unique_ptr<ScenarioRunner> make_teleop_scenario() {
+  return std::make_unique<PluginRunner<TeleopPlugin>>();
 }
 
 }  // namespace dde::scenario

@@ -109,7 +109,4 @@ struct TeleopScenarioResult {
 [[nodiscard]] TeleopScenarioResult run_teleop_scenario(
     const TeleopScenarioConfig& config);
 
-/// Register the "teleop" plugin with the scenario registry (idempotent).
-void register_teleop_scenario();
-
 }  // namespace dde::scenario

@@ -1,21 +1,14 @@
 #include "scenario/trigger_scenario.h"
 
 #include <algorithm>
-#include <cmath>
 #include <map>
 #include <memory>
-#include <numeric>
 #include <optional>
 
-#include "athena/directory.h"
-#include "athena/node.h"
 #include "common/contracts.h"
 #include "common/rng.h"
 #include "des/periodic.h"
-#include "des/simulator.h"
-#include "net/network.h"
-#include "net/topology.h"
-#include "scenario/runner.h"
+#include "scenario/plugin.h"
 #include "scenario/spec.h"
 #include "world/dynamics.h"
 #include "world/grid_map.h"
@@ -23,55 +16,6 @@
 
 namespace dde::scenario {
 namespace {
-
-/// Geometric links + connectivity repair (same policy as the route
-/// scenario, duplicated to keep the scenarios independently readable).
-void build_links(net::Topology& topo, const world::SensorField& field,
-                 double radius, double bandwidth) {
-  const auto& sensors = field.sensors();
-  const std::size_t n = sensors.size();
-  auto dist = [&](std::size_t a, std::size_t b) {
-    const double dx = sensors[a].x - sensors[b].x;
-    const double dy = sensors[a].y - sensors[b].y;
-    return std::sqrt(dx * dx + dy * dy);
-  };
-  std::vector<std::size_t> parent(n);
-  std::iota(parent.begin(), parent.end(), std::size_t{0});
-  auto find = [&](std::size_t x) {
-    while (parent[x] != x) {
-      parent[x] = parent[parent[x]];
-      x = parent[x];
-    }
-    return x;
-  };
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 1; j < n; ++j) {
-      if (dist(i, j) <= radius) {
-        topo.add_link(NodeId{i}, NodeId{j}, bandwidth);
-        parent[find(i)] = find(j);
-      }
-    }
-  }
-  for (;;) {
-    double best = 0.0;
-    std::size_t bi = n;
-    std::size_t bj = n;
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = i + 1; j < n; ++j) {
-        if (find(i) == find(j)) continue;
-        const double d = dist(i, j);
-        if (bi == n || d < best) {
-          best = d;
-          bi = i;
-          bj = j;
-        }
-      }
-    }
-    if (bi == n) break;
-    topo.add_link(NodeId{bi}, NodeId{bj}, bandwidth);
-    parent[find(bi)] = find(bj);
-  }
-}
 
 /// One in-flight warehouse-watch run: the constructor builds the world,
 /// network and nodes and starts the watch; advance()/collect() run and read
@@ -82,10 +26,8 @@ void build_links(net::Topology& topo, const world::SensorField& field,
 class TriggerRun {
  public:
   explicit TriggerRun(const TriggerScenarioConfig& config);
-  TriggerRun(const TriggerRun&) = delete;
-  TriggerRun& operator=(const TriggerRun&) = delete;
 
-  void advance(SimTime until) { sim_.run_until(until); }
+  void advance(SimTime until) { stack_.sim.run_until(until); }
 
   /// Assemble the result for the run advanced so far (idempotent).
   [[nodiscard]] TriggerScenarioResult collect();
@@ -101,13 +43,7 @@ class TriggerRun {
   std::optional<world::SensorField> field_;
   NodeId watch_node_{0};
   SourceId watch_sensor_{0};
-  net::Topology topo_;
-  std::vector<NodeId> hosts_;
-  des::Simulator sim_;
-  std::optional<net::Network> network_;
-  std::optional<athena::Directory> directory_;
-  athena::AthenaMetrics metrics_;
-  std::vector<std::unique_ptr<athena::AthenaNode>> nodes_;
+  Stack stack_;
   std::vector<LabelId> id_labels_;
   TriggerScenarioResult result_;
   /// Event onset per watch-node query counter, held until the query
@@ -172,30 +108,15 @@ TriggerRun::TriggerRun(const TriggerScenarioConfig& config)
     }
   }
 
-  // --- network / directory -------------------------------------------------
-  for (std::size_t i = 0; i < cfg.node_count; ++i) {
-    hosts_.push_back(topo_.add_node());
-  }
-  build_links(topo_, field, cfg.link_radius, cfg.link_bandwidth_bps);
-  topo_.compute_routes();
-
-  network_.emplace(sim_, topo_);
-  net::Network& network = *network_;
-
-  std::unordered_map<LabelId, double> p_true;
-  for (const auto& seg : map.segments()) {
-    p_true[LabelId{seg.id.value()}] = truth.params(seg.id).p_viable;
-  }
-  directory_.emplace(topo_, field, hosts_, std::move(p_true));
-
-  const auto node_cfg = athena::config_for(cfg.scheme);
-  nodes_.reserve(cfg.node_count);
-  for (std::size_t i = 0; i < cfg.node_count; ++i) {
-    nodes_.push_back(std::make_unique<athena::AthenaNode>(
-        NodeId{i}, network, *directory_, field, node_cfg, metrics_));
-  }
+  // --- network / directory / nodes -----------------------------------------
+  std::vector<NodeId> hosts =
+      stack_.connect_sensors(field, cfg.link_radius, cfg.link_bandwidth_bps,
+                             SimTime::millis(1));
+  stack_.open_network();
+  stack_.add_nodes(field, std::move(hosts), truth, map.segment_count(),
+                   athena::config_for(cfg.scheme), /*trace_sink=*/nullptr);
   // Reaction time: physical event to decision, per resolved query.
-  nodes_[watch_node_.value()]->set_retire_hook(
+  stack_.nodes[watch_node_.value()]->set_retire_hook(
       [this](const athena::QueryRecord& rec, const decision::DnfExpr&) {
         const auto onset = onsets_.find(rec.id.value() & 0xFFFF'FFFFULL);
         DDE_CHECK(onset != onsets_.end(),
@@ -233,12 +154,10 @@ TriggerRun::TriggerRun(const TriggerScenarioConfig& config)
   }
 
   // --- the watch loop -------------------------------------------------------
+  // Only a false→true edge is an event: motion on at t=0 counts as none.
   prev_state_ = truth.viable_at(watched, SimTime::zero());
-  if (prev_state_) {
-    // Already in the "motion" state at start: treat its onset as t=0.
-  }
-  watch_.emplace(sim_, watch_period_, [this](std::uint64_t) {
-    const SimTime now = sim_.now();
+  watch_.emplace(stack_.sim, watch_period_, [this](std::uint64_t) {
+    const SimTime now = stack_.sim.now();
     const bool state = truth_->viable_at(watched_, now);
     if (state && !prev_state_) {
       // Event! Find the exact onset (the last flip at or before now).
@@ -256,8 +175,8 @@ TriggerRun::TriggerRun(const TriggerScenarioConfig& config)
         c.terms.push_back(decision::Term{l, false});
       }
       expr.add_disjunct(std::move(c));
-      nodes_[watch_node_.value()]->query_init(std::move(expr),
-                                              cfg_.query_deadline);
+      stack_.nodes[watch_node_.value()]->query_init(std::move(expr),
+                                                    cfg_.query_deadline);
       ++result_.queries_issued;
     }
     prev_state_ = state;
@@ -269,21 +188,11 @@ TriggerScenarioResult TriggerRun::collect() {
   watch_->stop();
 
   TriggerScenarioResult result = result_;
-  result.metrics = metrics_;
+  result.metrics = stack_.collect_metrics();
   return result;
 }
 
 // --- the "trigger" plugin --------------------------------------------------
-
-bool parse_scheme(const std::string& v, athena::Scheme* out) {
-  if (v == "cmp") *out = athena::Scheme::kCmp;
-  else if (v == "slt") *out = athena::Scheme::kSlt;
-  else if (v == "lcf") *out = athena::Scheme::kLcf;
-  else if (v == "lvf") *out = athena::Scheme::kLvf;
-  else if (v == "lvfl") *out = athena::Scheme::kLvfl;
-  else return false;
-  return true;
-}
 
 /// The "trigger" plugin's spec schema over a config instance. The binder
 /// holds pointers into `cfg`: it must not outlive it.
@@ -302,47 +211,26 @@ SpecBinder trigger_binder(TriggerScenarioConfig& cfg) {
   b.bind_seconds("horizon_s", &cfg.horizon);
   b.bind_enum(
       "scheme", [&cfg] { return std::string(to_string(cfg.scheme)); },
-      [&cfg](const std::string& v) { return parse_scheme(v, &cfg.scheme); });
+      [&cfg](const std::string& v) {
+        return athena::parse_scheme(v, &cfg.scheme);
+      });
   return b;
 }
 
-class TriggerScenarioRunner final : public ScenarioRunner {
- public:
-  [[nodiscard]] const ScenarioMetadata& metadata() const override {
-    static const ScenarioMetadata meta{
-        "trigger",
-        "Event-triggered intruder identification in a warehouse "
-        "(paper Sec. IV-B)",
-        "evaluation"};
-    return meta;
+/// The "trigger" plugin (see scenario/plugin.h).
+struct TriggerPlugin {
+  using Config = TriggerScenarioConfig;
+  using Run = TriggerRun;
+
+  static ScenarioMetadata metadata() {
+    return {"trigger",
+            "Event-triggered intruder identification in a warehouse "
+            "(paper Sec. IV-B)",
+            "evaluation"};
   }
+  static constexpr auto binder = &trigger_binder;
 
-  [[nodiscard]] ScenarioSpec spec() const override {
-    TriggerScenarioConfig copy = cfg_;
-    return trigger_binder(copy).to_spec();
-  }
-
-  void configure(const ScenarioSpec& spec) override {
-    DDE_CHECK(run_ == nullptr,
-              "trigger scenario: configure() between setup() and reset()");
-    trigger_binder(cfg_).apply(spec);
-  }
-
-  void setup(std::uint64_t seed) override {
-    cfg_.seed = seed;
-    run_ = std::make_unique<TriggerRun>(cfg_);
-  }
-
-  void tick(SimTime until) override {
-    DDE_CHECK(run_ != nullptr, "trigger scenario: tick() before setup()");
-    run_->advance(until);
-  }
-
-  [[nodiscard]] SimTime horizon() const override { return cfg_.horizon; }
-
-  [[nodiscard]] ScenarioOutcome outcome() override {
-    DDE_CHECK(run_ != nullptr, "trigger scenario: outcome() before setup()");
-    const TriggerScenarioResult r = run_->collect();
+  static ScenarioOutcome outcome(const TriggerScenarioResult& r) {
     ScenarioOutcome out;
     out.metrics["events"] = static_cast<double>(r.events);
     out.metrics["queries_issued"] = static_cast<double>(r.queries_issued);
@@ -364,12 +252,6 @@ class TriggerScenarioRunner final : public ScenarioRunner {
     out.metrics["reactions"] = static_cast<double>(r.reaction_s.size());
     return out;
   }
-
-  void reset() override { run_.reset(); }
-
- private:
-  TriggerScenarioConfig cfg_;
-  std::unique_ptr<TriggerRun> run_;
 };
 
 }  // namespace
@@ -380,14 +262,8 @@ TriggerScenarioResult run_trigger_scenario(const TriggerScenarioConfig& cfg) {
   return run.collect();
 }
 
-void register_trigger_scenario() {
-  static const bool once = [] {
-    register_scenario("trigger", +[]() -> std::unique_ptr<ScenarioRunner> {
-      return std::make_unique<TriggerScenarioRunner>();
-    });
-    return true;
-  }();
-  (void)once;
+std::unique_ptr<ScenarioRunner> make_trigger_scenario() {
+  return std::make_unique<PluginRunner<TriggerPlugin>>();
 }
 
 }  // namespace dde::scenario

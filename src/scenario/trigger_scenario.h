@@ -59,7 +59,4 @@ struct TriggerScenarioResult {
 [[nodiscard]] TriggerScenarioResult run_trigger_scenario(
     const TriggerScenarioConfig& config);
 
-/// Register the "trigger" plugin with the scenario registry (idempotent).
-void register_trigger_scenario();
-
 }  // namespace dde::scenario

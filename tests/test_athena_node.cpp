@@ -415,23 +415,6 @@ TEST(AthenaNode, InvalidationPurgesAndRefetches) {
       << "the voided caches must not serve; the object travels again";
 }
 
-TEST(AthenaNode, InvalidationIgnoredWhenDisabled) {
-  auto cfg = config_for(Scheme::kLvfl);
-  cfg.honor_invalidations = false;
-  Fixture f(cfg);
-  f.athena[0]->query_init(single_label(0), SimTime::seconds(30));
-  f.sim.run_until(SimTime::seconds(3));
-  const auto bytes_before = f.metrics.object_bytes;
-  f.athena[2]->broadcast_invalidation({LabelId{0}});
-  f.sim.run_until(SimTime::seconds(4));
-  f.athena[0]->query_init(single_label(0), SimTime::seconds(30));
-  f.sim.run_until(SimTime::seconds(8));
-  EXPECT_EQ(f.metrics.queries_resolved, 2u);
-  // Note: broadcast_invalidation always purges the *broadcasting* node;
-  // A and B ignore the notice, so A's caches still answer.
-  EXPECT_EQ(f.metrics.object_bytes, bytes_before);
-}
-
 TEST(AthenaNode, InvalidationReopensActiveQuery) {
   Fixture f;
   // A two-label query; label 0 resolves fast, label 2 is local to A.

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
 #include <vector>
 
@@ -66,6 +67,127 @@ TEST(ScenarioSpec, RoundTripsForEveryBuiltin) {
     auto other = find_scenario(name);
     other->configure(spec);
     EXPECT_EQ(other->spec(), spec) << name;
+  }
+}
+
+// Every knob of every built-in plugin, with its default, as the spec dump
+// prints it. A dropped or renamed knob, or a changed default, fails here
+// (the round-trip test above compares a plugin only with itself).
+TEST(ScenarioSpec, BuiltinSchemasArePinned) {
+  const std::map<std::string, std::string> expected{
+      {"route", R"(arrival = concurrent
+broadcast_invalidation = true
+chaos_crashes_per_node_min = 0
+chaos_flaps_per_link_min = 0
+chaos_max_downtime_s = 40
+chaos_max_flap_s = 15
+chaos_min_downtime_s = 10
+chaos_min_flap_s = 2
+chaos_restart_policy = ghost
+chaos_window_end_s = 0
+chaos_window_start_s = 0
+corroboration_confidence = 0
+coverage_radius = 1.25
+critical_fraction = 0
+critical_priority = 1
+disruption_at_s = 0
+disruption_fraction = 0.15
+fast_ratio = 0.4
+fast_validity_s = 30
+fault_crash_at_s = 0
+fault_crash_duration_s = 0
+fault_crash_fraction = 0
+fault_crash_recovery = true
+fault_link_outage_fraction = 0
+fault_outage_at_s = 0
+fault_outage_duration_s = 0
+fault_recovery_lease_s = 0
+fault_restart_policy = ghost
+grid_height = 8
+grid_width = 8
+horizon_s = 300
+issue_jitter_s = 1
+link_bandwidth_bps = 1e+06
+link_latency_s = 0.002
+link_queue_max_bytes = 0
+link_queue_max_packets = 0
+link_radius = 2.2
+max_object_bytes = 1048576
+mean_holding_s = 900
+mean_interarrival_s = 60
+min_object_bytes = 102400
+min_route_distance = 4
+node_count = 30
+p_viable = 0.75
+packet_loss = 0
+queries_per_node = 3
+query_deadline_s = 240
+routes_per_query = 5
+run_to_quiescence = false
+scheme = lvfl
+sensor_reliability = 1
+slow_validity_s = 600
+)"},
+      {"teleop", R"(carrier_count = 3
+cell_bandwidth_bps = 2e+06
+cell_latency_s = 0.04
+cell_loss = 0.05
+chaos_crashes_per_node_min = 0
+chaos_flaps_per_link_min = 0
+chaos_max_downtime_s = 40
+chaos_max_flap_s = 15
+chaos_min_downtime_s = 10
+chaos_min_flap_s = 2
+chaos_restart_policy = ghost
+chaos_window_end_s = 0
+chaos_window_start_s = 0
+core_bandwidth_bps = 5e+07
+core_latency_s = 0.005
+coverage = 0.85
+critical_priority = 1
+decision_period_s = 15
+fault_crash_at_s = 0
+fault_crash_duration_s = 0
+fault_crash_fraction = 0
+fault_crash_recovery = true
+fault_link_outage_fraction = 0
+fault_outage_at_s = 0
+fault_outage_duration_s = 0
+fault_recovery_lease_s = 0
+fault_restart_policy = ghost
+gap_loss = 0.9
+grid_height = 8
+grid_width = 8
+horizon_s = 600
+max_object_bytes = 61440
+mean_burst_len = 8
+min_object_bytes = 20480
+multipath_redundancy = 2
+object_validity_s = 4
+query_deadline_s = 5
+scheme = lvfl
+vehicle_count = 6
+vehicle_speed = 4
+)"},
+      {"trigger", R"(cameras_per_query = 3
+coverage_radius = 1.25
+event_rate_per_hour = 12
+grid_height = 5
+grid_width = 5
+horizon_s = 3600
+link_bandwidth_bps = 1e+06
+link_radius = 2.4
+node_count = 14
+query_deadline_s = 60
+scheme = lvfl
+watch_period_s = 5
+)"},
+  };
+  ASSERT_EQ(scenario_names().size(), expected.size());
+  for (const auto& [name, dump] : expected) {
+    const auto runner = find_scenario(name);
+    ASSERT_NE(runner, nullptr) << name;
+    EXPECT_EQ(runner->spec().dump(), dump) << name;
   }
 }
 
@@ -245,6 +367,27 @@ TEST(TeleopScenario, ZeroRedundancyClampsToSinglePath) {
   EXPECT_EQ(clamped.events, reference.events);
   EXPECT_EQ(clamped.bytes_sent, reference.bytes_sent);
   EXPECT_EQ(clamped.replica_copies, 0u);
+}
+
+TEST(TeleopScenario, FaultAndChaosBurstsAreClampedOff) {
+  // The scenario owns the loss model, so a configured burst channel, from
+  // the fault spec or the chaos spec, must change nothing.
+  TeleopScenarioConfig plain;
+  plain.horizon = SimTime::seconds(120);
+  plain.faults.node_crash_fraction = 0.3;
+  plain.faults.crash_at = SimTime::seconds(30);
+  plain.faults.crash_duration = SimTime::seconds(20);
+  const auto reference = run_teleop_scenario(plain);
+
+  for (const bool chaos : {false, true}) {
+    TeleopScenarioConfig bursty = plain;
+    (chaos ? bursty.chaos.burst : bursty.faults.burst) =
+        fault::GilbertElliottParams::for_average_loss(0.3, 4.0);
+    const auto clamped = run_teleop_scenario(bursty);
+    EXPECT_EQ(clamped.events, reference.events) << chaos;
+    EXPECT_EQ(clamped.bytes_sent, reference.bytes_sent) << chaos;
+    EXPECT_EQ(clamped.faults.burst_drops, 0u) << chaos;
+  }
 }
 
 }  // namespace
