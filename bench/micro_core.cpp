@@ -10,7 +10,6 @@
 #include <cmath>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/stats.h"
@@ -291,7 +290,7 @@ void BM_AthenaQueryInitResolve(benchmark::State& state) {
   topo.compute_routes();
   des::Simulator sim;
   net::Network net(sim, topo);
-  athena::Directory dir(topo, field, {n0}, {{LabelId{0}, 0.9}});
+  athena::Directory dir(topo, field, {n0}, {0.9});
   athena::AthenaMetrics metrics;
   athena::AthenaNode node(n0, net, dir, field, config_for(athena::Scheme::kLvfl),
                           metrics);
@@ -318,10 +317,8 @@ void BM_ObjectRelay(benchmark::State& state) {
       Rng(15));
   world::SensorInfo s0;
   s0.id = SourceId{0};
-  std::unordered_map<LabelId, double> p_true;
   for (std::uint64_t seg = 0; seg < 8; ++seg) {
     s0.covers.push_back(SegmentId{seg});
-    p_true.emplace(LabelId{seg}, 0.9);
   }
   s0.object_bytes = 100 * 1024;
   s0.validity = SimTime::seconds(1);
@@ -335,7 +332,8 @@ void BM_ObjectRelay(benchmark::State& state) {
   topo.compute_routes();
   des::Simulator sim;
   net::Network net(sim, topo);
-  athena::Directory dir(topo, field, {line.back()}, std::move(p_true));
+  athena::Directory dir(topo, field, {line.back()},
+                        std::vector<double>(8, 0.9));
   athena::AthenaMetrics metrics;
   std::vector<std::unique_ptr<athena::AthenaNode>> nodes;
   for (const NodeId n : line) {
@@ -497,6 +495,32 @@ void BM_RouteChoices(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RouteChoices);
+
+/// One route query's full draw on the paper's setup: best of up to 40
+/// route-choices draws (k = 5, min distance 4) on an 8x8 grid under the
+/// sparse mask that 30 sensors of coverage radius 1.25 leave.
+void BM_RouteQuery(benchmark::State& state) {
+  const world::GridMap map(8, 8);
+  world::ViabilityProcess truth(
+      std::vector<world::SegmentDynamics>(
+          map.segment_count(),
+          world::SegmentDynamics{0.75, SimTime::seconds(900)}),
+      Rng(15));
+  world::SensorFieldConfig field_cfg;
+  field_cfg.sensor_count = 30;
+  field_cfg.coverage_radius = 1.25;
+  Rng rng(12);
+  const world::SensorField field(map, truth, field_cfg, rng);
+  std::vector<char> covered(map.segment_count(), 0);
+  for (SegmentId seg : field.covered_segments()) covered[seg.value()] = 1;
+  world::RouteQueryDraw draw;
+  for (auto _ : state) {
+    map.draw_route_query(5, 4, rng, covered, draw);
+    benchmark::DoNotOptimize(draw.best.keys.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_RouteQuery);
 
 /// Console output exactly as stock google-benchmark, plus every finished
 /// run captured into the machine-readable report (one metric per benchmark

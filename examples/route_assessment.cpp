@@ -65,8 +65,7 @@ int main() {
 
   athena::Directory directory(
       topo, field, {north, south, south},
-      {{LabelId{0}, 0.8}, {LabelId{1}, 0.8}, {LabelId{3}, 0.8},
-       {LabelId{4}, 0.8}});
+      {0.8, 0.8, 0.5, 0.8, 0.8});  // segment 2 has no estimate
 
   athena::AthenaMetrics metrics;
   const athena::AthenaConfig config = athena::config_for(athena::Scheme::kLvfl);

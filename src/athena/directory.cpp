@@ -28,8 +28,10 @@ void drain_bits(std::vector<std::uint64_t>& bits, std::vector<Id>& out) {
 Directory::Directory(const net::Topology& topo,
                      const world::SensorField& field,
                      std::vector<NodeId> host_of_sensor,
-                     std::unordered_map<LabelId, double> p_true)
-    : topo_(topo), host_of_sensor_(std::move(host_of_sensor)) {
+                     std::vector<double> p_true)
+    : topo_(topo),
+      host_of_sensor_(std::move(host_of_sensor)),
+      p_true_(std::move(p_true)) {
   const auto& sensors = field.sensors();
   DDE_CHECK(host_of_sensor_.size() == sensors.size(),
             "Directory: host_of_sensor must map every sensor to a node");
@@ -68,13 +70,6 @@ Directory::Directory(const net::Topology& topo,
     for (LabelId l : labels_of(SourceId{i})) {
       label_sources_[--label_sources_at_[l.value()]] = SourceId{i};
     }
-  }
-  // lint: ordered-fold — each entry writes its own slot, order-free.
-  for (const auto& [label, p] : p_true) {
-    if (label.value() >= p_true_.size()) {
-      p_true_.resize(label.value() + 1, 0.5);
-    }
-    p_true_[label.value()] = p;
   }
   scratch_.source.resize(sensors.size());
   scratch_.label_bits.resize((labels + 63) / 64);

@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <span>
 #include <stdexcept>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -31,10 +30,10 @@ class Directory {
  public:
   /// `host_of_sensor[i]` = network node hosting sensor i.
   /// `p_true[label]` = estimated probability that the label is true
-  /// (e.g. the stationary viability probability of the segment).
+  /// (e.g. the stationary viability probability of the segment); 0.5
+  /// (uninformative) for labels past its end.
   Directory(const net::Topology& topo, const world::SensorField& field,
-            std::vector<NodeId> host_of_sensor,
-            std::unordered_map<LabelId, double> p_true);
+            std::vector<NodeId> host_of_sensor, std::vector<double> p_true);
 
   /// Sources whose evidence can resolve `label`, in sensor order (empty if
   /// none). A sensor listing the label's segment twice appears twice.
@@ -174,7 +173,7 @@ class Directory {
   /// and contiguous).
   std::vector<std::uint32_t> label_sources_at_;
   std::vector<SourceId> label_sources_;
-  /// p_true_[label]; 0.5 (uninformative) where the map had no entry.
+  /// p_true_[label]; 0.5 (uninformative) past its end.
   std::vector<double> p_true_;
   mutable Scratch scratch_;
 };

@@ -92,9 +92,7 @@ QueryId AthenaNode::query_init(decision::DnfExpr expr,
   q.expr = std::move(expr);
   q.issued_at = now;
   q.deadline_abs = now + relative_deadline;
-  const auto labels = q.expr.all_labels();
-  q.labels = labels;
-  std::sort(q.labels.begin(), q.labels.end());
+  std::vector<LabelId> labels = q.expr.all_labels(q.labels);
   q.selection =
       directory_.select_sources(q.labels, id_, config_.source_selection);
   q.priority = priority;
@@ -107,7 +105,8 @@ QueryId AthenaNode::query_init(decision::DnfExpr expr,
   announces_seen_.insert_if_absent(qid.value(), q.deadline_abs);
   schedule_gc();
   if (config_.prefetch && config_.announce_ttl > 0) {
-    QueryAnnounce a{qid, id_, q.deadline_abs, labels, config_.announce_ttl - 1};
+    QueryAnnounce a{qid, id_, q.deadline_abs, std::move(labels),
+                    config_.announce_ttl - 1};
     send_to_neighbors(a, priority);
   }
 

@@ -107,6 +107,11 @@ class DnfExpr {
   /// All distinct labels mentioned anywhere, in first-appearance order.
   [[nodiscard]] std::vector<LabelId> all_labels() const;
 
+  /// As all_labels(), from the same pass also writing the labels in
+  /// ascending order to `sorted` (cleared first).
+  [[nodiscard]] std::vector<LabelId> all_labels(
+      std::vector<LabelId>& sorted) const;
+
  private:
   std::vector<Conjunction> disjuncts_;
 };

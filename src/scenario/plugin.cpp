@@ -3,7 +3,6 @@
 #include <cmath>
 #include <numeric>
 #include <string>
-#include <unordered_map>
 #include <utility>
 
 #include "common/rng.h"
@@ -100,9 +99,9 @@ void Stack::add_nodes(world::SensorField& field, std::vector<NodeId> hosts,
                       const world::ViabilityProcess& truth, std::size_t labels,
                       const athena::AthenaConfig& config,
                       obs::TraceSink* trace_sink) {
-  std::unordered_map<LabelId, double> p_true;
+  std::vector<double> p_true(labels);
   for (std::size_t s = 0; s < labels; ++s) {
-    p_true[LabelId{s}] = truth.params(SegmentId{s}).p_viable;
+    p_true[s] = truth.params(SegmentId{s}).p_viable;
   }
   directory.emplace(topo, field, std::move(hosts), std::move(p_true));
 

@@ -19,33 +19,24 @@ namespace {
 /// Build one route-finding decision expression: OR over candidate routes of
 /// AND(viable(segment)). Prefers route sets whose segments are all covered
 /// by some sensor, per the per-segment mask `covered` (otherwise the query
-/// may be inherently unresolvable for every scheme).
+/// may be inherently unresolvable for every scheme). `draw` is working
+/// memory reused from query to query.
 decision::DnfExpr make_route_query(const world::GridMap& map,
                                    const std::vector<char>& covered,
-                                   const ScenarioConfig& cfg, Rng& rng) {
-  std::vector<world::Route> chosen;
-  for (int attempt = 0; attempt < 40; ++attempt) {
-    auto routes = map.random_route_choices(
-        cfg.routes_per_query, cfg.min_route_distance, rng, covered);
-    if (routes.size() > chosen.size()) chosen = std::move(routes);
-    if (chosen.size() >= cfg.routes_per_query) break;
+                                   const ScenarioConfig& cfg, Rng& rng,
+                                   world::RouteQueryDraw& draw) {
+  map.draw_route_query(cfg.routes_per_query, cfg.min_route_distance, rng,
+                       covered, draw);
+  const world::RouteKeys& routes = draw.best;
+  std::vector<decision::Conjunction> disjuncts(routes.kept);
+  for (std::size_t i = 0; i < routes.kept; ++i) {
+    std::vector<decision::Term>& terms = disjuncts[i].terms;
+    terms.reserve(routes.steps());
+    map.for_each_segment(routes, i, [&](SegmentId seg) {
+      terms.push_back(decision::Term{LabelId{seg.value()}, false});
+    });
   }
-  // Fallback: accept partially covered routes rather than an empty query.
-  if (chosen.empty()) {
-    chosen = map.random_route_choices(cfg.routes_per_query,
-                                      cfg.min_route_distance, rng);
-  }
-
-  decision::DnfExpr expr;
-  for (const auto& route : chosen) {
-    decision::Conjunction c;
-    c.terms.reserve(route.segments.size());
-    for (SegmentId seg : route.segments) {
-      c.terms.push_back(decision::Term{LabelId{seg.value()}, false});
-    }
-    expr.add_disjunct(std::move(c));
-  }
-  return expr;
+  return decision::DnfExpr(std::move(disjuncts));
 }
 
 /// One in-flight route-scenario run.
@@ -93,6 +84,7 @@ class RouteRun {
   std::optional<world::SensorField> field_;
   Stack stack_;
   std::vector<char> covered_;  ///< per segment: does some sensor cover it
+  world::RouteQueryDraw route_draw_;  ///< make_route_query's working memory
   std::vector<Arrivals> arrivals_;
   QueryTotals totals_;
 };
@@ -228,7 +220,7 @@ void RouteRun::schedule_next_arrival(std::size_t i) {
 
 void RouteRun::arrive(std::size_t i) {
   Rng& rng = arrivals_[i].rng;
-  decision::DnfExpr expr = make_route_query(*map_, covered_, cfg_, rng);
+  decision::DnfExpr expr = make_route_query(*map_, covered_, cfg_, rng, route_draw_);
   const int priority =
       cfg_.critical_fraction > 0.0 && rng.chance(cfg_.critical_fraction)
           ? cfg_.critical_priority

@@ -71,53 +71,48 @@ std::size_t move_words(Intersection from, Intersection to) {
   return static_cast<std::size_t>(steps_between(from, to) + 63) / 64;
 }
 
-// Draws one monotone route's moves into `moves` (move_words() words):
-// the one step rule both route draws share.
+// The step rule every route draw shares, for a route with `rx` moves left
+// in x and `ry` in y (both > 0): the step moves in x with probability
+// rx / (rx+ry). Returns 1 for an x move and 0 for a y move, and counts the
+// move off.
+std::uint64_t step_moves_x(int& rx, int& ry, Rng& rng) {
+  const auto x = static_cast<std::uint64_t>(
+      rng.below(static_cast<std::uint64_t>(rx + ry)) <
+      static_cast<std::uint64_t>(rx));
+  rx -= static_cast<int>(x);
+  ry -= static_cast<int>(1 - x);
+  return x;
+}
+
+// Draws one monotone route's moves into `moves` (move_words() words): bit i
+// is set iff step i moves in x. Once either direction is used up the rest
+// is straight and draws nothing.
 void draw_moves(Intersection from, Intersection to, Rng& rng,
                 std::uint64_t* moves) {
-  int remaining_x = std::abs(to.x - from.x);
-  int remaining_y = std::abs(to.y - from.y);
+  int rx = std::abs(to.x - from.x);
+  int ry = std::abs(to.y - from.y);
   std::fill_n(moves, move_words(from, to), std::uint64_t{0});
   int step = 0;
-  auto set_move_x = [&] {
-    moves[step / 64] |= std::uint64_t{1} << (step % 64);
-  };
-  // Each step moves in x with probability remaining_x / remaining. Once
-  // either direction is used up the rest is straight and draws nothing.
-  for (; remaining_x > 0 && remaining_y > 0; ++step) {
-    if (rng.below(static_cast<std::uint64_t>(remaining_x + remaining_y)) <
-        static_cast<std::uint64_t>(remaining_x)) {
-      set_move_x();
-      --remaining_x;
-    } else {
-      --remaining_y;
-    }
+  for (; rx > 0 && ry > 0; ++step) {
+    moves[step / 64] |= step_moves_x(rx, ry, rng) << (step % 64);
   }
-  for (; remaining_x > 0; ++step, --remaining_x) set_move_x();
+  for (; rx > 0; ++step, --rx) {
+    moves[step / 64] |= std::uint64_t{1} << (step % 64);
+  }
+}
+
+// min(C(rx+ry, rx), k): how many distinct monotone routes a draw of k can
+// find between endpoints rx and ry apart.
+std::size_t distinct_paths(int rx, int ry, std::size_t k) {
+  const auto n = static_cast<std::uint64_t>(rx + ry);
+  const auto r = static_cast<std::uint64_t>(std::min(rx, ry));
+  // C(n-r+i, i) grows with i, so the product can stop once it reaches k.
+  std::uint64_t c = 1;
+  for (std::uint64_t i = 1; i <= r && c < k; ++i) c = c * (n - r + i) / i;
+  return static_cast<std::size_t>(std::min<std::uint64_t>(c, k));
 }
 
 }  // namespace
-
-template <typename Visit>
-bool GridMap::walk(Intersection from, Intersection to,
-                   const std::uint64_t* moves, Visit visit) const {
-  const int dx = to.x > from.x ? 1 : -1;
-  const int dy = to.y > from.y ? 1 : -1;
-  const int steps = steps_between(from, to);
-  Intersection cur = from;
-  for (int step = 0; step < steps; ++step) {
-    SegmentId seg;
-    if ((moves[step / 64] >> (step % 64)) & 1U) {
-      seg = horizontal_id(std::min(cur.x, cur.x + dx), cur.y);
-      cur.x += dx;
-    } else {
-      seg = vertical_id(cur.x, std::min(cur.y, cur.y + dy));
-      cur.y += dy;
-    }
-    if (!visit(seg)) return false;
-  }
-  return true;
-}
 
 Route GridMap::materialize(Intersection from, Intersection to,
                            const std::uint64_t* moves) const {
@@ -142,6 +137,35 @@ Route GridMap::random_monotone_route(Intersection from, Intersection to,
 std::vector<Route> GridMap::random_route_choices(
     std::size_t k, int min_distance, Rng& rng,
     const std::vector<char>& covered) const {
+  RouteKeys keys;
+  draw_route_choices(k, min_distance, rng, covered, keys);
+  std::vector<Route> routes;
+  routes.reserve(keys.kept);
+  for (std::size_t i = 0; i < keys.kept; ++i) {
+    routes.push_back(
+        materialize(keys.from, keys.to, keys.keys.data() + i * keys.words));
+  }
+  return routes;
+}
+
+void GridMap::draw_route_query(std::size_t k, int min_distance, Rng& rng,
+                               const std::vector<char>& covered,
+                               RouteQueryDraw& out) const {
+  out.best.kept = 0;
+  for (int attempt = 0; attempt < 40; ++attempt) {
+    draw_route_choices(k, min_distance, rng, covered, out.attempt);
+    if (out.attempt.kept > out.best.kept) std::swap(out.attempt, out.best);
+    if (out.best.kept >= k) break;
+  }
+  // Fallback: accept partially covered routes rather than an empty query.
+  if (out.best.kept == 0) {
+    draw_route_choices(k, min_distance, rng, {}, out.best);
+  }
+}
+
+void GridMap::draw_route_choices(std::size_t k, int min_distance, Rng& rng,
+                                 const std::vector<char>& covered,
+                                 RouteKeys& out) const {
   DDE_CHECK(covered.empty() || covered.size() == segments_.size(),
             "random_route_choices: coverage mask needs one entry per segment");
   DDE_CLAMP_OR(min_distance >= 1, min_distance = 1,
@@ -161,31 +185,47 @@ std::vector<Route> GridMap::random_route_choices(
   } while (steps_between(from, to) < min_distance);
 
   // Distinct monotone paths can be scarce (a straight-line pair has exactly
-  // one); cap attempts so we terminate. `drawn` holds the moves of the
-  // distinct routes so far; each draw lands in the next free slot and
-  // stays there only if no earlier slot holds the same moves.
+  // one); cap attempts so we terminate. Slots [0, distinct) of `out.keys`
+  // hold the distinct routes so far, the `kept` covered ones first; each
+  // draw lands in slot `distinct` and stays only if no earlier slot holds
+  // the same moves.
+  const int rx = std::abs(to.x - from.x);
+  const int ry = std::abs(to.y - from.y);
   const std::size_t words = move_words(from, to);
-  std::vector<std::uint64_t> drawn(k * words);
-  std::vector<Route> routes;
+  out.from = from;
+  out.to = to;
+  out.words = words;
+  out.kept = 0;
+  out.keys.resize(k * words);
+  std::uint64_t* const keys = out.keys.data();
+  const std::size_t paths = distinct_paths(rx, ry, k);
   std::size_t distinct = 0;
   const std::size_t max_attempts = 20 * k + 20;
-  for (std::size_t attempt = 0; attempt < max_attempts && distinct < k;
-       ++attempt) {
-    std::uint64_t* moves = drawn.data() + distinct * words;
+  std::size_t attempt = 0;
+  for (; attempt < max_attempts && distinct < paths; ++attempt) {
+    std::uint64_t* moves = keys + distinct * words;
     draw_moves(from, to, rng, moves);
     bool seen = false;
     for (std::size_t j = 0; j < distinct && !seen; ++j) {
-      seen = std::equal(moves, moves + words, drawn.data() + j * words);
+      seen = std::equal(moves, moves + words, keys + j * words);
     }
     if (seen) continue;
-    ++distinct;
     if (covered.empty() || walk(from, to, moves, [&](SegmentId seg) {
           return covered[seg.value()] != 0;
         })) {
-      routes.push_back(materialize(from, to, moves));
+      std::swap_ranges(moves, moves + words, keys + out.kept * words);
+      ++out.kept;
+    }
+    ++distinct;
+  }
+  // Every path is drawn, yet a draw of k keeps going until it has k or its
+  // attempts run out: the rest only repeat known routes, so just advance
+  // `rng` as they would. Straight pairs draw nothing at all.
+  if (distinct < k && rx > 0 && ry > 0) {
+    for (; attempt < max_attempts; ++attempt) {
+      for (int x = rx, y = ry; x > 0 && y > 0;) step_moves_x(x, y, rng);
     }
   }
-  return routes;
 }
 
 }  // namespace dde::world

@@ -5,8 +5,10 @@
 // intersections, matching the paper's randomly-selected candidate routes.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
 #include <optional>
 #include <vector>
 
@@ -39,6 +41,33 @@ struct Route {
   Intersection origin;
   Intersection destination;
   std::vector<SegmentId> segments;
+};
+
+/// The distinct routes one route-choices draw produced between `from` and
+/// `to`, as move keys: `words` words per route, bit i set iff step i moves
+/// in x. The `kept` fully covered routes come first, in draw order; the
+/// rest of `keys` is working memory. A caller that draws repeatedly reuses
+/// one RouteKeys, so `keys` stops allocating once it has grown.
+struct RouteKeys {
+  Intersection from;
+  Intersection to;
+  std::size_t words = 0;
+  std::size_t kept = 0;
+  std::vector<std::uint64_t> keys;
+
+  /// Segments per route: the L1 distance from `from` to `to`.
+  [[nodiscard]] std::size_t steps() const noexcept {
+    return static_cast<std::size_t>(std::abs(to.x - from.x) +
+                                    std::abs(to.y - from.y));
+  }
+};
+
+/// A route query's draw (GridMap::draw_route_query): `best` holds the
+/// chosen routes, `attempt` the call in progress. Both are reused from
+/// query to query.
+struct RouteQueryDraw {
+  RouteKeys best;
+  RouteKeys attempt;
 };
 
 /// The grid map: geometry only, no dynamics.
@@ -88,6 +117,26 @@ class GridMap {
       std::size_t k, int min_distance, Rng& rng,
       const std::vector<char>& covered = {}) const;
 
+  /// A route query's candidates (paper Sec. VII), written to `out.best`:
+  /// up to 40 route-choices draws under `covered`, keeping the first draw
+  /// with the most fully covered routes and stopping once one keeps `k`.
+  /// If none keeps any route, one more draw without the mask decides.
+  void draw_route_query(std::size_t k, int min_distance, Rng& rng,
+                        const std::vector<char>& covered,
+                        RouteQueryDraw& out) const;
+
+  /// Calls `visit(segment)` for the segments of route `i` of `keys`
+  /// (i < keys.kept), in order from `keys.from`.
+  template <typename Visit>
+  void for_each_segment(const RouteKeys& keys, std::size_t i,
+                        Visit visit) const {
+    walk(keys.from, keys.to, keys.keys.data() + i * keys.words,
+         [&](SegmentId seg) {
+           visit(seg);
+           return true;
+         });
+  }
+
  private:
   [[nodiscard]] bool in_range(Intersection p) const noexcept {
     return p.x >= 0 && p.x <= width_ && p.y >= 0 && p.y <= height_;
@@ -103,13 +152,36 @@ class GridMap {
                                                 y * (width_ + 1) + x)};
   }
 
+  // The route-choices draw both public draws share: the distinct routes'
+  // move keys, fully covered ones first, into `out`.
+  void draw_route_choices(std::size_t k, int min_distance, Rng& rng,
+                          const std::vector<char>& covered,
+                          RouteKeys& out) const;
+
   // A monotone route between fixed endpoints is identified by its moves:
   // bit i of `moves` (64 steps per word) is set iff step i moves in x.
   // walk() calls `visit(segment)` for the route's segments in order until
   // it returns false, and returns whether every call returned true.
   template <typename Visit>
   bool walk(Intersection from, Intersection to, const std::uint64_t* moves,
-            Visit visit) const;
+            Visit visit) const {
+    const int dx = to.x > from.x ? 1 : -1;
+    const int dy = to.y > from.y ? 1 : -1;
+    const int steps = std::abs(to.x - from.x) + std::abs(to.y - from.y);
+    Intersection cur = from;
+    for (int step = 0; step < steps; ++step) {
+      SegmentId seg;
+      if ((moves[step / 64] >> (step % 64)) & 1U) {
+        seg = horizontal_id(std::min(cur.x, cur.x + dx), cur.y);
+        cur.x += dx;
+      } else {
+        seg = vertical_id(cur.x, std::min(cur.y, cur.y + dy));
+        cur.y += dy;
+      }
+      if (!visit(seg)) return false;
+    }
+    return true;
+  }
   [[nodiscard]] Route materialize(Intersection from, Intersection to,
                                   const std::uint64_t* moves) const;
 

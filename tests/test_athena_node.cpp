@@ -98,10 +98,7 @@ struct Fixture {
         sim(),
         net(make_net()),
         dir(topo, field, {NodeId{2}, NodeId{0}, NodeId{2}},
-            {{LabelId{0}, 0.9},
-             {LabelId{1}, 0.1},
-             {LabelId{2}, 0.9},
-             {LabelId{3}, 0.9}}) {
+            {0.9, 0.1, 0.9, 0.9}) {
     for (std::size_t i = 0; i < 3; ++i) {
       athena.push_back(std::make_unique<AthenaNode>(NodeId{i}, net, dir, field,
                                                     cfg, metrics));
@@ -567,7 +564,7 @@ struct TwoSourceFixture {
         nodes(),
         sim(),
         net(make_net()),
-        dir(topo, field, {NodeId{2}, NodeId{1}}, {{LabelId{0}, 0.9}}) {
+        dir(topo, field, {NodeId{2}, NodeId{1}}, {0.9}) {
     for (std::size_t i = 0; i < 3; ++i) {
       athena.push_back(std::make_unique<AthenaNode>(NodeId{i}, net, dir,
                                                     field, cfg, metrics));
@@ -671,7 +668,7 @@ struct RingFixture {
         sim(),
         net(make_net()),
         dir(topo, field, {NodeId{1}, NodeId{2}, NodeId{3}},
-            {{LabelId{0}, 0.5}, {LabelId{1}, 0.5}}) {
+            {0.5, 0.5}) {
     for (std::size_t i = 0; i < 4; ++i) {
       athena.push_back(std::make_unique<AthenaNode>(NodeId{i}, net, dir, field,
                                                     cfg, metrics));
@@ -785,8 +782,7 @@ struct NoisyFixture {
         nodes(),
         sim(),
         net(make_net()),
-        dir(topo, field, {NodeId{2}, NodeId{2}, NodeId{2}},
-            {{LabelId{0}, 0.9}}) {
+        dir(topo, field, {NodeId{2}, NodeId{2}, NodeId{2}}, {0.9}) {
     for (std::size_t i = 0; i < 2; ++i) {
       athena.push_back(std::make_unique<AthenaNode>(NodeId{i}, net, dir, field,
                                                     cfg, metrics));

@@ -58,8 +58,7 @@ struct Fixture {
   Directory make_directory() {
     return Directory(topo, field,
                      {nodes[1], nodes[3], nodes[3]},
-                     {{LabelId{0}, 0.8}, {LabelId{1}, 0.8}, {LabelId{2}, 0.8},
-                      {LabelId{3}, 0.8}});
+                     {0.8, 0.8, 0.8, 0.8});
   }
 };
 
@@ -114,13 +113,13 @@ TEST(Directory, MetaReflectsSourceAndLabel) {
   // Unknown label defaults p to 0.5.
   const auto m2 = dir.meta(LabelId{77}, SourceId{1}, f.nodes[0]);
   EXPECT_DOUBLE_EQ(m2.p_true, 0.5);
-  // So does a label below the largest known one that has no estimate.
-  const Directory sparse(f.topo, f.field, {f.nodes[1], f.nodes[3], f.nodes[3]},
-                         {{LabelId{3}, 0.8}});
-  EXPECT_DOUBLE_EQ(sparse.meta(LabelId{1}, SourceId{1}, f.nodes[0]).p_true,
-                   0.5);
-  EXPECT_DOUBLE_EQ(sparse.meta(LabelId{3}, SourceId{1}, f.nodes[0]).p_true,
-                   0.8);
+  // So does a covered label past the end of a shorter prior vector.
+  const Directory short_priors(f.topo, f.field,
+                               {f.nodes[1], f.nodes[3], f.nodes[3]}, {0.8, 0.8});
+  EXPECT_DOUBLE_EQ(
+      short_priors.meta(LabelId{1}, SourceId{1}, f.nodes[0]).p_true, 0.8);
+  EXPECT_DOUBLE_EQ(
+      short_priors.meta(LabelId{3}, SourceId{1}, f.nodes[0]).p_true, 0.5);
 }
 
 TEST(Directory, SelectMinimizedCoversAllLabels) {

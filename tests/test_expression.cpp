@@ -282,6 +282,46 @@ TEST(Expression, AllLabelsKeepsFirstAppearanceOrder) {
   EXPECT_TRUE(DnfExpr{}.all_labels().empty());
 }
 
+// The one-pass form must list what a linear first-appearance scan lists and
+// sort it like std::sort, both for labels within the bitmap's 1024-label
+// span (at its edge too) and for wider spans.
+TEST(Expression, AllLabelsSortedMatchesScanAndSort) {
+  Rng rng(29);
+  const std::uint64_t spans[] = {1, 40, 1023, 1024, 1025, std::uint64_t{1} << 40};
+  for (const std::uint64_t span : spans) {
+    for (int trial = 0; trial < 200; ++trial) {
+      const std::uint64_t base = rng.below(1000);
+      DnfExpr e;
+      const std::uint64_t disjuncts = rng.below(6);
+      for (std::uint64_t d = 0; d < disjuncts; ++d) {
+        Conjunction c;
+        const std::uint64_t terms = rng.below(12);
+        for (std::uint64_t i = 0; i < terms; ++i) {
+          // Span edges often, so both ends of the range are exercised.
+          const std::uint64_t offset =
+              rng.chance(0.2) ? (rng.chance(0.5) ? 0 : span - 1)
+                              : rng.below(std::min<std::uint64_t>(span, 48));
+          c.terms.push_back(Term{LabelId{base + offset}, rng.chance(0.3)});
+        }
+        e.add_disjunct(std::move(c));
+      }
+      std::vector<LabelId> want;
+      for (const Conjunction& c : e.disjuncts()) {
+        for (const Term& t : c.terms) {
+          if (std::find(want.begin(), want.end(), t.label) == want.end()) {
+            want.push_back(t.label);
+          }
+        }
+      }
+      std::vector<LabelId> want_sorted = want;
+      std::sort(want_sorted.begin(), want_sorted.end());
+      std::vector<LabelId> sorted{LabelId{5}};  // stale content is cleared
+      ASSERT_EQ(e.all_labels(sorted), want) << "span " << span;
+      ASSERT_EQ(sorted, want_sorted) << "span " << span;
+    }
+  }
+}
+
 // Property test: Kleene evaluation agrees with classical Boolean evaluation
 // on fully-known random assignments, and is never wrong on partial ones
 // (if Kleene says true/false, every completion agrees).

@@ -9,6 +9,9 @@
 #include <utility>
 #include <vector>
 
+#include "world/dynamics.h"
+#include "world/sensor_field.h"
+
 namespace dde::world {
 namespace {
 
@@ -231,10 +234,20 @@ void expect_same_routes(const std::vector<Route>& got,
   }
 }
 
+// Two generators are in the same state iff their next draws agree; the
+// copies leave the callers' generators where they are.
+void expect_same_state(Rng got, Rng want) {
+  for (int draw = 0; draw < 4; ++draw) ASSERT_EQ(got(), want());
+}
+
 TEST(GridMap, RouteChoicesDrawLikeTheSetReference) {
   // 120x2 routes run up to 122 steps, so move keys span two words, and
   // with at most two y moves two routes often differ only past step 64.
-  const std::pair<int, int> grids[] = {{1, 1}, {8, 1}, {20, 20}, {120, 2}};
+  // On 1x6 every pair is straight or a 1xn box, with n+1 <= 7 paths; on
+  // 2x2 no pair has more than 6: with k = 8 each call draws every path and
+  // spends its remaining attempts on repeats.
+  const std::pair<int, int> grids[] = {{1, 1}, {8, 1},   {20, 20},
+                                       {120, 2}, {1, 6}, {2, 2}};
   std::uint64_t seed = 0;
   for (const auto& [w, h] : grids) {
     const GridMap map(w, h);
@@ -256,7 +269,7 @@ TEST(GridMap, RouteChoicesDrawLikeTheSetReference) {
       Rng ref_rng(seed);
       expect_same_routes({map.random_monotone_route(from, to, rng)},
                          {ref.random_monotone_route(from, to, ref_rng)});
-      ASSERT_EQ(rng(), ref_rng());
+      expect_same_state(rng, ref_rng);
     }
 
     for (std::size_t m = 0; m < std::size(masks); ++m) {
@@ -274,9 +287,81 @@ TEST(GridMap, RouteChoicesDrawLikeTheSetReference) {
             expect_same_routes(
                 map.random_route_choices(k, min_distance, rng, masks[m]),
                 ref.random_route_choices(k, min_distance, ref_rng, masks[m]));
+            expect_same_state(rng, ref_rng);
           }
-          for (int draw = 0; draw < 4; ++draw) ASSERT_EQ(rng(), ref_rng());
         }
+      }
+    }
+  }
+}
+
+// make_route_query's loop before the shared route-query draw, on the set
+// reference: up to 40 route-choices calls under the mask, keeping the
+// first call with the most routes, then one unmasked call if none kept any.
+std::vector<Route> reference_route_query(const SetReference& ref,
+                                         std::size_t k, int min_distance,
+                                         Rng& rng,
+                                         const std::vector<char>& covered) {
+  std::vector<Route> chosen;
+  for (int attempt = 0; attempt < 40; ++attempt) {
+    auto routes = ref.random_route_choices(k, min_distance, rng, covered);
+    if (routes.size() > chosen.size()) chosen = std::move(routes);
+    if (chosen.size() >= k) break;
+  }
+  if (chosen.empty()) chosen = ref.random_route_choices(k, min_distance, rng, {});
+  return chosen;
+}
+
+// The routes of a route-query draw, as for_each_segment lists them.
+std::vector<Route> drawn_routes(const GridMap& map, const RouteKeys& keys) {
+  std::vector<Route> routes(keys.kept, Route{keys.from, keys.to, {}});
+  for (std::size_t i = 0; i < keys.kept; ++i) {
+    map.for_each_segment(keys, i, [&](SegmentId seg) {
+      routes[i].segments.push_back(seg);
+    });
+    EXPECT_EQ(routes[i].segments.size(), keys.steps());
+  }
+  return routes;
+}
+
+TEST(GridMap, RouteQueryDrawsLikeTheReferenceLoop) {
+  // The paper's setup (8x8, 30 sensors) and city's (20x20, 160 sensors),
+  // each with coverage radius 1.25 as in the route scenario, and 8x8 with
+  // 4 sensors, where most queries spend all 40 draws and a few fall back
+  // to the unmasked draw. k = 5 and min distance 4 are the scenario's
+  // defaults; k = 8 makes most pairs run out of distinct paths; k = 0
+  // still makes one masked and one unmasked draw. One RouteQueryDraw
+  // serves every query.
+  struct Setup {
+    int grid;
+    std::size_t sensors;
+  };
+  for (const Setup setup : {Setup{8, 30}, Setup{20, 160}, Setup{8, 4}}) {
+    const GridMap map(setup.grid, setup.grid);
+    const SetReference ref(map);
+    ViabilityProcess truth(
+        std::vector<SegmentDynamics>(
+            map.segment_count(), SegmentDynamics{0.75, SimTime::seconds(900)}),
+        Rng(15));
+    SensorFieldConfig field_cfg;
+    field_cfg.sensor_count = setup.sensors;
+    field_cfg.coverage_radius = 1.25;
+    Rng field_rng(static_cast<std::uint64_t>(setup.grid));
+    const SensorField field(map, truth, field_cfg, field_rng);
+    std::vector<char> covered(map.segment_count(), 0);
+    for (SegmentId seg : field.covered_segments()) covered[seg.value()] = 1;
+
+    for (const std::size_t k : {0, 5, 8}) {
+      SCOPED_TRACE(std::to_string(setup.grid) + "x" +
+                   std::to_string(setup.grid) + " k " + std::to_string(k));
+      Rng rng(static_cast<std::uint64_t>(setup.grid) * 100 + k);
+      Rng ref_rng = rng;
+      RouteQueryDraw draw;
+      for (int query = 0; query < 1000; ++query) {
+        map.draw_route_query(k, 4, rng, covered, draw);
+        expect_same_routes(drawn_routes(map, draw.best),
+                           reference_route_query(ref, k, 4, ref_rng, covered));
+        expect_same_state(rng, ref_rng);
       }
     }
   }

@@ -78,10 +78,7 @@ struct Fixture {
         sim(),
         net(make_net()),
         dir(topo, field, {NodeId{2}, NodeId{0}, NodeId{2}},
-            {{LabelId{0}, 0.9},
-             {LabelId{1}, 0.1},
-             {LabelId{2}, 0.9},
-             {LabelId{3}, 0.9}}) {
+            {0.9, 0.1, 0.9, 0.9}) {
     for (std::size_t i = 0; i < 3; ++i) {
       athena.push_back(std::make_unique<AthenaNode>(NodeId{i}, net, dir, field,
                                                     cfg, metrics));
