@@ -2,9 +2,10 @@
 # golden_<bench> test per deterministic bench.
 #
 #   cmake -DBENCH=<bench exe> -DNAME=<bench> -DGOLDEN=<this dir>
-#         -DWORK=<scratch dir> -P run_golden.cmake
+#         -DWORK=<scratch dir> [-DARGS="<arguments>"] -P run_golden.cmake
 #
-# The bench runs at seed count 1 in a fresh working directory, once under
+# The bench runs with ARGS (a space-separated command line; default "1",
+# a seed count of 1) in a fresh working directory, once under
 # DDE_BENCH_JOBS=1 and once under DDE_BENCH_JOBS=4. Both runs must print
 # exactly <GOLDEN>/<NAME>.txt, and the SHA-256 of every BENCH_*.json they
 # write must match <GOLDEN>/<NAME>.sha256 (one "<sha256>  <file>" line per
@@ -22,6 +23,11 @@ foreach(var BENCH NAME GOLDEN WORK)
     message(FATAL_ERROR "run_golden.cmake: -D${var}=... is required")
   endif()
 endforeach()
+
+if(NOT DEFINED ARGS)
+  set(ARGS 1)
+endif()
+separate_arguments(args UNIX_COMMAND "${ARGS}")
 
 unset(ENV{DDE_BENCH_REPORT})
 unset(ENV{DDE_BENCH_REPORT_DIR})
@@ -42,7 +48,7 @@ foreach(jobs 1 4)
   file(REMOVE_RECURSE ${dir})
   file(MAKE_DIRECTORY ${dir})
   set(ENV{DDE_BENCH_JOBS} ${jobs})
-  execute_process(COMMAND ${BENCH} 1
+  execute_process(COMMAND ${BENCH} ${args}
                   WORKING_DIRECTORY ${dir}
                   RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
   if(NOT rc EQUAL 0)
