@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "athena/directory.h"
+#include "athena/messages.h"
 #include "athena/node.h"
 #include "des/simulator.h"
 #include "net/network.h"
@@ -101,14 +102,14 @@ int main() {
   nodes[depot.value()]->query_init(std::move(query), SimTime::seconds(60));
   sim.run_until(SimTime::seconds(120));
 
-  // A hop event carries the wire size, not the message: the configured
-  // announce/request/label/hello sizes are distinct, and every other size
-  // is an evidence object.
-  auto message_kind = [&](std::uint64_t bytes) {
-    if (bytes == config.announce_bytes) return "announce";
-    if (bytes == config.request_bytes) return "request";
-    if (bytes == config.label_bytes) return "labels";
-    if (bytes == config.hello_bytes) return "hello";
+  // A hop event carries the wire size, not the message: the announce,
+  // request, label and hello sizes are distinct, and every other size is
+  // an evidence object.
+  auto message_kind = [](std::uint64_t bytes) {
+    if (bytes == athena::QueryAnnounce::kBytes) return "announce";
+    if (bytes == athena::ObjectRequest::kBytes) return "request";
+    if (bytes == athena::LabelShare::kBytes) return "labels";
+    if (bytes == athena::RecoveryHello::kBytes) return "hello";
     return "object";
   };
   const char* node_names[] = {"depot", "relay", "north", "south"};

@@ -64,8 +64,9 @@ struct AthenaConfig {
   double corroboration_confidence = 0.0;
 
   // --- protocol parameters ---------------------------------------------
-  bool prefetch = true;               ///< process prefetch queues
-  int announce_ttl = 1;               ///< query-announce flood radius
+  /// Announce each query to the origin's neighbors, and push hosted
+  /// evidence toward announcing neighbors (Sec. VI-A).
+  bool prefetch = true;
   /// Re-issue a request if unanswered for this long. Must exceed the
   /// worst-case multi-hop transfer time of a large object, or timeouts
   /// snowball into duplicate traffic. This also caps the backed-off
@@ -101,9 +102,8 @@ struct AthenaConfig {
   std::size_t admission_max_active = 0;
   /// Congestion-adaptive prefetch throttling: hold the prefetch pump while
   /// the next hop's link queue has more than this many waiting packets,
-  /// re-checking every prefetch_throttle_interval. 0 disables.
+  /// re-checking every 800 ms. 0 disables.
   std::size_t prefetch_watermark = 0;
-  SimTime prefetch_throttle_interval = SimTime::millis(800);
 
   // --- multipath redundancy (Sec. V-C criticality over lossy links) -----
   /// Number of parallel copies of critical (priority > 0) requests and the
@@ -130,26 +130,10 @@ struct AthenaConfig {
   SimTime recovery_lease = SimTime::zero();
 
   // --- state hygiene (bounded memory on long runs) ----------------------
-  /// Expiry of invalidation flood-dedup entries, and the margin an
-  /// ingest-dedup entry outlives its object by. Duplicates can only arrive
-  /// while copies are still in flight, so any value far above the
-  /// network's drain time is safe; entries are then collected.
-  SimTime dedup_ttl = SimTime::seconds(3600);
-  /// Period of the background sweep that drops expired interest-table,
-  /// aggregation-marker, and dedup entries (they are also purged
-  /// opportunistically on access; the sweep bounds what access never
-  /// touches). The sweep only runs while such state exists.
-  SimTime state_gc_interval = SimTime::seconds(60);
   /// Bound on the prefetch push-dedup set ((origin,source) keys already
   /// pushed). Overflow evicts the oldest key first — forgetting a key only
   /// risks one redundant re-push, so a tight bound is safe on small nodes.
   std::size_t prefetch_dedup_capacity = 200000;
-
-  // --- wire-size estimates (bytes) -------------------------------------
-  std::uint64_t request_bytes = 150;
-  std::uint64_t announce_bytes = 400;
-  std::uint64_t label_bytes = 200;
-  std::uint64_t hello_bytes = 120;  ///< restart RecoveryHello (control)
 };
 
 /// The preset for one of the paper's five schemes.

@@ -1,8 +1,8 @@
 // Athena wire messages (Sec. VI).
 //
 // Seven message kinds flow between nodes, always hop-by-hop:
-//   * QueryAnnounce — the Boolean expression of a query, flooded to
-//     neighbors so they can prefetch (Query_Recv step iv).
+//   * QueryAnnounce — the Boolean expression of a query, sent to the
+//     origin's neighbors so they can prefetch (Query_Recv step iv).
 //   * ObjectRequest — an interest in a source's evidence object, recorded
 //     in interest tables along the path (Request_Send / Request_Recv).
 //   * ObjectReply — the evidence object travelling back, cached along the
@@ -12,8 +12,8 @@
 //   * Invalidation — an external event voided prior observations; flooded.
 //   * RecoveryHello — a restarted node's one-hop re-announcement.
 //
-// A packet's payload is always one `Message`. Each type names its wire
-// size (an AthenaConfig estimate, kSize) and the AthenaMetrics counter its
+// A packet's payload is always one `Message`. Each type names its
+// estimated wire size in bytes (kBytes) and the AthenaMetrics counter its
 // bytes are billed to (kBilledTo); AthenaNode::send_msg reads both from the
 // type. Object replies weigh the object's bytes instead and are billed to
 // push_bytes or object_bytes.
@@ -24,6 +24,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <initializer_list>
 #include <memory>
 #include <span>
@@ -31,7 +32,6 @@
 #include <variant>
 #include <vector>
 
-#include "athena/config.h"
 #include "athena/metrics.h"
 #include "common/ids.h"
 #include "common/sim_time.h"
@@ -69,18 +69,17 @@ class LabelBatch {
 
 /// A query's footprint announced to neighbors for prefetching.
 struct QueryAnnounce {
-  static constexpr auto kSize = &AthenaConfig::announce_bytes;
+  static constexpr std::uint64_t kBytes = 400;
   static constexpr auto kBilledTo = &AthenaMetrics::announce_bytes;
   QueryId query;
   NodeId origin;
   SimTime deadline_abs;
   std::vector<LabelId> labels;  ///< all labels the decision may need
-  int ttl = 0;                  ///< remaining flood hops
 };
 
 /// An interest in the evidence object of `source`, to resolve `labels`.
 struct ObjectRequest {
-  static constexpr auto kSize = &AthenaConfig::request_bytes;
+  static constexpr std::uint64_t kBytes = 150;
   static constexpr auto kBilledTo = &AthenaMetrics::request_bytes;
   QueryId query;
   NodeId origin;                ///< query source node
@@ -113,7 +112,7 @@ struct ObjectReply {
 /// Evaluated label values shared back into the network toward the data
 /// source (lvfl), cached at every hop.
 struct LabelShare {
-  static constexpr auto kSize = &AthenaConfig::label_bytes;
+  static constexpr std::uint64_t kBytes = 200;
   static constexpr auto kBilledTo = &AthenaMetrics::label_bytes;
   LabelBatch values;
   NodeId toward;  ///< host node of the producing source
@@ -124,7 +123,7 @@ struct LabelShare {
 /// the labels (and objects evidencing them) from caches and re-opens
 /// affected decisions.
 struct Invalidation {
-  static constexpr auto kSize = &AthenaConfig::label_bytes;
+  static constexpr std::uint64_t kBytes = 200;
   static constexpr auto kBilledTo = &AthenaMetrics::label_bytes;
   std::uint64_t id = 0;  ///< flood-dedup identifier
   std::vector<LabelId> labels;
@@ -133,7 +132,7 @@ struct Invalidation {
 
 /// Label values served from a cache in place of an object.
 struct LabelReply {
-  static constexpr auto kSize = &AthenaConfig::label_bytes;
+  static constexpr std::uint64_t kBytes = 200;
   static constexpr auto kBilledTo = &AthenaMetrics::label_bytes;
   LabelBatch values;
   NodeId origin;     ///< requester the reply travels to
@@ -145,7 +144,7 @@ struct LabelReply {
 /// aggregation markers routed through it and re-issue live interests
 /// upstream instead of waiting out stale leases. One hop, never flooded.
 struct RecoveryHello {
-  static constexpr auto kSize = &AthenaConfig::hello_bytes;
+  static constexpr std::uint64_t kBytes = 120;
   static constexpr auto kBilledTo = &AthenaMetrics::control_bytes;
   NodeId node;           ///< the restarted node
   SimTime restarted_at;  ///< when it came back up

@@ -7,20 +7,28 @@
 #include <variant>
 
 #include "common/contracts.h"
+#include "net/multipath.h"
 
 namespace dde::athena {
 namespace {
 
 constexpr SimTime kPrefetchInterval = SimTime::millis(200);  ///< pump rate
-/// Receiver-side replica dedup table bounds (per node).
-constexpr std::size_t kReplicaDedupCapacity = 4096;
+/// Pump re-check period while prefetch_congested() holds the pump.
+constexpr SimTime kPrefetchThrottleInterval = SimTime::millis(800);
+/// Period of the background sweep that drops expired interest-table,
+/// aggregation-marker and dedup entries (they are also purged
+/// opportunistically on access; the sweep bounds what access never
+/// touches).
+constexpr SimTime kStateGcInterval = SimTime::seconds(60);
+/// How long a replica copy is remembered after the first one arrived.
 constexpr SimTime kReplicaDedupTtl = SimTime::seconds(120);
 
 /// Dedup key for (origin, source) prefetch actions: once a source's object
 /// was pushed toward an origin, further queries from the same origin are
-/// served by the caches that push populated.
-std::uint64_t prefetch_key(NodeId origin, SourceId s) noexcept {
-  return origin.value() * 1000003ULL + s.value();
+/// served by the caches that push populated. Aborts if either id exceeds
+/// 32 bits, so two pairs can never alias.
+std::uint64_t prefetch_key(NodeId origin, SourceId s) {
+  return pack_node_counter(origin, s.value());
 }
 
 /// Insert `value` into the ascending vector `v`; false if already present.
@@ -104,10 +112,9 @@ QueryId AthenaNode::query_init(decision::DnfExpr expr,
   // (Query_Recv step iv).
   announces_seen_.insert_if_absent(qid.value(), q.deadline_abs);
   schedule_gc();
-  if (config_.prefetch && config_.announce_ttl > 0) {
-    QueryAnnounce a{qid, id_, q.deadline_abs, std::move(labels),
-                    config_.announce_ttl - 1};
-    send_to_neighbors(a, priority);
+  if (config_.prefetch) {
+    send_to_neighbors(
+        QueryAnnounce{qid, id_, q.deadline_abs, std::move(labels)}, priority);
   }
 
   // Deadline watchdog.
@@ -458,7 +465,7 @@ void AthenaNode::issue_request(QueryState& q, SourceId source,
   q.last_request.set(source, now);
   ++metrics_.object_requests;
   if (count > 1) ++metrics_.refetches;
-  trace(obs::EventKind::kFetch, q.id, source.value(), config_.request_bytes,
+  trace(obs::EventKind::kFetch, q.id, source.value(), ObjectRequest::kBytes,
         static_cast<double>(count));
 
   // Adaptive timeout: three times the directory's round-trip estimate for
@@ -613,7 +620,7 @@ void AthenaNode::on_packet(const net::Packet& pkt) {
   std::visit([&](const auto& m) { handle(pkt.src, m); }, *msg);
 }
 
-void AthenaNode::handle(NodeId from, const QueryAnnounce& a) {
+void AthenaNode::handle(NodeId /*from*/, const QueryAnnounce& a) {
   // Dedup entries expire with the query deadline (post-deadline duplicates
   // are discarded just below either way) and are swept by the GC.
   if (!announces_seen_.insert_if_absent(a.query.value(), a.deadline_abs)) {
@@ -622,13 +629,6 @@ void AthenaNode::handle(NodeId from, const QueryAnnounce& a) {
   schedule_gc();
   const SimTime now = net_.now();
   if (now >= a.deadline_abs) return;
-
-  // Re-flood within the TTL radius.
-  if (a.ttl > 0) {
-    QueryAnnounce next = a;
-    next.ttl = a.ttl - 1;
-    send_to_neighbors(next, 0, from);
-  }
 
   if (!config_.prefetch || a.origin == id_) return;
 
@@ -731,13 +731,19 @@ std::uint64_t AthenaNode::new_replica_group() {
 
 bool AthenaNode::replica_first_copy(std::uint64_t group, int kind) {
   if (group == 0) return true;  // untagged: single-path traffic
-  if (!replica_dedup_) {
-    replica_dedup_.emplace(kReplicaDedupCapacity, kReplicaDedupTtl);
-  }
   // One key space for both legs of a group: requests on even, replies on
   // odd, so a reply reusing its request's group still deduplicates.
-  return replica_dedup_->accept(group * 2 + static_cast<std::uint64_t>(kind),
-                                net_.now());
+  DDE_CHECK(group < (std::uint64_t{1} << 63),
+            "replica_first_copy: group id too large to key both legs");
+  const SimTime now = net_.now();
+  // A new entry reads as expired (time zero), so absent and expired keys
+  // are both accepted; a live entry marks a duplicate and is not refreshed.
+  SimTime& expires = replicas_seen_.find_or_insert(
+      group * 2 + static_cast<std::uint64_t>(kind));
+  if (expires > now) return false;
+  expires = now + kReplicaDedupTtl;
+  schedule_gc();
+  return true;
 }
 
 template <typename Msg>
@@ -872,15 +878,14 @@ void AthenaNode::broadcast_invalidation(const std::vector<LabelId>& labels) {
   inv.id = pack_node_counter(id_, next_invalidation_++);
   inv.labels = labels;
   inv.ttl = 64;  // network-wide
-  invalidations_seen_.insert_if_absent(inv.id, net_.now() + config_.dedup_ttl);
+  invalidations_seen_.insert_if_absent(inv.id, net_.now() + kDedupTtl);
   schedule_gc();
   apply_invalidation(labels);
   send_to_neighbors(inv, /*priority=*/1);
 }
 
 void AthenaNode::handle(NodeId from, const Invalidation& inv) {
-  if (!invalidations_seen_.insert_if_absent(inv.id,
-                                            net_.now() + config_.dedup_ttl)) {
+  if (!invalidations_seen_.insert_if_absent(inv.id, net_.now() + kDedupTtl)) {
     return;
   }
   schedule_gc();
@@ -936,7 +941,7 @@ void AthenaNode::pump_prefetch() {
     // background traffic would only deepen the queue it is observing — and
     // re-check at the throttle interval.
     ++metrics_.prefetch_throttled;
-    next_pump = config_.prefetch_throttle_interval;
+    next_pump = kPrefetchThrottleInterval;
   } else {
     const PrefetchItem item = prefetch_queue_.front();
     prefetch_queue_.pop_front();
@@ -994,7 +999,7 @@ void AthenaNode::on_crash(fault::RestartPolicy policy) {
   prefetch_queue_.clear();
   prefetch_seen_.clear();
   prefetch_seen_fifo_.clear();
-  replica_dedup_.reset();
+  replicas_seen_.clear();
   store_.on_crash(policy);
   trace(obs::EventKind::kNodeCrash, QueryId{0}, dropped);
 }
@@ -1054,12 +1059,12 @@ void AthenaNode::handle(NodeId /*from*/, const RecoveryHello& hello) {
 void AthenaNode::schedule_gc() {
   if (gc_scheduled_) return;
   if (forwarder_.empty() && announces_seen_.empty() &&
-      invalidations_seen_.empty() && store_.ingested_entries() == 0) {
+      invalidations_seen_.empty() && replicas_seen_.empty() &&
+      store_.ingested_entries() == 0) {
     return;
   }
   gc_scheduled_ = true;
-  net_.simulator().schedule_after(config_.state_gc_interval,
-                                  [this] { run_gc(); });
+  net_.simulator().schedule_after(kStateGcInterval, [this] { run_gc(); });
 }
 
 void AthenaNode::run_gc() {
@@ -1067,10 +1072,10 @@ void AthenaNode::run_gc() {
   const SimTime now = net_.now();
   forwarder_.sweep(now);
   store_.sweep(now);
-  announces_seen_.erase_if(
-      [now](std::uint64_t, SimTime t) { return t <= now; });
-  invalidations_seen_.erase_if(
-      [now](std::uint64_t, SimTime t) { return t <= now; });
+  const auto expired = [now](std::uint64_t, SimTime t) { return t <= now; };
+  announces_seen_.erase_if(expired);
+  invalidations_seen_.erase_if(expired);
+  replicas_seen_.erase_if(expired);
   schedule_gc();
 }
 
@@ -1098,7 +1103,7 @@ void AthenaNode::send_msg(NodeId next, Message msg, int priority) {
                                           ? &AthenaMetrics::push_bytes
                                           : &AthenaMetrics::object_bytes};
         } else {
-          return Bill{config_.*T::kSize, T::kBilledTo};
+          return Bill{T::kBytes, T::kBilledTo};
         }
       },
       msg);

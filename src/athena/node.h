@@ -35,7 +35,6 @@
 #include "decision/expression.h"
 #include "decision/planner.h"
 #include "fault/restart_policy.h"
-#include "net/multipath.h"
 #include "net/network.h"
 #include "obs/trace.h"
 #include "world/sensor_field.h"
@@ -185,11 +184,12 @@ class AthenaNode {
   [[nodiscard]] std::size_t forwarded_entries() const noexcept {
     return forwarder_.forwarded_entries();
   }
-  /// Dedup entries (query announces, invalidations and ingested objects)
-  /// currently held.
+  /// Dedup entries (query announces, invalidations, replica copies and
+  /// ingested objects) currently held. Expired entries count until the GC
+  /// sweep drops them.
   [[nodiscard]] std::size_t dedup_entries() const noexcept {
     return announces_seen_.size() + invalidations_seen_.size() +
-           store_.ingested_entries();
+           replicas_seen_.size() + store_.ingested_entries();
   }
   /// Query-table entries: unresolved queries plus those finished since the
   /// last drain (see drain_retired()).
@@ -299,9 +299,9 @@ class AthenaNode {
   // --- multipath redundancy (Sec. V-C over lossy links) -------------------
   /// A fresh replica-group id, unique across this run's nodes.
   [[nodiscard]] std::uint64_t new_replica_group();
-  /// First sight of a replica-group copy? (true when dedup is off or the
-  /// message is untagged). `kind` disambiguates the request (0) and reply
-  /// (1) legs of one group.
+  /// First sight of a replica-group copy? (true when the message is
+  /// untagged). `kind` disambiguates the request (0) and reply (1) legs of
+  /// one group.
   [[nodiscard]] bool replica_first_copy(std::uint64_t group, int kind);
   /// Send replica copies of a group-tagged ObjectRequest or ObjectReply
   /// via alternate downhill first hops toward `dest` (no-op when multipath
@@ -396,19 +396,20 @@ class AthenaNode {
   /// The values are unused.
   FlatU64Map<std::uint8_t> prefetch_seen_;
   std::deque<std::uint64_t> prefetch_seen_fifo_;
-  /// Announce flood dedup: query id → entry expiry (the query's deadline;
+  /// Announce dedup: query id → entry expiry (the query's deadline;
   /// post-deadline duplicates are discarded either way, so expiry changes
   /// nothing observable). Swept by the GC.
   FlatU64Map<SimTime> announces_seen_;
-  /// Invalidation flood dedup: notice id → expiry (now + dedup_ttl at
+  /// Invalidation flood dedup: notice id → expiry (now + kDedupTtl at
   /// first sight). Swept by the GC.
   FlatU64Map<SimTime> invalidations_seen_;
   /// Locally-originated invalidation notices (keeps flood ids unique even
   /// as dedup entries expire).
   std::uint64_t next_invalidation_ = 0;
-  /// Replica-group dedup (multipath redundancy). Constructed lazily on the
-  /// first tagged message so single-path runs carry no extra state.
-  std::optional<net::DedupTable> replica_dedup_;
+  /// Replica-group dedup (multipath redundancy): group leg → expiry (120 s
+  /// after the first copy; a live entry is not refreshed by later copies).
+  /// Swept by the GC; single-path runs never fill it.
+  FlatU64Map<SimTime> replicas_seen_;
   /// Locally-assigned replica groups (keeps group ids unique per node;
   /// combined with the node id for run-wide uniqueness).
   std::uint64_t next_replica_group_ = 0;

@@ -68,11 +68,10 @@ inline void publish(MetricRegistry& reg, const net::TrafficStats& s,
 
 /// cache.<name>.* — one TTL cache's counters (see CacheStats for the
 /// field semantics: evictions = capacity pressure only, expired_drops =
-/// TTL expiry, refreshes = in-place overwrites), plus the hit ratio.
+/// TTL expiry, refreshes = in-place overwrites).
 inline void publish(MetricRegistry& reg, const cache::CacheStats& s,
                     const std::string& prefix) {
   publish_fields(reg, s, prefix);
-  reg.gauge(prefix + "hit_ratio") = s.hit_ratio();
 }
 
 }  // namespace dde::obs

@@ -13,11 +13,19 @@
 #include "athena/metrics.h"
 #include "cache/ttl_cache.h"
 #include "common/flat_hash.h"
+#include "common/sim_time.h"
 #include "fault/restart_policy.h"
 #include "fusion/belief.h"
 #include "world/sensor_field.h"
 
 namespace dde::athena {
+
+/// How long a dedup entry outlives what it guards: an invalidation's flood
+/// dedup entry lives this long after first sight, an ingest-dedup entry
+/// this long past its object's expiry. Duplicates can only arrive while
+/// copies are still in flight, so any value far above the network's drain
+/// time is safe; the node's GC then collects the entries.
+inline constexpr SimTime kDedupTtl = SimTime::seconds(3600);
 
 class Store {
  public:
@@ -27,7 +35,6 @@ class Store {
         AthenaMetrics& metrics)
       : self_(self.value()),
         corroboration_confidence_(config.corroboration_confidence),
-        dedup_ttl_(config.dedup_ttl),
         field_(field),
         metrics_(metrics),
         object_cache_(config.object_cache_capacity),
@@ -101,7 +108,7 @@ class Store {
   std::optional<std::vector<decision::LabelValue>> ingest(
       const world::EvidenceObject& obj, SimTime now) {
     if (!ingested_.insert_if_absent(obj.id.value(),
-                                    obj.expires_at() + dedup_ttl_)) {
+                                    obj.expires_at() + kDedupTtl)) {
       return std::nullopt;
     }
     if (!obj.fresh_at(now)) ++metrics_.stale_arrivals;
@@ -196,7 +203,6 @@ class Store {
 
   AnnotatorId self_;
   double corroboration_confidence_;
-  SimTime dedup_ttl_;
   world::SensorField& field_;
   AthenaMetrics& metrics_;
 
@@ -213,7 +219,7 @@ class Store {
   };
   std::unordered_map<LabelId, BeliefEntry> beliefs_;
   /// Ingest dedup: object id → expiry (the object's own expiry plus
-  /// dedup_ttl, so copies still in flight after it expires are dropped
+  /// kDedupTtl, so copies still in flight after it expires are dropped
   /// too). Swept by the node's GC.
   FlatU64Map<SimTime> ingested_;
 };

@@ -2,10 +2,10 @@
 //
 // Every Athena node caches evidence objects and label values that pass
 // through it. Entries carry an absolute expiry; a lookup at time t only
-// returns entries that are still fresh at t (and, optionally, that will
-// still be fresh at a caller-supplied future decision time). Capacity is
-// bounded; expired entries are pruned on insert, and capacity pressure
-// evicts the least-recently-used live entry.
+// returns entries that are still fresh at t. Lookups have no side effects.
+// Capacity is bounded; expired entries are pruned on insert, and capacity
+// pressure evicts the least-recently-put live entry (a refresh counts as a
+// put).
 //
 // Layout (city-scale push, second tranche — docs/PERFORMANCE.md): the
 // original std::unordered_map + std::list<K> paid two node allocations
@@ -21,7 +21,7 @@
 //     them and never move, so growth copies no value and leaves no
 //     freed block behind;
 //   * an intrusive doubly-linked LRU threaded through the slots
-//     (prev/next indices, head = most recent);
+//     (prev/next indices, head = most recently put);
 //   * a lazy min-heap of (expires_at, slot, generation) triples so
 //     prune() pops only entries that have actually expired instead of
 //     sweeping the whole table. A slot's generation is bumped on every
@@ -36,8 +36,8 @@
 // Pointer stability: a slot's address never changes, but its contents
 // do. The next mutating call may overwrite the entry, or drop it (expiry,
 // eviction, erase) and recycle its slot for another key (the free list
-// is LIFO), so callers must still not hold a value returned by
-// get()/peek() across a put(); all in-tree callers use it and drop it.
+// is LIFO), so callers must still not hold a value returned by peek()
+// across a put(); all in-tree callers use it and drop it.
 #pragma once
 
 #include <algorithm>
@@ -62,9 +62,6 @@ namespace dde::cache {
 /// tests/test_ttl_cache.cpp):
 ///   insertions == live + evictions + expired_drops + flushed + invalidated.
 struct CacheStats {
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-  std::uint64_t stale_rejects = 0;  ///< present but not fresh enough
   std::uint64_t insertions = 0;     ///< new entries only (not refreshes)
   std::uint64_t refreshes = 0;      ///< in-place overwrites of a live key
   std::uint64_t evictions = 0;      ///< capacity-pressure LRU drops only
@@ -72,10 +69,6 @@ struct CacheStats {
   std::uint64_t flushed = 0;        ///< entries removed by clear()
   std::uint64_t invalidated = 0;    ///< entries removed by erase_key()/erase_if()
 
-  [[nodiscard]] double hit_ratio() const noexcept {
-    const std::uint64_t total = hits + misses + stale_rejects;
-    return total == 0 ? 0.0 : static_cast<double>(hits) / static_cast<double>(total);
-  }
   bool operator==(const CacheStats&) const = default;
 };
 
@@ -84,9 +77,6 @@ struct CacheStats {
 template <typename S, typename F>
   requires std::is_same_v<std::remove_const_t<S>, CacheStats>
 constexpr void for_each_field(S& s, F&& f) {
-  f("hits", s.hits);
-  f("misses", s.misses);
-  f("stale_rejects", s.stale_rejects);
   f("insertions", s.insertions);
   f("refreshes", s.refreshes);
   f("evictions", s.evictions);
@@ -135,38 +125,8 @@ class TtlCache {
     DDE_INVARIANT(consistent(), "TtlCache: index/LRU desync after put");
   }
 
-  /// Lookup: returns the value if present and fresh through `fresh_until`
-  /// (callers that need the entry at a future decision time pass that time;
-  /// callers that need it now pass `now`). Updates LRU order and stats.
-  [[nodiscard]] const V* get(const K& key, SimTime now,
-                             SimTime fresh_until) {
-    // A fresh_until in the past would let an entry that is already expired
-    // at `now` slip through the staleness check below; clamp it forward.
-    DDE_CLAMP_OR(fresh_until >= now, fresh_until = now,
-                 "TtlCache::get: fresh_until precedes now; clamped to now");
-    const std::uint32_t slot = find_slot(key);
-    if (slot == kNil) {
-      ++stats_.misses;
-      return nullptr;
-    }
-    Slot& s = slot_at(slot);
-    if (s.expires_at <= fresh_until) {
-      // Present but would be stale by the time it is needed.
-      if (s.expires_at <= now) {
-        erase_slot(slot);
-        ++stats_.expired_drops;
-        ++stats_.misses;
-      } else {
-        ++stats_.stale_rejects;
-      }
-      return nullptr;
-    }
-    move_to_front(slot);
-    ++stats_.hits;
-    return &s.value;
-  }
-
-  /// Peek without stats/LRU effects; freshness checked against `now` only.
+  /// The value of `key` if present and fresh at `now`, else nullptr. No
+  /// stats or LRU effects.
   [[nodiscard]] const V* peek(const K& key, SimTime now) const {
     const std::uint32_t slot = find_slot(key);
     if (slot == kNil || slot_at(slot).expires_at <= now) return nullptr;

@@ -8,11 +8,11 @@
 // table is a single contiguous array, linear probing, splitmix64-mixed —
 // and its original clients (the dedup tables) use NO iteration at all:
 // lookups, inserts, and erases only, with any ordered walk owned by a
-// companion structure (e.g. net::DedupTable's expiry heap). The athena
-// tranche added two carefully bounded iteration forms, both deterministic
-// by construction because slot layout is a pure function of the operation
-// history (constant hash, power-of-two capacity schedule, deterministic
-// rebuild):
+// companion structure (e.g. the prefetch-dedup set's insertion FIFO). The
+// athena tranche added two carefully bounded iteration forms, both
+// deterministic by construction because slot layout is a pure function of
+// the operation history (constant hash, power-of-two capacity schedule,
+// deterministic rebuild):
 //
 //   * for_each / erase_if — slot-index order. Legitimate only for
 //     commutative folds and independent per-entry updates; anything whose

@@ -1,8 +1,7 @@
 #include "net/multipath.h"
 
 #include <algorithm>
-
-#include "common/contracts.h"
+#include <utility>
 
 namespace dde::net {
 
@@ -38,58 +37,6 @@ std::vector<NodeId> alternate_next_hops(const Topology& topo, NodeId from,
     if (result.size() >= k) break;
   }
   return result;
-}
-
-namespace {
-
-/// Min-heap order on (expiry, key): std::make/push/pop_heap build max-heaps,
-/// so feed them the reversed comparison.
-bool heap_after(const std::pair<SimTime, std::uint64_t>& a,
-                const std::pair<SimTime, std::uint64_t>& b) noexcept {
-  return b < a;
-}
-
-}  // namespace
-
-DedupTable::DedupTable(std::size_t capacity, SimTime ttl)
-    : capacity_(capacity), ttl_(ttl), expiry_(capacity) {
-  DDE_CHECK(capacity > 0, "DedupTable: capacity must be > 0");
-  DDE_CHECK(ttl > SimTime::zero(), "DedupTable: ttl must be > 0");
-  by_expiry_.reserve(capacity);
-}
-
-/// Drop the heap minimum — the entry with the earliest (expiry, key) — from
-/// both structures.
-void DedupTable::pop_earliest() {
-  std::pop_heap(by_expiry_.begin(), by_expiry_.end(), heap_after);
-  expiry_.erase(by_expiry_.back().second);
-  by_expiry_.pop_back();
-}
-
-void DedupTable::purge(SimTime now) {
-  while (!by_expiry_.empty() && by_expiry_.front().first <= now) {
-    pop_earliest();
-    ++stats_.expired;
-  }
-}
-
-bool DedupTable::accept(std::uint64_t key, SimTime now) {
-  purge(now);
-  if (expiry_.find(key) != nullptr) {
-    ++stats_.duplicates;
-    return false;
-  }
-  if (expiry_.size() >= capacity_) {
-    // Displace the entry closest to natural expiry (least useful to keep).
-    pop_earliest();
-    ++stats_.evicted;
-  }
-  const SimTime when = now + ttl_;
-  expiry_.insert(key, when);
-  by_expiry_.emplace_back(when, key);
-  std::push_heap(by_expiry_.begin(), by_expiry_.end(), heap_after);
-  ++stats_.accepted;
-  return true;
 }
 
 }  // namespace dde::net

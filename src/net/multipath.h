@@ -1,24 +1,17 @@
 // Multipath redundancy support: alternate next-hop selection for sending
-// replicated copies of critical traffic over disjoint first hops, and a
-// bounded receiver-side dedup table that suppresses the extra copies.
+// replicated copies of critical traffic over disjoint first hops.
 //
-// The transmission side is policy-free: alternate_next_hops() just ranks a
-// node's other neighbors by how much closer they sit to the destination
+// The selection is policy-free: alternate_next_hops() just ranks a node's
+// other neighbors by how much closer they sit to the destination
 // (deterministically — ties break by node id), and the caller decides how
-// many replicas to cut. The receive side is a DedupTable keyed by replica
-// group: the first copy of a group is accepted, later copies are dropped.
-// Entries expire (groups are short-lived — one request/reply exchange) and
-// the table is capacity-bounded with earliest-expiry eviction, like the
-// announce-flood dedup, so state stays O(capacity) regardless of traffic.
+// many replicas to cut; receivers keep the first copy of each replica
+// group and drop the rest.
 #pragma once
 
-#include <cstdint>
-#include <utility>
+#include <cstddef>
 #include <vector>
 
-#include "common/flat_hash.h"
 #include "common/ids.h"
-#include "common/sim_time.h"
 #include "net/topology.h"
 
 namespace dde::net {
@@ -35,46 +28,5 @@ namespace dde::net {
 [[nodiscard]] std::vector<NodeId> alternate_next_hops(
     const Topology& topo, NodeId from, NodeId dest, std::size_t k,
     const std::vector<NodeId>& used);
-
-/// Bounded first-copy-wins duplicate suppression.
-class DedupTable {
- public:
-  struct Stats {
-    std::uint64_t accepted = 0;    ///< first copies admitted
-    std::uint64_t duplicates = 0;  ///< later copies suppressed
-    std::uint64_t expired = 0;     ///< entries aged out
-    std::uint64_t evicted = 0;     ///< entries displaced at capacity
-  };
-
-  /// Remember keys for `ttl` after first sight; hold at most `capacity`
-  /// live keys (earliest-expiry eviction). Preconditions: capacity > 0,
-  /// ttl > 0.
-  DedupTable(std::size_t capacity, SimTime ttl);
-
-  /// First sight of `key` at `now` → true (accepted); a repeat within the
-  /// ttl → false (duplicate). Re-admits keys whose entry expired or was
-  /// evicted.
-  [[nodiscard]] bool accept(std::uint64_t key, SimTime now);
-
-  [[nodiscard]] std::size_t size() const noexcept { return expiry_.size(); }
-  [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
-
- private:
-  void purge(SimTime now);
-  void pop_earliest();
-
-  std::size_t capacity_;
-  SimTime ttl_;
-  /// key → expiry time: flat open-addressing probe, no iteration ever
-  /// (common/flat_hash.h) — the old std::map cost a node allocation and a
-  /// tree descent per packet copy.
-  FlatU64Map<SimTime> expiry_;
-  /// Intrusive min-heap ordered by (expiry, key) — the same total order the
-  /// old std::set<pair> gave, so purge order and the capacity-eviction
-  /// victim are byte-identical. Always 1:1 with expiry_: entries leave both
-  /// together (heap-minimum pops only).
-  std::vector<std::pair<SimTime, std::uint64_t>> by_expiry_;
-  Stats stats_;
-};
 
 }  // namespace dde::net

@@ -10,8 +10,8 @@
 // grid cell the vehicle currently occupies (coverage map). A teleoperation
 // center issues critical situation-assessment decisions with tight
 // deadlines; the Athena nodes replicate the critical request/reply traffic
-// across the parallel links (multipath_redundancy) and the receiver
-// deduplicates replicas (net::DedupTable), so one clean copy suffices.
+// across the parallel links (multipath_redundancy) and every receiver keeps
+// only the first copy of each replica group, so one clean copy suffices.
 #pragma once
 
 #include <cstdint>

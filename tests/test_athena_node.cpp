@@ -46,10 +46,19 @@ struct RetireLog {
   }
 };
 
-/// Line network A(0) — B(1) — C(2).
-///   sensor 0 @ C covers segments {0 (viable), 1 (blocked)}, 1000 B, 100 s.
+/// The network a Fixture builds.
+enum class Shape {
+  kLine,     ///< A(0) — B(1) — C(2)
+  kDiamond,  ///< A(0) — {B(1), C(2)} — D(3): two disjoint A–D paths
+};
+
+/// Line network A(0) — B(1) — C(2), or a diamond whose far node D(3) takes
+/// C's sensors:
+///   sensor 0 @ C (D) covers segments {0 (viable), 1 (blocked)}, 1000 B,
+///     100 s.
 ///   sensor 1 @ A covers segment {2 (viable)}, 800 B, 100 s.
-///   sensor 2 @ C covers segment {3 (viable)}, 1000 B, 10 ms (stale-on-arrival).
+///   sensor 2 @ C (D) covers segment {3 (viable)}, 1000 B, 10 ms
+///     (stale-on-arrival).
 struct Fixture {
   world::GridMap map{4, 4};
   world::ViabilityProcess truth;
@@ -90,26 +99,38 @@ struct Fixture {
     return {s0, s1, s2};
   }
 
-  explicit Fixture(const AthenaConfig& cfg = config_for(Scheme::kLvfl))
+  explicit Fixture(const AthenaConfig& cfg = config_for(Scheme::kLvfl),
+                   Shape shape = Shape::kLine)
       : truth(dynamics(map.segment_count()), Rng(1)),
         field(map, truth, sensors()),
         topo(),
         nodes(),
         sim(),
-        net(make_net()),
-        dir(topo, field, {NodeId{2}, NodeId{0}, NodeId{2}},
+        net(make_net(shape)),
+        dir(topo, field, {nodes.back(), NodeId{0}, nodes.back()},
             {0.9, 0.1, 0.9, 0.9}) {
-    for (std::size_t i = 0; i < 3; ++i) {
-      athena.push_back(std::make_unique<AthenaNode>(NodeId{i}, net, dir, field,
-                                                    cfg, metrics));
+    for (const NodeId n : nodes) {
+      athena.push_back(
+          std::make_unique<AthenaNode>(n, net, dir, field, cfg, metrics));
     }
     retired.attach(athena);
   }
 
-  net::Network make_net() {
-    for (int i = 0; i < 3; ++i) nodes.push_back(topo.add_node());
-    topo.add_link(nodes[0], nodes[1], 1e6, SimTime::millis(1));
-    topo.add_link(nodes[1], nodes[2], 1e6, SimTime::millis(1));
+  net::Network make_net(Shape shape) {
+    const auto link = [this](int a, int b) {
+      topo.add_link(nodes[a], nodes[b], 1e6, SimTime::millis(1));
+    };
+    if (shape == Shape::kLine) {
+      for (int i = 0; i < 3; ++i) nodes.push_back(topo.add_node());
+      link(0, 1);
+      link(1, 2);
+    } else {
+      for (int i = 0; i < 4; ++i) nodes.push_back(topo.add_node());
+      link(0, 1);
+      link(0, 2);
+      link(1, 3);
+      link(2, 3);
+    }
     topo.compute_routes();
     return net::Network(sim, topo);
   }
@@ -910,24 +931,24 @@ TEST(AthenaNode, LabelEvidenceListsItsObjects) {
 TEST(AthenaNode, PrefetchDedupOverflowEvictsOldestFirst) {
   auto cfg = config_for(Scheme::kLvfl);
   cfg.prefetch_dedup_capacity = 2;
-  cfg.announce_ttl = 2;  // announces from A must cross B to reach host C
-  Fixture f(cfg);
-  // C hosts sensors 0 (label 0) and 2 (label 3); announces from origins A
-  // and B mark distinct (origin, source) keys at C, one per query:
-  //   1. A asks label 0 → key (A, s0) marked, push #1.
-  f.athena[0]->query_init(single_label(0), SimTime::seconds(120));
-  f.sim.run_until(SimTime::seconds(2));
-  //   2. B asks label 0 → key (B, s0) marked, push #2.
+  Fixture f(cfg, Shape::kDiamond);
+  // D hosts sensors 0 (label 0) and 2 (label 3); announces from its
+  // neighbors B and C mark distinct (origin, source) keys at D, one per
+  // query:
+  //   1. B asks label 0 → key (B, s0) marked, push #1.
   f.athena[1]->query_init(single_label(0), SimTime::seconds(120));
+  f.sim.run_until(SimTime::seconds(2));
+  //   2. C asks label 0 → key (C, s0) marked, push #2.
+  f.athena[2]->query_init(single_label(0), SimTime::seconds(120));
   f.sim.run_until(SimTime::seconds(4));
-  //   3. A asks label 3 → key (A, s2) overflows the bound of 2. Oldest-
-  //      first eviction drops (A, s0) only; (B, s0) survives. Push #3.
-  f.athena[0]->query_init(single_label(3), SimTime::seconds(120));
+  //   3. B asks label 3 → key (B, s2) overflows the bound of 2. Oldest-
+  //      first eviction drops (B, s0) only; (C, s0) survives. Push #3.
+  f.athena[1]->query_init(single_label(3), SimTime::seconds(120));
   f.sim.run_until(SimTime::seconds(6));
-  //   4. B asks label 0 again (fresh query id): (B, s0) is still in the
+  //   4. C asks label 0 again (fresh query id): (C, s0) is still in the
   //      dedup set, so no fourth push. The wholesale clear() this replaces
   //      forgot it in step 3 and pushed again here.
-  f.athena[1]->query_init(single_label(0), SimTime::seconds(120));
+  f.athena[2]->query_init(single_label(0), SimTime::seconds(120));
   f.sim.run_until(SimTime::seconds(10));
   EXPECT_EQ(f.metrics.prefetch_pushes, 3u);
 }
@@ -1016,35 +1037,32 @@ TEST(AthenaNode, RetireHookFiresOnceWithTheIssuedExpression) {
 // and the first sweep at/after it must collect it — one sweep seeing both
 // a dead and a live entry must split them exactly. The origin also holds
 // ingest-dedup entries for the objects it annotates, so the exact counts
-// are read at B and C, which only relay and host.
+// are read at A and C, which only hear the announces and host.
 TEST(AthenaNode, GcCollectsDedupEntriesOnlyPastDeadline) {
-  auto cfg = config_for(Scheme::kLvfl);
-  cfg.state_gc_interval = SimTime::seconds(20);
-  cfg.announce_ttl = 2;  // flood both announces to every node in the line
-  cfg.dedup_ttl = SimTime::seconds(10);  // ingest entries gone by t=120
-  Fixture f(cfg);
+  Fixture f;
   const auto announce_entries = [&f](std::size_t expected) {
-    EXPECT_GE(f.athena[0]->dedup_entries(), expected);
-    EXPECT_EQ(f.athena[1]->dedup_entries(), expected);
+    EXPECT_EQ(f.athena[0]->dedup_entries(), expected);
+    EXPECT_GE(f.athena[1]->dedup_entries(), expected);
     EXPECT_EQ(f.athena[2]->dedup_entries(), expected);
   };
-  // Two announced queries: Q1's dedup entry dies at t=12, Q2's at t=100.
-  f.athena[0]->query_init(single_label(0), SimTime::seconds(12));
-  f.athena[0]->query_init(single_label(3), SimTime::seconds(100));
+  // Two queries from B, announced to both its neighbors: Q1's dedup entry
+  // dies at t=50, Q2's at t=100.
+  f.athena[1]->query_init(single_label(0), SimTime::seconds(50));
+  f.athena[1]->query_init(single_label(3), SimTime::seconds(100));
   f.sim.run_until(SimTime::millis(50));
   // Every node saw both announces (origin included).
   announce_entries(2);
-  // t=15: Q1's deadline passed, but the next sweep is at ~t=20 — the
+  // t=55: Q1's deadline passed, but the first sweep is at ~t=60 — the
   // entry is collected by the sweep, not by the deadline itself.
-  f.sim.run_until(SimTime::seconds(15));
+  f.sim.run_until(SimTime::seconds(55));
   announce_entries(2);
-  // t=25: the sweep ran once with now ≈ 20: Q1 (12 <= 20) collected,
-  // Q2 (100 > 20) kept.
-  f.sim.run_until(SimTime::seconds(25));
+  // t=65: the sweep ran once with now ≈ 60: Q1 (50 <= 60) collected,
+  // Q2 (100 > 60) kept.
+  f.sim.run_until(SimTime::seconds(65));
   announce_entries(1);
-  // Past Q2's deadline and every ingested object's expiry plus dedup_ttl,
+  // Past Q2's deadline and every ingested object's expiry plus kDedupTtl,
   // the table drains to empty.
-  f.sim.run_until(SimTime::seconds(130));
+  f.sim.run_until(SimTime::seconds(3800));
   for (const auto& node : f.athena) {
     EXPECT_EQ(node->dedup_entries(), 0u);
   }
@@ -1164,15 +1182,19 @@ TEST(AthenaNode, LabelShareServesInterestsInAscendingSourceOrder) {
   }
 }
 
-/// Deliver `msg` to B (node 1) over the A—B link, as if A had sent it.
-void inject_at_b(Fixture& f, Message msg) {
+/// Deliver `msg` to node `to` over its link from `from`, as if `from` had
+/// sent it.
+void inject(Fixture& f, std::size_t from, std::size_t to, Message msg) {
   net::Packet pkt;
-  pkt.src = f.nodes[0];
-  pkt.dst = f.nodes[1];
+  pkt.src = f.nodes[from];
+  pkt.dst = f.nodes[to];
   pkt.bytes = 200;
   pkt.payload = std::move(msg);
-  ASSERT_TRUE(f.net.send(f.nodes[0], f.nodes[1], std::move(pkt)));
+  ASSERT_TRUE(f.net.send(f.nodes[from], f.nodes[to], std::move(pkt)));
 }
+
+/// Deliver `msg` to B (node 1) over the A—B link, as if A had sent it.
+void inject_at_b(Fixture& f, Message msg) { inject(f, 0, 1, std::move(msg)); }
 
 /// A fresh, true value for `label`, signed by C.
 decision::LabelValue true_value(std::uint64_t label, SimTime at) {
@@ -1349,6 +1371,116 @@ TEST(AthenaNodeDeathTest, InterestWithLabelItsSourceDoesNotCoverAborts) {
         f.sim.run_until(SimTime::seconds(1));
       },
       "does not cover every label");
+}
+
+// Multipath on the diamond: a critical request from A to sensor 0's host D
+// leaves over B and, replicated, over C; D's reply comes back the same two
+// ways. At each meeting point the second copy is dropped and counted once,
+// and every node's replica entries drain through the GC.
+TEST(AthenaNode, ReplicaCopiesConvergeOnceAndDrainThroughGc) {
+  auto cfg = config_for(Scheme::kLvfl);
+  cfg.prefetch = false;
+  cfg.multipath_redundancy = 2;
+  Fixture f(cfg, Shape::kDiamond);
+  f.athena[0]->query_init(single_label(0), SimTime::seconds(30),
+                          /*priority=*/1);
+  f.sim.run_until(SimTime::seconds(1));
+  ASSERT_TRUE(f.last_record(0).success());
+  // One extra copy per leg: A's request replica and D's reply replica.
+  EXPECT_EQ(f.metrics.replica_copies, 2u);
+  // The request copies meet at D and the reply copies at A.
+  EXPECT_EQ(f.metrics.replica_duplicates, 2u);
+  // D served the first request copy only: its reply and the replica each
+  // took two hops (D→B→A, D→C→A).
+  EXPECT_EQ(f.metrics.object_reply_hops, 4u);
+  // B and C each relayed one copy of both legs; A and D keep the key of
+  // the leg that met there.
+  EXPECT_EQ(f.athena[1]->dedup_entries(), 2u);
+  EXPECT_EQ(f.athena[2]->dedup_entries(), 2u);
+  EXPECT_EQ(f.athena[3]->dedup_entries(), 1u);
+  // A crash forgets them, as it does every flood-dedup table.
+  f.athena[3]->on_crash(fault::RestartPolicy::kWarm);
+  EXPECT_EQ(f.athena[3]->dedup_entries(), 0u);
+  // The relays hold nothing else, so 120 s on their entries are swept.
+  f.sim.run_until(SimTime::seconds(200));
+  EXPECT_EQ(f.athena[1]->dedup_entries(), 0u);
+  EXPECT_EQ(f.athena[2]->dedup_entries(), 0u);
+  // A's announce and ingest entries outlive them; a long run drains all.
+  f.sim.run_until(SimTime::seconds(3800));
+  for (const auto& node : f.athena) {
+    EXPECT_EQ(node->dedup_entries(), 0u);
+  }
+}
+
+// A replica group is remembered for 120 s from its first copy: a copy in
+// that window is a duplicate (and does not extend it), a copy after it is
+// accepted as new.
+TEST(AthenaNode, ReplicaGroupIsAcceptedAgainAfter120s) {
+  auto cfg = config_for(Scheme::kLvfl);
+  cfg.prefetch = false;
+  cfg.multipath_redundancy = 2;
+  Fixture f(cfg, Shape::kDiamond);
+  const auto request_at_d = [&f](double at_s) {
+    f.sim.run_until(SimTime::seconds(at_s));
+    ObjectRequest r;
+    r.query = QueryId{1};
+    r.origin = f.nodes[0];
+    r.source = SourceId{0};
+    r.labels = {LabelId{0}};
+    r.priority = 1;
+    r.replica_group = 42;
+    inject(f, 1, 3, r);
+    f.sim.run_until(SimTime::seconds(at_s + 1));
+  };
+  // First copy: D serves it; the reply and its replica meet at A.
+  request_at_d(0);
+  EXPECT_EQ(f.metrics.object_reply_hops, 4u);
+  EXPECT_EQ(f.metrics.replica_duplicates, 1u);
+  // 60 s later the group is live at D: a duplicate, nothing served.
+  request_at_d(60);
+  EXPECT_EQ(f.metrics.object_reply_hops, 4u);
+  EXPECT_EQ(f.metrics.replica_duplicates, 2u);
+  // Had that copy refreshed the entry, it would live to ~180 s. It expired
+  // at ~120 s instead, and the GC has swept it.
+  f.sim.run_until(SimTime::seconds(125));
+  EXPECT_EQ(f.athena[3]->dedup_entries(), 0u);
+  // 130 s after the first copy the group is new again at every node.
+  request_at_d(130);
+  EXPECT_EQ(f.metrics.object_reply_hops, 8u);
+  EXPECT_EQ(f.metrics.replica_duplicates, 3u);
+}
+
+// Dedup keys abort instead of aliasing: a replica group whose leg key
+// (group * 2 + leg) would wrap, and a prefetch (origin, source) key whose
+// origin id does not fit the 32 bits pack_node_counter gives it.
+TEST(AthenaNodeDeathTest, ReplicaGroupTooLargeToKeyAborts) {
+  EXPECT_DEATH(
+      {
+        Fixture f;
+        ObjectRequest r;
+        r.query = QueryId{1};
+        r.origin = f.nodes[0];
+        r.source = SourceId{0};
+        r.labels = {LabelId{0}};
+        r.priority = 1;
+        r.replica_group = std::uint64_t{1} << 63;
+        inject_at_b(f, r);
+        f.sim.run_until(SimTime::seconds(1));
+      },
+      "too large to key both legs");
+}
+
+TEST(AthenaNodeDeathTest, PrefetchKeyOfOversizedOriginAborts) {
+  EXPECT_DEATH(
+      {
+        Fixture f;
+        // C hosts sensor 0, so an announce naming label 0 is keyed there.
+        inject(f, 1, 2,
+               QueryAnnounce{QueryId{1}, NodeId{std::uint64_t{1} << 32},
+                             SimTime::seconds(30), {LabelId{0}}});
+        f.sim.run_until(SimTime::seconds(1));
+      },
+      "exceeds 32 bits");
 }
 
 // Every packet between Athena nodes carries one Message; anything else

@@ -11,7 +11,6 @@
 #include <cstddef>
 #include <vector>
 
-#include "cache/ttl_cache.h"
 #include "harness/parallel_runner.h"
 #include "common/rng.h"
 #include "common/sim_time.h"
@@ -132,20 +131,6 @@ TEST(ContractsDeathTest, InvariantActiveExactlyWhenOptedIn) {
   DDE_INVARIANT(false, "compiled out");
   SUCCEED();
 #endif
-}
-
-// --- Regression: TtlCache::get with fresh_until in the past ---------------
-// Before the clamp, a caller passing a stale decision time could be handed
-// an entry that had already expired at `now`.
-
-TEST(ContractRegressions, TtlCacheGetClampsPastFreshUntil) {
-  cache::TtlCache<int, int> c(4);
-  const SimTime t0 = SimTime::seconds(0);
-  const SimTime t5 = SimTime::seconds(5);
-  c.put(1, 10, /*expires_at=*/SimTime::seconds(3), t0);
-  // At t=5 the entry is expired; a fresh_until of t=2 (in the past) must
-  // not resurrect it.
-  EXPECT_EQ(c.get(1, t5, SimTime::seconds(2)), nullptr);
 }
 
 // --- Regression: kRandom scheduling with a null RNG -----------------------

@@ -1,11 +1,10 @@
 // Multipath transmission primitives (src/net/multipath.h): alternate
-// next-hop ranking over the routing topology and the bounded first-copy
-// dedup table that makes K-fold replication idempotent at the receiver.
+// next-hop ranking over the routing topology. Receiver-side replica dedup
+// is tested at the node (tests/test_athena_node.cpp).
 #include "net/multipath.h"
 
 #include <gtest/gtest.h>
 
-#include "common/sim_time.h"
 #include "net/topology.h"
 
 namespace dde::net {
@@ -87,134 +86,6 @@ TEST(Multipath, AlternatesDeterministicAcrossCalls) {
   const auto a = alternate_next_hops(t, NodeId{0}, NodeId{4}, 3, {});
   const auto b = alternate_next_hops(t, NodeId{0}, NodeId{4}, 3, {});
   EXPECT_EQ(a, b);
-}
-
-// --- DedupTable -----------------------------------------------------------
-
-TEST(DedupTable, FirstCopyWins) {
-  DedupTable table(8, SimTime::seconds(10));
-  EXPECT_TRUE(table.accept(42, SimTime::seconds(1)));
-  EXPECT_FALSE(table.accept(42, SimTime::seconds(2)));
-  EXPECT_FALSE(table.accept(42, SimTime::seconds(3)));
-  EXPECT_TRUE(table.accept(7, SimTime::seconds(3)));
-  EXPECT_EQ(table.stats().accepted, 2u);
-  EXPECT_EQ(table.stats().duplicates, 2u);
-}
-
-TEST(DedupTable, ExpiredKeysReadmit) {
-  DedupTable table(8, SimTime::seconds(10));
-  EXPECT_TRUE(table.accept(1, SimTime::seconds(0)));
-  // Still remembered just before the ttl elapses...
-  EXPECT_FALSE(table.accept(1, SimTime::seconds(9)));
-  // ...forgotten at/after expiry.
-  EXPECT_TRUE(table.accept(1, SimTime::seconds(20)));
-  EXPECT_EQ(table.stats().expired, 1u);
-}
-
-TEST(DedupTable, CapacityEvictsEarliestExpiry) {
-  DedupTable table(2, SimTime::seconds(100));
-  EXPECT_TRUE(table.accept(1, SimTime::seconds(1)));  // expires first
-  EXPECT_TRUE(table.accept(2, SimTime::seconds(2)));
-  EXPECT_TRUE(table.accept(3, SimTime::seconds(3)));  // evicts key 1
-  EXPECT_EQ(table.size(), 2u);
-  EXPECT_EQ(table.stats().evicted, 1u);
-  // Key 1 was displaced, so a late duplicate of it is (wrongly but
-  // boundedly) re-accepted; keys 2 and 3 are still suppressed.
-  EXPECT_FALSE(table.accept(2, SimTime::seconds(4)));
-  EXPECT_FALSE(table.accept(3, SimTime::seconds(4)));
-}
-
-TEST(DedupTable, SizeTracksLiveEntries) {
-  DedupTable table(16, SimTime::seconds(5));
-  EXPECT_TRUE(table.accept(1, SimTime::seconds(0)));
-  EXPECT_TRUE(table.accept(2, SimTime::seconds(1)));
-  EXPECT_EQ(table.size(), 2u);
-  // A probe far in the future purges both.
-  EXPECT_TRUE(table.accept(3, SimTime::seconds(60)));
-  EXPECT_EQ(table.size(), 1u);
-  EXPECT_EQ(table.stats().expired, 2u);
-}
-
-// Audit of the purge-then-evict order at the capacity boundary (ISSUE 8
-// satellite): purge() runs first and only claims entries with
-// expiry <= now, so a full table of UNexpired entries must take the
-// capacity-eviction path — stats count `evicted`, never `expired` — while
-// an entry expiring exactly at `now` is an expiry, never an eviction.
-TEST(DedupTable, FullTableOfUnexpiredEntriesEvictsNotExpires) {
-  DedupTable table(1, SimTime::seconds(100));
-  EXPECT_TRUE(table.accept(1, SimTime::seconds(1)));
-  // Capacity == size, entry 1 nowhere near expiring: admitting key 2 must
-  // evict-then-admit, and the accounting must say so.
-  EXPECT_TRUE(table.accept(2, SimTime::seconds(2)));
-  EXPECT_EQ(table.size(), 1u);
-  EXPECT_EQ(table.stats().evicted, 1u);
-  EXPECT_EQ(table.stats().expired, 0u);
-  EXPECT_EQ(table.stats().accepted, 2u);
-}
-
-TEST(DedupTable, EntryExpiringExactlyAtNowCountsExpiredNotEvicted) {
-  DedupTable table(1, SimTime::seconds(10));
-  EXPECT_TRUE(table.accept(1, SimTime::seconds(0)));  // expires at t=10
-  // Probe lands exactly on the expiry instant: purge claims it (<= now),
-  // leaving room — no eviction happens.
-  EXPECT_TRUE(table.accept(2, SimTime::seconds(10)));
-  EXPECT_EQ(table.stats().expired, 1u);
-  EXPECT_EQ(table.stats().evicted, 0u);
-}
-
-TEST(DedupTable, PurgeRunsBeforeEvictionWhenBothApply) {
-  DedupTable table(2, SimTime::seconds(10));
-  EXPECT_TRUE(table.accept(1, SimTime::seconds(0)));   // expires at 10
-  EXPECT_TRUE(table.accept(2, SimTime::seconds(5)));   // expires at 15
-  // At t=12 key 1 is expired; purging it makes room, so key 3 admits with
-  // no eviction even though the table was at capacity.
-  EXPECT_TRUE(table.accept(3, SimTime::seconds(12)));
-  EXPECT_EQ(table.stats().expired, 1u);
-  EXPECT_EQ(table.stats().evicted, 0u);
-  EXPECT_EQ(table.size(), 2u);
-}
-
-TEST(DedupTable, EvictionVictimIsEarliestExpiryThenSmallestKey) {
-  // The flat heap must displace exactly the entry the old ordered set
-  // picked: earliest expiry, ties broken by smallest key.
-  DedupTable table(3, SimTime::seconds(100));
-  EXPECT_TRUE(table.accept(7, SimTime::seconds(1)));
-  EXPECT_TRUE(table.accept(5, SimTime::seconds(1)));  // same expiry as 7
-  EXPECT_TRUE(table.accept(9, SimTime::seconds(2)));
-  EXPECT_TRUE(table.accept(4, SimTime::seconds(3)));  // displaces key 5
-  EXPECT_EQ(table.stats().evicted, 1u);
-  // Key 5 was displaced (smallest key among the earliest expiry pair):
-  // it re-admits; keys 7 and 9 are still suppressed.
-  EXPECT_FALSE(table.accept(7, SimTime::seconds(3)));
-  EXPECT_FALSE(table.accept(9, SimTime::seconds(3)));
-  EXPECT_TRUE(table.accept(5, SimTime::seconds(3)));
-  EXPECT_EQ(table.stats().evicted, 2u);  // re-admitting 5 displaced 7
-}
-
-TEST(DedupTable, HighChurnStaysBoundedAndConsistent) {
-  // Flat-table stress: far more distinct keys than capacity, interleaved
-  // duplicates — size never exceeds capacity and every accept/duplicate/
-  // expired/evicted lands in exactly one bucket.
-  DedupTable table(32, SimTime::millis(50));
-  std::uint64_t accepted = 0;
-  std::uint64_t duplicates = 0;
-  for (std::uint64_t i = 0; i < 5000; ++i) {
-    const SimTime now = SimTime::millis(static_cast<SimTime::rep>(i / 4));
-    const std::uint64_t key = (i * 7) % 1000;
-    if (table.accept(key, now)) {
-      ++accepted;
-    } else {
-      ++duplicates;
-    }
-    ASSERT_LE(table.size(), 32u);
-  }
-  EXPECT_EQ(table.stats().accepted, accepted);
-  EXPECT_EQ(table.stats().duplicates, duplicates);
-  EXPECT_EQ(accepted + duplicates, 5000u);
-  // Every admitted entry either still lives or left through exactly one of
-  // the two exits.
-  EXPECT_EQ(table.stats().accepted,
-            table.size() + table.stats().expired + table.stats().evicted);
 }
 
 }  // namespace

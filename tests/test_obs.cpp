@@ -203,14 +203,9 @@ TEST(MetricRegistry, AdaptersPublishEveryField) {
   athena::AthenaMetrics m;
   m.queries_issued = 10;
   m.queries_resolved = 9;
-  cache::CacheStats c;
-  c.hits = 3;
-  c.misses = 1;
   MetricRegistry reg;
   publish(reg, m);
-  publish(reg, c, "cache.object.");
   EXPECT_DOUBLE_EQ(reg.gauge("athena.resolution_ratio"), 0.9);
-  EXPECT_DOUBLE_EQ(reg.gauge("cache.object.hit_ratio"), 0.75);
   for (const char* name :
        {"replica_copies", "replica_duplicates", "queries_failed_crash",
         "node_restarts", "recovery_hellos", "recovery_marker_purges",

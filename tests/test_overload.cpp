@@ -187,12 +187,11 @@ TEST(Overload, PrefetchThrottleEngagesAndRecovers) {
   auto cfg = config_for(Scheme::kLvfl);
   ASSERT_TRUE(cfg.prefetch);
   cfg.prefetch_watermark = 1;
-  cfg.prefetch_throttle_interval = SimTime::millis(100);
   Fixture f(cfg);
   // Jam C→B with 3 s of opaque traffic: C's prefetch push toward the
   // origin sees a queue above the watermark and defers. The query comes
-  // from B — announces travel announce_ttl=1 hop, so the hosting node C
-  // only hears (and pushes for) queries of a direct neighbor.
+  // from B — announces travel one hop, so the hosting node C only hears
+  // (and pushes for) queries of a direct neighbor.
   f.jam(2, 1, 3);
   f.athena[1]->query_init(single_label(0), SimTime::seconds(20));
   f.sim.run_until(SimTime::seconds(30));
@@ -207,7 +206,6 @@ TEST(Overload, UnthrottledPrefetchPushesImmediately) {
   auto cfg = config_for(Scheme::kLvfl);
   ASSERT_TRUE(cfg.prefetch);
   cfg.prefetch_watermark = 1;
-  cfg.prefetch_throttle_interval = SimTime::millis(100);
   Fixture f(cfg);
   // Same query with idle links: the watermark never trips.
   f.athena[1]->query_init(single_label(0), SimTime::seconds(20));
@@ -217,10 +215,7 @@ TEST(Overload, UnthrottledPrefetchPushesImmediately) {
 }
 
 TEST(Overload, GcDrainsInterestForwardingAndDedupState) {
-  auto cfg = config_for(Scheme::kLvfl);
-  cfg.state_gc_interval = SimTime::seconds(1);
-  cfg.dedup_ttl = SimTime::seconds(2);
-  Fixture f(cfg);
+  Fixture f;
   f.athena[0]->query_init(single_label(0), SimTime::seconds(2));
   f.athena[0]->broadcast_invalidation({LabelId{0}});
   // Protocol state exists while the flood and fetch are live.
@@ -229,10 +224,10 @@ TEST(Overload, GcDrainsInterestForwardingAndDedupState) {
   for (const auto& node : f.athena) held += node->dedup_entries();
   EXPECT_GT(held, 0u);
   // Well past every deadline and TTL (the ingested object's entry lives
-  // until its 100 s expiry plus dedup_ttl), the background sweep has
-  // returned the node to an empty steady state — nothing grows without
-  // bound.
-  f.sim.run_until(SimTime::seconds(110));
+  // until its 100 s expiry plus the hour-long kDedupTtl), the background
+  // sweep has returned the node to an empty steady state — nothing grows
+  // without bound.
+  f.sim.run_until(SimTime::seconds(3800));
   for (const auto& node : f.athena) {
     EXPECT_EQ(node->interest_entries(), 0u);
     EXPECT_EQ(node->forwarded_entries(), 0u);

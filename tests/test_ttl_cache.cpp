@@ -13,10 +13,10 @@ namespace {
 
 SimTime s(double x) { return SimTime::seconds(x); }
 
-TEST(TtlCache, PutAndGet) {
+TEST(TtlCache, PutAndPeek) {
   TtlCache<int, std::string> c(4);
   c.put(1, "one", s(10), s(0));
-  const auto* v = c.get(1, s(1), s(1));
+  const auto* v = c.peek(1, s(1));
   ASSERT_NE(v, nullptr);
   EXPECT_EQ(*v, "one");
   EXPECT_EQ(c.size(), 1u);
@@ -24,44 +24,33 @@ TEST(TtlCache, PutAndGet) {
 
 TEST(TtlCache, MissOnAbsentKey) {
   TtlCache<int, int> c(4);
-  EXPECT_EQ(c.get(7, s(0), s(0)), nullptr);
-  EXPECT_EQ(c.stats().misses, 1u);
+  EXPECT_EQ(c.peek(7, s(0)), nullptr);
 }
 
 TEST(TtlCache, ExpiredEntryIsMiss) {
   TtlCache<int, int> c(4);
   c.put(1, 11, s(10), s(0));
-  EXPECT_NE(c.get(1, s(9), s(9)), nullptr);
-  EXPECT_EQ(c.get(1, s(10), s(10)), nullptr);
-  EXPECT_EQ(c.get(1, s(11), s(11)), nullptr);
-}
-
-TEST(TtlCache, FutureFreshnessRequirement) {
-  TtlCache<int, int> c(4);
-  c.put(1, 11, s(10), s(0));
-  // Fresh now, but the caller needs it to survive until t=15 → reject.
-  EXPECT_EQ(c.get(1, s(5), s(15)), nullptr);
-  EXPECT_EQ(c.stats().stale_rejects, 1u);
-  // Entry is still there for callers with laxer needs.
-  EXPECT_NE(c.get(1, s(5), s(6)), nullptr);
+  EXPECT_NE(c.peek(1, s(9)), nullptr);
+  EXPECT_EQ(c.peek(1, s(10)), nullptr);
+  EXPECT_EQ(c.peek(1, s(11)), nullptr);
 }
 
 TEST(TtlCache, PutOverwrites) {
   TtlCache<int, int> c(4);
   c.put(1, 11, s(10), s(0));
   c.put(1, 22, s(20), s(0));
-  const auto* v = c.get(1, s(15), s(15));
+  const auto* v = c.peek(1, s(15));
   ASSERT_NE(v, nullptr);
   EXPECT_EQ(*v, 22);
   EXPECT_EQ(c.size(), 1u);
 }
 
-TEST(TtlCache, CapacityEvictsLru) {
+TEST(TtlCache, CapacityEvictsLeastRecentlyPut) {
   TtlCache<int, int> c(2);
   c.put(1, 1, s(100), s(0));
   c.put(2, 2, s(100), s(0));
-  // Touch 1 so 2 becomes LRU.
-  EXPECT_NE(c.get(1, s(1), s(1)), nullptr);
+  // Refresh 1 so 2 becomes the least recently put.
+  c.put(1, 1, s(100), s(1));
   c.put(3, 3, s(100), s(1));
   EXPECT_EQ(c.size(), 2u);
   EXPECT_NE(c.peek(1, s(1)), nullptr);
@@ -74,8 +63,9 @@ TEST(TtlCache, EvictionPrefersExpired) {
   TtlCache<int, int> c(2);
   c.put(1, 1, s(5), s(0));    // expires early
   c.put(2, 2, s(100), s(0));
-  // Touch 1 so it would be MRU — but it is expired at insert time t=10.
-  (void)c.get(1, s(1), s(1));
+  // Refresh 1 so it is the most recently put — but it is expired at
+  // insert time t=10.
+  c.put(1, 1, s(5), s(1));
   c.put(3, 3, s(100), s(10));
   EXPECT_EQ(c.peek(1, s(10)), nullptr);  // expired entry went first
   EXPECT_NE(c.peek(2, s(10)), nullptr);
@@ -85,16 +75,21 @@ TEST(TtlCache, ZeroCapacityDisables) {
   TtlCache<int, int> c(0);
   c.put(1, 1, s(100), s(0));
   EXPECT_EQ(c.size(), 0u);
-  EXPECT_EQ(c.get(1, s(0), s(0)), nullptr);
+  EXPECT_EQ(c.peek(1, s(0)), nullptr);
 }
 
-TEST(TtlCache, PeekDoesNotTouchStats) {
-  TtlCache<int, int> c(4);
+TEST(TtlCache, PeekDoesNotTouchLruOrStats) {
+  TtlCache<int, int> c(2);
   c.put(1, 1, s(100), s(0));
-  (void)c.peek(1, s(1));
-  (void)c.peek(9, s(1));
-  EXPECT_EQ(c.stats().hits, 0u);
-  EXPECT_EQ(c.stats().misses, 0u);
+  c.put(2, 2, s(100), s(0));
+  const CacheStats before = c.stats();
+  EXPECT_NE(c.peek(1, s(1)), nullptr);
+  EXPECT_EQ(c.peek(9, s(1)), nullptr);
+  EXPECT_EQ(c.stats(), before);
+  // Peeking 1 did not make it recent: it is still the LRU victim.
+  c.put(3, 3, s(100), s(1));
+  EXPECT_EQ(c.peek(1, s(1)), nullptr);
+  EXPECT_NE(c.peek(2, s(1)), nullptr);
 }
 
 TEST(TtlCache, EraseKey) {
@@ -113,22 +108,6 @@ TEST(TtlCache, PruneDropsExpired) {
   c.prune(s(10));
   EXPECT_EQ(c.size(), 1u);
   EXPECT_NE(c.peek(3, s(10)), nullptr);
-}
-
-TEST(TtlCache, ExpiredGetRemovesEntry) {
-  TtlCache<int, int> c(4);
-  c.put(1, 1, s(5), s(0));
-  EXPECT_EQ(c.get(1, s(6), s(6)), nullptr);
-  EXPECT_EQ(c.size(), 0u);
-  EXPECT_EQ(c.stats().misses, 1u);
-}
-
-TEST(TtlCache, HitRatio) {
-  TtlCache<int, int> c(4);
-  c.put(1, 1, s(100), s(0));
-  (void)c.get(1, s(1), s(1));  // hit
-  (void)c.get(2, s(1), s(1));  // miss
-  EXPECT_DOUBLE_EQ(c.stats().hit_ratio(), 0.5);
 }
 
 TEST(TtlCache, ClearEmpties) {
@@ -176,13 +155,13 @@ TEST(TtlCache, RefreshDoesNotInflateInsertions) {
 }
 
 TEST(TtlCache, ExpiryIsNotAnEviction) {
-  // Regression: TTL expiry (prune, expired get) used to count in
-  // `evictions`, conflating capacity pressure with data aging.
+  // Regression: TTL expiry (prune, and the prune inside put) used to count
+  // in `evictions`, conflating capacity pressure with data aging.
   TtlCache<int, int> c(8);
   c.put(1, 1, s(5), s(0));
   c.put(2, 2, s(100), s(0));
-  c.prune(s(10));                       // drops key 1 by TTL
-  EXPECT_EQ(c.get(2, s(101), s(101)), nullptr);  // expired on access
+  c.prune(s(10));              // drops key 1 by TTL
+  c.put(3, 3, s(200), s(101));  // drops key 2 by TTL
   EXPECT_EQ(c.stats().expired_drops, 2u);
   EXPECT_EQ(c.stats().evictions, 0u);
 }
@@ -211,7 +190,7 @@ TEST(TtlCache, RemovalCausesAreDisjoint) {
   // One entry per removal path; each lands in exactly one counter.
   TtlCache<int, int> c(2);
   c.put(1, 1, s(5), s(0));
-  EXPECT_EQ(c.get(1, s(6), s(6)), nullptr);  // expired_drops: 1
+  c.prune(s(6));              // expired_drops: 1
   c.put(2, 2, s(100), s(6));
   c.put(3, 3, s(100), s(6));
   c.put(4, 4, s(100), s(6));  // evictions: 1 (key 2, all live)
@@ -252,7 +231,7 @@ TEST(TtlCache, RemovalBucketsConserveInsertions) {
     c.put(i, i, s(5.0 + i), s(static_cast<double>(i) * 0.1));
     EXPECT_TRUE(conserved());
   }
-  (void)c.get(6, s(20), s(20));   // expired on access
+  c.prune(s(20));                 // every entry has expired
   c.put(6, 66, s(40), s(20));     // re-insert after expiry
   c.put(6, 67, s(50), s(21));     // refresh: no new insertion
   EXPECT_TRUE(conserved());
@@ -327,10 +306,9 @@ TEST(TtlCache, IndexMatchesReferenceUnderChurn) {
         break;
       default: {
         const auto it = want.find(key);
-        const int* got = c.get(key, now, now);
+        const int* got = c.peek(key, now);
         if (it == want.end() || it->second.second <= now) {
           EXPECT_EQ(got, nullptr);
-          if (it != want.end()) want.erase(it);  // get drops it
         } else {
           ASSERT_NE(got, nullptr);
           EXPECT_EQ(*got, it->second.first);
@@ -387,10 +365,10 @@ TEST(TtlCache, EntriesSpanSlotChunks) {
   const std::size_t full = c.slot_capacity();
   EXPECT_EQ(live_at(1), want);
 
-  // LRU eviction at capacity: touching 0 and 4 spares them, so four new
+  // LRU eviction at capacity: refreshing 0 and 4 spares them, so four new
   // keys evict 1, 2, 3 and 5 and take over their slots.
-  ASSERT_NE(c.get(0, s(1), s(1)), nullptr);
-  ASSERT_NE(c.get(4, s(1), s(1)), nullptr);
+  put(0, 100, 1);
+  put(4, 104, 1);
   for (int k = 30; k < 34; ++k) put(k, 200 + k, 2);
   for (int k : {1, 2, 3, 5}) want.erase(k);
   EXPECT_EQ(c.stats().evictions, 4u);
@@ -416,8 +394,8 @@ TEST(TtlCache, EntriesSpanSlotChunks) {
   EXPECT_EQ(live_at(110.6), want);
   for (int k = 60; k < 63; ++k) put(k, 400 + k, 110.7);
   for (int k : {11, 13, 14}) want.erase(k);
-  ASSERT_NE(c.get(16, s(110.7), s(110.7)), nullptr);
-  put(63, 463, 110.8);  // 16 was touched, so 17 goes
+  put(16, 116, 110.7);
+  put(63, 463, 110.8);  // 16 was refreshed, so 17 goes
   want.erase(17);
   EXPECT_EQ(c.stats().evictions, 8u);
   EXPECT_EQ(live_at(110.8), want);
