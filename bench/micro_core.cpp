@@ -254,7 +254,7 @@ BENCHMARK(BM_TtlCacheExpireChurn);
 void BM_FlatU64MapChurn(benchmark::State& state) {
   // The athena dedup/interest-table access mix: upsert + point lookup +
   // trailing-window erase, holding ~4k live keys through tombstone churn.
-  FlatU64Map<std::uint64_t> m(4096);
+  FlatU64Map<std::uint64_t> m;
   Rng rng(13);
   std::uint64_t k = 0;
   for (int i = 0; i < 4096; ++i) {

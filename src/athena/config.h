@@ -128,12 +128,6 @@ struct AthenaConfig {
   /// early and the next downstream retry re-issues through this node even
   /// when the restart hello itself was lost.
   SimTime recovery_lease = SimTime::zero();
-
-  // --- state hygiene (bounded memory on long runs) ----------------------
-  /// Bound on the prefetch push-dedup set ((origin,source) keys already
-  /// pushed). Overflow evicts the oldest key first — forgetting a key only
-  /// risks one redundant re-push, so a tight bound is safe on small nodes.
-  std::size_t prefetch_dedup_capacity = 200000;
 };
 
 /// The preset for one of the paper's five schemes.

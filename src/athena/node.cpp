@@ -149,17 +149,6 @@ void AthenaNode::drain_retired() {
   retire_pending_.clear();
 }
 
-bool AthenaNode::prefetch_mark_seen(std::uint64_t key) {
-  if (prefetch_seen_.find(key) != nullptr) return false;
-  const std::size_t cap = std::max<std::size_t>(config_.prefetch_dedup_capacity, 1);
-  while (prefetch_seen_.size() >= cap && !prefetch_seen_fifo_.empty()) {
-    prefetch_seen_.erase(prefetch_seen_fifo_.front());
-    prefetch_seen_fifo_.pop_front();
-  }
-  prefetch_seen_.insert(key, 0);
-  prefetch_seen_fifo_.push_back(key);
-  return true;
-}
 
 // ---------------------------------------------------------------------------
 // The origin-side query engine
@@ -637,14 +626,13 @@ void AthenaNode::handle(NodeId /*from*/, const QueryAnnounce& a) {
   // toward the origin (Fig. 1: node C pushes u), so the data is already
   // cached en route when the fetch request comes. Restricted to hosted
   // sensors — blanket cache pushes flood the network with redundant copies.
-  // The push-dedup set is bounded (config_.prefetch_dedup_capacity) by
-  // oldest-first eviction inside prefetch_mark_seen: losing the stalest
-  // entries only risks one redundant background push per (origin, source)
-  // pair, never incorrectness.
+  // Each (origin, source) pair is pushed at most once.
   for (LabelId label : a.labels) {
     for (SourceId s : directory_.sources_for(label)) {
       if (!hosts(s)) continue;
-      if (!prefetch_mark_seen(prefetch_key(a.origin, s))) continue;
+      if (!prefetch_seen_.insert_if_absent(prefetch_key(a.origin, s), 0)) {
+        continue;
+      }
       prefetch_queue_.push_back(
           PrefetchItem{s, a.origin, a.deadline_abs});
     }
@@ -998,7 +986,6 @@ void AthenaNode::on_crash(fault::RestartPolicy policy) {
   invalidations_seen_.clear();
   prefetch_queue_.clear();
   prefetch_seen_.clear();
-  prefetch_seen_fifo_.clear();
   replicas_seen_.clear();
   store_.on_crash(policy);
   trace(obs::EventKind::kNodeCrash, QueryId{0}, dropped);

@@ -347,9 +347,6 @@ class AthenaNode {
   /// recursion may still hold references to the finishing QueryState;
   /// entry points that are never reached mid-dispatch call this first.
   void drain_retired();
-  /// Record (origin,source) in the bounded prefetch-dedup set; true if it
-  /// was new. At capacity the oldest key is evicted first.
-  bool prefetch_mark_seen(std::uint64_t key);
 
   /// Emit one lifecycle event into the attached sink (no-op when detached).
   void trace(obs::EventKind kind, QueryId query, std::uint64_t subject = 0,
@@ -389,13 +386,10 @@ class AthenaNode {
   std::optional<std::unordered_set<AnnotatorId>> trusted_annotators_;
 
   std::deque<PrefetchItem> prefetch_queue_;
-  /// (origin,source) keys already pushed. Bounded at
-  /// config_.prefetch_dedup_capacity by oldest-first eviction
-  /// (`prefetch_seen_fifo_` records insertion order) — forgetting only the
-  /// stalest keys, each of which risks no more than a redundant re-push.
-  /// The values are unused.
+  /// (origin,source) keys already pushed; the values are unused.
+  /// Announces travel one hop, so every origin is a neighbour and the set
+  /// holds at most degree x hosted sources keys.
   FlatU64Map<std::uint8_t> prefetch_seen_;
-  std::deque<std::uint64_t> prefetch_seen_fifo_;
   /// Announce dedup: query id → entry expiry (the query's deadline;
   /// post-deadline duplicates are discarded either way, so expiry changes
   /// nothing observable). Swept by the GC.

@@ -7,9 +7,8 @@
 // allocator; and the node-based layout costs an allocation per entry. This
 // table is a single contiguous array, linear probing, splitmix64-mixed —
 // and its original clients (the dedup tables) use NO iteration at all:
-// lookups, inserts, and erases only, with any ordered walk owned by a
-// companion structure (e.g. the prefetch-dedup set's insertion FIFO). The
-// athena tranche added two carefully bounded iteration forms, both
+// lookups, inserts, and erases only. The athena tranche added two
+// carefully bounded iteration forms, both
 // deterministic by construction because slot layout is a pure function of
 // the operation history (constant hash, power-of-two capacity schedule,
 // deterministic rebuild):
@@ -19,10 +18,12 @@
 //     output depends on visit order must go through sorted_keys().
 //   * sorted_keys() — ascending key order, for trajectory-pinned walks.
 //
-// Erasure uses tombstone control bytes; a rebuild (entries re-laid in
-// slot-index order — deterministic) reclaims them once they would degrade
-// probing, and sizes the table to the live entries, so it grows past the
-// expected capacity when the caller exceeds it and shrinks after a burst.
+// A default-constructed table holds no slots: the first insert allocates
+// it, so a table that is never filled costs nothing. Erasure uses
+// tombstone control bytes; a rebuild (entries re-laid in slot-index order
+// — deterministic) reclaims them once they would degrade probing, and
+// sizes the table to the live entries, so it grows with the caller and
+// shrinks after a burst.
 #pragma once
 
 #include <algorithm>
@@ -47,10 +48,6 @@ namespace dde {
 template <typename V>
 class FlatU64Map {
  public:
-  /// Size the table for about `expected` live keys (load factor <= 0.5 at
-  /// that size, so probes stay short).
-  explicit FlatU64Map(std::size_t expected = 16) { rebuild(table_for(expected)); }
-
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
   [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
   /// Slots allocated (live, tombstoned and empty).
@@ -58,6 +55,7 @@ class FlatU64Map {
 
   /// Pointer to the value for `key`, or nullptr.
   [[nodiscard]] V* find(std::uint64_t key) noexcept {
+    if (size_ == 0) return nullptr;  // also the unallocated table
     std::size_t i = flat_mix(key) & mask_;
     for (;;) {
       const Ctrl c = ctrl_[i];
@@ -96,6 +94,7 @@ class FlatU64Map {
 
   /// Remove `key` if present. Returns whether it was.
   bool erase(std::uint64_t key) noexcept {
+    if (size_ == 0) return false;
     std::size_t i = flat_mix(key) & mask_;
     for (;;) {
       const Ctrl c = ctrl_[i];

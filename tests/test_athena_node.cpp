@@ -924,33 +924,24 @@ TEST(AthenaNode, LabelEvidenceListsItsObjects) {
   }
 }
 
-// Regression (ISSUE 9): the prefetch push-dedup set used to be wiped
-// wholesale at its size bound, forgetting every in-flight (origin, source)
-// key at once and re-pushing all of them. The bound now evicts oldest-
-// first, so keys younger than the overflow survive.
-TEST(AthenaNode, PrefetchDedupOverflowEvictsOldestFirst) {
-  auto cfg = config_for(Scheme::kLvfl);
-  cfg.prefetch_dedup_capacity = 2;
-  Fixture f(cfg, Shape::kDiamond);
-  // D hosts sensors 0 (label 0) and 2 (label 3); announces from its
-  // neighbors B and C mark distinct (origin, source) keys at D, one per
-  // query:
+// The prefetch push-dedup set holds each (origin, source) key for good:
+// announces travel one hop, so its keys are bounded by neighbours x hosted
+// sources, and a re-ask from the same origin pushes nothing new.
+TEST(AthenaNode, PrefetchPushesOncePerOriginAndSource) {
+  Fixture f(config_for(Scheme::kLvfl), Shape::kDiamond);
+  // D hosts sensor 0 (label 0); announces from its neighbours B and C mark
+  // distinct (origin, source) keys at D:
   //   1. B asks label 0 → key (B, s0) marked, push #1.
   f.athena[1]->query_init(single_label(0), SimTime::seconds(120));
   f.sim.run_until(SimTime::seconds(2));
   //   2. C asks label 0 → key (C, s0) marked, push #2.
   f.athena[2]->query_init(single_label(0), SimTime::seconds(120));
   f.sim.run_until(SimTime::seconds(4));
-  //   3. B asks label 3 → key (B, s2) overflows the bound of 2. Oldest-
-  //      first eviction drops (B, s0) only; (C, s0) survives. Push #3.
-  f.athena[1]->query_init(single_label(3), SimTime::seconds(120));
-  f.sim.run_until(SimTime::seconds(6));
-  //   4. C asks label 0 again (fresh query id): (C, s0) is still in the
-  //      dedup set, so no fourth push. The wholesale clear() this replaces
-  //      forgot it in step 3 and pushed again here.
+  //   3. C asks label 0 again (fresh query id): (C, s0) is already in the
+  //      set, so no third push.
   f.athena[2]->query_init(single_label(0), SimTime::seconds(120));
   f.sim.run_until(SimTime::seconds(10));
-  EXPECT_EQ(f.metrics.prefetch_pushes, 3u);
+  EXPECT_EQ(f.metrics.prefetch_pushes, 2u);
 }
 
 // A non-ghost crash splits the node's state: the forwarder's tables and

@@ -40,6 +40,29 @@ TEST(FlatU64Map, InsertFindErase) {
   EXPECT_EQ(m.size(), 1u);
 }
 
+// A default-constructed map holds no slots until its first insert, and
+// every operation works on it before then.
+TEST(FlatU64Map, DefaultMapAllocatesOnFirstInsert) {
+  FlatU64Map<int> m;
+  EXPECT_EQ(m.capacity(), 0u);
+  EXPECT_TRUE(m.empty());
+  EXPECT_EQ(m.find(7), nullptr);
+  EXPECT_EQ(std::as_const(m).find(7), nullptr);
+  EXPECT_FALSE(m.erase(7));
+  std::size_t visited = 0;
+  m.for_each([&](std::uint64_t, int) { ++visited; });
+  EXPECT_EQ(visited, 0u);
+  EXPECT_EQ(m.erase_if([](std::uint64_t, int) { return true; }), 0u);
+  EXPECT_TRUE(m.sorted_keys().empty());
+  m.clear();
+  EXPECT_EQ(m.capacity(), 0u);
+
+  m.insert(7, 1);
+  EXPECT_GT(m.capacity(), 0u);
+  EXPECT_EQ(m.size(), 1u);
+  EXPECT_EQ(*m.find(7), 1);
+}
+
 TEST(FlatU64Map, InsertIfAbsentAndFindOrInsert) {
   FlatU64Map<int> m;
   EXPECT_TRUE(m.insert_if_absent(1, 10));
@@ -67,7 +90,7 @@ TEST(FlatU64Map, ClearKeepsWorking) {
 // capacity must stay correct and must not grow the table without bound
 // (rebuilds reclaim tombstones in place).
 TEST(FlatU64Map, TombstoneChurnStaysCorrect) {
-  FlatU64Map<std::uint64_t> m(8);
+  FlatU64Map<std::uint64_t> m;
   constexpr std::uint64_t kWindow = 32;
   for (std::uint64_t k = 0; k < 20000; ++k) {
     m.insert(k, k * 3);
