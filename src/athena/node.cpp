@@ -110,8 +110,6 @@ QueryId AthenaNode::query_init(decision::DnfExpr expr,
 
   // Announce the query's footprint to neighbors so they can prefetch
   // (Query_Recv step iv).
-  announces_seen_.insert_if_absent(qid.value(), q.deadline_abs);
-  schedule_gc();
   if (config_.prefetch) {
     send_to_neighbors(
         QueryAnnounce{qid, id_, q.deadline_abs, std::move(labels)}, priority);
@@ -148,7 +146,6 @@ void AthenaNode::drain_retired() {
   }
   retire_pending_.clear();
 }
-
 
 // ---------------------------------------------------------------------------
 // The origin-side query engine
@@ -610,15 +607,9 @@ void AthenaNode::on_packet(const net::Packet& pkt) {
 }
 
 void AthenaNode::handle(NodeId /*from*/, const QueryAnnounce& a) {
-  // Dedup entries expire with the query deadline (post-deadline duplicates
-  // are discarded just below either way) and are swept by the GC.
-  if (!announces_seen_.insert_if_absent(a.query.value(), a.deadline_abs)) {
-    return;
-  }
-  schedule_gc();
-  const SimTime now = net_.now();
-  if (now >= a.deadline_abs) return;
-
+  // Announces travel one hop, so no node hears the same one twice and
+  // none needs deduplicating.
+  if (net_.now() >= a.deadline_abs) return;
   if (!config_.prefetch || a.origin == id_) return;
 
   // Enqueue background prefetch work (Query_Recv / Sec. VI-A): a node that
@@ -982,7 +973,6 @@ void AthenaNode::on_crash(fault::RestartPolicy policy) {
   // Volatile protocol tables are lost under every non-ghost policy; only
   // cold also loses the store.
   forwarder_.clear();
-  announces_seen_.clear();
   invalidations_seen_.clear();
   prefetch_queue_.clear();
   prefetch_seen_.clear();
@@ -1045,9 +1035,8 @@ void AthenaNode::handle(NodeId /*from*/, const RecoveryHello& hello) {
 
 void AthenaNode::schedule_gc() {
   if (gc_scheduled_) return;
-  if (forwarder_.empty() && announces_seen_.empty() &&
-      invalidations_seen_.empty() && replicas_seen_.empty() &&
-      store_.ingested_entries() == 0) {
+  if (forwarder_.empty() && invalidations_seen_.empty() &&
+      replicas_seen_.empty() && store_.ingested_entries() == 0) {
     return;
   }
   gc_scheduled_ = true;
@@ -1060,7 +1049,6 @@ void AthenaNode::run_gc() {
   forwarder_.sweep(now);
   store_.sweep(now);
   const auto expired = [now](std::uint64_t, SimTime t) { return t <= now; };
-  announces_seen_.erase_if(expired);
   invalidations_seen_.erase_if(expired);
   replicas_seen_.erase_if(expired);
   schedule_gc();

@@ -184,12 +184,12 @@ class AthenaNode {
   [[nodiscard]] std::size_t forwarded_entries() const noexcept {
     return forwarder_.forwarded_entries();
   }
-  /// Dedup entries (query announces, invalidations, replica copies and
-  /// ingested objects) currently held. Expired entries count until the GC
-  /// sweep drops them.
+  /// Dedup entries (invalidation notices, replica copies and ingested
+  /// objects) currently held. Expired entries count until the GC sweep
+  /// drops them.
   [[nodiscard]] std::size_t dedup_entries() const noexcept {
-    return announces_seen_.size() + invalidations_seen_.size() +
-           replicas_seen_.size() + store_.ingested_entries();
+    return invalidations_seen_.size() + replicas_seen_.size() +
+           store_.ingested_entries();
   }
   /// Query-table entries: unresolved queries plus those finished since the
   /// last drain (see drain_retired()).
@@ -390,10 +390,6 @@ class AthenaNode {
   /// Announces travel one hop, so every origin is a neighbour and the set
   /// holds at most degree x hosted sources keys.
   FlatU64Map<std::uint8_t> prefetch_seen_;
-  /// Announce dedup: query id → entry expiry (the query's deadline;
-  /// post-deadline duplicates are discarded either way, so expiry changes
-  /// nothing observable). Swept by the GC.
-  FlatU64Map<SimTime> announces_seen_;
   /// Invalidation flood dedup: notice id → expiry (now + kDedupTtl at
   /// first sight). Swept by the GC.
   FlatU64Map<SimTime> invalidations_seen_;

@@ -8,10 +8,9 @@
 // table is a single contiguous array, linear probing, splitmix64-mixed —
 // and its original clients (the dedup tables) use NO iteration at all:
 // lookups, inserts, and erases only. The athena tranche added two
-// carefully bounded iteration forms, both
-// deterministic by construction because slot layout is a pure function of
-// the operation history (constant hash, power-of-two capacity schedule,
-// deterministic rebuild):
+// carefully bounded iteration forms, both deterministic by construction
+// because slot layout is a pure function of the operation history
+// (constant hash, power-of-two capacity schedule, deterministic rebuild):
 //
 //   * for_each / erase_if — slot-index order. Legitimate only for
 //     commutative folds and independent per-entry updates; anything whose

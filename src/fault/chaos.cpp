@@ -85,7 +85,7 @@ ChaosInvariantReport check_quiesce_invariants(
     flag(p, "non-terminal queries", p.active_queries);
     flag(p, "interest-table entries", p.interest_entries);
     flag(p, "forwarded (aggregation) markers", p.forwarded_entries);
-    flag(p, "flood-dedup entries", p.dedup_entries);
+    flag(p, "dedup entries", p.dedup_entries);
   }
   return report;
 }

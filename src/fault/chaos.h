@@ -78,7 +78,8 @@ struct NodeStateProbe {
   std::uint64_t active_queries = 0;     ///< issued, not yet terminal
   std::uint64_t interest_entries = 0;   ///< interest-table entries held
   std::uint64_t forwarded_entries = 0;  ///< aggregation markers held
-  std::uint64_t dedup_entries = 0;      ///< flood-dedup entries held
+  /// Invalidation, replica and ingest dedup entries held.
+  std::uint64_t dedup_entries = 0;
 };
 
 /// Outcome of a quiesce-point check: human-readable violations, one line

@@ -185,10 +185,10 @@ void GridMap::draw_route_choices(std::size_t k, int min_distance, Rng& rng,
   } while (steps_between(from, to) < min_distance);
 
   // Distinct monotone paths can be scarce (a straight-line pair has exactly
-  // one); cap attempts so we terminate. Slots [0, distinct) of `out.keys`
-  // hold the distinct routes so far, the `kept` covered ones first; each
-  // draw lands in slot `distinct` and stays only if no earlier slot holds
-  // the same moves.
+  // one): stop once every path of the pair is drawn, and cap attempts so
+  // we terminate. Slots [0, distinct) of `out.keys` hold the distinct
+  // routes so far, the `kept` covered ones first; each draw lands in slot
+  // `distinct` and stays only if no earlier slot holds the same moves.
   const int rx = std::abs(to.x - from.x);
   const int ry = std::abs(to.y - from.y);
   const std::size_t words = move_words(from, to);
@@ -201,8 +201,8 @@ void GridMap::draw_route_choices(std::size_t k, int min_distance, Rng& rng,
   const std::size_t paths = distinct_paths(rx, ry, k);
   std::size_t distinct = 0;
   const std::size_t max_attempts = 20 * k + 20;
-  std::size_t attempt = 0;
-  for (; attempt < max_attempts && distinct < paths; ++attempt) {
+  for (std::size_t attempt = 0; attempt < max_attempts && distinct < paths;
+       ++attempt) {
     std::uint64_t* moves = keys + distinct * words;
     draw_moves(from, to, rng, moves);
     bool seen = false;
@@ -217,14 +217,6 @@ void GridMap::draw_route_choices(std::size_t k, int min_distance, Rng& rng,
       ++out.kept;
     }
     ++distinct;
-  }
-  // Every path is drawn, yet a draw of k keeps going until it has k or its
-  // attempts run out: the rest only repeat known routes, so just advance
-  // `rng` as they would. Straight pairs draw nothing at all.
-  if (distinct < k && rx > 0 && ry > 0) {
-    for (; attempt < max_attempts; ++attempt) {
-      for (int x = rx, y = ry; x > 0 && y > 0;) step_moves_x(x, y, rng);
-    }
   }
 }
 

@@ -105,9 +105,9 @@ class GridMap {
 
   /// Up to `k` distinct random candidate routes between two random
   /// intersections at L1 distance >= `min_distance`: draws monotone routes
-  /// until `k` distinct ones have been drawn or 20k+20 draws are spent, so
-  /// it may draw fewer than `k` if the pair admits fewer distinct paths
-  /// (e.g. a straight line).
+  /// until `k` distinct ones, or every distinct path of the pair, have been
+  /// drawn, or 20k+20 draws are spent. So it returns fewer than `k` if the
+  /// pair admits fewer distinct paths (e.g. a straight line).
   ///
   /// `covered`, if not empty, is a per-segment mask with one entry per
   /// segment (nonzero = covered). The call then returns only the fully

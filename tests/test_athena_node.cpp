@@ -958,11 +958,12 @@ TEST(AthenaNode, WarmCrashKeepsStoreColdCrashWipesIt) {
     f.sim.run_until(SimTime::seconds(1));
     ASSERT_TRUE(f.last_record(0).success());
     // A second remote fetch is in flight at the crash: A holds its local
-    // interest, its aggregation marker and the announce's dedup entry.
+    // interest and its aggregation marker, and its one dedup entry is the
+    // ingest entry of sensor 0's object.
     a.query_init(single_label(3), SimTime::seconds(10));
     ASSERT_GT(a.interest_entries(), 0u);
     ASSERT_GT(a.forwarded_entries(), 0u);
-    ASSERT_GT(a.dedup_entries(), 0u);
+    ASSERT_EQ(a.dedup_entries(), 1u);
 
     a.on_crash(policy);
     const bool warm = policy == fault::RestartPolicy::kWarm;
@@ -1022,41 +1023,31 @@ TEST(AthenaNode, RetireHookFiresOnceWithTheIssuedExpression) {
   EXPECT_TRUE(f.retired.by_node[2].empty());
 }
 
-// Regression (ISSUE 9): the GC dedup-expiry boundary. Announce-dedup
-// entries expire with the query deadline under the `expires_at <= now`
-// convention: a sweep strictly before the deadline must keep the entry,
-// and the first sweep at/after it must collect it — one sweep seeing both
-// a dead and a live entry must split them exactly. The origin also holds
-// ingest-dedup entries for the objects it annotates, so the exact counts
-// are read at A and C, which only hear the announces and host.
-TEST(AthenaNode, GcCollectsDedupEntriesOnlyPastDeadline) {
+// The GC dedup-expiry boundary, on invalidation-flood entries (expiry =
+// first sight + kDedupTtl, 3600 s): under the `expires_at <= now`
+// convention a sweep strictly before an entry's expiry keeps it, the first
+// sweep at or after it collects it, and one sweep that sees a dead and a
+// live entry splits them exactly. A's sweeps run every 60 s from its first
+// notice at t=0, so one lands exactly on that notice's expiry.
+TEST(AthenaNode, GcCollectsDedupEntriesOnlyPastExpiry) {
   Fixture f;
-  const auto announce_entries = [&f](std::size_t expected) {
-    EXPECT_EQ(f.athena[0]->dedup_entries(), expected);
-    EXPECT_GE(f.athena[1]->dedup_entries(), expected);
-    EXPECT_EQ(f.athena[2]->dedup_entries(), expected);
-  };
-  // Two queries from B, announced to both its neighbors: Q1's dedup entry
-  // dies at t=50, Q2's at t=100.
-  f.athena[1]->query_init(single_label(0), SimTime::seconds(50));
-  f.athena[1]->query_init(single_label(3), SimTime::seconds(100));
-  f.sim.run_until(SimTime::millis(50));
-  // Every node saw both announces (origin included).
-  announce_entries(2);
-  // t=55: Q1's deadline passed, but the first sweep is at ~t=60 — the
-  // entry is collected by the sweep, not by the deadline itself.
-  f.sim.run_until(SimTime::seconds(55));
-  announce_entries(2);
-  // t=65: the sweep ran once with now ≈ 60: Q1 (50 <= 60) collected,
-  // Q2 (100 > 60) kept.
-  f.sim.run_until(SimTime::seconds(65));
-  announce_entries(1);
-  // Past Q2's deadline and every ingested object's expiry plus kDedupTtl,
-  // the table drains to empty.
+  AthenaNode& a = *f.athena[0];
+  // Two notices from A: the first expires at t=3600, the second at 3700.
+  a.broadcast_invalidation({LabelId{0}});
+  f.sim.run_until(SimTime::seconds(100));
+  a.broadcast_invalidation({LabelId{2}});
+  f.sim.run_until(SimTime::seconds(101));
+  for (const auto& node : f.athena) EXPECT_EQ(node->dedup_entries(), 2u);
+  // t=3599: every sweep so far ran before either expiry.
+  f.sim.run_until(SimTime::seconds(3599));
+  EXPECT_EQ(a.dedup_entries(), 2u);
+  // t=3601: the sweep at now = 3600 collected the first notice (3600 <=
+  // 3600) and kept the second (3700 > 3600).
+  f.sim.run_until(SimTime::seconds(3601));
+  EXPECT_EQ(a.dedup_entries(), 1u);
+  // Past both expiries every node's table drains to empty.
   f.sim.run_until(SimTime::seconds(3800));
-  for (const auto& node : f.athena) {
-    EXPECT_EQ(node->dedup_entries(), 0u);
-  }
+  for (const auto& node : f.athena) EXPECT_EQ(node->dedup_entries(), 0u);
 }
 
 // Canonical walk order: one reply that unblocks several queries at a node
@@ -1396,7 +1387,7 @@ TEST(AthenaNode, ReplicaCopiesConvergeOnceAndDrainThroughGc) {
   f.sim.run_until(SimTime::seconds(200));
   EXPECT_EQ(f.athena[1]->dedup_entries(), 0u);
   EXPECT_EQ(f.athena[2]->dedup_entries(), 0u);
-  // A's announce and ingest entries outlive them; a long run drains all.
+  // A's ingest entry outlives them; a long run drains all.
   f.sim.run_until(SimTime::seconds(3800));
   for (const auto& node : f.athena) {
     EXPECT_EQ(node->dedup_entries(), 0u);

@@ -340,13 +340,14 @@ TEST(ScenarioChaos, PerKindByteBillingIsPinned) {
   // foreground objects, prefetch pushes, label shares/replies and restart
   // hellos all occur in this run. The values were first captured when each
   // send site still passed its size and counter by hand, and re-captured
-  // once when the workload became streamed per node.
+  // when the workload became streamed per node and again when a route draw
+  // stopped drawing after its pair's last path.
   const auto r = run_route_scenario(churn_config(fault::RestartPolicy::kCold));
   EXPECT_EQ(r.metrics.request_bytes, 5100u);
   EXPECT_EQ(r.metrics.announce_bytes, 42800u);
-  EXPECT_EQ(r.metrics.object_bytes, 10983763u);
-  EXPECT_EQ(r.metrics.push_bytes, 25356029u);
-  EXPECT_EQ(r.metrics.label_bytes, 13400u);
+  EXPECT_EQ(r.metrics.object_bytes, 10108401u);
+  EXPECT_EQ(r.metrics.push_bytes, 22148477u);
+  EXPECT_EQ(r.metrics.label_bytes, 12800u);
   EXPECT_EQ(r.metrics.control_bytes, 18720u);
 }
 

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <cstdlib>
 #include <map>
 #include <set>
 #include <string>
@@ -196,11 +198,21 @@ class SetReference {
       to = map_.random_intersection(rng);
     } while (std::abs(from.x - to.x) + std::abs(from.y - to.y) < min_distance);
 
+    // Count the pair's distinct monotone paths on Pascal's triangle: the
+    // draw stops once it holds all of them.
+    const auto dx = static_cast<std::size_t>(std::abs(to.x - from.x));
+    const auto dy = static_cast<std::size_t>(std::abs(to.y - from.y));
+    std::vector<std::uint64_t> row(dx + 1, 1);
+    for (std::size_t y = 0; y < dy; ++y) {
+      for (std::size_t x = 1; x <= dx; ++x) row[x] += row[x - 1];
+    }
+    const std::uint64_t wanted = std::min<std::uint64_t>(k, row[dx]);
+
     std::vector<Route> routes;
     std::set<std::vector<SegmentId>> seen;
     const std::size_t max_attempts = 20 * k + 20;
-    for (std::size_t attempt = 0; attempt < max_attempts && routes.size() < k;
-         ++attempt) {
+    for (std::size_t attempt = 0;
+         attempt < max_attempts && routes.size() < wanted; ++attempt) {
       Route r = random_monotone_route(from, to, rng);
       if (seen.insert(r.segments).second) routes.push_back(std::move(r));
     }
@@ -244,8 +256,8 @@ TEST(GridMap, RouteChoicesDrawLikeTheSetReference) {
   // 120x2 routes run up to 122 steps, so move keys span two words, and
   // with at most two y moves two routes often differ only past step 64.
   // On 1x6 every pair is straight or a 1xn box, with n+1 <= 7 paths; on
-  // 2x2 no pair has more than 6: with k = 8 each call draws every path and
-  // spends its remaining attempts on repeats.
+  // 2x2 no pair has more than 6: with k = 8 each call stops once it holds
+  // every path, and expect_same_state pins that no draw follows the last.
   const std::pair<int, int> grids[] = {{1, 1}, {8, 1},   {20, 20},
                                        {120, 2}, {1, 6}, {2, 2}};
   std::uint64_t seed = 0;
