@@ -272,8 +272,8 @@ BENCHMARK(BM_FlatU64MapChurn);
 
 void BM_AthenaQueryInitResolve(benchmark::State& state) {
   // The per-query hot path end to end on a single-node world: pool slot
-  // creation, announce dedup, source selection, local retrieval through
-  // the object cache, decision evaluation, finish, and slot retirement.
+  // creation, source selection, local retrieval through the object cache,
+  // decision evaluation, finish, and slot retirement.
   world::GridMap map{2, 2};
   world::ViabilityProcess truth(
       std::vector<world::SegmentDynamics>(
