@@ -19,6 +19,7 @@
 #include "athena/node.h"
 #include "cache/ttl_cache.h"
 #include "common/flat_hash.h"
+#include "common/slot_heap.h"
 #include "coverage/set_cover.h"
 #include "pubsub/utility.h"
 #include "common/rng.h"
@@ -27,7 +28,6 @@
 #include "des/simulator.h"
 #include "naming/prefix_index.h"
 #include "net/network.h"
-#include "net/packet_queue.h"
 #include "world/grid_map.h"
 #include "world/sensor_field.h"
 
@@ -76,7 +76,7 @@ BENCHMARK(BM_DesSelfScheduling);
 
 void BM_DesCancelChurn(benchmark::State& state) {
   // The watchdog pattern that motivated tombstone cancellation: every
-  // timer is re-armed before it fires, so the ladder queue spends its life
+  // timer is re-armed before it fires, so the event queue spends its life
   // absorbing cancels and compacting dead slots.
   for (auto _ : state) {
     des::Simulator sim;
@@ -95,35 +95,38 @@ void BM_DesCancelChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_DesCancelChurn);
 
-void BM_FlatPacketQueuePushPop(benchmark::State& state) {
+void BM_LinkQueuePushPop(benchmark::State& state) {
   // Steady-state link queue traffic: priority-mixed pushes against in-order
-  // pops, holding ~64 packets in flight.
-  net::FlatPacketQueue<int> q;
+  // pops, holding ~64 packets in flight (key -priority, seq arrival order,
+  // as in net::Network).
+  SlotHeap<int> q;
   Rng rng(10);
+  std::uint64_t arrivals = 0;
   for (int i = 0; i < 64; ++i) {
-    q.push(static_cast<int>(rng.below(4)), i);
+    q.push(-static_cast<std::int64_t>(rng.below(4)), arrivals++, i);
   }
   for (auto _ : state) {
-    q.push(static_cast<int>(rng.below(4)), 0);
-    benchmark::DoNotOptimize(q.pop_front());
+    q.push(-static_cast<std::int64_t>(rng.below(4)), arrivals++, 0);
+    benchmark::DoNotOptimize(q.pop());
   }
 }
-BENCHMARK(BM_FlatPacketQueuePushPop);
+BENCHMARK(BM_LinkQueuePushPop);
 
-void BM_FlatPacketQueueOverloadEvict(benchmark::State& state) {
+void BM_LinkQueueOverloadEvict(benchmark::State& state) {
   // The overload path: every push over the cap evicts the
   // lowest-priority-newest victim (linear max-scan + heap remove).
-  net::FlatPacketQueue<int> q;
+  SlotHeap<int> q;
   Rng rng(11);
+  std::uint64_t arrivals = 0;
   for (int i = 0; i < 64; ++i) {
-    q.push(static_cast<int>(rng.below(4)), i);
+    q.push(-static_cast<std::int64_t>(rng.below(4)), arrivals++, i);
   }
   for (auto _ : state) {
-    q.push(static_cast<int>(rng.below(4)), 0);
-    benchmark::DoNotOptimize(q.pop_back());
+    q.push(-static_cast<std::int64_t>(rng.below(4)), arrivals++, 0);
+    benchmark::DoNotOptimize(q.remove_max());
   }
 }
-BENCHMARK(BM_FlatPacketQueueOverloadEvict);
+BENCHMARK(BM_LinkQueueOverloadEvict);
 
 naming::Name random_name(Rng& rng, int depth) {
   naming::Name n;

@@ -120,11 +120,10 @@ QueryId AthenaNode::query_init(decision::DnfExpr expr,
     if (QueryState* state = live_query(qid)) finish(*state, Outcome::kExpired);
   });
 
-  const std::uint32_t slot = query_pool_.create(std::move(q));
-  auto [it, inserted] = queries_.emplace(qid, slot);
+  auto [it, inserted] = queries_.emplace(qid, std::move(q));
   DDE_CHECK(inserted, "issue_query: duplicate QueryId would corrupt the "
                       "query table");
-  advance(query_pool_.at(slot));
+  advance(it->second);
   return qid;
 }
 
@@ -134,14 +133,13 @@ AthenaNode::QueryState* AthenaNode::live_query(QueryId qid) {
   drain_retired();
   auto it = queries_.find(qid);
   if (it == queries_.end()) return nullptr;
-  return &query_pool_.at(it->second);
+  return &it->second;
 }
 
 void AthenaNode::drain_retired() {
   for (const QueryId qid : retire_pending_) {
     auto it = queries_.find(qid);
     DDE_CHECK(it != queries_.end(), "drain_retired: query retired twice");
-    query_pool_.destroy(it->second);
     queries_.erase(it);
   }
   retire_pending_.clear();
@@ -209,8 +207,7 @@ SourceId AthenaNode::next_corroborating_source(const QueryState& q,
 void AthenaNode::apply_labels_to_queries(
     std::span<const decision::LabelValue> values) {
   // Issue order: each fill emits a kLabelSettle trace event.
-  for (const auto& [qid, slot] : queries_) {
-    QueryState& q = query_pool_.at(slot);
+  for (auto& [qid, q] : queries_) {
     if (q.finished) continue;
     for (const auto& v : values) {
       if (!std::binary_search(q.labels.begin(), q.labels.end(), v.label)) {
@@ -246,8 +243,8 @@ void AthenaNode::deliver_object(const world::EvidenceObject& obj) {
 
   // The reply (fresh or stale, new or repeated) settles the outstanding
   // request.
-  for (const auto& [qid, slot] : queries_) {
-    if (query_pool_.at(slot).outstanding.erase(obj.source)) {
+  for (auto& [qid, q] : queries_) {
+    if (q.outstanding.erase(obj.source)) {
       trace(obs::EventKind::kObjectRx, qid, obj.source.value(), obj.bytes);
     }
   }
@@ -259,7 +256,7 @@ void AthenaNode::deliver_object(const world::EvidenceObject& obj) {
 void AthenaNode::advance_active() {
   // advance() may finish queries but never erases map entries (only
   // drain_retired() does, and never mid-dispatch), so the walk is stable.
-  for (const auto& [qid, slot] : queries_) advance(query_pool_.at(slot));
+  for (auto& [qid, q] : queries_) advance(q);
 }
 
 bool AthenaNode::try_local(QueryState& q, LabelId label) {
@@ -589,7 +586,7 @@ void AthenaNode::finish(QueryState& q, Outcome outcome) {
   }
   q.outstanding.clear();
   if (retire_hook_) retire_hook_(rec, q.expr);
-  // The pooled state is recycled at the next drain_retired() entry point —
+  // The state is erased at the next drain_retired() entry point —
   // never here, because callers up the stack (deliver_object/advance
   // recursion) may still hold a reference to q.
   retire_pending_.push_back(q.id);
@@ -820,9 +817,7 @@ void AthenaNode::handle(NodeId /*from*/, const LabelReply& r) {
   cache_labels(r.values.view(), net_.now());
   if (r.origin == id_) {
     apply_labels_to_queries(r.values.view());
-    for (const auto& [qid, slot] : queries_) {
-      query_pool_.at(slot).outstanding.erase(r.source);
-    }
+    for (auto& [qid, q] : queries_) q.outstanding.erase(r.source);
     advance_active();
   } else {
     send_toward(r.origin, r);
@@ -880,8 +875,7 @@ void AthenaNode::apply_invalidation(const std::vector<LabelId>& labels) {
   store_.invalidate(labels);
   // Re-open affected decisions, in issue order.
   std::vector<QueryState*> affected;
-  for (const auto& [qid, slot] : queries_) {
-    QueryState& q = query_pool_.at(slot);
+  for (auto& [qid, q] : queries_) {
     if (q.finished) continue;
     bool touched = false;
     for (LabelId l : labels) {
@@ -963,8 +957,7 @@ void AthenaNode::on_crash(fault::RestartPolicy policy) {
   // could ever resolve them.
   drain_retired();
   std::uint64_t dropped = 0;
-  for (const auto& [qid, slot] : queries_) {
-    QueryState& q = query_pool_.at(slot);
+  for (auto& [qid, q] : queries_) {
     if (q.finished) continue;
     finish(q, Outcome::kCrashed);
     ++dropped;

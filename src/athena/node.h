@@ -211,9 +211,8 @@ class AthenaNode {
     /// Planner metadata per label, parallel to `labels` and filled lazily
     /// by label_meta(). It is a pure function of `selection` and the
     /// routes, so failover() clears it and label_meta() clears it when the
-    /// routes epoch moves on. Entries live on the heap: every node's query
-    /// pool holds a chunk of mostly idle slots, and inline entries would
-    /// make each of them resident.
+    /// routes epoch moves on. Sized to `labels` on first fill, so a query
+    /// pays only for the labels it mentions.
     std::vector<std::optional<decision::LabelMeta>> meta;
     std::uint64_t meta_epoch = 0;  ///< routes epoch `meta` was filled under
     /// assignment.version() when `expr` was last found unresolved (the
@@ -342,7 +341,7 @@ class AthenaNode {
   /// retired queries, then returns the query if it is still unfinished,
   /// else nullptr.
   [[nodiscard]] QueryState* live_query(QueryId qid);
-  /// Destroy pooled state for queries finished since the last drain.
+  /// Erase the state of queries finished since the last drain.
   /// Deferred (not done inside finish()) because deliver_object/advance
   /// recursion may still hold references to the finishing QueryState;
   /// entry points that are never reached mid-dispatch call this first.
@@ -369,14 +368,14 @@ class AthenaNode {
   obs::TraceSink* trace_sink_ = nullptr;
   RetireHook retire_hook_;
 
-  /// In-flight query state lives in a slot pool; `queries_` maps the id to
-  /// its pool slot. Query ids ascend in issue order, so every walk over the
-  /// map visits queries in the order they were issued. finish() defers the
-  /// id to `retire_pending_`, and drain_retired() (called at every
-  /// non-reentrant entry point, never mid-dispatch) destroys the pooled
-  /// state and erases the entry, so the map never changes during a walk.
-  std::map<QueryId, std::uint32_t> queries_;
-  Pool<QueryState> query_pool_;
+  /// In-flight query state, by id. Map nodes never move, so a QueryState&
+  /// stays valid while other queries come and go. Query ids ascend in
+  /// issue order, so every walk over the map visits queries in the order
+  /// they were issued. finish() defers the id to `retire_pending_`, and
+  /// drain_retired() (called at every non-reentrant entry point, never
+  /// mid-dispatch) erases the entry, so the map never changes during a
+  /// walk.
+  std::map<QueryId, QueryState> queries_;
   std::vector<QueryId> retire_pending_;
   std::uint64_t next_query_ = 0;
 

@@ -1,17 +1,8 @@
-// Slot pools and small inline containers for in-flight hot-path state.
+// Small inline containers for in-flight hot-path state, and the chunk
+// size rule for chunked per-node storage:
 //
-// The city-scale push (docs/PERFORMANCE.md) replaced the DES and net
-// layers' node-allocating containers with flat structures; this header
-// supplies the same discipline one layer up, for athena's per-query
-// state:
-//
-//   kPageSlots<T>  — slots of T per ~4 KB page: the one chunk size rule
-//                    for chunked per-node storage.
-//   Pool<T>        — a chunked slot pool with a u32 freelist. Slots are
-//                    pointer-stable (chunks never move), creation reuses
-//                    the most recently freed slot (LIFO — deterministic),
-//                    and destroy() runs the destructor eagerly so a slot
-//                    never holds a stale live object.
+//   kPageSlots<T>  — slots of T per ~4 KB page: the chunk size of
+//                    cache::TtlCache's slot storage.
 //   SmallVec<T,N>  — a vector with N inline elements; spills wholesale to
 //                    heap storage when it outgrows them. Contiguous in
 //                    both modes (begin()/end() are plain pointers).
@@ -21,8 +12,7 @@
 //   SmallSet<T,N>  — insertion-ordered membership list on SmallVec.
 //
 // Determinism: none of these structures involve hashing; iteration order
-// is insertion order (SmallVec/SmallMap/SmallSet) or explicit slot order
-// (Pool), both pure functions of the operation history.
+// is insertion order, a pure function of the operation history.
 #pragma once
 
 #include <algorithm>
@@ -30,118 +20,19 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <new>
 #include <type_traits>
 #include <utility>
-#include <vector>
 
 #include "common/contracts.h"
 
 namespace dde {
 
 /// Slots of T that fit one ~4 KB page, and at least one: the chunk size
-/// of every chunked per-node store (Pool, cache::TtlCache), so a node's
+/// of every chunked per-node store (cache::TtlCache), so a node's
 /// resident memory follows what it holds rather than a fixed reservation.
 template <typename T>
 inline constexpr std::size_t kPageSlots =
     sizeof(T) >= 4096 ? 1 : 4096 / sizeof(T);
-
-/// Chunked object pool handing out u32 slot handles.
-///
-/// Storage grows in fixed-size chunks that are never relocated, so `T&`
-/// references obtained from at() stay valid across later create() calls
-/// (unlike a plain std::vector<T>). destroy() pushes the slot onto a
-/// LIFO freelist; the next create() reuses it.
-template <typename T, std::size_t kChunkSize = kPageSlots<T>>
-class Pool {
- public:
-  using Slot = std::uint32_t;
-  static constexpr Slot kNullSlot = ~Slot{0};
-
-  Pool() = default;
-  Pool(const Pool&) = delete;
-  Pool& operator=(const Pool&) = delete;
-  ~Pool() { clear(); }
-
-  /// Construct a T in a fresh or recycled slot and return its handle.
-  template <typename... Args>
-  [[nodiscard]] Slot create(Args&&... args) {
-    Slot slot;
-    if (!free_.empty()) {
-      slot = free_.back();
-      free_.pop_back();
-    } else {
-      DDE_CHECK(high_water_ < kNullSlot, "Pool slot space exhausted");
-      slot = static_cast<Slot>(high_water_);
-      ++high_water_;
-      if (slot / kChunkSize >= chunks_.size()) {
-        chunks_.push_back(std::make_unique<Chunk>());
-      }
-      alive_.push_back(0);
-    }
-    ::new (address_of(slot)) T(std::forward<Args>(args)...);
-    alive_[slot] = 1;
-    ++live_;
-    return slot;
-  }
-
-  /// Destroy the object in `slot` and recycle the slot.
-  void destroy(Slot slot) {
-    DDE_CHECK(is_live(slot), "Pool::destroy on a dead or out-of-range slot");
-    at(slot).~T();
-    alive_[slot] = 0;
-    --live_;
-    free_.push_back(slot);
-  }
-
-  [[nodiscard]] T& at(Slot slot) {
-    DDE_ASSERT(is_live(slot));
-    return *std::launder(reinterpret_cast<T*>(address_of(slot)));
-  }
-  [[nodiscard]] const T& at(Slot slot) const {
-    DDE_ASSERT(is_live(slot));
-    return *std::launder(reinterpret_cast<const T*>(
-        const_cast<Pool*>(this)->address_of(slot)));
-  }
-
-  [[nodiscard]] bool is_live(Slot slot) const {
-    return slot < high_water_ && alive_[slot] != 0;
-  }
-
-  [[nodiscard]] std::size_t live() const { return live_; }
-  [[nodiscard]] std::size_t capacity() const { return chunks_.size() * kChunkSize; }
-
-  /// Destroy every live object and reset the pool to empty.
-  /// Chunk storage is retained for reuse.
-  void clear() {
-    for (std::size_t s = 0; s < high_water_; ++s) {
-      auto slot = static_cast<Slot>(s);
-      if (is_live(slot)) {
-        at(slot).~T();
-        alive_[slot] = 0;
-      }
-    }
-    free_.clear();
-    high_water_ = 0;
-    live_ = 0;
-    alive_.clear();
-  }
-
- private:
-  struct Chunk {
-    alignas(T) unsigned char bytes[sizeof(T) * kChunkSize];
-  };
-
-  [[nodiscard]] void* address_of(Slot slot) {
-    return chunks_[slot / kChunkSize]->bytes + sizeof(T) * (slot % kChunkSize);
-  }
-
-  std::vector<std::unique_ptr<Chunk>> chunks_;
-  std::vector<unsigned char> alive_;  // indexed by slot, 1 = constructed
-  std::vector<Slot> free_;
-  std::size_t high_water_ = 0;
-  std::size_t live_ = 0;
-};
 
 /// Vector with N inline elements and wholesale spill to heap storage.
 ///

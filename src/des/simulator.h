@@ -5,12 +5,11 @@
 // executed in deterministic order. Ties are broken by insertion sequence so
 // that a given seed always replays the same trajectory.
 //
-// The engine is a flat ladder/calendar queue (des/ladder_queue.h) with
-// tombstone-flag cancellation: no per-event heap churn, no side pending-set
-// lookups. It executes the exact (time, insertion-seq) total order of the
-// original std::priority_queue kernel — tests/test_event_queue_equiv.cpp
-// pins the two trajectories byte-identical on cancel/compact/tie stress
-// patterns, and docs/PERFORMANCE.md records the throughput gap.
+// The queue is a 4-ary slot heap (common/slot_heap.h) keyed by (time,
+// insertion seq), with tombstone-flag cancellation. It executes the exact
+// (time, insertion-seq) total order of the original std::priority_queue
+// kernel: tests/test_event_queue_equiv.cpp pins the two trajectories
+// byte-identical on cancel/compact/tie stress patterns.
 #pragma once
 
 #include <cstdint>
@@ -19,7 +18,7 @@
 
 #include "common/contracts.h"
 #include "common/sim_time.h"
-#include "des/ladder_queue.h"
+#include "common/slot_heap.h"
 
 namespace dde::des {
 
@@ -28,13 +27,14 @@ class EventHandle {
  public:
   EventHandle() noexcept = default;
 
-  [[nodiscard]] bool valid() const noexcept { return ticket_.seq != 0; }
+  [[nodiscard]] bool valid() const noexcept { return seq_ != 0; }
 
  private:
   friend class Simulator;
-  explicit EventHandle(LadderQueue::Ticket ticket) noexcept
-      : ticket_(ticket) {}
-  LadderQueue::Ticket ticket_;
+  EventHandle(std::uint32_t slot, std::uint64_t seq) noexcept
+      : slot_(slot), seq_(seq) {}
+  std::uint32_t slot_ = 0;
+  std::uint64_t seq_ = 0;  ///< unique per simulator; 0 names no event
 };
 
 /// A deterministic discrete-event simulator.
@@ -53,14 +53,14 @@ class Simulator {
 
   /// Number of events currently pending (cancelled events excluded).
   [[nodiscard]] std::size_t pending_events() const noexcept {
-    return queue_.live();
+    return live_;
   }
 
   /// Raw queue occupancy, cancelled-but-not-yet-drained residue included.
   /// Observability hook: bounded by pending_events() plus a small compaction
   /// slack, so repeated cancel/schedule cycles cannot grow it unboundedly.
   [[nodiscard]] std::size_t queued_events() const noexcept {
-    return queue_.occupancy();
+    return queue_.size();
   }
 
   /// Schedule `cb` to run at absolute time `when`. A `when` in the past
@@ -72,7 +72,11 @@ class Simulator {
   /// insertion-sequence order among same-time events).
   EventHandle schedule_at(SimTime when, Callback cb) {
     if (when < now_) when = now_;
-    return EventHandle{queue_.insert(when, ++next_seq_, std::move(cb))};
+    ++next_seq_;
+    ++live_;
+    const std::uint32_t slot =
+        queue_.push(when.count(), next_seq_, Event{std::move(cb), next_seq_});
+    return EventHandle{slot, next_seq_};
   }
 
   /// Schedule `cb` to run `delay` after the current time. A negative delay
@@ -90,24 +94,30 @@ class Simulator {
   /// cancelled, or the handle is invalid. O(1): the event is tombstoned in
   /// place and drained (or compacted) later.
   bool cancel(EventHandle handle) {
-    if (!handle.valid()) return false;
-    return queue_.cancel(handle.ticket_);
+    if (!handle.valid() || handle.slot_ >= queue_.slot_count()) return false;
+    Event& ev = queue_.slot(handle.slot_);
+    if (ev.cancelled || ev.seq != handle.seq_) return false;
+    ev.cancelled = true;
+    ev.cb = nullptr;  // release captures eagerly
+    --live_;
+    ++tombstones_;
+    maybe_compact();
+    return true;
   }
 
   /// Run until the event queue drains or simulated time would exceed
   /// `until`. Events scheduled exactly at `until` are executed.
   /// Returns the number of events executed by this call.
   std::uint64_t run_until(SimTime until = SimTime::max()) {
-    // Occupancy accounting: every queued event is live or tombstoned, and
-    // the bands hold exactly the tracked occupancy.
-    DDE_INVARIANT(queue_.consistent(),
-                  "Simulator: queue occupancy accounting desync");
+    // Every queued event is live or tombstoned, and the heap is ordered.
+    DDE_INVARIANT(queue_.ordered() && live_ + tombstones_ == queue_.size(),
+                  "Simulator: event queue order or accounting desync");
     std::uint64_t ran = 0;
     while (pop_one(until)) ++ran;
-    // peek_min() drained any tombstoned residue ahead of the first live
+    // pop_one() drained any tombstoned residue ahead of the first live
     // event (or the whole queue), so a queue holding no runnable work
     // counts as empty and must not pin the clock.
-    if (queue_.live() == 0 && now_ < until && until != SimTime::max()) {
+    if (live_ == 0 && now_ < until && until != SimTime::max()) {
       now_ = until;
     }
     return ran;
@@ -117,24 +127,47 @@ class Simulator {
   bool step() { return pop_one(SimTime::max()); }
 
  private:
+  struct Event {
+    Callback cb;
+    std::uint64_t seq = 0;  ///< 0 in a free slot, so stale handles miss
+    bool cancelled = false;
+  };
+
   bool pop_one(SimTime until) {
-    const LadderQueue::Min* min = queue_.peek_min();
-    if (min == nullptr || min->when > until) return false;
+    // Tombstones ahead of the first live event are dropped as they surface.
+    while (!queue_.empty() && queue_.slot(queue_.top().slot).cancelled) {
+      queue_.pop();
+      --tombstones_;
+    }
+    if (queue_.empty()) return false;
+    const SimTime when = SimTime::micros(queue_.top().key);
+    if (when > until) return false;
     // The clock must never move backwards: schedule_at clamps past-time
-    // schedules, so a rewind here means band-order corruption.
-    DDE_CHECK(min->when >= now_,
-              "Simulator: event queue lost time monotonicity");
-    now_ = min->when;
-    Callback cb = queue_.pop_min();
+    // schedules, so a rewind here means heap-order corruption.
+    DDE_CHECK(when >= now_, "Simulator: event queue lost time monotonicity");
+    now_ = when;
+    Callback cb = queue_.pop().cb;
+    --live_;
     ++executed_;
     cb();
     return true;
   }
 
+  /// Drop the tombstones once they are at least 64 and half the queue:
+  /// repeated cancel/schedule cycles (retry watchdogs, rearmed timers)
+  /// would otherwise grow the queue without bound. Amortized O(1)/cancel.
+  void maybe_compact() {
+    if (tombstones_ < 64 || tombstones_ * 2 < queue_.size()) return;
+    queue_.erase_if([](const Event& ev) { return ev.cancelled; });
+    tombstones_ = 0;
+  }
+
   SimTime now_ = SimTime::zero();
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
-  LadderQueue queue_;
+  std::size_t live_ = 0;
+  std::size_t tombstones_ = 0;
+  SlotHeap<Event> queue_;
 };
 
 }  // namespace dde::des

@@ -39,8 +39,8 @@ bool Network::send(NodeId from, NodeId next, Packet packet) {
   }
 
   state.queued_bytes += packet.bytes;
-  const int priority = packet.priority;
-  state.queue.push(priority, std::move(packet));
+  const std::int64_t rank = -static_cast<std::int64_t>(packet.priority);
+  state.queue.push(rank, state.arrivals++, std::move(packet));
   if (!state.busy) start_transmission(*link_id);
   enforce_queue_limits(state);
   return true;
@@ -53,10 +53,10 @@ void Network::enforce_queue_limits(LinkState& state) {
            state.queue.size() > limits_.max_packets) ||
           (limits_.max_bytes != 0 &&
            state.queued_bytes > limits_.max_bytes))) {
-    // Victim: lowest priority, newest within that class — the queue's back
-    // element, exactly the old map's prev(end()). The transmitting packet
-    // left the queue at start_transmission and is never touched.
-    const Packet victim = state.queue.pop_back();
+    // Victim: lowest priority, newest within that class — the queue's
+    // greatest (rank, seq) entry. The transmitting packet left the queue at
+    // start_transmission and is never touched.
+    const Packet victim = state.queue.remove_max();
     state.queued_bytes -= victim.bytes;
     // The packet never crossed the link: refund its bytes, keep the send
     // attempt counted, and record the eviction.
@@ -94,7 +94,7 @@ void Network::start_transmission(LinkId link_id) {
   if (state.busy || state.queue.empty()) return;
   if (!link_admin_up_[link_id.value()]) return;
 
-  Packet pkt = state.queue.pop_front();  // highest priority, FIFO in class
+  Packet pkt = state.queue.pop();  // highest priority, FIFO in class
   state.queued_bytes -= pkt.bytes;
   state.busy = true;
 

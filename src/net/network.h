@@ -22,8 +22,8 @@
 #include "common/ids.h"
 #include "common/rng.h"
 #include "common/sim_time.h"
+#include "common/slot_heap.h"
 #include "des/simulator.h"
-#include "net/packet_queue.h"
 #include "net/topology.h"
 #include "obs/trace.h"
 
@@ -211,8 +211,9 @@ class Network {
   struct LinkState {
     bool busy = false;
     /// Waiting packets, served in (-priority, arrival seq) order — highest
-    /// priority first, FIFO within a class (flat heap, net/packet_queue.h).
-    FlatPacketQueue<Packet> queue;
+    /// priority first, FIFO within a class (common/slot_heap.h).
+    SlotHeap<Packet> queue;
+    std::uint64_t arrivals = 0;      ///< the queue's seq counter
     std::uint64_t queued_bytes = 0;  ///< bytes of waiting packets
     std::uint64_t bytes = 0;
     std::uint64_t packets = 0;

@@ -1,9 +1,9 @@
-// Frozen copy of the pre-ladder-queue DES kernel: std::priority_queue over
-// full Event records plus an unordered_set pending-set for cancellation.
+// Frozen copy of the original DES kernel: std::priority_queue over full
+// Event records plus an unordered_set pending-set for cancellation.
 //
-// NOT for production use — des::Simulator (the ladder-queue kernel) is the
+// NOT for production use — des::Simulator (on common/slot_heap.h) is the
 // one engine the stack runs on. This copy exists so that
-// tests/test_event_queue_equiv.cpp can pin the ladder queue byte-identical
+// tests/test_event_queue_equiv.cpp can pin that kernel byte-identical
 // against the trajectory (and event counts) the old kernel produces.
 // Behavior is frozen at PR 7 (clock-advance fix, past-time clamp, queue
 // compaction) and must not be "improved": it is the baseline being compared

@@ -1,8 +1,9 @@
-// Trajectory equivalence: the ladder-queue kernel (des::Simulator) must
-// execute the byte-identical (when, id) sequence the frozen
-// std::priority_queue kernel (des::ReferenceSimulator) produces, on stress
-// patterns covering cancellation, compaction, same-time ties, past-time
-// clamps, staged horizons, and far-future rung rebuilds.
+// Trajectory equivalence: the slot-heap kernel (des::Simulator; its traces
+// are named `ladder` after the queue it first ran on) must execute the
+// byte-identical (when, id) sequence the frozen std::priority_queue kernel
+// (des::ReferenceSimulator) produces, on stress patterns covering
+// cancellation, compaction, same-time ties, past-time clamps, staged
+// horizons, and spreads from microseconds to hours.
 //
 // Both kernels are driven through the same deterministic script (all
 // decisions come from a shared-seed Rng and script-local state, never from
@@ -116,8 +117,8 @@ Trace run_churn_script(std::uint64_t seed) {
   return trace;
 }
 
-/// Far-future spread: exercises top-band overflow and repeated rung
-/// rebuilds (spans from microseconds to hours), plus same-bucket clusters.
+/// Far-future spread: spans from microseconds to hours, plus clusters of
+/// nearly equal times.
 template <typename Sim>
 Trace run_spread_script(std::uint64_t seed) {
   Sim sim;
@@ -231,7 +232,7 @@ TEST(EventQueueEquivalence, BurstCancelChurnFiresEqualEventCounts) {
   }
 }
 
-/// Same-time FIFO across band boundaries: events at one instant scheduled
+/// Same-time FIFO across horizon stops: events at one instant scheduled
 /// before AND after a horizon-stop must still run in insertion order.
 TEST(EventQueueEquivalence, TieOrderAcrossHorizonStops) {
   const auto script = [](auto& sim) {

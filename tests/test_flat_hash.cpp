@@ -2,7 +2,7 @@
 //
 // The athena hot-path tranche (docs/PERFORMANCE.md) moved per-node
 // protocol tables onto FlatU64Map and per-query state onto
-// Pool/SmallVec/SmallMap/SmallSet. These containers carry a determinism
+// SmallVec/SmallMap/SmallSet. These containers carry a determinism
 // contract — slot layout and iteration order are pure functions of the
 // operation history — that the simulation's byte-identical trajectories
 // lean on. This suite pins that contract under tombstone-heavy churn and
@@ -159,95 +159,11 @@ TEST(FlatU64Map, NonTrivialValueType) {
 }
 
 // ---------------------------------------------------------------------------
-// Pool
+// kPageSlots: TtlCache's chunk size
 // ---------------------------------------------------------------------------
 
-struct Tracked {
-  static int live;
-  int value = 0;
-  Tracked() { ++live; }
-  explicit Tracked(int v) : value(v) { ++live; }
-  Tracked(const Tracked& o) : value(o.value) { ++live; }
-  Tracked(Tracked&& o) noexcept : value(o.value) { ++live; }
-  ~Tracked() { --live; }
-  Tracked& operator=(const Tracked&) = default;
-  Tracked& operator=(Tracked&&) = default;
-};
-int Tracked::live = 0;
-
-TEST(Pool, CreateDestroyReusesSlotsLifo) {
-  Pool<int, 4> pool;
-  const auto a = pool.create(1);
-  const auto b = pool.create(2);
-  EXPECT_EQ(pool.at(a), 1);
-  EXPECT_EQ(pool.at(b), 2);
-  pool.destroy(a);
-  EXPECT_FALSE(pool.is_live(a));
-  const auto c = pool.create(3);
-  EXPECT_EQ(c, a);  // LIFO freelist: most recently freed slot first
-  EXPECT_EQ(pool.at(c), 3);
-  EXPECT_EQ(pool.live(), 2u);
-}
-
-TEST(Pool, PointerStabilityAcrossGrowth) {
-  Pool<int, 4> pool;
-  const auto first = pool.create(123);
-  int* p = &pool.at(first);
-  std::vector<Pool<int, 4>::Slot> slots;
-  for (int i = 0; i < 100; ++i) slots.push_back(pool.create(i));
-  EXPECT_EQ(p, &pool.at(first));  // chunks never move
-  EXPECT_EQ(*p, 123);
-  for (std::size_t i = 0; i < slots.size(); ++i) {
-    EXPECT_EQ(pool.at(slots[i]), static_cast<int>(i));
-  }
-  EXPECT_GE(pool.capacity(), 101u);
-}
-
-TEST(Pool, DestructorsRunEagerlyAndOnClear) {
-  Tracked::live = 0;
-  {
-    Pool<Tracked, 8> pool;
-    const auto a = pool.create(1);
-    const auto b = pool.create(2);
-    (void)b;
-    EXPECT_EQ(Tracked::live, 2);
-    pool.destroy(a);
-    EXPECT_EQ(Tracked::live, 1);
-    pool.clear();
-    EXPECT_EQ(Tracked::live, 0);
-    const auto c = pool.create(3);
-    EXPECT_EQ(pool.at(c).value, 3);
-    EXPECT_EQ(Tracked::live, 1);
-  }
-  EXPECT_EQ(Tracked::live, 0);  // pool destructor cleans up live objects
-}
-
-TEST(Pool, DefaultChunkFitsAPage) {
-  // About the size of athena's QueryState, the pool's main tenant.
-  struct Sized {
-    int value = 0;
-    unsigned char pad[660] = {};
-  };
-  static_assert(sizeof(Sized) == 664);
-  static_assert(kPageSlots<Sized> == 4096 / 664);
-  static_assert(kPageSlots<unsigned char[8192]> == 1);
-  Pool<Sized> pool;
-  std::vector<Pool<Sized>::Slot> slots{pool.create()};
-  const std::size_t per_chunk = pool.capacity();
-  EXPECT_GE(per_chunk, 1u);
-  EXPECT_LE(per_chunk, 4096u / sizeof(Sized));
-  const Sized* first = &pool.at(slots[0]);
-  // Fill three chunks, each slot with its own value.
-  while (slots.size() < 3 * per_chunk) slots.push_back(pool.create());
-  EXPECT_EQ(pool.capacity(), 3 * per_chunk);
-  for (std::size_t i = 0; i < slots.size(); ++i) {
-    pool.at(slots[i]).value = static_cast<int>(i) + 1;
-  }
-  EXPECT_EQ(first, &pool.at(slots[0]));  // chunks never move
-  for (std::size_t i = 0; i < slots.size(); ++i) {
-    EXPECT_EQ(pool.at(slots[i]).value, static_cast<int>(i) + 1);
-  }
-}
+static_assert(kPageSlots<unsigned char[664]> == 4096 / 664);
+static_assert(kPageSlots<unsigned char[8192]> == 1);
 
 // ---------------------------------------------------------------------------
 // SmallVec / SmallMap / SmallSet
