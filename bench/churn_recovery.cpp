@@ -255,8 +255,8 @@ int main(int argc, char** argv) {
   std::printf(
       "\nghost crashes cost nothing (state survives by fiat); cold crashes\n"
       "drop in-flight queries and strand neighbors' interest state. the\n"
-      "recovery protocol buys back most of the stranded work: restart\n"
-      "hellos purge aggregation markers through the crashed hop and\n"
+      "recovery protocol buys back part of the stranded work: restart\n"
+      "hellos purge live aggregation markers through the crashed hop and\n"
       "re-issue live interests upstream, so survivors resolve instead of\n"
       "burning their deadlines against stale leases.\n");
 

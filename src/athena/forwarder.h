@@ -104,14 +104,16 @@ class Forwarder {
     return false;
   }
 
-  /// In ascending source order, erase each marker `routed_via(source)`
+  /// In ascending source order, erase each live marker `routed_via(source)`
   /// selects and `reissue` the first live interest waiting on its source.
-  /// Returns the number of markers erased.
+  /// A marker whose lease has run out counts as absent, as in aggregate(),
+  /// whether or not the GC has swept it yet. Returns the number erased.
   template <typename Pred, typename Reissue>
   std::uint64_t purge_markers(SimTime now, Pred routed_via, Reissue reissue) {
     std::uint64_t purged = 0;
     for (const std::uint64_t key : forwarded_.sorted_keys()) {
-      if (!routed_via(SourceId{key}) || !forwarded_.erase(key)) continue;
+      if (*forwarded_.find(key) <= now || !routed_via(SourceId{key})) continue;
+      forwarded_.erase(key);
       ++purged;
       const auto* entries = interest_table_.find(key);
       if (entries == nullptr) continue;

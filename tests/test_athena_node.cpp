@@ -1480,5 +1480,34 @@ TEST(AthenaNodeDeathTest, NonMessagePayloadAborts) {
       "not an athena::Message");
 }
 
+TEST(Forwarder, ExpiredUnsweptMarkerIsNeitherPurgedNorReissued) {
+  // A RecoveryHello purge must not depend on whether the GC has swept a
+  // marker whose lease ran out: such a marker is absent, as in aggregate().
+  Fixture f;
+  AthenaConfig cfg = config_for(Scheme::kLvfl);
+  cfg.recovery_lease = SimTime::seconds(5);
+  Forwarder fw(f.dir, cfg);
+  const SourceId src{0};
+  ObjectRequest r;
+  r.query = QueryId{1};
+  r.origin = NodeId{0};
+  r.source = src;
+  r.labels = {LabelId{0}};
+  fw.bookmark(NodeId{1}, r, SimTime::zero());  // the interest lives 120 s
+  EXPECT_FALSE(fw.aggregate(src, SimTime::zero()));  // leased until 5 s
+  std::uint64_t reissued = 0;
+  const auto every = [](SourceId) { return true; };
+  const auto count = [&reissued](SourceId, const Interest&) { ++reissued; };
+  // At the lease's end, with no sweep in between: nothing to purge.
+  EXPECT_EQ(fw.purge_markers(SimTime::seconds(5), every, count), 0u);
+  EXPECT_EQ(reissued, 0u);
+  // The next request re-leases the marker instead of aggregating onto it,
+  // and a live marker is purged with its waiting interest re-issued.
+  EXPECT_FALSE(fw.aggregate(src, SimTime::seconds(6)));
+  EXPECT_EQ(fw.purge_markers(SimTime::seconds(7), every, count), 1u);
+  EXPECT_EQ(reissued, 1u);
+  EXPECT_EQ(fw.purge_markers(SimTime::seconds(7), every, count), 0u);
+}
+
 }  // namespace
 }  // namespace dde::athena
