@@ -385,7 +385,9 @@ struct RoutePlugin {
     out.metrics["resolution_ratio"] = r.resolution_ratio();
     out.metrics["mean_latency_s"] = r.metrics.mean_latency_s();
     out.metrics["total_megabytes"] = r.total_megabytes();
-    out.metrics["decision_accuracy"] = r.decision_accuracy();
+    if (const auto accuracy = r.decision_accuracy()) {
+      out.metrics["decision_accuracy"] = *accuracy;
+    }
     out.metrics["decisions_audited"] = static_cast<double>(r.totals.audited);
     out.metrics["events"] = static_cast<double>(r.events);
     out.metrics["refetches"] = static_cast<double>(r.metrics.refetches);

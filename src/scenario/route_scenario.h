@@ -191,10 +191,12 @@ struct ScenarioResult {
   /// feed these to fault::check_quiesce_invariants.
   std::vector<fault::NodeStateProbe> probes;
 
-  [[nodiscard]] double decision_accuracy() const noexcept {
-    return totals.audited == 0 ? 1.0
-                               : static_cast<double>(totals.correct) /
-                                     static_cast<double>(totals.audited);
+  /// Share of audited decisions whose committed route was viable; empty
+  /// when nothing was audited, since such a run has no accuracy to report.
+  [[nodiscard]] std::optional<double> decision_accuracy() const noexcept {
+    if (totals.audited == 0) return std::nullopt;
+    return static_cast<double>(totals.correct) /
+           static_cast<double>(totals.audited);
   }
 
   [[nodiscard]] double resolution_ratio() const noexcept {

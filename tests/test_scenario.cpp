@@ -130,8 +130,9 @@ TEST(Scenario, AuditCoversChosenRoutes) {
   // a valid ratio.
   EXPECT_GT(r.totals.audited, 0u);
   EXPECT_LE(r.totals.correct, r.totals.audited);
-  EXPECT_GE(r.decision_accuracy(), 0.0);
-  EXPECT_LE(r.decision_accuracy(), 1.0);
+  ASSERT_TRUE(r.decision_accuracy().has_value());
+  EXPECT_GE(*r.decision_accuracy(), 0.0);
+  EXPECT_LE(*r.decision_accuracy(), 1.0);
 }
 
 /// The route scenario's long-run setup: 30 nodes, Poisson arrivals every
@@ -187,7 +188,8 @@ TEST(Scenario, PerfectSensorsShortValidityIsAccurate) {
   cfg.slow_validity = SimTime::seconds(120);
   cfg.mean_holding = SimTime::seconds(7200);
   const auto r = run_route_scenario(cfg);
-  EXPECT_GE(r.decision_accuracy(), 0.9);
+  ASSERT_TRUE(r.decision_accuracy().has_value());
+  EXPECT_GE(*r.decision_accuracy(), 0.9);
 }
 
 TEST(Scenario, NoiseDegradesAccuracyAndCorroborationRecoversIt) {

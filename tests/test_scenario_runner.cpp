@@ -229,6 +229,35 @@ TEST(ScenarioRegistry, RouteMatchesLegacyBitForBit) {
   EXPECT_EQ(out.at("total_megabytes"), legacy.total_megabytes());
 }
 
+TEST(ScenarioRegistry, RouteOmitsAccuracyWhenNothingWasAudited) {
+  // A 1 s horizon resolves a few queries but commits no route, so there is
+  // no accuracy to report: the key is absent rather than a perfect 1.
+  ScenarioSpec spec;
+  spec.set("horizon_s", 1);
+  auto runner = find_scenario("route");
+  runner->configure(spec);
+  const ScenarioOutcome out = runner->run(1);
+  EXPECT_GT(out.at("queries_resolved"), 0.0);
+  EXPECT_EQ(out.at("decisions_audited"), 0.0);
+  EXPECT_EQ(out.metrics.count("decision_accuracy"), 0u);
+
+  ScenarioConfig cfg = route_config_from_spec(spec);
+  cfg.seed = 1;
+  EXPECT_FALSE(run_route_scenario(cfg).decision_accuracy().has_value());
+
+  // With audits the key is there and equals correct / audited.
+  cfg.horizon = SimTime::seconds(600);
+  const ScenarioResult full = run_route_scenario(cfg);
+  ASSERT_GT(full.totals.audited, 0u);
+  ScenarioSpec long_spec;
+  long_spec.set("horizon_s", 600);
+  auto long_runner = find_scenario("route");
+  long_runner->configure(long_spec);
+  EXPECT_EQ(long_runner->run(1).at("decision_accuracy"),
+            static_cast<double>(full.totals.correct) /
+                static_cast<double>(full.totals.audited));
+}
+
 TEST(ScenarioRegistry, TriggerMatchesLegacyBitForBit) {
   TriggerScenarioConfig cfg;
   cfg.horizon = SimTime::seconds(1200);
