@@ -124,11 +124,10 @@ class SlotHeap {
     return a.seq < b.seq;
   }
 
-  /// Move the value out and free the slot; a free slot holds T{}, so it
-  /// keeps nothing its last value owned.
+  /// Move the value out and free the slot. The slot keeps the moved-from
+  /// value until a push reuses it.
   T release(std::uint32_t s) {
     T value = std::move(slots_[s]);
-    slots_[s] = T{};
     free_.push_back(s);
     return value;
   }

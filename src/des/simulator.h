@@ -129,7 +129,7 @@ class Simulator {
  private:
   struct Event {
     Callback cb;
-    std::uint64_t seq = 0;  ///< 0 in a free slot, so stale handles miss
+    std::uint64_t seq = 0;  ///< 0 once run, so stale handles miss
     bool cancelled = false;
   };
 
@@ -146,10 +146,13 @@ class Simulator {
     // schedules, so a rewind here means heap-order corruption.
     DDE_CHECK(when >= now_, "Simulator: event queue lost time monotonicity");
     now_ = when;
-    Callback cb = queue_.pop().cb;
+    // The freed slot keeps the moved-from event: clear its seq so that a
+    // stale handle never matches it.
+    queue_.slot(queue_.top().slot).seq = 0;
+    Event ev = queue_.pop();
     --live_;
     ++executed_;
-    cb();
+    ev.cb();
     return true;
   }
 
