@@ -8,7 +8,8 @@
 // unique (seq is an insertion counter), so the pop order is a pure
 // function of the keys: any correct heap serves the same sequence, and
 // nothing depends on addresses or hashes. Four children per node keep the
-// heap shallow; a binary heap measured slower on the DES-heavy workloads.
+// heap shallow; a binary heap cost more host time per decision on the
+// perfbench workloads.
 //
 // Besides push/top/pop the queue offers the two bulk operations its users
 // need: remove_max() (a linear scan; bounded link queues evict their
