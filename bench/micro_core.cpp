@@ -28,6 +28,7 @@
 #include "des/simulator.h"
 #include "naming/prefix_index.h"
 #include "net/network.h"
+#include "net/topology.h"
 #include "world/grid_map.h"
 #include "world/sensor_field.h"
 
@@ -524,6 +525,58 @@ void BM_RouteQuery(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RouteQuery);
+
+/// City's network: 160 sensors placed on a 20x20 grid, linked within
+/// radius 2.2 (the component joins are left out). With `two_classes`, every
+/// other link runs at 2 Mbps instead of 1 Mbps.
+net::Topology city_topology(bool two_classes) {
+  const world::GridMap map(20, 20);
+  world::ViabilityProcess truth(
+      std::vector<world::SegmentDynamics>(
+          map.segment_count(),
+          world::SegmentDynamics{0.75, SimTime::seconds(900)}),
+      Rng(16));
+  world::SensorFieldConfig field_cfg;
+  field_cfg.sensor_count = 160;
+  Rng rng(13);
+  const world::SensorField field(map, truth, field_cfg, rng);
+  const auto& sensors = field.sensors();
+  net::Topology topo;
+  for (std::size_t i = 0; i < sensors.size(); ++i) topo.add_node();
+  for (std::size_t i = 0; i < sensors.size(); ++i) {
+    for (std::size_t j = i + 1; j < sensors.size(); ++j) {
+      if (std::hypot(sensors[i].x - sensors[j].x,
+                     sensors[i].y - sensors[j].y) > 2.2) {
+        continue;
+      }
+      const bool fast = two_classes && topo.link_count() % 4 == 2;
+      topo.add_link(NodeId{i}, NodeId{j}, fast ? 2e6 : 1e6,
+                    SimTime::millis(2));
+    }
+  }
+  return topo;
+}
+
+/// All-pairs route tables for city's network, every link equal: the
+/// breadth-first pass.
+void BM_ComputeRoutesGrid(benchmark::State& state) {
+  net::Topology topo = city_topology(false);
+  for (auto _ : state) {
+    topo.compute_routes();
+    benchmark::DoNotOptimize(topo.next_hop(NodeId{0}, NodeId{159}));
+  }
+}
+BENCHMARK(BM_ComputeRoutesGrid);
+
+/// The same network with two link classes: the heap Dijkstra pass.
+void BM_ComputeRoutesWeighted(benchmark::State& state) {
+  net::Topology topo = city_topology(true);
+  for (auto _ : state) {
+    topo.compute_routes();
+    benchmark::DoNotOptimize(topo.next_hop(NodeId{0}, NodeId{159}));
+  }
+}
+BENCHMARK(BM_ComputeRoutesWeighted);
 
 /// Console output exactly as stock google-benchmark, plus every finished
 /// run captured into the machine-readable report (one metric per benchmark

@@ -52,9 +52,14 @@ class Topology {
   /// Out-neighbors of `node`.
   [[nodiscard]] std::vector<NodeId> neighbors(NodeId node) const;
 
-  /// (Re)compute all-pairs next-hop routes by Dijkstra over link delay
-  /// (latency + per-byte time of a nominal 1 KB packet). Must be called
-  /// after the topology is built and before next_hop() queries.
+  /// (Re)compute all-pairs next-hop routes, shortest by link delay
+  /// (latency + per-byte time of a nominal 1 KB packet). The links select
+  /// the pass: when every enabled link has the same positive delay, a
+  /// breadth-first search per destination; otherwise (mixed or zero
+  /// delays) a heap Dijkstra per destination. Both write the same tables:
+  /// among a node's neighbours on equal-delay shortest paths, its next hop
+  /// is the one the heap, popping by (distance, node), settles first. Must
+  /// be called after the topology is built and before next_hop() queries.
   void compute_routes();
 
   /// Route recomputation over a degraded graph: only links with

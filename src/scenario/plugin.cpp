@@ -18,12 +18,6 @@ std::vector<NodeId> Stack::connect_sensors(const world::SensorField& field,
   hosts.reserve(n);
   for (std::size_t i = 0; i < n; ++i) hosts.push_back(topo.add_node());
 
-  auto dist = [&](std::size_t a, std::size_t b) {
-    const double dx = sensors[a].x - sensors[b].x;
-    const double dy = sensors[a].y - sensors[b].y;
-    return std::sqrt(dx * dx + dy * dy);
-  };
-
   // Union-find for connectivity.
   std::vector<std::size_t> parent(n);
   std::iota(parent.begin(), parent.end(), std::size_t{0});
@@ -35,25 +29,35 @@ std::vector<NodeId> Stack::connect_sensors(const world::SensorField& field,
     return x;
   };
 
+  // Distance of every pair i < j, row by row: the radius pass computes it
+  // and each component join rescans it. The buffer holds n(n-1)/2 doubles
+  // while this function runs (~100 KB at 160 nodes).
+  std::vector<double> pair_dist;
+  pair_dist.reserve(n * (n - 1) / 2);
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = i + 1; j < n; ++j) {
-      if (dist(i, j) <= radius) {
+      const double dx = sensors[i].x - sensors[j].x;
+      const double dy = sensors[i].y - sensors[j].y;
+      pair_dist.push_back(std::sqrt(dx * dx + dy * dy));
+      if (pair_dist.back() <= radius) {
         topo.add_link(NodeId{i}, NodeId{j}, bandwidth_bps, latency);
         parent[find(i)] = find(j);
       }
     }
   }
   // Join disconnected components by their closest cross pair.
+  std::vector<std::size_t> root(n);
   for (;;) {
+    for (std::size_t i = 0; i < n; ++i) root[i] = find(i);
     double best = 0.0;
     std::size_t bi = n;
     std::size_t bj = n;
+    std::size_t k = 0;  // index of pair (i, j) in pair_dist
     for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = i + 1; j < n; ++j) {
-        if (find(i) == find(j)) continue;
-        const double d = dist(i, j);
-        if (bi == n || d < best) {
-          best = d;
+      for (std::size_t j = i + 1; j < n; ++j, ++k) {
+        if (root[i] == root[j]) continue;
+        if (bi == n || pair_dist[k] < best) {
+          best = pair_dist[k];
           bi = i;
           bj = j;
         }

@@ -243,6 +243,32 @@ ReferenceRoutes reference_routes(const Topology& t,
   return out;
 }
 
+/// Routes `t` (with compute_routes() when `enabled` is null, else under
+/// `*enabled`) and checks every pair against reference_routes. Adds the
+/// reference's equal-cost ties and unreachable pairs to the counters.
+void expect_reference_routes(Topology& t, const std::vector<char>* enabled,
+                             std::size_t& ties, std::size_t& unreachable) {
+  if (enabled == nullptr) {
+    t.compute_routes();
+  } else {
+    t.compute_routes(*enabled);
+  }
+  const ReferenceRoutes want =
+      reference_routes(t, enabled == nullptr ? std::vector<char>() : *enabled);
+  ties += want.ties;
+  const std::size_t n = t.node_count();
+  for (std::size_t from = 0; from < n; ++from) {
+    for (std::size_t dest = 0; dest < n; ++dest) {
+      const std::size_t i = from * n + dest;
+      ASSERT_EQ(t.next_hop(NodeId{from}, NodeId{dest}), want.next[i])
+          << from << " -> " << dest;
+      ASSERT_EQ(t.hop_distance(NodeId{from}, NodeId{dest}), want.hops[i])
+          << from << " -> " << dest;
+      if (!want.hops[i]) ++unreachable;
+    }
+  }
+}
+
 // Random weighted graphs, some disconnected, with link weights from a
 // small set so equal-cost paths are common, routed with no mask, with an
 // all-enabled mask and with random directed links disabled.
@@ -268,31 +294,104 @@ TEST(Topology, RoutesMatchReferenceDijkstra) {
     std::vector<char> all(t.link_count(), 1);
     std::vector<char> some(t.link_count(), 1);
     for (char& e : some) e = rng.chance(0.25) ? 0 : 1;
-    for (const int mode : {0, 1, 2}) {  // no mask, all enabled, some off
-      const std::vector<char> enabled =
-          mode == 0 ? std::vector<char>() : mode == 1 ? all : some;
-      if (mode == 0) {
-        t.compute_routes();
-      } else {
-        t.compute_routes(enabled);
-      }
-      const ReferenceRoutes want = reference_routes(t, enabled);
-      ties += want.ties;
-      for (std::size_t from = 0; from < n; ++from) {
-        for (std::size_t dest = 0; dest < n; ++dest) {
-          const std::size_t i = from * n + dest;
-          ASSERT_EQ(t.next_hop(NodeId{from}, NodeId{dest}), want.next[i])
-              << from << " -> " << dest;
-          ASSERT_EQ(t.hop_distance(NodeId{from}, NodeId{dest}), want.hops[i])
-              << from << " -> " << dest;
-          if (!want.hops[i]) ++unreachable;
-        }
-      }
-    }
+    ASSERT_NO_FATAL_FAILURE(expect_reference_routes(t, nullptr, ties,
+                                                    unreachable));
+    ASSERT_NO_FATAL_FAILURE(expect_reference_routes(t, &all, ties,
+                                                    unreachable));
+    ASSERT_NO_FATAL_FAILURE(expect_reference_routes(t, &some, ties,
+                                                    unreachable));
   }
   // The sample exercises both tie-breaks and unreachable pairs.
   EXPECT_GT(ties, 100u);
   EXPECT_GT(unreachable, 100u);
+}
+
+// Every link with one bandwidth and one latency, as in the paper's network
+// (the breadth-first pass): random graphs of up to 40 nodes, some
+// disconnected, with no mask, an all-enabled mask and random directed
+// masks. Equal-hop ties are common, so the next hop's smallest-id rule is
+// checked against the heap's pop order many times over.
+TEST(Topology, EqualWeightRoutesMatchReferenceDijkstra) {
+  Rng rng(3319);
+  std::size_t ties = 0;
+  std::size_t unreachable = 0;
+  for (int trial = 0; trial < 150; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    Topology t;
+    const std::size_t n = 2 + rng.below(39);
+    for (std::size_t i = 0; i < n; ++i) t.add_node();
+    const double p = rng.uniform(0.03, 0.3);
+    for (std::size_t a = 0; a < n; ++a) {
+      for (std::size_t b = a + 1; b < n; ++b) {
+        if (rng.chance(p)) t.add_link(NodeId{a}, NodeId{b});
+      }
+    }
+    std::vector<char> all(t.link_count(), 1);
+    ASSERT_NO_FATAL_FAILURE(expect_reference_routes(t, nullptr, ties,
+                                                    unreachable));
+    ASSERT_NO_FATAL_FAILURE(expect_reference_routes(t, &all, ties,
+                                                    unreachable));
+    for (const double off : {0.1, 0.4}) {
+      std::vector<char> some(t.link_count(), 1);
+      for (char& e : some) e = rng.chance(off) ? 0 : 1;
+      ASSERT_NO_FATAL_FAILURE(expect_reference_routes(t, &some, ties,
+                                                      unreachable));
+    }
+  }
+  EXPECT_GT(ties, 1000u);
+  EXPECT_GT(unreachable, 1000u);
+}
+
+// A 4x4 mesh of equal links plus diagonals, where one diagonal's weight
+// differs: with that link enabled the heap pass routes, and with it
+// disabled every enabled link is equal again and the breadth-first pass
+// routes. Both must match the reference, as must the same graph with every
+// weight zero (latency 0 over an infinite bandwidth), where every distance
+// ties at 0, and with weights so large that two hops already overflow.
+TEST(Topology, RouteTablesMatchReferenceAcrossWeightClasses) {
+  using LinkPair = std::pair<LinkId, LinkId>;
+  const auto mesh = [](double bandwidth, SimTime latency, double odd_bandwidth,
+                       LinkPair* odd) {
+    Topology t;
+    for (int i = 0; i < 16; ++i) t.add_node();
+    for (std::size_t y = 0; y < 4; ++y) {
+      for (std::size_t x = 0; x < 4; ++x) {
+        const NodeId here{y * 4 + x};
+        if (x + 1 < 4) t.add_link(here, NodeId{y * 4 + x + 1}, bandwidth, latency);
+        if (y + 1 < 4) t.add_link(here, NodeId{y * 4 + x + 4}, bandwidth, latency);
+        if (x + 1 < 4 && y + 1 < 4) {
+          const double bw = (x == 1 && y == 1) ? odd_bandwidth : bandwidth;
+          const auto both = t.add_link(here, NodeId{y * 4 + x + 5}, bw, latency);
+          if (x == 1 && y == 1) *odd = both;
+        }
+      }
+    }
+    return t;
+  };
+  std::size_t ties = 0;
+  std::size_t unreachable = 0;
+  LinkPair odd;
+  Topology mixed = mesh(1e6, SimTime::millis(2), 2e6, &odd);
+  ASSERT_NO_FATAL_FAILURE(expect_reference_routes(mixed, nullptr, ties,
+                                                  unreachable));
+  std::vector<char> enabled(mixed.link_count(), 1);
+  enabled[odd.first.value()] = 0;
+  enabled[odd.second.value()] = 0;
+  ASSERT_NO_FATAL_FAILURE(expect_reference_routes(mixed, &enabled, ties,
+                                                  unreachable));
+
+  const double inf = std::numeric_limits<double>::infinity();
+  LinkPair unused;
+  Topology zero = mesh(inf, SimTime::zero(), inf, &unused);
+  ASSERT_NO_FATAL_FAILURE(expect_reference_routes(zero, nullptr, ties,
+                                                  unreachable));
+  // Two hops of 1e308 s overflow to infinity, so only neighbours route.
+  const double huge_bw = 1024.0 * 8.0 / 1e308;
+  Topology huge = mesh(huge_bw, SimTime::zero(), huge_bw, &unused);
+  ASSERT_NO_FATAL_FAILURE(expect_reference_routes(huge, nullptr, ties,
+                                                  unreachable));
+  EXPECT_EQ(huge.hop_distance(NodeId{0}, NodeId{1}), 1u);
+  EXPECT_FALSE(huge.hop_distance(NodeId{0}, NodeId{2}).has_value());
 }
 
 TEST(Topology, RoutesEpochBumpsOnRecompute) {
