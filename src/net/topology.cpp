@@ -180,10 +180,9 @@ void Topology::compute_routes(const std::vector<char>& link_enabled) {
   DDE_CHECK(n < kNoRoute, "compute_routes: node ids exceed 32 bits");
   next_hop_.assign(n * n, kNoRoute);
   hops_.assign(n * n, kNoRoute);
-  // Enabled links into each node as one flat array, one run per node in
-  // link order (in[begin[v]] up to in[begin[v + 1]]): a relaxation visits
-  // the same edges in the same order as a scan of every link would. A
-  // link's weight is its delay for a nominal 1 KB packet.
+  // Enabled links into each node in link order: a relaxation visits the
+  // same edges in the same order as a scan of every link would. A link's
+  // weight is its delay for a nominal 1 KB packet.
   const auto enabled = [&](const Link& l) {
     return link_enabled.empty() || link_enabled[l.id.value()] != 0;
   };

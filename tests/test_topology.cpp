@@ -342,52 +342,48 @@ TEST(Topology, EqualWeightRoutesMatchReferenceDijkstra) {
   EXPECT_GT(unreachable, 1000u);
 }
 
-// A 4x4 mesh of equal links plus diagonals, where one diagonal's weight
-// differs: with that link enabled the heap pass routes, and with it
-// disabled every enabled link is equal again and the breadth-first pass
-// routes. Both must match the reference, as must the same graph with every
+// A 4x4 mesh of equal links plus diagonals, and one shortcut 0—15 at
+// another bandwidth: with the shortcut enabled the heap pass routes, and
+// with it disabled every enabled link is equal again and the breadth-first
+// pass routes. Both must match the reference, as must the mesh with every
 // weight zero (latency 0 over an infinite bandwidth), where every distance
 // ties at 0, and with weights so large that two hops already overflow.
 TEST(Topology, RouteTablesMatchReferenceAcrossWeightClasses) {
-  using LinkPair = std::pair<LinkId, LinkId>;
-  const auto mesh = [](double bandwidth, SimTime latency, double odd_bandwidth,
-                       LinkPair* odd) {
+  const auto mesh = [](double bandwidth, SimTime latency) {
     Topology t;
     for (int i = 0; i < 16; ++i) t.add_node();
     for (std::size_t y = 0; y < 4; ++y) {
       for (std::size_t x = 0; x < 4; ++x) {
-        const NodeId here{y * 4 + x};
-        if (x + 1 < 4) t.add_link(here, NodeId{y * 4 + x + 1}, bandwidth, latency);
-        if (y + 1 < 4) t.add_link(here, NodeId{y * 4 + x + 4}, bandwidth, latency);
-        if (x + 1 < 4 && y + 1 < 4) {
-          const double bw = (x == 1 && y == 1) ? odd_bandwidth : bandwidth;
-          const auto both = t.add_link(here, NodeId{y * 4 + x + 5}, bw, latency);
-          if (x == 1 && y == 1) *odd = both;
-        }
+        const std::size_t here = y * 4 + x;
+        const auto link = [&](std::size_t to) {
+          t.add_link(NodeId{here}, NodeId{to}, bandwidth, latency);
+        };
+        if (x + 1 < 4) link(here + 1);
+        if (y + 1 < 4) link(here + 4);
+        if (x + 1 < 4 && y + 1 < 4) link(here + 5);
       }
     }
     return t;
   };
   std::size_t ties = 0;
   std::size_t unreachable = 0;
-  LinkPair odd;
-  Topology mixed = mesh(1e6, SimTime::millis(2), 2e6, &odd);
+  Topology mixed = mesh(1e6, SimTime::millis(2));
+  const auto [ab, ba] =
+      mixed.add_link(NodeId{0}, NodeId{15}, 2e6, SimTime::millis(2));
   ASSERT_NO_FATAL_FAILURE(expect_reference_routes(mixed, nullptr, ties,
                                                   unreachable));
   std::vector<char> enabled(mixed.link_count(), 1);
-  enabled[odd.first.value()] = 0;
-  enabled[odd.second.value()] = 0;
+  enabled[ab.value()] = 0;
+  enabled[ba.value()] = 0;
   ASSERT_NO_FATAL_FAILURE(expect_reference_routes(mixed, &enabled, ties,
                                                   unreachable));
 
   const double inf = std::numeric_limits<double>::infinity();
-  LinkPair unused;
-  Topology zero = mesh(inf, SimTime::zero(), inf, &unused);
+  Topology zero = mesh(inf, SimTime::zero());
   ASSERT_NO_FATAL_FAILURE(expect_reference_routes(zero, nullptr, ties,
                                                   unreachable));
   // Two hops of 1e308 s overflow to infinity, so only neighbours route.
-  const double huge_bw = 1024.0 * 8.0 / 1e308;
-  Topology huge = mesh(huge_bw, SimTime::zero(), huge_bw, &unused);
+  Topology huge = mesh(1024.0 * 8.0 / 1e308, SimTime::zero());
   ASSERT_NO_FATAL_FAILURE(expect_reference_routes(huge, nullptr, ties,
                                                   unreachable));
   EXPECT_EQ(huge.hop_distance(NodeId{0}, NodeId{1}), 1u);
