@@ -31,15 +31,6 @@ std::uint64_t prefetch_key(NodeId origin, SourceId s) {
   return pack_node_counter(origin, s.value());
 }
 
-/// Insert `value` into the ascending vector `v`; false if already present.
-template <typename T>
-bool insert_sorted(std::vector<T>& v, const std::type_identity_t<T>& value) {
-  const auto at = std::lower_bound(v.begin(), v.end(), value);
-  if (at != v.end() && *at == value) return false;
-  v.insert(at, value);
-  return true;
-}
-
 }  // namespace
 
 void AthenaNode::trace(obs::EventKind kind, QueryId query,
@@ -181,11 +172,11 @@ SourceId AthenaNode::next_corroborating_source(const QueryState& q,
   SimTime best_last = SimTime::max();
   double best_cost = 0.0;
   for (SourceId s : directory_.sources_for(label)) {
-    if (std::binary_search(q.exhausted.begin(), q.exhausted.end(), s)) {
-      continue;  // failed over away from it
-    }
-    SimTime last = SimTime::zero() - SimTime::seconds(1e9);
-    if (const SimTime* t = q.last_request.find(s)) last = *t;
+    const SourceAttempt* asked = q.find_asked(s);
+    if (asked != nullptr && asked->exhausted) continue;  // failed over
+    const SimTime last = asked != nullptr
+                             ? asked->last_request
+                             : SimTime::zero() - SimTime::seconds(1e9);
     // A repeat request within the sensor's validity window would return
     // the same capture — no new information.
     const SimTime eligible_at = last + directory_.validity(s);
@@ -244,7 +235,7 @@ void AthenaNode::deliver_object(const world::EvidenceObject& obj) {
   // The reply (fresh or stale, new or repeated) settles the outstanding
   // request.
   for (auto& [qid, q] : queries_) {
-    if (q.outstanding.erase(obj.source)) {
+    if (q.settle(obj.source)) {
       trace(obs::EventKind::kObjectRx, qid, obj.source.value(), obj.bytes);
     }
   }
@@ -305,7 +296,7 @@ void AthenaNode::advance(QueryState& q) {
   decision::PlanScratch scratch;
   // Keep resolving from local knowledge until we must touch the network.
   for (int guard = 0; guard < 1000; ++guard) {
-    if (config_.sequential && !q.outstanding.empty()) {
+    if (config_.sequential && q.awaiting_reply()) {
       // One request in flight per query, and shedding needs none in
       // flight, so a plan here would only feed the kPlan trace. Unless a
       // sink wants that trace, skip the check when the assignment has not
@@ -342,7 +333,7 @@ void AthenaNode::advance(QueryState& q) {
     // in flight and even the quickest possible retrieval can no longer
     // return in time, abort now — freeing the bandwidth the doomed fetches
     // would have burned — and account the query as shed, not failed.
-    if (config_.shed_infeasible && q.outstanding.empty() &&
+    if (config_.shed_infeasible && !q.awaiting_reply() &&
         deadline_infeasible(q, order, now)) {
       finish(q, Outcome::kShed);
       return;
@@ -413,7 +404,10 @@ void AthenaNode::advance(QueryState& q) {
       }
       for (std::size_t i = 0; i < q.selection.requests.size(); ++i) {
         const SourceId source = q.selection.requests[i].first;
-        if (q.outstanding.contains(source)) continue;
+        if (const SourceAttempt* a = q.find_asked(source);
+            a != nullptr && a->in_flight) {
+          continue;
+        }
         // Locally hosted evidence was already consumed by try_local; a
         // network request to ourselves would be meaningless (reachable
         // only in exotic configs, e.g. batch issue + corroboration).
@@ -443,9 +437,14 @@ void AthenaNode::issue_request(QueryState& q, SourceId source,
             "issue_request: source is hosted locally (try_local must "
             "handle it)");
 
-  auto& count = q.request_counts.ref(source);
-  ++count;
-  q.last_request.set(source, now);
+  SourceAttempt* asked = q.find_asked(source);
+  if (asked == nullptr) {
+    q.asked.push_back(SourceAttempt{});
+    asked = &q.asked.back();
+    asked->source = source;
+  }
+  const std::uint32_t count = ++asked->requests;
+  asked->last_request = now;
   ++metrics_.object_requests;
   if (count > 1) ++metrics_.refetches;
   trace(obs::EventKind::kFetch, q.id, source.value(), ObjectRequest::kBytes,
@@ -472,7 +471,7 @@ void AthenaNode::issue_request(QueryState& q, SourceId source,
     timeout = std::min(SimTime::seconds(timeout.to_seconds() * factor),
                        config_.request_timeout);
   }
-  q.outstanding.set(source, now + timeout);
+  asked->in_flight = now + timeout;
 
   // Re-issue watchdog: if no reply settles this request in time, clear it
   // so the planner can retry — backed off against the same source, or
@@ -482,14 +481,14 @@ void AthenaNode::issue_request(QueryState& q, SourceId source,
         QueryState* state = live_query(qid);
         if (state == nullptr) return;
         QueryState& q2 = *state;
-        const SimTime* o = q2.outstanding.find(source);
-        if (o != nullptr && *o <= net_.now()) {
-          q2.outstanding.erase(source);
+        SourceAttempt* a = q2.find_asked(source);
+        if (a != nullptr && a->in_flight && *a->in_flight <= net_.now()) {
+          a->in_flight.reset();
           ++metrics_.retries;
           trace(obs::EventKind::kRetry, qid, source.value());
           if (config_.max_source_attempts > 0 &&
-              q2.request_counts.ref(source) >= config_.max_source_attempts &&
-              insert_sorted(q2.exhausted, source)) {
+              a->requests >= config_.max_source_attempts && !a->exhausted) {
+            a->exhausted = true;
             failover(q2);
           }
           advance(q2);
@@ -535,8 +534,13 @@ bool AthenaNode::deadline_infeasible(const QueryState& q,
 }
 
 void AthenaNode::failover(QueryState& q) {
+  std::vector<SourceId> exhausted;
+  for (const SourceAttempt& a : q.asked) {
+    if (a.exhausted) exhausted.push_back(a.source);
+  }
+  std::sort(exhausted.begin(), exhausted.end());
   Directory::Selection fresh = directory_.select_sources(
-      q.labels, id_, config_.source_selection, q.exhausted);
+      q.labels, id_, config_.source_selection, exhausted);
   std::uint64_t moved = 0;
   for (const auto& [label, source] : fresh.designated) {
     if (q.selection.designated_source(label) != source) {
@@ -556,9 +560,7 @@ void AthenaNode::finish(QueryState& q, Outcome outcome) {
 
   QueryRecord rec{q.id, q.priority, outcome, q.issued_at, now,
                   std::nullopt, 0};
-  for (const auto& [source, count] : q.request_counts) {
-    rec.requests_sent += count;
-  }
+  for (const SourceAttempt& a : q.asked) rec.requests_sent += a.requests;
   switch (outcome) {
     case Outcome::kDecided:
       rec.chosen_action = q.expr.chosen_action(q.assignment, now);
@@ -584,7 +586,7 @@ void AthenaNode::finish(QueryState& q, Outcome outcome) {
       trace(obs::EventKind::kCrashDrop, q.id);
       break;
   }
-  q.outstanding.clear();
+  for (SourceAttempt& a : q.asked) a.in_flight.reset();
   if (retire_hook_) retire_hook_(rec, q.expr);
   // The state is erased at the next drain_retired() entry point —
   // never here, because callers up the stack (deliver_object/advance
@@ -751,12 +753,14 @@ void AthenaNode::handle(NodeId /*from*/, const ObjectReply& r) {
   const SmallVec<Interest, 1> consumers = forwarder_.take(obj.source);
   bool delivered_locally = false;
   bool forwarded_any = false;
-  SmallSet<NodeId, 4> sent_to;
+  SmallVec<NodeId, 4> sent_to;
   for (const Interest& e : consumers) {
     if (e.expires <= now) continue;
     if (!e.from.valid()) {
       delivered_locally = true;
-    } else if (sent_to.insert(e.from)) {
+    } else if (std::find(sent_to.begin(), sent_to.end(), e.from) ==
+               sent_to.end()) {
+      sent_to.push_back(e.from);
       // A background push yields to every foreground class at link queues.
       send_msg(e.from,
                ObjectReply{r.object, e.origin, r.prefetch_push,
@@ -817,7 +821,7 @@ void AthenaNode::handle(NodeId /*from*/, const LabelReply& r) {
   cache_labels(r.values.view(), net_.now());
   if (r.origin == id_) {
     apply_labels_to_queries(r.values.view());
-    for (auto& [qid, q] : queries_) q.outstanding.erase(r.source);
+    for (auto& [qid, q] : queries_) q.settle(r.source);
     advance_active();
   } else {
     send_toward(r.origin, r);

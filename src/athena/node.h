@@ -14,6 +14,7 @@
 // ground-truth readings).
 #pragma once
 
+#include <algorithm>
 #include <deque>
 #include <functional>
 #include <limits>
@@ -199,6 +200,19 @@ class AthenaNode {
 
  private:
   // --- query state -------------------------------------------------------
+  /// One source a query has asked: its retry and corroboration state.
+  struct SourceAttempt {
+    SourceId source;
+    SimTime last_request;  ///< when the query last sent it a request
+    /// Expiry of the request in flight to it; empty while none is.
+    std::optional<SimTime> in_flight;
+    std::uint32_t requests = 0;  ///< requests the query sent it
+    /// Given up on after max_source_attempts unanswered requests: source
+    /// selection avoids it unless nothing else covers a label, and
+    /// corroboration never rotates back to it.
+    bool exhausted = false;
+  };
+
   struct QueryState {
     QueryId id;
     decision::DnfExpr expr;
@@ -220,17 +234,34 @@ class AthenaNode {
     std::uint64_t unresolved_version =
         std::numeric_limits<std::uint64_t>::max();
     int priority = 0;
-    /// source → expiry of the outstanding request to it.
-    SmallMap<SourceId, SimTime, 4> outstanding;
-    SmallMap<SourceId, std::uint32_t, 4> request_counts;
-    /// Sources this query gave up on after max_source_attempts unanswered
-    /// requests, ascending; selection avoids them unless nothing else
-    /// covers a label.
-    std::vector<SourceId> exhausted;
-    /// source → time of the last request this query sent it (used to
-    /// rotate across sources when corroborating noisy evidence).
-    SmallMap<SourceId, SimTime, 4> last_request;
+    /// Every source this query has asked, in first-request order.
+    SmallVec<SourceAttempt, 4> asked;
     bool finished = false;
+
+    /// `s`'s record, or nullptr if this query never asked it.
+    [[nodiscard]] const SourceAttempt* find_asked(SourceId s) const {
+      for (const SourceAttempt& a : asked) {
+        if (a.source == s) return &a;
+      }
+      return nullptr;
+    }
+    [[nodiscard]] SourceAttempt* find_asked(SourceId s) {
+      return const_cast<SourceAttempt*>(std::as_const(*this).find_asked(s));
+    }
+    /// Whether any request of this query is in flight.
+    [[nodiscard]] bool awaiting_reply() const {
+      return std::any_of(asked.begin(), asked.end(),
+                         [](const SourceAttempt& a) {
+                           return a.in_flight.has_value();
+                         });
+    }
+    /// Settle the request in flight to `s`; false if none was.
+    bool settle(SourceId s) {
+      SourceAttempt* a = find_asked(s);
+      if (a == nullptr || !a->in_flight) return false;
+      a->in_flight.reset();
+      return true;
+    }
   };
 
   /// One queued prefetch push (Sec. VI-A: background-only): the object of

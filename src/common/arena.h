@@ -1,4 +1,4 @@
-// Small inline containers for in-flight hot-path state, and the chunk
+// A small inline vector for in-flight hot-path state, and the chunk
 // size rule for chunked per-node storage:
 //
 //   kPageSlots<T>  — slots of T per ~4 KB page: the chunk size of
@@ -6,13 +6,9 @@
 //   SmallVec<T,N>  — a vector with N inline elements; spills wholesale to
 //                    heap storage when it outgrows them. Contiguous in
 //                    both modes (begin()/end() are plain pointers).
-//   SmallMap<K,V,N>— insertion-ordered association list on SmallVec.
-//                    Linear scans; intended for maps whose expected size
-//                    is a handful (per-query outstanding/retry state).
-//   SmallSet<T,N>  — insertion-ordered membership list on SmallVec.
 //
-// Determinism: none of these structures involve hashing; iteration order
-// is insertion order, a pure function of the operation history.
+// Determinism: SmallVec involves no hashing; iteration order is insertion
+// order, a pure function of the operation history.
 #pragma once
 
 #include <algorithm>
@@ -162,14 +158,6 @@ class SmallVec {
     return removed;
   }
 
-  /// Remove the element at index `i`, preserving relative order.
-  void erase_at(std::size_t i) {
-    DDE_CHECK(i < size_, "SmallVec::erase_at out of range");
-    T* d = data();
-    for (std::size_t j = i + 1; j < size_; ++j) d[j - 1] = std::move(d[j]);
-    pop_back();
-  }
-
  private:
   /// Move the size() elements at `from` into a fresh heap array of
   /// `capacity` slots; inline slots left behind are reset to T{}.
@@ -204,101 +192,6 @@ class SmallVec {
   std::unique_ptr<T[]> heap_;       ///< null while the elements are inline
   std::uint32_t size_ = 0;
   std::uint32_t capacity_ = N;      ///< heap_'s length once spilled
-};
-
-/// Insertion-ordered flat map with linear-scan lookup.
-/// For per-query maps whose expected population is a handful of entries.
-template <typename K, typename V, std::size_t N>
-class SmallMap {
- public:
-  struct Item {
-    K key{};
-    V value{};
-  };
-  using const_iterator = const Item*;
-
-  [[nodiscard]] V* find(const K& key) {
-    for (Item& item : items_) {
-      if (item.key == key) return &item.value;
-    }
-    return nullptr;
-  }
-  [[nodiscard]] const V* find(const K& key) const {
-    for (const Item& item : items_) {
-      if (item.key == key) return &item.value;
-    }
-    return nullptr;
-  }
-
-  [[nodiscard]] bool contains(const K& key) const { return find(key) != nullptr; }
-
-  /// operator[] equivalent: existing value or freshly default-constructed.
-  [[nodiscard]] V& ref(const K& key) {
-    if (V* v = find(key)) return *v;
-    items_.push_back(Item{key, V{}});
-    return items_.back().value;
-  }
-
-  void set(const K& key, V value) { ref(key) = std::move(value); }
-
-  bool erase(const K& key) {
-    for (std::size_t i = 0; i < items_.size(); ++i) {
-      if (items_[i].key == key) {
-        items_.erase_at(i);
-        return true;
-      }
-    }
-    return false;
-  }
-
-  [[nodiscard]] const_iterator begin() const { return items_.begin(); }
-  [[nodiscard]] const_iterator end() const { return items_.end(); }
-  [[nodiscard]] std::size_t size() const { return items_.size(); }
-  [[nodiscard]] bool empty() const { return items_.empty(); }
-  void clear() { items_.clear(); }
-
- private:
-  SmallVec<Item, N> items_;
-};
-
-/// Insertion-ordered flat set with linear-scan lookup.
-template <typename T, std::size_t N>
-class SmallSet {
- public:
-  using const_iterator = const T*;
-
-  /// Returns true if inserted, false if already present.
-  bool insert(const T& value) {
-    if (contains(value)) return false;
-    items_.push_back(value);
-    return true;
-  }
-
-  [[nodiscard]] bool contains(const T& value) const {
-    for (const T& item : items_) {
-      if (item == value) return true;
-    }
-    return false;
-  }
-
-  bool erase(const T& value) {
-    for (std::size_t i = 0; i < items_.size(); ++i) {
-      if (items_[i] == value) {
-        items_.erase_at(i);
-        return true;
-      }
-    }
-    return false;
-  }
-
-  [[nodiscard]] const_iterator begin() const { return items_.begin(); }
-  [[nodiscard]] const_iterator end() const { return items_.end(); }
-  [[nodiscard]] std::size_t size() const { return items_.size(); }
-  [[nodiscard]] bool empty() const { return items_.empty(); }
-  void clear() { items_.clear(); }
-
- private:
-  SmallVec<T, N> items_;
 };
 
 }  // namespace dde

@@ -10,23 +10,14 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "common/arena.h"
 #include "common/ids.h"
 #include "common/sim_time.h"
 #include "common/tristate.h"
-#include "naming/name.h"
 
 namespace dde::decision {
-
-/// Static description of a label (the variable itself, not its value).
-struct LabelInfo {
-  LabelId id;
-  naming::Name name;      ///< hierarchical semantic name, e.g. /label/viable/seg12
-  std::string type;       ///< semantic type, e.g. "road condition"
-};
 
 /// A resolved label value with provenance (the paper's signed-label record).
 /// Copying one allocates nothing unless it lists more than one evidence

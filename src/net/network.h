@@ -152,9 +152,6 @@ class Network {
   /// next send() on; an already-over-cap queue is trimmed lazily as traffic
   /// arrives, never retroactively.
   void set_queue_limits(QueueLimits limits) noexcept { limits_ = limits; }
-  [[nodiscard]] const QueueLimits& queue_limits() const noexcept {
-    return limits_;
-  }
 
   /// Packets currently queued (not yet transmitting) on `link`.
   [[nodiscard]] std::size_t queue_length(LinkId link) const {
@@ -201,7 +198,6 @@ class Network {
     loss_rate_ = probability;
     loss_rng_.reseed(seed);
   }
-  [[nodiscard]] double loss_rate() const noexcept { return loss_rate_; }
 
   /// Install a correlated-loss model (pass nullptr to remove). Consulted
   /// once per completed transmission, before the independent loss draw.

@@ -232,6 +232,10 @@ std::optional<NodeId> Topology::next_hop(NodeId from, NodeId dest) const {
 std::optional<std::size_t> Topology::hop_distance(NodeId from,
                                                   NodeId dest) const {
   if (!routes_valid_) return std::nullopt;
+  DDE_CHECK(from.valid() && from.value() < node_count_,
+            "hop_distance: unknown source node");
+  DDE_CHECK(dest.valid() && dest.value() < node_count_,
+            "hop_distance: unknown destination node");
   const std::uint32_t h = hops_[dest.value() * node_count_ + from.value()];
   if (h == kNoRoute) return std::nullopt;
   return h;

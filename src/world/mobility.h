@@ -46,9 +46,6 @@ class GridMobility {
   GridMobility(const GridMap& map, std::size_t traveler_count, double speed,
                Rng& rng);
 
-  [[nodiscard]] std::size_t traveler_count() const noexcept {
-    return tracks_.size();
-  }
   [[nodiscard]] double speed() const noexcept { return speed_; }
 
   /// Ground-truth position of `traveler` at time `t` (t >= 0), linearly

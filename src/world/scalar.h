@@ -37,7 +37,6 @@ class ScalarProcess {
   ScalarProcess(std::vector<ScalarDynamics> params, Rng rng,
                 SimTime step = SimTime::seconds(1));
 
-  [[nodiscard]] std::size_t site_count() const noexcept { return tracks_.size(); }
   [[nodiscard]] const ScalarDynamics& params(std::size_t site) const;
 
   /// Value at time t (t >= 0); repeated queries are consistent.

@@ -765,8 +765,9 @@ TEST(AthenaNode, FailoverChangesTheHopCostTheNextPlanSees) {
   EXPECT_EQ(f.fetches(), (std::vector<std::uint64_t>{0, 0, 1}));
 }
 
-/// Fixture variant with a noisy world: three sensors at C all covering
-/// segment 0 (viable); reliability 0.75 each.
+/// Fixture variant with a noisy world on the line A(0) — B(1) — C(2):
+/// three sensors (by default sensors(), all at C) covering segment 0
+/// (viable); reliability 0.75 each.
 struct NoisyFixture {
   world::GridMap map{4, 4};
   world::ViabilityProcess truth;
@@ -778,6 +779,7 @@ struct NoisyFixture {
   Directory dir;
   AthenaMetrics metrics;
   std::vector<std::unique_ptr<AthenaNode>> athena;
+  RetireLog retired;
 
   static std::vector<SensorInfo> sensors() {
     std::vector<SensorInfo> out;
@@ -793,23 +795,27 @@ struct NoisyFixture {
     return out;
   }
 
-  explicit NoisyFixture(const AthenaConfig& cfg)
+  explicit NoisyFixture(const AthenaConfig& cfg,
+                        std::vector<NodeId> hosts = {NodeId{2}, NodeId{2},
+                                                     NodeId{2}},
+                        const std::vector<SensorInfo>& sensor_list = sensors())
       : truth(std::vector<world::SegmentDynamics>(
                   map.segment_count(),
                   world::SegmentDynamics{1.0, SimTime::seconds(1e7)}),
               Rng(1)),
-        field(map, truth, sensors()),
+        field(map, truth, sensor_list),
         topo(),
         nodes(),
         sim(),
         net(make_net()),
-        dir(topo, field, {NodeId{2}, NodeId{2}, NodeId{2}}, {0.9}) {
+        dir(topo, field, std::move(hosts), {0.9}) {
     for (std::size_t i = 0; i < 2; ++i) {
       athena.push_back(std::make_unique<AthenaNode>(NodeId{i}, net, dir, field,
                                                     cfg, metrics));
     }
     athena.push_back(std::make_unique<AthenaNode>(NodeId{2}, net, dir, field,
                                                   cfg, metrics));
+    retired.attach(athena);
   }
 
   net::Network make_net() {
@@ -855,6 +861,50 @@ TEST(AthenaNodeNoisy, CorroborationEventuallyResolves) {
   f.athena[0]->query_init(single_label(0), SimTime::seconds(300));
   f.sim.run_until(SimTime::seconds(350));
   EXPECT_EQ(f.metrics.queries_resolved, 1u);
+}
+
+// Corroboration asks the least recently asked covering source; retry
+// exhaustion marks a source given up on, and rotation must skip it. B
+// asks. Sensor 0 sits at A, cut off for good, and its captures last 1 s,
+// so rotation could come back to it every second. Sensors 1 and 2 sit at
+// C, cut off for the first 50 s, and their captures last 100 s. The first
+// round of requests all time out; sensor 0's second attempt spends its
+// two. Until the live sensors are due again at 101 s, sensor 0 is the only
+// source rotation could pick, and it must not.
+TEST(AthenaNodeNoisy, CorroborationSkipsAnExhaustedSource) {
+  auto cfg = config_for(Scheme::kLvfl);
+  cfg.corroboration_confidence = 0.85;  // two agreeing readings decide
+  cfg.prefetch = false;
+  cfg.request_timeout = SimTime::seconds(1);
+  cfg.max_source_attempts = 2;
+  auto sensors = NoisyFixture::sensors();
+  sensors[0].validity = SimTime::seconds(1);
+  NoisyFixture f(cfg, {NodeId{0}, NodeId{2}, NodeId{2}}, sensors);
+  obs::TraceSink sink{obs::TraceSink::Options{4096, nullptr, false}};
+  f.athena[1]->set_trace_sink(&sink);
+  const auto set_link = [&f](int a, int b, bool up) {
+    f.net.set_link_up(*f.topo.link_between(f.nodes[a], f.nodes[b]), up);
+    f.net.set_link_up(*f.topo.link_between(f.nodes[b], f.nodes[a]), up);
+  };
+  set_link(0, 1, false);
+  set_link(1, 2, false);
+  f.athena[1]->query_init(single_label(0), SimTime::seconds(3000));
+  f.sim.run_until(SimTime::seconds(50));
+  set_link(1, 2, true);
+  f.sim.run_until(SimTime::seconds(3100));
+
+  ASSERT_EQ(f.metrics.queries_resolved, 1u);
+  const QueryRecord& rec = f.retired.last(1);
+  EXPECT_TRUE(rec.success());
+  EXPECT_GT(rec.finished_at, SimTime::seconds(100));
+  std::vector<std::uint64_t> fetches(3, 0);
+  for (const obs::Event& ev : sink.ring_snapshot()) {
+    if (ev.kind == obs::EventKind::kFetch) ++fetches.at(ev.subject);
+  }
+  EXPECT_EQ(fetches[0], cfg.max_source_attempts);
+  EXPECT_GE(fetches[1], 2u);
+  EXPECT_GE(fetches[2], 2u);
+  EXPECT_EQ(rec.requests_sent, fetches[0] + fetches[1] + fetches[2]);
 }
 
 TEST(AthenaNodeNoisy, LocalCorroborationResolvesWithoutNetwork) {

@@ -423,5 +423,19 @@ TEST(Topology, LinkThrowsOnBadId) {
   EXPECT_THROW((void)t.link(LinkId{999}), std::out_of_range);
 }
 
+// Route lookups index an n² table, so an id outside the graph aborts
+// instead of reading another pair's entry.
+TEST(TopologyDeathTest, HopDistanceAbortsOnUnknownNode) {
+  const Topology t = line(3);
+  EXPECT_DEATH((void)t.hop_distance(NodeId{0}, NodeId{3}),
+               "unknown destination node");
+  EXPECT_DEATH((void)t.hop_distance(NodeId{7}, NodeId{0}),
+               "unknown source node");
+  EXPECT_DEATH((void)t.hop_distance(NodeId{}, NodeId{0}),
+               "unknown source node");
+  EXPECT_DEATH((void)t.hop_distance(NodeId{0}, NodeId{}),
+               "unknown destination node");
+}
+
 }  // namespace
 }  // namespace dde::net
