@@ -75,27 +75,6 @@ void BM_DesSelfScheduling(benchmark::State& state) {
 }
 BENCHMARK(BM_DesSelfScheduling);
 
-void BM_DesCancelChurn(benchmark::State& state) {
-  // The watchdog pattern that motivated tombstone cancellation: every
-  // timer is re-armed before it fires, so the event queue spends its life
-  // absorbing cancels and compacting dead slots.
-  for (auto _ : state) {
-    des::Simulator sim;
-    auto watchdog = sim.schedule_at(SimTime::seconds(1), [] {});
-    for (int i = 0; i < 10000; ++i) {
-      sim.cancel(watchdog);
-      watchdog = sim.schedule_at(
-          SimTime::seconds(1) +
-              SimTime::micros(static_cast<SimTime::rep>(i * 13 % 500)),
-          [] {});
-    }
-    sim.run_until();
-    benchmark::DoNotOptimize(sim.executed_events());
-  }
-  state.SetItemsProcessed(state.iterations() * 10000);
-}
-BENCHMARK(BM_DesCancelChurn);
-
 void BM_LinkQueuePushPop(benchmark::State& state) {
   // Steady-state link queue traffic: priority-mixed pushes against in-order
   // pops, holding ~64 packets in flight (key -priority, seq arrival order,

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "des/periodic.h"
 #include "des/simulator.h"
 #include "sched/lvf.h"
 

@@ -11,13 +11,11 @@
 // heap shallow; a binary heap cost more host time per decision on the
 // perfbench workloads.
 //
-// Besides push/top/pop the queue offers the two bulk operations its users
-// need: remove_max() (a linear scan; bounded link queues evict their
-// lowest-priority, newest packet only once past their cap) and erase_if()
-// followed by a re-heapify (the simulator's tombstone compaction).
+// Besides push/top/pop the queue offers remove_max(), a linear scan:
+// bounded link queues evict their lowest-priority, newest packet only once
+// past their cap.
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <utility>
@@ -40,11 +38,6 @@ class SlotHeap {
   [[nodiscard]] std::size_t size() const noexcept { return heap_.size(); }
   /// Slots ever allocated (held and free): every slot below it is valid.
   [[nodiscard]] std::size_t slot_count() const noexcept { return slots_.size(); }
-
-  [[nodiscard]] T& slot(std::uint32_t s) {
-    DDE_ASSERT(s < slots_.size());
-    return slots_[s];
-  }
 
   /// Park `value` in the most recently freed slot (or a new one) and queue
   /// it under (key, seq). Returns the slot.
@@ -84,22 +77,6 @@ class SlotHeap {
       if (less(heap_[worst], heap_[i])) worst = i;
     }
     return remove_at(worst);
-  }
-
-  /// Remove every entry whose value satisfies `pred`, then restore heap
-  /// order in O(size). Returns the number removed.
-  template <typename Pred>
-  std::size_t erase_if(Pred pred) {
-    const auto dead = [&](const Entry& e) {
-      if (!pred(static_cast<const T&>(slots_[e.slot]))) return false;
-      release(e.slot);
-      return true;
-    };
-    const auto first = std::remove_if(heap_.begin(), heap_.end(), dead);
-    const auto removed = static_cast<std::size_t>(heap_.end() - first);
-    heap_.erase(first, heap_.end());
-    for (std::size_t i = heap_.size() / kArity + 1; i-- > 0;) sift_down(i);
-    return removed;
   }
 
   /// Drop every entry and every slot.

@@ -6,8 +6,11 @@
 // observation at some retrieval cost. Reaching confidence τ from a neutral
 // prior needs total log-odds ≥ log(τ/(1−τ)), so planning is a covering
 // knapsack: pick observations minimizing cost subject to a log-odds budget.
-// The greedy density rule (information per unit cost) is the planner used
-// by the system; an exact branch-and-bound is provided as a reference.
+// The greedy density rule (information per unit cost) is measured against
+// an exact branch-and-bound reference by bench/fusion_corroboration. The
+// protocol does not call either planner yet: athena::AthenaNode
+// corroborates by rotating through a label's sources one request at a time
+// (next_corroborating_source).
 #pragma once
 
 #include <cstddef>

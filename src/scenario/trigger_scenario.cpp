@@ -66,9 +66,8 @@ TriggerRun::TriggerRun(const TriggerScenarioConfig& config)
   DDE_CLAMP_OR(event_rate_per_hour > 0.0, event_rate_per_hour = 12.0,
                "trigger scenario: event_rate_per_hour must be > 0; "
                "clamped to 12");
-  // A non-positive sampling period would make the PeriodicTask respawn
-  // forever at a single simulation instant (the run never advances). Clamp
-  // to the documented default.
+  // PeriodicTask aborts on a non-positive sampling period (it would respawn
+  // forever at one simulation instant). Clamp to the documented default.
   watch_period_ = cfg.watch_period;
   DDE_CLAMP_OR(watch_period_ > SimTime::zero(),
                watch_period_ = SimTime::seconds(5),

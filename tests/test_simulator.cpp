@@ -92,107 +92,6 @@ TEST(Simulator, RunUntilAdvancesClockWhenQueueDrains) {
   EXPECT_EQ(sim.now(), SimTime::seconds(10));
 }
 
-TEST(Simulator, CancelPreventsExecution) {
-  Simulator sim;
-  int ran = 0;
-  auto h = sim.schedule_at(SimTime::seconds(1), [&] { ++ran; });
-  EXPECT_TRUE(sim.cancel(h));
-  sim.run_until();
-  EXPECT_EQ(ran, 0);
-  EXPECT_EQ(sim.executed_events(), 0u);
-}
-
-TEST(Simulator, CancelTwiceReturnsFalse) {
-  Simulator sim;
-  auto h = sim.schedule_at(SimTime::seconds(1), [] {});
-  EXPECT_TRUE(sim.cancel(h));
-  EXPECT_FALSE(sim.cancel(h));
-}
-
-TEST(Simulator, CancelAfterRunReturnsFalse) {
-  Simulator sim;
-  auto h = sim.schedule_at(SimTime::seconds(1), [] {});
-  sim.run_until();
-  EXPECT_FALSE(sim.cancel(h));
-}
-
-TEST(Simulator, CancelInvalidHandleReturnsFalse) {
-  Simulator sim;
-  EXPECT_FALSE(sim.cancel(EventHandle{}));
-}
-
-TEST(Simulator, StepExecutesOne) {
-  Simulator sim;
-  int ran = 0;
-  sim.schedule_at(SimTime::seconds(1), [&] { ++ran; });
-  sim.schedule_at(SimTime::seconds(2), [&] { ++ran; });
-  EXPECT_TRUE(sim.step());
-  EXPECT_EQ(ran, 1);
-  EXPECT_TRUE(sim.step());
-  EXPECT_EQ(ran, 2);
-  EXPECT_FALSE(sim.step());
-}
-
-TEST(Simulator, PendingEventsExcludesCancelled) {
-  Simulator sim;
-  auto h = sim.schedule_at(SimTime::seconds(1), [] {});
-  sim.schedule_at(SimTime::seconds(2), [] {});
-  EXPECT_EQ(sim.pending_events(), 2u);
-  sim.cancel(h);
-  EXPECT_EQ(sim.pending_events(), 1u);
-}
-
-TEST(Simulator, RunUntilAdvancesPastCancelledOnlyQueue) {
-  // Regression: a queue holding only cancelled residue past the horizon
-  // used to leave now_ stuck before `until` (the queue was non-empty, so
-  // the idle-advance branch never fired).
-  Simulator sim;
-  auto h = sim.schedule_at(SimTime::seconds(20), [] {});
-  sim.cancel(h);
-  sim.run_until(SimTime::seconds(10));
-  EXPECT_EQ(sim.now(), SimTime::seconds(10));
-  EXPECT_EQ(sim.pending_events(), 0u);
-}
-
-TEST(Simulator, RunUntilAdvancesWhenAllEventsCancelled) {
-  Simulator sim;
-  std::vector<EventHandle> handles;
-  for (int i = 1; i <= 5; ++i) {
-    handles.push_back(sim.schedule_at(SimTime::seconds(i), [] {}));
-  }
-  for (auto h : handles) sim.cancel(h);
-  const auto n = sim.run_until(SimTime::seconds(100));
-  EXPECT_EQ(n, 0u);
-  EXPECT_EQ(sim.now(), SimTime::seconds(100));
-}
-
-TEST(Simulator, CancelScheduleCyclesStayBounded) {
-  // Regression: cancelled events were only discarded when popped, so a
-  // cancel/re-schedule loop (timer resets, watchdog re-arms) grew the
-  // internal queue without bound. The compaction pass keeps raw occupancy
-  // within a constant factor of the live count.
-  Simulator sim;
-  EventHandle h = sim.schedule_at(SimTime::seconds(1), [] {});
-  for (int i = 0; i < 10000; ++i) {
-    sim.cancel(h);
-    h = sim.schedule_at(SimTime::seconds(1) + SimTime::micros(i), [] {});
-  }
-  EXPECT_EQ(sim.pending_events(), 1u);
-  EXPECT_LE(sim.queued_events(), 256u);
-  sim.run_until();
-  EXPECT_EQ(sim.executed_events(), 1u);
-}
-
-TEST(Simulator, CancelFromWithinCallback) {
-  Simulator sim;
-  int ran = 0;
-  EventHandle later;
-  sim.schedule_at(SimTime::seconds(1), [&] { sim.cancel(later); });
-  later = sim.schedule_at(SimTime::seconds(2), [&] { ++ran; });
-  sim.run_until();
-  EXPECT_EQ(ran, 0);
-}
-
 TEST(Simulator, RescheduleFromWithinCallback) {
   Simulator sim;
   std::vector<SimTime> fired;
@@ -323,6 +222,33 @@ TEST(PeriodicTask, StopFromWithinCallback) {
   task.start();
   sim.run_until(SimTime::seconds(10));
   EXPECT_EQ(count, 2);
+}
+
+TEST(PeriodicTask, StopThenStartWithinOnePeriodTicksOnce) {
+  // stop() leaves the tick queued for t=2 in place; the restart at t=1.7
+  // must not let that stale tick run beside the new chain.
+  Simulator sim;
+  std::vector<SimTime> ticks;
+  PeriodicTask task(sim, SimTime::seconds(1),
+                    [&](std::uint64_t) { ticks.push_back(sim.now()); });
+  task.start();
+  sim.schedule_at(SimTime::millis(1500), [&] { task.stop(); });
+  sim.schedule_at(SimTime::millis(1700), [&] { task.start(); });
+  sim.run_until(SimTime::millis(4500));
+  EXPECT_EQ(ticks, (std::vector<SimTime>{
+                       SimTime::zero(), SimTime::millis(1000),
+                       SimTime::millis(1700), SimTime::millis(2700),
+                       SimTime::millis(3700)}));
+  EXPECT_EQ(task.ticks(), 5u);
+}
+
+TEST(PeriodicTaskDeathTest, ZeroPeriodAborts) {
+  EXPECT_DEATH(
+      {
+        Simulator sim;
+        PeriodicTask task(sim, SimTime::zero(), [](std::uint64_t) {});
+      },
+      "period must be > 0");
 }
 
 TEST(PeriodicTask, RestartAfterStop) {
