@@ -44,19 +44,58 @@ enum class Scheme {
   return false;
 }
 
-/// Tunable knobs of an Athena node. Scheme presets set the first block;
+/// Tunable knobs of an Athena node. `scheme` picks the retrieval scheme;
 /// the rest defaults to the Sec. VII experiment values.
 struct AthenaConfig {
-  // --- scheme-defining knobs -------------------------------------------
+  // --- retrieval scheme ------------------------------------------------
+  Scheme scheme = Scheme::kLvfl;
+
   /// Use set-cover source selection (vs. all covering sources).
-  bool source_selection = true;
+  [[nodiscard]] constexpr bool source_selection() const noexcept {
+    switch (scheme) {
+      case Scheme::kCmp: return false;
+      case Scheme::kSlt:
+      case Scheme::kLcf:
+      case Scheme::kLvf:
+      case Scheme::kLvfl: return true;
+    }
+    return true;
+  }
   /// Retrieve sequentially (one outstanding request per query, re-planned
   /// on every arrival) vs. batch (request everything up front).
-  bool sequential = true;
+  [[nodiscard]] constexpr bool sequential() const noexcept {
+    switch (scheme) {
+      case Scheme::kCmp:
+      case Scheme::kSlt: return false;
+      case Scheme::kLcf:
+      case Scheme::kLvf:
+      case Scheme::kLvfl: return true;
+    }
+    return true;
+  }
   /// Ordering policy for the (sequential) retrieval plan.
-  decision::OrderPolicy order = decision::OrderPolicy::kVariationalLvf;
+  [[nodiscard]] constexpr decision::OrderPolicy order() const noexcept {
+    switch (scheme) {
+      case Scheme::kCmp:
+      case Scheme::kSlt: return decision::OrderPolicy::kDeclared;
+      case Scheme::kLcf: return decision::OrderPolicy::kCheapestFirst;
+      case Scheme::kLvf:
+      case Scheme::kLvfl: return decision::OrderPolicy::kVariationalLvf;
+    }
+    return decision::OrderPolicy::kVariationalLvf;
+  }
   /// Share evaluated labels back into the network and accept cached labels.
-  bool label_sharing = true;
+  [[nodiscard]] constexpr bool label_sharing() const noexcept {
+    switch (scheme) {
+      case Scheme::kCmp:
+      case Scheme::kSlt:
+      case Scheme::kLcf:
+      case Scheme::kLvf: return false;
+      case Scheme::kLvfl: return true;
+    }
+    return true;
+  }
+
   /// When > 0.5, sensors are treated as noisy (Sec. IV-B): a label value
   /// is only committed once Bayesian corroboration of the observations
   /// reaches this confidence; until then more evidence is retrieved,
@@ -133,38 +172,7 @@ struct AthenaConfig {
 /// The preset for one of the paper's five schemes.
 [[nodiscard]] constexpr AthenaConfig config_for(Scheme scheme) noexcept {
   AthenaConfig c;
-  switch (scheme) {
-    case Scheme::kCmp:
-      c.source_selection = false;
-      c.sequential = false;
-      c.order = decision::OrderPolicy::kDeclared;
-      c.label_sharing = false;
-      break;
-    case Scheme::kSlt:
-      c.source_selection = true;
-      c.sequential = false;
-      c.order = decision::OrderPolicy::kDeclared;
-      c.label_sharing = false;
-      break;
-    case Scheme::kLcf:
-      c.source_selection = true;
-      c.sequential = true;
-      c.order = decision::OrderPolicy::kCheapestFirst;
-      c.label_sharing = false;
-      break;
-    case Scheme::kLvf:
-      c.source_selection = true;
-      c.sequential = true;
-      c.order = decision::OrderPolicy::kVariationalLvf;
-      c.label_sharing = false;
-      break;
-    case Scheme::kLvfl:
-      c.source_selection = true;
-      c.sequential = true;
-      c.order = decision::OrderPolicy::kVariationalLvf;
-      c.label_sharing = true;
-      break;
-  }
+  c.scheme = scheme;
   return c;
 }
 

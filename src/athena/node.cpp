@@ -93,7 +93,7 @@ QueryId AthenaNode::query_init(decision::DnfExpr expr,
   q.deadline_abs = now + relative_deadline;
   std::vector<LabelId> labels = q.expr.all_labels(q.labels);
   q.selection =
-      directory_.select_sources(q.labels, id_, config_.source_selection);
+      directory_.select_sources(q.labels, id_, config_.source_selection());
   q.priority = priority;
   ++metrics_.queries_issued;
   trace(obs::EventKind::kQueryIssue, qid, labels.size(), 0,
@@ -226,7 +226,7 @@ void AthenaNode::deliver_object(const world::EvidenceObject& obj) {
     apply_labels_to_queries(*values);
 
     // Share newly evaluated labels back into the network (Sec. VI-D).
-    if (config_.label_sharing && !fresher.empty()) {
+    if (config_.label_sharing() && !fresher.empty()) {
       const NodeId toward = directory_.host(obj.source);
       send_toward(toward, LabelShare{std::move(fresher), toward});
     }
@@ -296,7 +296,7 @@ void AthenaNode::advance(QueryState& q) {
   decision::PlanScratch scratch;
   // Keep resolving from local knowledge until we must touch the network.
   for (int guard = 0; guard < 1000; ++guard) {
-    if (config_.sequential && q.awaiting_reply()) {
+    if (config_.sequential() && q.awaiting_reply()) {
       // One request in flight per query, and shedding needs none in
       // flight, so a plan here would only feed the kPlan trace. Unless a
       // sink wants that trace, skip the check when the assignment has not
@@ -320,7 +320,7 @@ void AthenaNode::advance(QueryState& q) {
       return;
     }
     const auto order = decision::plan_retrieval_order(
-        q.expr, q.assignment, now, meta, config_.order, q.deadline_abs,
+        q.expr, q.assignment, now, meta, config_.order(), q.deadline_abs,
         scratch);
     if (order.empty()) {  // empty exactly when the query is resolved
       finish(q, Outcome::kDecided);
@@ -339,7 +339,7 @@ void AthenaNode::advance(QueryState& q) {
       return;
     }
 
-    if (config_.sequential) {
+    if (config_.sequential()) {
       bool progressed = false;  // local knowledge settled a label: re-plan
       SimTime corroboration_retry = SimTime::max();
       for (LabelId l : order) {
@@ -396,7 +396,7 @@ void AthenaNode::advance(QueryState& q) {
       // relevant label, all at once.
       for (LabelId l : order) try_local(q, l);
       const auto fresh_order = decision::plan_retrieval_order(
-          q.expr, q.assignment, now, meta, config_.order, q.deadline_abs,
+          q.expr, q.assignment, now, meta, config_.order(), q.deadline_abs,
           scratch);
       if (fresh_order.empty()) {  // resolved from local knowledge
         finish(q, Outcome::kDecided);
@@ -498,7 +498,7 @@ void AthenaNode::issue_request(QueryState& q, SourceId source,
   // Accept cached labels on the first attempt only: a retry means the label
   // answer was unusable (e.g. expired in transit), so insist on the object.
   ObjectRequest r{q.id, id_, source, std::move(labels),
-                  config_.label_sharing && count == 1, q.priority};
+                  config_.label_sharing() && count == 1, q.priority};
   // Multipath redundancy (Sec. V-C): critical requests are replicated over
   // alternate downhill first hops, tagged with a replica group so the
   // copies deduplicate downstream. Non-critical traffic stays single-path.
@@ -540,7 +540,7 @@ void AthenaNode::failover(QueryState& q) {
   }
   std::sort(exhausted.begin(), exhausted.end());
   Directory::Selection fresh = directory_.select_sources(
-      q.labels, id_, config_.source_selection, exhausted);
+      q.labels, id_, config_.source_selection(), exhausted);
   std::uint64_t moved = 0;
   for (const auto& [label, source] : fresh.designated) {
     if (q.selection.designated_source(label) != source) {

@@ -115,7 +115,7 @@ class AthenaNode {
   /// Whether a label signed by `annotator` is acceptable to this node.
   [[nodiscard]] bool trusts(AnnotatorId annotator) const {
     if (annotator == AnnotatorId{id_.value()}) return true;  // own labels
-    if (!config_.label_sharing) return false;
+    if (!config_.label_sharing()) return false;
     if (!trusted_annotators_) return true;
     return trusted_annotators_->contains(annotator);
   }

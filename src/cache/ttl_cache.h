@@ -110,7 +110,7 @@ class TtlCache {
       ++stats_.refreshes;
       return;
     }
-    if (live_ >= capacity_) evict_one(now);
+    if (live_ >= capacity_) evict_one();
     const std::uint32_t slot = alloc_slot();
     Slot& s = slot_at(slot);
     s.key = key;
@@ -394,20 +394,13 @@ class TtlCache {
            static_cast<std::size_t>(indexed) == live_;
   }
 
-  void evict_one(SimTime now) {
+  void evict_one() {
     // Capacity pressure on the per-object hot path: O(1), no full scan.
-    // put() pruned all expired entries just before calling this, so the only
-    // possible expired victim is one that expired at exactly `now` via a
-    // concurrent path — check the LRU tail for it, otherwise the tail is
-    // simply the least-recently-used live entry.
+    // put() pruned every expired entry just before calling this, so the
+    // LRU tail is the least-recently-used entry and still fresh.
     if (tail_ == kNil) return;
-    const bool expired = slot_at(tail_).expires_at <= now;
     erase_slot(tail_);
-    if (expired) {
-      ++stats_.expired_drops;
-    } else {
-      ++stats_.evictions;
-    }
+    ++stats_.evictions;
   }
 
   std::size_t capacity_;

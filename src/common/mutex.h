@@ -4,7 +4,7 @@
 // locking it is invisible to -Wthread-safety. Mutex wraps std::mutex with
 // the annotations (zero overhead: every method is a forwarding inline), and
 // MutexLock is the RAII guard the analysis can follow. Mutex satisfies
-// BasicLockable, so std::condition_variable_any waits on it directly.
+// BasicLockable, so the standard's generic waits and guards accept it.
 //
 // SingleOwner is the other ownership story: state that is never locked but
 // confined to one owning thread at a time (per-shard simulators, metric

@@ -1,8 +1,8 @@
 // Clang -Wthread-safety capability annotations, as portable no-op macros.
 //
 // The PDES refactor (ROADMAP: deterministic parallel simulation of one run)
-// will touch simulator/net/athena state from multiple harness::ThreadPool
-// workers. These macros let the surfaces that will be shared declare their
+// will touch simulator/net/athena state from several worker threads at
+// once. These macros let the surfaces that will be shared declare their
 // locking contract *now*, so clang's static thread-safety analysis — run by
 // the CI lint job with -Wthread-safety -Werror — checks every new access
 // against it. Under GCC (the bench container's toolchain) every macro

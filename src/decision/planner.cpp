@@ -75,23 +75,18 @@ std::vector<LabelId> plan_retrieval_order(const DnfExpr& expr,
   switch (policy) {
     case OrderPolicy::kDeclared:
     case OrderPolicy::kCheapestFirst:
-    case OrderPolicy::kLongestValidityFirst:
       // The relevant labels (DnfExpr::relevant_labels), each once.
       for (const ResolvedTerm& r : scratch.terms) {
         append_unique(order, r.term.label);
       }
       if (policy == OrderPolicy::kDeclared) return order;
-      // Sorted by one metadata key.
+      // Sorted by cost.
       scratch.terms.clear();
       for (std::size_t i = 0; i < order.size(); ++i) {
         scratch.terms.push_back(resolve_term(Term{order[i]}, meta,
                                              static_cast<std::uint32_t>(i)));
       }
-      if (policy == OrderPolicy::kCheapestFirst) {
-        cheapest_first_order(scratch.terms);
-      } else {
-        validity_first_order(scratch.terms);
-      }
+      cheapest_first_order(scratch.terms);
       for (std::size_t i = 0; i < order.size(); ++i) {
         order[i] = scratch.terms[i].term.label;
       }

@@ -19,11 +19,10 @@ namespace dde::decision {
 
 /// Retrieval-ordering policy (maps to the paper's evaluated schemes).
 enum class OrderPolicy {
-  kDeclared,              ///< declaration order (cmp / slt baselines)
-  kCheapestFirst,         ///< lowest retrieval cost first (lcf)
-  kShortCircuit,          ///< (1−p)/C AND rule + s/E[cost] OR rule
-  kLongestValidityFirst,  ///< pure LVF
-  kVariationalLvf,        ///< LVF with cost-improving rearrangement (lvf/lvfl)
+  kDeclared,        ///< declaration order (cmp / slt baselines)
+  kCheapestFirst,   ///< lowest retrieval cost first (lcf)
+  kShortCircuit,    ///< (1−p)/C AND rule + s/E[cost] OR rule
+  kVariationalLvf,  ///< LVF with cost-improving rearrangement (lvf/lvfl)
 };
 
 /// Working buffers of plan_retrieval_order, owned by the caller so that

@@ -59,7 +59,6 @@ class LabelBelief {
   }
 
   [[nodiscard]] int observations() const noexcept { return observations_; }
-  [[nodiscard]] double current_log_odds() const noexcept { return log_odds_; }
 
  private:
   double log_odds_ = 0.0;  // log-odds of 0.5

@@ -1,7 +1,6 @@
 #include "harness/parallel_runner.h"
 
 #include <cstdlib>
-#include <string>
 
 namespace dde::harness {
 
@@ -24,60 +23,6 @@ std::size_t job_count(std::size_t requested) noexcept {
   const std::size_t env = env_jobs();
   if (env > 0) return env;
   return hardware_jobs();
-}
-
-ThreadPool::ThreadPool(std::size_t threads) {
-  if (threads == 0) threads = 1;
-  workers_.reserve(threads);
-  for (std::size_t i = 0; i < threads; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
-  }
-}
-
-ThreadPool::~ThreadPool() {
-  {
-    const common::MutexLock lock(&mutex_);
-    stopping_ = true;
-  }
-  cv_work_.notify_all();
-  for (auto& w : workers_) w.join();
-}
-
-void ThreadPool::submit(std::function<void()> task) {
-  {
-    const common::MutexLock lock(&mutex_);
-    queue_.push_back(std::move(task));
-  }
-  cv_work_.notify_one();
-}
-
-void ThreadPool::wait_idle() {
-  const common::MutexLock lock(&mutex_);
-  cv_idle_.wait(mutex_, [this]() DDE_REQUIRES(mutex_) {
-    return queue_.empty() && active_ == 0;
-  });
-}
-
-void ThreadPool::worker_loop() {
-  // Explicit lock()/unlock() instead of a scoped guard: the lock drops
-  // around task() and the thread-safety analysis follows the hand-rolled
-  // discipline where it could not follow a relockable unique_lock.
-  mutex_.lock();
-  for (;;) {
-    while (!stopping_ && queue_.empty()) cv_work_.wait(mutex_);
-    if (queue_.empty()) {
-      mutex_.unlock();
-      return;
-    }
-    std::function<void()> task = std::move(queue_.front());
-    queue_.pop_front();
-    ++active_;
-    mutex_.unlock();
-    task();
-    mutex_.lock();
-    --active_;
-    if (queue_.empty() && active_ == 0) cv_idle_.notify_all();
-  }
 }
 
 }  // namespace dde::harness

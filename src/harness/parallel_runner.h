@@ -2,8 +2,8 @@
 //
 // Every experiment binary runs a scheme × config × seed grid where each
 // seed is an independent, deterministic des::Simulator run — embarrassingly
-// parallel replication trials. This module fans those trials out across a
-// small thread pool while keeping every published number bit-identical to
+// parallel replication trials. This module spreads those trials across a
+// few worker threads while keeping every published number bit-identical to
 // the serial harness: workers only *compute* (each task owns its full
 // simulation state — Simulator, Rng, TraceSink); all aggregation happens on
 // the calling thread, in deterministic index (seed) order, after the
@@ -17,21 +17,15 @@
 //                       unset/0/invalid = hardware concurrency.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
-#include <condition_variable>
 #include <cstddef>
-#include <deque>
 #include <exception>
-#include <functional>
-#include <mutex>
 #include <optional>
 #include <thread>
 #include <type_traits>
 #include <utility>
 #include <vector>
-
-#include "common/mutex.h"
-#include "common/thread_annotations.h"
 
 namespace dde::harness {
 
@@ -45,51 +39,16 @@ namespace dde::harness {
 /// wins, then DDE_BENCH_JOBS, then hardware concurrency. Never returns 0.
 [[nodiscard]] std::size_t job_count(std::size_t requested = 0) noexcept;
 
-/// A small fixed-size thread pool. Tasks are run in submission order by
-/// whichever worker frees up first; wait_idle() blocks until every
-/// submitted task has finished. The destructor waits for queued work.
-class ThreadPool {
- public:
-  explicit ThreadPool(std::size_t threads);
-  ~ThreadPool();
-
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  [[nodiscard]] std::size_t size() const noexcept { return workers_.size(); }
-
-  /// Enqueue one task. Tasks must not submit to the same pool they run on
-  /// while wait_idle() is in flight (the replication runner never does).
-  void submit(std::function<void()> task) DDE_EXCLUDES(mutex_);
-
-  /// Block until the queue is empty and no worker is mid-task.
-  void wait_idle() DDE_EXCLUDES(mutex_);
-
- private:
-  void worker_loop() DDE_EXCLUDES(mutex_);
-
-  // All pool state below is guarded by mutex_; clang's -Wthread-safety
-  // verifies every access (the CI lint job builds with -Werror). The
-  // condition variables are condition_variable_any so they can wait on
-  // the annotated common::Mutex directly.
-  common::Mutex mutex_;
-  std::condition_variable_any cv_work_;
-  std::condition_variable_any cv_idle_;
-  std::deque<std::function<void()>> queue_ DDE_GUARDED_BY(mutex_);
-  std::size_t active_ DDE_GUARDED_BY(mutex_) = 0;
-  bool stopping_ DDE_GUARDED_BY(mutex_) = false;
-  std::vector<std::thread> workers_;
-};
-
 /// Run `fn(0) … fn(n-1)`, each task independent, and return the results in
 /// index order. With `jobs` (resolved via job_count) == 1 — or n <= 1 —
 /// tasks run inline on the calling thread in index order: the exact legacy
-/// serial path, no threads created. Otherwise tasks are fanned out across a
-/// pool of min(jobs, n) workers and the caller blocks until all complete;
-/// the first exception thrown by any task is rethrown here after the pool
-/// drains. Results are *computed* concurrently but *collected* in index
-/// order, so any fold the caller performs over the returned vector is
-/// bit-identical to folding inside a serial loop.
+/// serial path, no threads created. Otherwise min(jobs, n) threads each
+/// claim the next unclaimed index until none is left, and the caller joins
+/// them all. If any task threw, the exception of the lowest failing index
+/// is rethrown, so the serial and parallel paths raise the same one.
+/// Results are *computed* concurrently but *collected* in index order, so
+/// any fold the caller performs over the returned vector is bit-identical
+/// to folding inside a serial loop.
 template <typename Fn>
 auto run_indexed(std::size_t n, Fn&& fn, std::size_t jobs = 0)
     -> std::vector<std::invoke_result_t<Fn&, std::size_t>> {
@@ -101,24 +60,30 @@ auto run_indexed(std::size_t n, Fn&& fn, std::size_t jobs = 0)
     for (std::size_t i = 0; i < n; ++i) out.push_back(fn(i));
     return out;
   }
+  // Each index is claimed by exactly one thread, so slot i and error i
+  // have a single writer; the joins publish them to this thread.
   std::vector<std::optional<R>> slots(n);
-  std::mutex error_mutex;
-  std::exception_ptr error;
+  std::vector<std::exception_ptr> errors(n);
+  std::atomic<std::size_t> next{0};
   {
-    ThreadPool pool(std::min(workers, n));
-    for (std::size_t i = 0; i < n; ++i) {
-      pool.submit([&fn, &slots, &error_mutex, &error, i] {
-        try {
-          slots[i].emplace(fn(i));
-        } catch (...) {
-          const std::lock_guard<std::mutex> lock(error_mutex);
-          if (!error) error = std::current_exception();
+    const std::size_t thread_count = std::min(workers, n);
+    std::vector<std::jthread> threads;
+    threads.reserve(thread_count);
+    for (std::size_t t = 0; t < thread_count; ++t) {
+      threads.emplace_back([&] {
+        for (std::size_t i = next++; i < n; i = next++) {
+          try {
+            slots[i].emplace(fn(i));
+          } catch (...) {
+            errors[i] = std::current_exception();
+          }
         }
       });
     }
-    pool.wait_idle();
   }
-  if (error) std::rethrow_exception(error);
+  for (const std::exception_ptr& e : errors) {
+    if (e) std::rethrow_exception(e);
+  }
   for (auto& slot : slots) out.push_back(std::move(*slot));
   return out;
 }

@@ -1307,7 +1307,7 @@ TEST(AthenaNode, LabelShareOfUnneededLabelsSendsNoReply) {
 TEST(AthenaNode, LabelSharePassingOriginResolvesQueryWithRequestOutstanding) {
   auto cfg = config_for(Scheme::kLvfl);
   cfg.prefetch = false;
-  ASSERT_TRUE(cfg.sequential);
+  ASSERT_TRUE(cfg.sequential());
   Fixture f(cfg);
   f.net.set_link_up(*f.topo.link_between(f.nodes[1], f.nodes[2]), false);
   f.net.set_link_up(*f.topo.link_between(f.nodes[2], f.nodes[1]), false);

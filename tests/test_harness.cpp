@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_util.h"
@@ -95,46 +97,46 @@ TEST(RunIndexed, MoveOnlyResults) {
   for (std::size_t i = 0; i < out.size(); ++i) EXPECT_EQ(*out[i], i);
 }
 
-TEST(RunIndexed, PropagatesExceptionFromWorker) {
+TEST(RunIndexed, EveryIndexRunsExactlyOnce) {
+  constexpr std::size_t kTasks = 1000;
+  std::vector<std::atomic<int>> runs(kTasks);
+  const auto out = run_indexed(
+      kTasks,
+      [&runs](std::size_t i) {
+        runs[i].fetch_add(1);
+        return i;
+      },
+      8);
+  ASSERT_EQ(out.size(), kTasks);
+  for (std::size_t i = 0; i < kTasks; ++i) {
+    EXPECT_EQ(runs[i].load(), 1) << "index " << i;
+    EXPECT_EQ(out[i], i);
+  }
+}
+
+// Whichever task fails first in wall-clock time, the caller sees the
+// lowest failing index's exception, as the serial loop would raise it.
+// Task 3 sleeps before it throws, so on the parallel path task 11 normally
+// fails first.
+TEST(RunIndexed, RethrowsLowestIndexFailure) {
   auto boom = [](std::size_t i) -> int {
-    if (i == 5) throw std::runtime_error("task 5 failed");
+    if (i == 3) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      throw std::runtime_error("task 3 failed");
+    }
+    if (i == 11) throw std::logic_error("task 11 failed");
     return static_cast<int>(i);
   };
-  EXPECT_THROW((void)run_indexed(16, boom, 4), std::runtime_error);
-  EXPECT_THROW((void)run_indexed(16, boom, 1), std::runtime_error);
-}
-
-TEST(ThreadPool, RunsEverySubmittedTask) {
-  std::atomic<int> done{0};
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.size(), 4u);
-  for (int i = 0; i < 100; ++i) {
-    pool.submit([&done] { done.fetch_add(1); });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(done.load(), 100);
-}
-
-TEST(ThreadPool, WaitIdleIsReusable) {
-  std::atomic<int> done{0};
-  ThreadPool pool(2);
-  pool.submit([&done] { done.fetch_add(1); });
-  pool.wait_idle();
-  EXPECT_EQ(done.load(), 1);
-  pool.submit([&done] { done.fetch_add(1); });
-  pool.wait_idle();
-  EXPECT_EQ(done.load(), 2);
-}
-
-TEST(ThreadPool, DestructorDrainsQueue) {
-  std::atomic<int> done{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 50; ++i) {
-      pool.submit([&done] { done.fetch_add(1); });
+  for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
+    try {
+      (void)run_indexed(16, boom, jobs);
+      ADD_FAILURE() << "jobs=" << jobs << ": nothing thrown";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "task 3 failed") << "jobs=" << jobs;
+    } catch (const std::logic_error& e) {
+      ADD_FAILURE() << "jobs=" << jobs << ": got " << e.what();
     }
   }
-  EXPECT_EQ(done.load(), 50);
 }
 
 /// A quick scenario configuration: small grid, few nodes, short horizon.

@@ -56,7 +56,8 @@ TEST(Mutex, TryLockFailsWhileHeldAndSucceedsAfterUnlock) {
 
 TEST(Mutex, ConditionVariableAnyWaitsOnAnnotatedMutex) {
   // Mutex satisfies BasicLockable, so condition_variable_any can block on
-  // it directly — the exact shape harness::ThreadPool uses.
+  // it directly; nothing in src/ waits on a condition variable today, and
+  // this pins that the wrapper stays usable for one.
   common::Mutex mu;
   std::condition_variable_any cv;
   bool ready = false;

@@ -129,7 +129,6 @@ INSTANTIATE_TEST_SUITE_P(
     Policies, AllPolicies,
     ::testing::Values(OrderPolicy::kDeclared, OrderPolicy::kCheapestFirst,
                       OrderPolicy::kShortCircuit,
-                      OrderPolicy::kLongestValidityFirst,
                       OrderPolicy::kVariationalLvf));
 
 TEST(Planner, DeclaredKeepsDeclarationOrder) {
@@ -158,21 +157,6 @@ TEST(Planner, CheapestFirstSortsByCost) {
     EXPECT_LE(meta.get(order[i - 1]).cost, meta.get(order[i]).cost);
   }
   EXPECT_EQ(order.front(), LabelId{5});
-}
-
-TEST(Planner, LvfSortsByValidityDescending) {
-  const DnfExpr e = route_example();
-  MetaTable meta;
-  for (std::size_t i = 0; i < 6; ++i) {
-    meta.set(LabelId{i}, LabelMeta{1.0, SimTime::seconds(1), 0.5,
-                                   SimTime::seconds(10.0 * (i + 1))});
-  }
-  Assignment a;
-  const auto order = plan_retrieval_order(e, a, SimTime::zero(), meta.fn(),
-                                          OrderPolicy::kLongestValidityFirst);
-  for (std::size_t i = 1; i < order.size(); ++i) {
-    EXPECT_GE(meta.get(order[i - 1]).validity, meta.get(order[i]).validity);
-  }
 }
 
 TEST(Planner, ShortCircuitPrefersCheapLikelyFalseWithinBestDisjunct) {
@@ -213,8 +197,7 @@ TEST(Planner, AdaptiveExecutionTerminatesAndIsCorrect) {
   Rng rng(42);
   const std::vector<OrderPolicy> policies{
       OrderPolicy::kDeclared, OrderPolicy::kCheapestFirst,
-      OrderPolicy::kShortCircuit, OrderPolicy::kLongestValidityFirst,
-      OrderPolicy::kVariationalLvf};
+      OrderPolicy::kShortCircuit, OrderPolicy::kVariationalLvf};
   for (int trial = 0; trial < 100; ++trial) {
     const std::size_t n = 1 + rng.below(8);
     DnfExpr e;
@@ -474,14 +457,6 @@ std::vector<LabelId> plan_retrieval_order(const DnfExpr& expr,
       }
       return order;
     }
-    case OrderPolicy::kLongestValidityFirst: {
-      auto labels = expr.relevant_labels(assignment, now);
-      std::stable_sort(labels.begin(), labels.end(),
-                       [&](LabelId a, LabelId b) {
-                         return meta(a).validity > meta(b).validity;
-                       });
-      return labels;
-    }
     case OrderPolicy::kVariationalLvf: {
       std::vector<LabelId> order;
       for (const auto& d : order_open_disjuncts(expr, assignment, now, meta)) {
@@ -508,8 +483,7 @@ TEST(Planner, OnePassMatchesPreChangePlanner) {
   const SimTime now = SimTime::seconds(20);
   const std::vector<OrderPolicy> policies{
       OrderPolicy::kDeclared, OrderPolicy::kCheapestFirst,
-      OrderPolicy::kShortCircuit, OrderPolicy::kLongestValidityFirst,
-      OrderPolicy::kVariationalLvf};
+      OrderPolicy::kShortCircuit, OrderPolicy::kVariationalLvf};
   const double costs[] = {0.5, 1.0, 2.0, 4.0};
   const double p_trues[] = {0.0, 0.1, 0.5, 0.9, 1.0};
   const double validities[] = {1.0, 5.0, 30.0, 300.0};

@@ -31,7 +31,7 @@ TEST(Umbrella, ExposesEveryNamespace) {
   EXPECT_EQ(cfg.grid_width, 8);
   dde::athena::AthenaConfig ac = dde::athena::config_for(
       dde::athena::Scheme::kLvfl);
-  EXPECT_TRUE(ac.label_sharing);
+  EXPECT_TRUE(ac.label_sharing());
   dde::world::ThresholdPredicate pred{1.0, true};
   EXPECT_TRUE(pred.evaluate(2.0));
 }
