@@ -1,7 +1,7 @@
 // Library micro-benchmarks (google-benchmark): the hot paths of the
-// substrate — DES event throughput, name/prefix-trie operations, decision
-// expression evaluation and planning, TTL-cache operations, route-query
-// drawing, and PRNG.
+// substrate — DES event throughput, network hops, name/prefix-trie
+// operations, decision expression evaluation and planning, TTL-cache
+// operations, route-query drawing, and PRNG.
 //
 // Serial on purpose (ignores DDE_BENCH_JOBS): google-benchmark measures
 // wall-clock time per iteration, so concurrent cases would contend.
@@ -107,6 +107,46 @@ void BM_LinkQueueOverloadEvict(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LinkQueueOverloadEvict);
+
+/// One packet's trip down an 8-node line: 1 KB relayed hop by hop by the
+/// nodes' receive handlers, so each iteration is seven network hops and
+/// fourteen DES events (a transmit completion and an arrival per hop), the
+/// path every Athena message takes.
+void BM_NetworkHop(benchmark::State& state) {
+  net::Topology topo;
+  std::vector<NodeId> line;
+  for (int i = 0; i < 8; ++i) line.push_back(topo.add_node());
+  for (std::size_t i = 1; i < line.size(); ++i) {
+    topo.add_link(line[i - 1], line[i], 1e8, SimTime::millis(1));
+  }
+  topo.compute_routes();
+  des::Simulator sim;
+  net::Network net(sim, topo);
+  std::int64_t arrived = 0;
+  for (std::size_t i = 0; i < line.size(); ++i) {
+    net.set_handler(line[i], [&, i](NodeId self, const net::Packet& p) {
+      if (i + 1 == line.size()) {
+        ++arrived;
+        return;
+      }
+      net::Packet relay = p;
+      net.send(self, line[i + 1], std::move(relay));
+    });
+  }
+  std::uint64_t seq = 0;
+  for (auto _ : state) {
+    net::Packet p;
+    p.bytes = 1024;
+    p.payload = seq++;
+    net.send(line[0], line[1], std::move(p));
+    sim.run_until();
+  }
+  if (arrived != static_cast<std::int64_t>(state.iterations())) {
+    state.SkipWithError("BM_NetworkHop: a packet did not reach the far end");
+  }
+  state.SetItemsProcessed(state.iterations() * 7);
+}
+BENCHMARK(BM_NetworkHop);
 
 naming::Name random_name(Rng& rng, int depth) {
   naming::Name n;

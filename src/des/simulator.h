@@ -34,6 +34,8 @@ namespace dde::des {
 /// (time, insertion-sequence) order. Callbacks may schedule further events.
 class Simulator {
  public:
+  /// A callable of at most 16 trivially copyable bytes is stored inline;
+  /// anything larger costs a heap allocation per event (docs/PERFORMANCE.md).
   using Callback = std::function<void()>;
 
   /// Current simulated time. Monotonically non-decreasing across runs.

@@ -1,8 +1,22 @@
 #include "net/network.h"
 
+#include <type_traits>
+
 #include "common/contracts.h"
 
 namespace dde::net {
+
+namespace {
+
+// libstdc++'s std::function keeps a callable in its own 16-byte buffer, with
+// no heap allocation, only when the callable is trivially copyable ("location
+// invariant") and fits that buffer (_M_max_size, the size of
+// _Nocopy_types). Every hop event must qualify, or each hop mallocs again.
+template <typename F>
+constexpr bool kStoredInline =
+    sizeof(F) <= 16 && std::is_trivially_copyable_v<F>;
+
+}  // namespace
 
 Network::Network(des::Simulator& sim, const Topology& topo)
     : sim_(sim), topo_(topo) {
@@ -38,10 +52,16 @@ bool Network::send(NodeId from, NodeId next, Packet packet) {
                                  0.0});
   }
 
+  // A link restarts service whenever it goes idle or comes back up, so an
+  // idle up link has an empty queue: the packet goes straight on the wire.
+  if (!state.busy) {
+    DDE_INVARIANT(state.queue.empty(), "send: idle link with waiting packets");
+    put_on_wire(*link_id, std::move(packet));
+    return true;
+  }
   state.queued_bytes += packet.bytes;
   const std::int64_t rank = -static_cast<std::int64_t>(packet.priority);
   state.queue.push(rank, state.arrivals++, std::move(packet));
-  if (!state.busy) start_transmission(*link_id);
   enforce_queue_limits(state);
   return true;
 }
@@ -89,60 +109,82 @@ void Network::set_link_up(LinkId link, bool up) {
 }
 
 void Network::start_transmission(LinkId link_id) {
-  const Link& link = topo_.link(link_id);
   LinkState& state = link_state_[link_id.value()];
   if (state.busy || state.queue.empty()) return;
   if (!link_admin_up_[link_id.value()]) return;
 
   Packet pkt = state.queue.pop();  // highest priority, FIFO in class
   state.queued_bytes -= pkt.bytes;
-  state.busy = true;
+  put_on_wire(link_id, std::move(pkt));
+}
 
-  const SimTime tx = link.transmission_time(pkt.bytes);
-  const NodeId from = link.from;
-  const NodeId next = link.to;
-  // Transmission completes after tx; the packet arrives after the extra
-  // propagation latency while the link already serves its next packet.
-  sim_.schedule_after(tx, [this, link_id, from, next,
-                           latency = link.latency, epoch = state.epoch,
-                           pkt = std::move(pkt)]() mutable {
-    LinkState& st = link_state_[link_id.value()];
-    st.busy = false;
-    start_transmission(link_id);
-    // The link went down while this packet was on the wire: severed
-    // mid-transfer, never arrives.
-    if (st.epoch != epoch) {
-      ++stats_.dropped;
-      ++stats_.link_down_drops;
-      return;
-    }
-    // Correlated loss (fault subsystem), then independent injected loss:
-    // either way the packet consumed its link time but never arrives.
-    if (loss_model_ && loss_model_(link_id)) {
-      ++stats_.dropped;
-      return;
-    }
-    if (loss_rate_ > 0.0 && loss_rng_.chance(loss_rate_)) {
-      ++stats_.dropped;
-      return;
-    }
-    sim_.schedule_after(latency, [this, from, next,
-                                  p = std::move(pkt)]() {
-      // A crashed receiver hears nothing.
-      if (!node_up_[next.value()]) {
-        ++stats_.dropped;
-        ++stats_.link_down_drops;
-        return;
-      }
-      if (trace_sink_) {
-        trace_sink_->emit(obs::Event{obs::EventKind::kHopDeliver, sim_.now(),
-                                     from.value(), 0, next.value(), p.bytes,
-                                     0.0});
-      }
-      Handler& h = handlers_[next.value()];
-      if (h) h(next, p);
-    });
-  });
+void Network::put_on_wire(LinkId link_id, Packet&& pkt) {
+  LinkState& state = link_state_[link_id.value()];
+  state.busy = true;
+  const SimTime tx = topo_.link(link_id).transmission_time(pkt.bytes);
+  if (free_slots_.empty()) {
+    free_slots_.push_back(static_cast<std::uint32_t>(in_flight_.size()));
+    in_flight_.emplace_back();
+  }
+  const std::uint32_t slot = free_slots_.back();
+  free_slots_.pop_back();
+  InFlight& f = in_flight_[slot];
+  f.packet = std::move(pkt);
+  f.link = link_id;
+  f.epoch = state.epoch;
+  const auto transmitted = [this, slot] { on_transmitted(slot); };
+  static_assert(kStoredInline<decltype(transmitted)>);
+  sim_.schedule_after(tx, transmitted);
+}
+
+void Network::on_transmitted(std::uint32_t slot) {
+  const LinkId link_id = in_flight_[slot].link;
+  LinkState& state = link_state_[link_id.value()];
+  state.busy = false;
+  // The link serves its next packet while this one propagates. That may
+  // grow in_flight_, so the slot is indexed afresh below.
+  start_transmission(link_id);
+  // A link that went down while this packet was on the wire severed it
+  // mid-transfer. Otherwise correlated loss (fault subsystem), then
+  // independent injected loss: the packet consumed its link time either
+  // way, but never arrives.
+  const bool severed = state.epoch != in_flight_[slot].epoch;
+  if (severed || (loss_model_ && loss_model_(link_id)) ||
+      (loss_rate_ > 0.0 && loss_rng_.chance(loss_rate_))) {
+    drop(slot, severed);
+    return;
+  }
+  const auto arrived = [this, slot] { on_arrival(slot); };
+  static_assert(kStoredInline<decltype(arrived)>);
+  sim_.schedule_after(topo_.link(link_id).latency, arrived);
+}
+
+void Network::on_arrival(std::uint32_t slot) {
+  const Link& link = topo_.link(in_flight_[slot].link);
+  if (!node_up_[link.to.value()]) {
+    drop(slot, true);  // a crashed receiver hears nothing
+    return;
+  }
+  // Moved out before the handler runs: it may send and grow in_flight_.
+  const Packet p = take(slot);
+  if (trace_sink_) {
+    trace_sink_->emit(obs::Event{obs::EventKind::kHopDeliver, sim_.now(),
+                                 link.from.value(), 0, link.to.value(),
+                                 p.bytes, 0.0});
+  }
+  Handler& h = handlers_[link.to.value()];
+  if (h) h(link.to, p);
+}
+
+Packet Network::take(std::uint32_t slot) {
+  free_slots_.push_back(slot);
+  return std::move(in_flight_[slot].packet);
+}
+
+void Network::drop(std::uint32_t slot, bool link_fault) {
+  take(slot);
+  ++stats_.dropped;
+  if (link_fault) ++stats_.link_down_drops;
 }
 
 }  // namespace dde::net

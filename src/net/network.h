@@ -219,8 +219,23 @@ class Network {
     std::uint64_t epoch = 0;
   };
 
+  /// A packet on the wire, with its link and that link's epoch at start.
+  struct InFlight {
+    Packet packet;
+    LinkId link;
+    std::uint64_t epoch = 0;
+  };
+
   /// Start transmitting the head-of-queue packet on an idle link.
   void start_transmission(LinkId link_id);
+  /// Occupy idle, up `link_id` with `pkt`, parked in an in-flight slot.
+  void put_on_wire(LinkId link_id, Packet&& pkt);
+  /// A hop's two DES events, each addressed by its in-flight slot.
+  void on_transmitted(std::uint32_t slot);
+  void on_arrival(std::uint32_t slot);
+  /// Free `slot` and return its packet; drop() counts it lost instead.
+  Packet take(std::uint32_t slot);
+  void drop(std::uint32_t slot, bool link_fault);
 
   /// Evict lowest-priority, newest waiting packets until `state` fits the
   /// configured caps (no-op with unbounded limits).
@@ -235,6 +250,11 @@ class Network {
   LossModel loss_model_;
   QueueLimits limits_;
   std::vector<LinkState> link_state_;
+  /// Packets on the wire, reused through `free_slots_` (LIFO). Hop events
+  /// capture a slot index, never a reference: a receive handler may send
+  /// and grow the table.
+  std::vector<InFlight> in_flight_;
+  std::vector<std::uint32_t> free_slots_;
   std::vector<char> link_admin_up_;  ///< per directed link
   std::vector<char> node_up_;
   TrafficStats stats_;

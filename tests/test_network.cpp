@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -195,6 +196,76 @@ TEST(Network, HandlerCanSendFurther) {
   net.send(h.nodes[0], h.nodes[1], packet(100));
   h.sim.run_until();
   EXPECT_EQ(hops_seen, 3);
+}
+
+TEST(Network, HandlerSendsWhileInFlightTableGrows) {
+  // Every delivery sends two or three more packets while a link flaps, a
+  // node crashes and two loss processes drop some, so the network's
+  // in-flight table grows (and reallocates) inside receive handlers and in
+  // the middle of a hop's completion. The handler reads its packet again
+  // after sending: a packet handed out by reference into that table would
+  // be freed memory by then (the sanitizer build catches it).
+  struct Tag {
+    std::uint64_t seq;  ///< send order on the packet's link
+    int ttl;
+  };
+  Harness h(4, 1e6, SimTime::millis(10));  // 100 B: 0.8 ms on the wire
+  Network net(h.sim, h.topo);
+  const auto slot = [&](NodeId from, NodeId to) {
+    return from.value() * h.nodes.size() + to.value();
+  };
+  std::vector<std::uint64_t> next_seq(16, 0);
+  std::vector<std::int64_t> last_seq(16, -1);
+  std::uint64_t sent = 0;
+  std::uint64_t delivered = 0;
+  const auto send = [&](NodeId from, NodeId to, int ttl) {
+    Packet p = packet(100);
+    p.src = from;
+    p.payload = Tag{next_seq[slot(from, to)], ttl};
+    if (net.send(from, to, std::move(p))) {
+      ++next_seq[slot(from, to)];
+      ++sent;
+    }
+  };
+  for (std::size_t i = 0; i < h.nodes.size(); ++i) {
+    net.set_handler(h.nodes[i], [&, i](NodeId self, const Packet& p) {
+      const int ttl = std::any_cast<const Tag&>(p.payload).ttl;
+      if (ttl > 0) {
+        if (i > 0) send(self, h.nodes[i - 1], ttl - 1);
+        if (i + 1 < h.nodes.size()) send(self, h.nodes[i + 1], ttl - 1);
+        send(self, h.nodes[i == 0 ? 1 : i - 1], ttl - 1);
+      }
+      const auto& tag = std::any_cast<const Tag&>(p.payload);
+      std::int64_t& last = last_seq[slot(p.src, self)];
+      EXPECT_GT(static_cast<std::int64_t>(tag.seq), last)
+          << "link " << p.src.value() << "->" << self.value()
+          << " delivered out of FIFO order";
+      last = static_cast<std::int64_t>(tag.seq);
+      ++delivered;
+    });
+  }
+  const LinkId flapping = *h.topo.link_between(h.nodes[1], h.nodes[2]);
+  for (int k = 1; k <= 20; ++k) {
+    h.sim.schedule_at(SimTime::millis(5 * k),
+                      [&, k] { net.set_link_up(flapping, k % 2 == 0); });
+  }
+  h.sim.schedule_at(SimTime::millis(32), [&] { net.set_node_up(h.nodes[3], false); });
+  h.sim.schedule_at(SimTime::millis(47), [&] { net.set_node_up(h.nodes[3], true); });
+  const LinkId lossy = *h.topo.link_between(h.nodes[2], h.nodes[1]);
+  std::uint64_t lossy_seen = 0;
+  net.set_loss_model(
+      [&](LinkId l) { return l == lossy && ++lossy_seen % 4 == 0; });
+  net.set_loss_rate(0.05, 11);
+  for (int k = 0; k < 6; ++k) send(h.nodes[0], h.nodes[1], 6);
+  h.sim.run_until();
+
+  EXPECT_GT(sent, 500u);
+  EXPECT_EQ(net.stats().packets, sent);
+  EXPECT_EQ(delivered + net.stats().dropped, sent)
+      << "each packet is either delivered or dropped, never both/neither";
+  EXPECT_GT(net.stats().link_down_drops, 0u);
+  EXPECT_GT(net.stats().dropped, net.stats().link_down_drops)
+      << "the loss model and the loss rate must have claimed some too";
 }
 
 TEST(Network, TraceSinkSeesSendsAndDeliveries) {

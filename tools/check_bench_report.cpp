@@ -6,6 +6,9 @@
 // Exit 0 when every file parses and validates; 1 otherwise, with one
 // diagnostic line per bad file. With --require-metric NAME (repeatable),
 // every scheme in every file must contain that metric or histogram. With
+// --require-metric-in SCHEME NAME (repeatable), every file must contain
+// scheme SCHEME, and it must contain that metric or histogram — for reports
+// whose schemes carry different metric sets. With
 // --require-positive NAME (repeatable), at least one scheme must contain
 // metric NAME and every scheme that does must report mean > 0 — the guard
 // for measured quantities (events/sec, peak RSS) that parse fine as zero
@@ -14,6 +17,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/bench_report.h"
@@ -57,9 +61,10 @@ bool check_positive(const std::string& path, const Value& schemes,
   return true;
 }
 
-bool check_file(const std::string& path,
-                const std::vector<std::string>& required,
-                const std::vector<std::string>& positive) {
+bool check_file(
+    const std::string& path, const std::vector<std::string>& required,
+    const std::vector<std::pair<std::string, std::string>>& required_in,
+    const std::vector<std::string>& positive) {
   std::ifstream in(path);
   if (!in) {
     std::fprintf(stderr, "%s: cannot open\n", path.c_str());
@@ -89,6 +94,15 @@ bool check_file(const std::string& path,
       }
     }
   }
+  for (const auto& [scheme, name] : required_in) {
+    const Value* entry = report.find("schemes")->find(scheme);
+    if (entry == nullptr || !scheme_has(*entry, name)) {
+      std::fprintf(stderr, "%s: schemes.%s: missing required \"%s\"%s\n",
+                   path.c_str(), scheme.c_str(), name.c_str(),
+                   entry == nullptr ? " (no such scheme)" : "");
+      return false;
+    }
+  }
   for (const std::string& name : positive) {
     if (!check_positive(path, *report.find("schemes"), name)) return false;
   }
@@ -103,11 +117,15 @@ bool check_file(const std::string& path,
 int main(int argc, char** argv) {
   std::vector<std::string> files;
   std::vector<std::string> required;
+  std::vector<std::pair<std::string, std::string>> required_in;
   std::vector<std::string> positive;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--require-metric" && i + 1 < argc) {
       required.emplace_back(argv[++i]);
+    } else if (arg == "--require-metric-in" && i + 2 < argc) {
+      required_in.emplace_back(argv[i + 1], argv[i + 2]);
+      i += 2;
     } else if (arg == "--require-positive" && i + 1 < argc) {
       positive.emplace_back(argv[++i]);
     } else {
@@ -117,12 +135,13 @@ int main(int argc, char** argv) {
   if (files.empty()) {
     std::fprintf(stderr,
                  "usage: check_bench_report [--require-metric NAME]... "
+                 "[--require-metric-in SCHEME NAME]... "
                  "[--require-positive NAME]... BENCH_*.json...\n");
     return 1;
   }
   bool ok = true;
   for (const std::string& f : files) {
-    if (!check_file(f, required, positive)) ok = false;
+    if (!check_file(f, required, required_in, positive)) ok = false;
   }
   return ok ? 0 : 1;
 }
