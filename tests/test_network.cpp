@@ -211,32 +211,33 @@ TEST(Network, HandlerSendsWhileInFlightTableGrows) {
   };
   Harness h(4, 1e6, SimTime::millis(10));  // 100 B: 0.8 ms on the wire
   Network net(h.sim, h.topo);
-  const auto slot = [&](NodeId from, NodeId to) {
-    return from.value() * h.nodes.size() + to.value();
+  const std::size_t n = h.nodes.size();
+  const auto link_index = [&](NodeId from, NodeId to) {
+    return from.value() * n + to.value();
   };
-  std::vector<std::uint64_t> next_seq(16, 0);
-  std::vector<std::int64_t> last_seq(16, -1);
+  std::vector<std::uint64_t> next_seq(n * n, 0);
+  std::vector<std::int64_t> last_seq(n * n, -1);
   std::uint64_t sent = 0;
   std::uint64_t delivered = 0;
   const auto send = [&](NodeId from, NodeId to, int ttl) {
     Packet p = packet(100);
     p.src = from;
-    p.payload = Tag{next_seq[slot(from, to)], ttl};
+    p.payload = Tag{next_seq[link_index(from, to)], ttl};
     if (net.send(from, to, std::move(p))) {
-      ++next_seq[slot(from, to)];
+      ++next_seq[link_index(from, to)];
       ++sent;
     }
   };
-  for (std::size_t i = 0; i < h.nodes.size(); ++i) {
+  for (std::size_t i = 0; i < n; ++i) {
     net.set_handler(h.nodes[i], [&, i](NodeId self, const Packet& p) {
       const int ttl = std::any_cast<const Tag&>(p.payload).ttl;
       if (ttl > 0) {
         if (i > 0) send(self, h.nodes[i - 1], ttl - 1);
-        if (i + 1 < h.nodes.size()) send(self, h.nodes[i + 1], ttl - 1);
+        if (i + 1 < n) send(self, h.nodes[i + 1], ttl - 1);
         send(self, h.nodes[i == 0 ? 1 : i - 1], ttl - 1);
       }
       const auto& tag = std::any_cast<const Tag&>(p.payload);
-      std::int64_t& last = last_seq[slot(p.src, self)];
+      std::int64_t& last = last_seq[link_index(p.src, self)];
       EXPECT_GT(static_cast<std::int64_t>(tag.seq), last)
           << "link " << p.src.value() << "->" << self.value()
           << " delivered out of FIFO order";
@@ -249,8 +250,10 @@ TEST(Network, HandlerSendsWhileInFlightTableGrows) {
     h.sim.schedule_at(SimTime::millis(5 * k),
                       [&, k] { net.set_link_up(flapping, k % 2 == 0); });
   }
-  h.sim.schedule_at(SimTime::millis(32), [&] { net.set_node_up(h.nodes[3], false); });
-  h.sim.schedule_at(SimTime::millis(47), [&] { net.set_node_up(h.nodes[3], true); });
+  h.sim.schedule_at(SimTime::millis(32),
+                    [&] { net.set_node_up(h.nodes[3], false); });
+  h.sim.schedule_at(SimTime::millis(47),
+                    [&] { net.set_node_up(h.nodes[3], true); });
   const LinkId lossy = *h.topo.link_between(h.nodes[2], h.nodes[1]);
   std::uint64_t lossy_seen = 0;
   net.set_loss_model(
